@@ -33,7 +33,7 @@ for _module in pkgutil.walk_packages(repro.__path__, "repro."):
         continue  # the CLI entry point execs main() on import
     importlib.import_module(_module.name)
 
-ROUNDS = 5
+ROUNDS = 10
 
 # the edited line lives in Button::setFontStyle; each round edits the
 # constant to a fresh value, so every recompile is a genuine

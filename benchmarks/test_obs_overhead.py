@@ -1,8 +1,9 @@
 """Observability overhead gate: tracing disabled must be free.
 
 Three variants of the same warm compile + execution step, measured
-interleaved (one round of each per iteration, so clock drift hits all
-variants equally):
+interleaved (one step of each per round, in an order that rotates from
+round to round, so clock drift hits all variants equally and no variant
+always runs first):
 
 * **floor** — every ``obs`` entry point monkeypatched to a no-op and
   every instrument method stubbed: the cost the code would have if the
@@ -11,8 +12,14 @@ variants equally):
   shared noop span, counters still count;
 * **enabled** — full span capture into the ring buffer.
 
-Acceptance (ISSUE 7): the disabled median is within 2% of the floor
-median. Results land in benchmark_results/obs_overhead.txt.
+Acceptance: the disabled path costs at most 2% over the floor. Each
+round's steps run back to back, so the ratio of a variant's step to the
+floor's step in the same round cancels the host's drift (other
+processes' load, clock changes); the gate takes the median of those
+per-round ratios. Unpaired medians do not cancel it: on a shared 2-vCPU
+host, two variants running identical code drew medians 4.5% apart over
+300 rounds, while their per-round ratios agreed within 0.2%. Results
+land in benchmark_results/obs_overhead.txt.
 """
 
 import statistics
@@ -27,7 +34,7 @@ from repro.service.executor import BatchExecutor
 from repro.storage import MemoryTier
 from repro.workloads.render.schema import RENDER_SOURCE
 
-ROUNDS = 40
+ROUNDS = 300
 WARMUP = 5
 
 
@@ -125,8 +132,9 @@ def test_disabled_tracing_overhead_under_two_percent(results_dir):
                     step()
 
         series = {name: [] for name, _ in VARIANTS}
-        for _ in range(ROUNDS):
-            for name, patches in VARIANTS:
+        for round_index in range(ROUNDS):
+            shift = round_index % len(VARIANTS)
+            for name, patches in VARIANTS[shift:] + VARIANTS[:shift]:
                 with patches():
                     start = time.perf_counter()
                     step()
@@ -138,9 +146,15 @@ def test_disabled_tracing_overhead_under_two_percent(results_dir):
         name: statistics.median(values) * 1e3
         for name, values in series.items()
     }
+    ratios = {
+        name: statistics.median(
+            value / floor for value, floor in zip(values, series["floor"])
+        )
+        for name, values in series.items()
+    }
 
     def overhead(name):
-        return (medians[name] / medians["floor"] - 1.0) * 100.0
+        return (ratios[name] - 1.0) * 100.0
 
     text = (
         "Observability overhead (warm compile + exec, render x4 "
@@ -153,11 +167,12 @@ def test_disabled_tracing_overhead_under_two_percent(results_dir):
         f"tracing enabled (full span capture): "
         f"median {medians['enabled']:.3f} ms "
         f"({overhead('enabled'):+.2f}%)\n"
-        "gate: disabled median <= floor median * 1.02"
+        "overhead: median over rounds of step / same-round floor step\n"
+        "gate: disabled overhead <= +2%"
     )
     print()
     print(text)
-    assert medians["disabled"] <= medians["floor"] * 1.02, text
+    assert ratios["disabled"] <= 1.02, text
     # write only after the gate: a failing run must not overwrite a
     # passing run's committed artifact
     (results_dir / "obs_overhead.txt").write_text(text + "\n")

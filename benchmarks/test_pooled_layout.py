@@ -62,8 +62,18 @@ def _per_request_series(workload, spec_kwargs):
     spec = workload.make_spec(**spec_kwargs)
     globals_map = dict(workload.globals_map or {})
 
+    # ingest once; every request clones the master pool
+    master_heap = Heap(program)
+    master_root = workload.build_tree(program, master_heap, spec)
+    master = ForestPool.from_tree(program, master_root)
+    fused = pooled_result.compiled_fused
+
+    # the layouts take turns, one request each per round, so a stretch
+    # of load from other processes lands on both series alike
     object_times = []
     object_summary = None
+    pooled_times = []
+    last_pool = None
     for _ in range(ROUNDS):
         heap = Heap(program)
         start = time.perf_counter()
@@ -74,14 +84,6 @@ def _per_request_series(workload, spec_kwargs):
         object_times.append(time.perf_counter() - start)
         object_summary = default_collect(program, heap, root)
 
-    # ingest once; every request clones the master pool
-    master_heap = Heap(program)
-    master_root = workload.build_tree(program, master_heap, spec)
-    master = ForestPool.from_tree(program, master_root)
-    fused = pooled_result.compiled_fused
-    pooled_times = []
-    last_pool = None
-    for _ in range(ROUNDS):
         heap = Heap(program)
         start = time.perf_counter()
         pool = master.clone()

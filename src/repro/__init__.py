@@ -15,7 +15,7 @@ interpreter) or :mod:`repro.codegen` (generated Python); serve with
 :mod:`repro.service`.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.7.1"
 
 # the public API surface re-exported from repro.api, resolved lazily so
 # `from repro import __version__` (used by low-level modules like the

@@ -28,6 +28,7 @@ attached at the enclosing method's state by the statement accesses.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.automata import EPSILON, Automaton, from_path
@@ -44,12 +45,23 @@ from repro.ir.stmts import TraverseStmt, nested_traversals
 
 
 class AnalysisContext:
-    """Caches per-method raw accesses and per-call-shape summaries."""
+    """One compile's dependence facts, each computed once: raw accesses
+    per method, summaries per call shape and per vertex origin, and
+    verdicts per pair of vertex origins (see :meth:`verdict`). The
+    caches live exactly as long as the context, which a compile creates
+    for itself — nothing is shared across compiles."""
 
     def __init__(self, program: Program):
         self.program = program
         self._method_accesses: dict[str, list[StatementAccesses]] = {}
         self._call_summaries: dict[tuple, StatementSummary] = {}
+        # (method, statement position, member slot) -> (site, full)
+        self.vertex_summaries: dict[
+            tuple[str, int, int], tuple[StatementSummary, StatementSummary]
+        ] = {}
+        self._verdicts: dict[tuple, bool] = {}
+        # "<kind>_tests" / "<kind>_memo_hits" -> count, per verdict kind
+        self.verdict_counts: Counter[str] = Counter()
 
     def method_accesses(self, method: TraversalMethod) -> list[StatementAccesses]:
         key = method.qualified_name
@@ -81,6 +93,26 @@ class AnalysisContext:
                 self, caller, stmt
             )
         return self._call_summaries[key]
+
+    def verdict(self, kind: str, first, second, test) -> bool:
+        """``test(first, second)`` for two dependence-graph vertices,
+        computed once per ``(kind, first.origin, second.origin, same
+        member)`` — however many sequences the two statements meet in."""
+        # Sound key: a vertex's summaries are fixed by its origin
+        # (method, statement position) up to its `local:` labels, which
+        # _rename_locals maps one-to-one onto `local:<member>:` labels
+        # (call summaries carry no locals). Two vertices' locals can
+        # coincide only when they share a member slot, and the renaming
+        # keeps whether they do, so an automaton-intersection verdict
+        # depends on the slots only through that one bit.
+        key = (kind, first.origin, second.origin, first.member == second.member)
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = test(first, second)
+            self.verdict_counts[f"{kind}_tests"] += 1
+        else:
+            self.verdict_counts[f"{kind}_memo_hits"] += 1
+        return verdict
 
 
 @dataclass

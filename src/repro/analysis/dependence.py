@@ -15,6 +15,13 @@ directed edge ``u -> v`` (u before v in program order) when:
 Locals are renamed per traversal copy (``local:<copy>:<name>``), so two
 inlined copies of the same function never conflict through their frames,
 while intra-copy flow through locals is preserved.
+
+The fusion pass builds one graph per fused sequence it discovers, and
+the same statements meet again and again across those sequences. The
+compile's :class:`AnalysisContext` therefore builds each vertex's
+summaries once per (method, statement position, member slot) and runs
+each interference test once per pair of statement origins plus whether
+the two share a member slot (see :meth:`AnalysisContext.verdict`).
 """
 
 from __future__ import annotations
@@ -40,6 +47,9 @@ class Vertex:
 
     index: int  # position in the inlined program order
     member: int  # which traversal copy of the sequence this came from
+    # (method qualified name, statement position): the statement's
+    # identity across sequences, half of every memoized verdict's key
+    origin: tuple[str, int]
     stmt: Stmt
     # None when the vertices were built summary-free to replay a cached
     # structure (see build_vertices) — nothing downstream of grouping
@@ -147,24 +157,31 @@ def build_vertices(
     top-level statement in member order — the positional layout every
     cached dependence/grouping *structure* refers to.
 
-    ``with_summaries=False`` skips the access automata (the expensive
-    part: per-statement machines plus Algorithm-1 call summaries); a
-    caller replaying a cached edge/group structure only needs the
-    statements and call shapes.
+    Summaries come from ``ctx``, which builds them once per (method,
+    statement position, member slot): the member slot fixes the
+    ``local:`` renaming, so the same statement in the same slot of any
+    other sequence gets the very same automata. ``with_summaries=False``
+    skips the automata altogether; a caller replaying a cached
+    edge/group structure only needs the statements and call shapes.
     """
     vertices: list[Vertex] = []
     for member_index, method in enumerate(members):
-        for accesses in ctx.method_accesses(method):
+        name = method.qualified_name
+        for position, accesses in enumerate(ctx.method_accesses(method)):
             stmt = accesses.stmt
+            site = full = None
             if with_summaries:
-                site, full = _member_summary(
-                    ctx, method, accesses, member_index
-                )
-            else:
-                site = full = None
+                key = (name, position, member_index)
+                summaries = ctx.vertex_summaries.get(key)
+                if summaries is None:
+                    summaries = ctx.vertex_summaries[key] = _member_summary(
+                        ctx, method, accesses, member_index
+                    )
+                site, full = summaries
             vertex = Vertex(
                 index=len(vertices),
                 member=member_index,
+                origin=(name, position),
                 stmt=stmt,
                 summary=full,
                 has_return=contains_return(stmt),
@@ -191,7 +208,8 @@ def build_dependence_graph(
     ctx: AnalysisContext, members: list[TraversalMethod]
 ) -> DependenceGraph:
     """Dependence graph for the inlined sequence *members* (paper §3.3:
-    the graph :math:`G_L` for a sequence label L)."""
+    the graph :math:`G_L` for a sequence label L). Interference verdicts
+    are memoized in ``ctx`` across every graph of the compile."""
     vertices = build_vertices(ctx, members, with_summaries=True)
     graph = DependenceGraph(vertices)
     for j, vj in enumerate(vertices):
@@ -200,6 +218,10 @@ def build_dependence_graph(
             if vi.member == vj.member and (vi.has_return or vj.has_return):
                 graph.add_edge(vi.index, vj.index)
                 continue
-            if interferes(vi.summary, vj.summary):
+            if ctx.verdict("interference", vi, vj, _vertices_interfere):
                 graph.add_edge(vi.index, vj.index)
     return graph
+
+
+def _vertices_interfere(first: Vertex, second: Vertex) -> bool:
+    return interferes(first.summary, second.summary)

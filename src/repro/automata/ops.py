@@ -3,9 +3,11 @@
 The dependence test of the paper (§3.2.1, "Finding dependences between
 statements") is: intersect the write automaton of one statement with the
 read/write automata of another and check emptiness. :func:`intersects`
-implements that check directly on the product space without materializing
-the product machine; :func:`intersect` materializes it (used by tests and
-by diagnostics that want to show a witness access path).
+implements that check on the product of the two subset constructions,
+determinized on the fly and never materialized; :func:`intersect`
+materializes the state-pair product instead (used by tests as the
+independent reference, and by diagnostics that want to show a witness
+access path).
 """
 
 from __future__ import annotations
@@ -54,23 +56,57 @@ def _product_moves(
                     yield merged, dst_a, dst_b
 
 
+def _subset_moves(
+    automaton: Automaton, subset: frozenset[int]
+) -> dict[str, set[int]]:
+    """Label -> successor states of a subset, ε excluded."""
+    moves: dict[str, set[int]] = {}
+    for state in subset:
+        for label, dsts in automaton.transitions_from(state).items():
+            if label != EPSILON:
+                moves.setdefault(label, set()).update(dsts)
+    return moves
+
+
+def _joint_steps(
+    a: Automaton, b: Automaton, sa: frozenset[int], sb: frozenset[int]
+) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
+    """Successor pairs of ε-closed subsets ``(sa, sb)``: one per
+    concrete label either side names, with ``ANY`` edges firing on each,
+    and one for the labels neither side names, which only ``ANY`` edges
+    read. This is exactly the label compatibility of
+    :func:`_product_moves`."""
+    moves_a, moves_b = _subset_moves(a, sa), _subset_moves(b, sb)
+    any_a, any_b = moves_a.pop(ANY, set()), moves_b.pop(ANY, set())
+    for label in moves_a.keys() | moves_b.keys():
+        next_a = moves_a.get(label, set()) | any_a
+        next_b = moves_b.get(label, set()) | any_b
+        if next_a and next_b:
+            yield a.epsilon_closure(next_a), b.epsilon_closure(next_b)
+    if any_a and any_b:
+        yield a.epsilon_closure(any_a), b.epsilon_closure(any_b)
+
+
 def intersects(a: Automaton, b: Automaton) -> bool:
     """Emptiness test of the intersection language (the dependence check).
 
-    Performs a BFS over reachable product states and returns True as soon
-    as a jointly-accepting pair is found.
+    A BFS over pairs of ε-closed state subsets — the product of the two
+    subset constructions, determinized on the fly — that returns True as
+    soon as both subsets of a pair hold an accepting state. Subsets
+    merge the many state pairs that the same word reaches, so a pair of
+    automata full of ε-glued unions is explored once per word class
+    rather than once per state pair.
     """
     if a.is_trivially_empty() or b.is_trivially_empty():
         return False
-    start = (a.start, b.start)
+    start = (a.epsilon_closure([a.start]), b.epsilon_closure([b.start]))
     seen = {start}
-    queue: deque[tuple[int, int]] = deque([start])
+    queue: deque[tuple[frozenset[int], frozenset[int]]] = deque([start])
     while queue:
-        pa, pb = queue.popleft()
-        if pa in a.accepting and pb in b.accepting:
+        sa, sb = queue.popleft()
+        if not (a.accepting.isdisjoint(sa) or b.accepting.isdisjoint(sb)):
             return True
-        for _, na, nb in _product_moves(a, b, pa, pb):
-            pair = (na, nb)
+        for pair in _joint_steps(a, b, sa, sb):
             if pair not in seen:
                 seen.add(pair)
                 queue.append(pair)

@@ -67,9 +67,6 @@ from repro.runtime.values import copy_value as _copy
 
 class _Trunc(Exception):
     """Member truncation inside a fused unit."""
-
-
-_TRUNC = _Trunc()
 '''
 
 
@@ -602,8 +599,11 @@ def _emit_guarded(
             f"got {stmt}"
         )
 
+    # a fresh instance per raise: re-raising one shared instance would
+    # chain every raise's traceback onto it, keeping each truncated
+    # unit's frame — and the tree, heap and pool it holds — alive
     compiler = _StmtCompiler(
-        program, exprc, call_line, return_line="raise _TRUNC"
+        program, exprc, call_line, return_line="raise _Trunc"
     )
     mask = 1 << item.member
     from repro.ir.stmts import contains_return, contains_traverse

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import FrontendError
 
@@ -19,9 +20,27 @@ _PUNCT = [
     "+", "-", "/", "%", "!", ":",
 ]
 
+# The ASCII fast path: one match per token, blanks before it included,
+# with columns counted from the current line's start. The alternatives
+# follow the character rules of _tokenize_chars in the order they apply
+# (comments before the `/` punctuation, punctuation in _PUNCT order so
+# maximal munch holds), and on ASCII input the classes below equal
+# str.isalpha/isalnum/isdigit, so both paths give the same tokens,
+# positions and errors. Any other input takes the character loop.
+_TOKEN_RE = re.compile(
+    r"[ \t\r]*(?:"
+    r"(?P<newline>\n[ \t\r\n]*)"
+    r"|(?P<line_comment>//[^\n]*)"
+    r"|(?P<block_comment>/\*)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<number>[0-9]+(?:\.(?!\.\.)[0-9]*)?(?:[eE][+-]?[0-9]*)?)"
+    r"|(?P<char>'(?s:.)')"
+    r"|(?P<punct>" + "|".join(re.escape(p) for p in _PUNCT) + ")"
+    r"|(?P<end>\Z))"
+)
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # 'ident', 'keyword', 'number', 'char', 'punct', 'eof'
     text: str
     line: int
@@ -33,6 +52,65 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize *source*; raises FrontendError with position on bad input."""
+    if not source.isascii():
+        return _tokenize_chars(source)
+    tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN_RE.match
+    index = 0
+    line = 1
+    line_start = 0  # index of the current line's first character
+    while True:
+        m = match(source, index)
+        if m is None:
+            index = len(source) - len(source[index:].lstrip(" \t\r"))
+            column = index - line_start + 1
+            if source[index] == "'":
+                raise FrontendError("malformed character literal", line, column)
+            raise FrontendError(
+                f"unexpected character {source[index]!r}", line, column
+            )
+        kind = m.lastgroup
+        start = m.start(kind)
+        index = m.end()
+        if kind == "newline":
+            line += source.count("\n", start, index)
+            line_start = source.rfind("\n", start, index) + 1
+        elif kind == "ident":
+            text = m.group(kind)
+            append(Token(
+                "keyword" if text in KEYWORDS else "ident",
+                text, line, start - line_start + 1,
+            ))
+        elif kind == "number" or kind == "punct":
+            append(Token(kind, m.group(kind), line, start - line_start + 1))
+        elif kind == "char":
+            append(Token("char", source[start + 1], line, start - line_start + 1))
+        elif kind == "block_comment":
+            close = source.find("*/", start + 2)
+            if close == -1:
+                raise FrontendError(
+                    "unterminated block comment", line, start - line_start + 1
+                )
+            index = close + 2
+            newlines = source.count("\n", start, index)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", start, index) + 1
+        elif kind == "line_comment":
+            if index == len(source):
+                # the end-of-input token keeps the comment's column
+                append(Token("eof", "", line, start - line_start + 1))
+                return tokens
+        else:  # end
+            append(Token("eof", "", line, start - line_start + 1))
+            return tokens
+
+
+def _tokenize_chars(source: str) -> list[Token]:
+    """The character-at-a-time rules :data:`_TOKEN_RE` mirrors, kept for
+    non-ASCII sources, where ``str.isalpha`` and friends accept letters
+    and digits beyond the regex's ASCII classes."""
     tokens: list[Token] = []
     index = 0
     line = 1

@@ -80,19 +80,22 @@ class _Cursor:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self._last = len(tokens) - 1  # reads past the end see this token
 
     def peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        index = self.pos + offset
+        return self.tokens[index if index < self._last else self._last]
 
     def next(self) -> Token:
-        token = self.peek()
+        pos = self.pos
+        token = self.tokens[pos if pos < self._last else self._last]
         if token.kind != "eof":
-            self.pos += 1
+            self.pos = pos + 1
         return token
 
     def at(self, text: str, offset: int = 0) -> bool:
-        token = self.peek(offset)
+        index = self.pos + offset
+        token = self.tokens[index if index < self._last else self._last]
         return token.text == text and token.kind != "eof"
 
     def at_kind(self, kind: str, offset: int = 0) -> bool:

@@ -70,7 +70,7 @@ def explain_sequence(
     program.finalize()
     ctx = AnalysisContext(program)
     graph = build_dependence_graph(ctx, members)
-    groups, assignment = greedy_group(graph, limits or FusionLimits())
+    groups, assignment = greedy_group(graph, limits or FusionLimits(), ctx)
     vertex_desc = {
         v.index: f"[m{v.member}] {v.stmt}" for v in graph.vertices
     }

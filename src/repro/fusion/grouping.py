@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.call_automata import AnalysisContext
 from repro.analysis.dependence import DependenceGraph, Vertex
 from repro.automata import intersects
 from repro.ir.stmts import If, TraverseStmt
@@ -127,13 +128,15 @@ def _contracted_has_cycle(
 
 
 def greedy_group(
-    graph: DependenceGraph, limits: FusionLimits
+    graph: DependenceGraph, limits: FusionLimits, ctx: AnalysisContext
 ) -> tuple[list[Group], dict[int, int]]:
     """Group call vertices greedily.
 
     Returns the groups plus the final contraction assignment
     (vertex index -> representative id; grouped vertices share their
-    group leader's index).
+    group leader's index). Argument-hazard verdicts are memoized in
+    ``ctx`` across every graph of the compile, like the interference
+    verdicts.
     """
     assignment = {v.index: v.index for v in graph.vertices}
     keys = {v.index: group_key(v) for v in graph.vertices}
@@ -168,7 +171,9 @@ def greedy_group(
             ):
                 continue
             if any(
-                _argument_hazard(graph.vertices[m], candidate)
+                ctx.verdict(
+                    "hazard", graph.vertices[m], candidate, _argument_hazard
+                )
                 for m in members
             ):
                 continue

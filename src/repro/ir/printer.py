@@ -64,7 +64,9 @@ def print_tree_type(tree_type) -> str:
     for child in tree_type.children.values():
         lines.append(f"{_INDENT}_child_ {child.type_name}* {child.name};")
     for data in tree_type.data.values():
-        lines.append(f"{_INDENT}{data.type_name} {data.name};")
+        default = tree_type.data_defaults.get(data.name)
+        init = "" if default is None else f" = {print_expr(Const(default))}"
+        lines.append(f"{_INDENT}{data.type_name} {data.name}{init};")
     for method in tree_type.methods.values():
         lines.append(print_method(method, indent=1))
     lines.append("};")

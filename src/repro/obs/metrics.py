@@ -175,17 +175,25 @@ class Family:
         return _KINDS[self.kind]()
 
     def labels(self, **labels):
-        if set(labels) != set(self.label_names):
+        try:
+            key = tuple([str(labels[n]) for n in self.label_names])
+        except KeyError:
+            key = None
+        if key is None or len(labels) != len(self.label_names):
             raise ValueError(
                 f"metric {self.name!r} takes labels "
                 f"{sorted(self.label_names)}, got {sorted(labels)}"
             )
-        key = tuple(str(labels[n]) for n in self.label_names)
-        with self._lock:
-            child = self._children.get(key)
-            if child is None:
-                child = self._children[key] = self._make()
-            return child
+        # an existing child is one lock-free dict probe (atomic under
+        # the GIL): every instrumented event pays this lookup, only a
+        # new label combination pays the lock
+        child = self._children.get(key)
+        if child is None:
+            with self._lock:
+                child = self._children.get(key)
+                if child is None:
+                    child = self._children[key] = self._make()
+        return child
 
     def samples(self) -> list[tuple[tuple, object]]:
         """``(label_values, instrument)`` pairs, insertion order."""
@@ -195,7 +203,8 @@ class Family:
     # -- label-less convenience ----------------------------------------
 
     def _default(self):
-        return self.labels()
+        child = self._children.get(())
+        return child if child is not None else self.labels()
 
     def inc(self, amount: float = 1.0) -> None:
         self._default().inc(amount)

@@ -44,7 +44,7 @@ import secrets
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Iterable, Optional
 
 #: A serialized span context: the picklable ``(trace_id, span_id)``
@@ -336,12 +336,18 @@ def get_tracer() -> Tracer:
 
 def span(name: str, *, force: bool = False, **attrs):
     """Open a span on the process tracer (see :meth:`Tracer.span`)."""
+    # tracing off, no parent, not forced: nothing can record, so every
+    # instrumented site takes this one-branch path to the noop span
+    if not (force or _TRACER.enabled) and _CURRENT.get() is None:
+        return NOOP_SPAN
     return _TRACER.span(name, force=force, **attrs)
 
 
 def span_from(ctx: Optional[SpanContext], name: str, **attrs):
     """Open a span under a serialized context (see
     :meth:`Tracer.span_from`)."""
+    if ctx is None:
+        return span(name, **attrs)
     return _TRACER.span_from(ctx, name, **attrs)
 
 
@@ -364,16 +370,16 @@ def disable() -> None:
     _TRACER.configure(enabled=False)
 
 
-@contextmanager
+_NO_BUCKET = nullcontext(None)
+
+
 def collect_spans(enabled: bool = True):
     """Divert this context's spans into a list (``None`` when
     ``enabled`` is false — the no-tracing fast path keeps one shape at
     the call site)."""
     if not enabled:
-        yield None
-        return
-    with _TRACER.collect() as bucket:
-        yield bucket
+        return _NO_BUCKET
+    return _TRACER.collect()
 
 
 def ingest(spans: Optional[Iterable[dict]]) -> None:

@@ -30,6 +30,7 @@ before knowing its scheduled position cannot change its member slots.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.analysis.call_automata import AnalysisContext
@@ -313,7 +314,9 @@ class FusionPlanner:
         )
         graph = self.graph_for(members)
         plan.graph = graph
-        plan.groups, plan.assignment = greedy_group(graph, self.limits)
+        plan.groups, plan.assignment = greedy_group(
+            graph, self.limits, self.ctx
+        )
         self._plan_groups(plan)
         return plan
 
@@ -724,18 +727,36 @@ class AccessAnalysisPass:
         return {"methods": self.methods, "statements": self.statements}
 
 
+def _verdict_detail(
+    pctx: PassContext, before: Counter, kinds: tuple[str, ...]
+) -> dict[str, int]:
+    """A pass's share of the compile's memoized verdicts: the automaton
+    tests it ran and the tests the context's memo answered instead."""
+    counts = pctx.analysis.verdict_counts
+    return {
+        key: counts[key] - before[key]
+        for kind in kinds
+        for key in (f"{kind}_tests", f"{kind}_memo_hits")
+    }
+
+
 class DependencePass:
     """Dependence graphs for the entry sequences (§3.3), one unit per
     distinct concrete member sequence. The cached artifact is the graph
     *structure* (:class:`DepStructure`) keyed on the members' analysis
-    closures (without the fusion limits) — the O(n²) interference
-    testing is what memoizes, while vertices always rebuild from the
-    current statements."""
+    closures (without the fusion limits), so a warm store skips the
+    O(n²) interference testing while vertices always rebuild from the
+    current statements. A cold graph's vertex summaries and
+    interference verdicts stay in the compile's
+    :class:`AnalysisContext`, where the fusion pass's graphs reuse them;
+    the detail's ``interference_tests`` counts the verdicts this pass
+    computed and ``interference_memo_hits`` those the memo answered."""
 
     name = "dependence"
     persist_units = True
 
     def discover(self, pctx: PassContext):
+        self.verdicts_before = Counter(pctx.analysis.verdict_counts)
         pctx.planner = FusionPlanner(
             pctx.program, pctx.options.limits, pctx.analysis
         )
@@ -787,6 +808,9 @@ class DependencePass:
                 s.vertex_count for s in structures.values()
             ),
             "edges": sum(len(s.edges) for s in structures.values()),
+            **_verdict_detail(
+                pctx, self.verdicts_before, ("interference",)
+            ),
         }
 
 
@@ -802,7 +826,9 @@ class FusionPass:
     the fusion limits: replaying it needs neither summaries nor
     interference tests, and an edit that only changes computation
     (a constant, an operator) keeps hitting — the ROADMAP's
-    dependence-summary memoization."""
+    dependence-summary memoization. Within one compile, the detail's
+    ``interference_*`` and ``hazard_*`` (grouping's argument hazards)
+    counts split each kind of verdict into tests run and memo hits."""
 
     name = "fusion"
     persist_units = True
@@ -812,6 +838,7 @@ class FusionPass:
         self._fresh: dict[SequenceKey, UnitPlan] = {}
 
     def discover(self, pctx: PassContext):
+        self.verdicts_before = Counter(pctx.analysis.verdict_counts)
         planner = pctx.planner
         units = []
         entry_plans: list[EntryPlan] = []
@@ -902,6 +929,9 @@ class FusionPass:
             "units": len(plans),
             "groups": sum(len(p.groups) for p in plans.values()),
             "graphs": len(pctx.planner.graphs),
+            **_verdict_detail(
+                pctx, self.verdicts_before, ("interference", "hazard")
+            ),
         }
 
 

@@ -1,5 +1,11 @@
-"""Dependence-graph tests, including the paper's Fig. 1 scenario and
-call automata (Fig. 5 / Algorithm 1) behaviour."""
+"""Dependence-graph tests, including the paper's Fig. 1 scenario,
+call automata (Fig. 5 / Algorithm 1) behaviour, and the soundness of
+the per-compile memo of summaries and verdicts."""
+
+import json
+import pathlib
+
+import pytest
 
 from repro.analysis import (
     AnalysisContext,
@@ -7,8 +13,28 @@ from repro.analysis import (
     build_dependence_graph,
 )
 from repro.frontend import parse_program
+from repro.fusion.grouping import FusionLimits, greedy_group
+from repro.fuzz import generate_case
+from repro.pipeline import CompileOptions
+from repro.pipeline import compile as pipeline_compile
+from repro.pipeline.stages import DepStructure, FusionPlanner
+from repro.workloads.astlang import astlang_workload
+from repro.workloads.fmm import fmm_workload
+from repro.workloads.kdtree import kdtree_workload
+from repro.workloads.render import render_workload
 
 from tests.fixtures import fig1_program, fig2_program
+
+WORKLOADS = {
+    "render": render_workload,
+    "astlang": astlang_workload,
+    "kdtree": kdtree_workload,
+    "fmm": fmm_workload,
+}
+
+FUZZ_CORPUS = json.loads(
+    (pathlib.Path(__file__).parents[1] / "fuzz" / "seeds.json").read_text()
+)
 
 
 def _graph_for(program, seq):
@@ -218,3 +244,75 @@ class TestCallAutomata:
         labels = {e.label for e in graph.edges}
         assert "Group.Content" in labels
         assert "Element.Next" in labels
+
+
+class TestMemoSoundness:
+    """One compile shares one AnalysisContext: vertex summaries per
+    (method, statement position, member slot) and verdicts per (origin,
+    origin, same member slot). Sharing must never change a graph."""
+
+    @pytest.mark.parametrize(
+        "kind, arg",
+        [("workload", name) for name in WORKLOADS]
+        + [("fuzz", seed) for seed in FUZZ_CORPUS["seeds"]],
+    )
+    def test_shared_context_matches_fresh_context(self, kind, arg):
+        if kind == "workload":
+            program = WORKLOADS[arg]().source
+        else:
+            case = generate_case(arg, max_depth=FUZZ_CORPUS["max_depth"])
+            program = parse_program(case.source, name=f"fuzz-{arg}")
+        program.finalize()
+        limits = FusionLimits()
+        planner = FusionPlanner(program, limits, AnalysisContext(program))
+        planner.plan_entry()
+        assert planner.plans
+        for plan in planner.plans.values():
+            # a fresh context per sequence: nothing memoized across graphs
+            fresh_ctx = AnalysisContext(program)
+            fresh = build_dependence_graph(fresh_ctx, plan.members)
+            assert DepStructure.of(plan.graph) == DepStructure.of(fresh)
+            groups, assignment = greedy_group(fresh, limits, fresh_ctx)
+            assert [g.vertex_indices for g in plan.groups] == [
+                g.vertex_indices for g in groups
+            ]
+            assert plan.assignment == assignment
+
+    def test_locals_conflict_within_a_copy_only(self):
+        # f writes local t, then reads it: an edge inside each copy of
+        # [T.f, T.f], none across. A verdict key without the same-member
+        # bit would reuse the in-copy verdict for the cross-copy pair.
+        program = parse_program(
+            """
+            _tree_ class T {
+                int a = 0;
+                _traversal_ void f() {
+                    int t = this->a;
+                    int u = t + 1;
+                }
+            };
+            """
+        )
+        f = program.resolve_method("T", "f")
+        ctx = AnalysisContext(program)
+        graph = build_dependence_graph(ctx, [f, f])
+        edges = {
+            (src, dst) for src, dsts in graph.succ.items() for dst in dsts
+        }
+        assert edges == {(0, 1), (2, 3)}
+        assert ctx.verdict_counts["interference_memo_hits"] > 0
+
+    def test_cold_astlang_compile_test_count(self):
+        # a count guard, not a timing gate: the memo leaves one test per
+        # distinct (origin, origin, same member) key of the compile
+        result = pipeline_compile(
+            astlang_workload(),
+            options=CompileOptions(use_cache=False, emit=False),
+        )
+        detail = {t.name: t.detail for t in result.timings}
+        tests = sum(
+            detail[name]["interference_tests"]
+            for name in ("dependence", "fusion")
+        )
+        assert 0 < tests <= 398
+        assert detail["fusion"]["interference_memo_hits"] > tests

@@ -1,7 +1,8 @@
 """Tests for automaton algebra: union, intersection, emptiness, pruning.
 
-Includes hypothesis property tests cross-checking `intersects` against a
-brute-force enumeration of both languages.
+Includes hypothesis property tests cross-checking `intersects` against
+the materialized product (`intersect`) and a brute-force enumeration of
+both languages.
 """
 
 import itertools
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.automata import (
     ANY,
+    EPSILON,
     Automaton,
     enumerate_paths,
     from_path,
@@ -179,7 +181,7 @@ def random_automaton(draw):
     for _ in range(n_edges):
         src = draw(st.sampled_from(states))
         dst = draw(st.sampled_from(states))
-        label = draw(st.sampled_from(_ALPHABET + [ANY]))
+        label = draw(st.sampled_from(_ALPHABET + [ANY, EPSILON]))
         automaton.add_transition(src, label, dst)
     return automaton
 
@@ -187,17 +189,15 @@ def random_automaton(draw):
 @given(random_automaton(), random_automaton())
 @settings(max_examples=120, deadline=None)
 def test_intersects_agrees_with_bruteforce(a, b):
+    # the materialized state-pair product is the independent reference:
+    # it decides emptiness exactly, in both directions
+    verdict = intersects(a, b)
+    assert verdict == (not prune(intersect(a, b)).is_trivially_empty())
+    # a shared short path is a witness the search must find
     paths_a = enumerate_paths(a, _ALPHABET, max_length=5)
     paths_b = enumerate_paths(b, _ALPHABET, max_length=5)
-    brute = bool(paths_a & paths_b)
-    if brute:
-        # A shared short path must be found by the product search.
-        assert intersects(a, b)
-    else:
-        # The product search may still find longer witnesses; verify any
-        # claimed emptiness against brute force (soundness direction).
-        if not intersects(a, b):
-            assert not brute
+    if paths_a & paths_b:
+        assert verdict
 
 
 @given(random_automaton(), random_automaton())

@@ -181,3 +181,69 @@ class TestEmission:
 
         assert root_a.snapshot(program) == root_b.snapshot(program)
         assert compiled_time < interpreted  # generous: any speedup at all
+
+
+class TestTruncationLeak:
+    """A truncating fused unit must not keep its tree alive: the unit
+    raises a fresh ``_Trunc`` each time, so no traceback — and no frame
+    holding the tree, its runtime context or its heap — outlives the
+    run. (``Node`` has no ``__weakref__`` slot, so the test watches the
+    heap, which every frame of the run reaches through its context.)"""
+
+    SOURCE = """
+    _tree_ class Item {
+        _child_ Item* kid;
+        int a = 0;
+        int b = 0;
+        int stop = 0;
+        _traversal_ virtual void go() {}
+        _traversal_ virtual void other() {}
+    };
+    _tree_ class Inner : public Item {
+        _traversal_ void go() {
+            if (this->stop == 1) return;
+            this->a = 1;
+            this->kid->go();
+        }
+        _traversal_ void other() {
+            this->b = 2;
+            this->kid->other();
+        }
+    };
+    _tree_ class Leaf : public Item { };
+    int main() {
+        Item* root = ...;
+        root->go();
+        root->other();
+    }
+    """
+
+    @pytest.mark.parametrize("layout", ["object", "pooled"])
+    def test_truncated_tree_is_freed(self, layout):
+        import gc
+        import weakref
+
+        from repro.pipeline import CompileOptions
+        from repro.pipeline import compile as pipeline_compile
+
+        result = pipeline_compile(
+            self.SOURCE,
+            options=CompileOptions(use_cache=False, layout=layout),
+        )
+        program = result.program
+        assert "except _Trunc" in result.fused_source
+
+        def run_once():
+            heap = Heap(program)
+            leaf = Node.new(program, heap, "Leaf")
+            inner = Node.new(program, heap, "Inner", kid=leaf, stop=1)
+            root = Node.new(program, heap, "Inner", kid=inner)
+            result.compiled_fused.run_fused(heap, root)
+            # the root ran; its kid truncated `go` and still ran `other`
+            assert root.get("a") == 1 and inner.get("a") == 0
+            assert inner.get("b") == 2
+            return weakref.ref(heap)
+
+        watched = [run_once() for _ in range(2)]
+        gc.collect()
+        assert all(ref() is None for ref in watched)

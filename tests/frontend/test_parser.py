@@ -1,12 +1,20 @@
 """Frontend tests: lexing, parsing, resolution, error reporting."""
 
+import random
+import string
+
 import pytest
 
 from repro.errors import FrontendError, ValidationError
 from repro.frontend import parse_program, tokenize
+from repro.frontend.lexer import _tokenize_chars
 from repro.ir import Assign, Delete, If, New, Return, TraverseStmt
 from repro.ir.exprs import BinOp, Const, DataAccess, PureCall
 from repro.ir.printer import print_program
+from repro.workloads.astlang.schema import AST_SOURCE
+from repro.workloads.fmm.schema import FMM_SOURCE
+from repro.workloads.kdtree.schema import KD_SOURCE
+from repro.workloads.render.schema import RENDER_SOURCE
 
 from tests.fixtures import FIG2_SOURCE, fig1_program, fig2_program
 
@@ -44,6 +52,51 @@ class TestLexer:
     def test_unexpected_character_raises(self):
         with pytest.raises(FrontendError, match="unexpected character"):
             tokenize("a @ b")
+
+    def test_eof_after_trailing_line_comment_keeps_comment_column(self):
+        assert tokenize("a // c")[-1] == ("eof", "", 1, 3)
+        assert tokenize("a /* c */  ")[-1] == ("eof", "", 1, 12)
+
+    def test_non_ascii_identifiers_take_the_character_rules(self):
+        # str.isalpha accepts letters beyond the fast path's ASCII classes
+        tokens = tokenize("café = 1;")
+        assert [(t.kind, t.text) for t in tokens][:2] == [
+            ("ident", "café"),
+            ("punct", "="),
+        ]
+
+    def test_fast_path_agrees_with_character_rules(self):
+        """The regex path must give the character loop's tokens,
+        positions and errors on every ASCII input: seeded random
+        snippets, and random edits of the four workload sources."""
+        rng = random.Random(13)
+        pieces = list(string.printable) + [
+            "...", "//", "/*", "*/", "->", "::", "&&", "||", "1.5",
+            "2e3", "1e+", "7...", "'x'", "'''", "class", "_tree_", "\n\n",
+        ]
+        sources = [
+            "".join(rng.choice(pieces) for _ in range(rng.randint(0, 40)))
+            for _ in range(3000)
+        ]
+        for base in (RENDER_SOURCE, AST_SOURCE, FMM_SOURCE, KD_SOURCE):
+            sources.append(base)
+            for _ in range(50):
+                chars = list(base)
+                for _ in range(rng.randint(1, 4)):
+                    chars[rng.randrange(len(chars))] = rng.choice(pieces)
+                sources.append("".join(chars))
+        for source in sources:
+            assert source.isascii()
+            assert _lex_outcome(tokenize, source) == _lex_outcome(
+                _tokenize_chars, source
+            ), source
+
+
+def _lex_outcome(tokenizer, source):
+    try:
+        return tokenizer(source)
+    except FrontendError as error:
+        return (str(error), error.line, error.column)
 
 
 class TestParseFig2:

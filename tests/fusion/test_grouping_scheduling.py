@@ -20,6 +20,15 @@ def _graph(source, seq):
     return build_dependence_graph(ctx, members)
 
 
+def _grouped(source, seq, limits=FusionLimits()):
+    """(graph, groups, assignment), grouped in the graph's context."""
+    program = parse_program(source)
+    ctx = AnalysisContext(program)
+    members = [program.resolve_method(t, m) for t, m in seq]
+    graph = build_dependence_graph(ctx, members)
+    return (graph, *greedy_group(graph, limits, ctx))
+
+
 INDEPENDENT = """
 _tree_ class N {
     _child_ N* kid;
@@ -62,8 +71,7 @@ class TestContraction:
 
 class TestGreedyGroup:
     def test_same_receiver_calls_group(self):
-        graph = _graph(INDEPENDENT, [("I", "p1"), ("I", "p2")])
-        groups, _ = greedy_group(graph, FusionLimits())
+        graph, groups, _ = _grouped(INDEPENDENT, [("I", "p1"), ("I", "p2")])
         call_groups = [g for g in groups if len(g.vertex_indices) == 2]
         assert len(call_groups) == 1
 
@@ -105,7 +113,7 @@ class TestGreedyGroup:
         ctx = AnalysisContext(program)
         method = program.resolve_method("I", "p")
         graph = build_dependence_graph(ctx, [method] * 6)
-        groups, _ = greedy_group(graph, FusionLimits(max_sequence=3))
+        groups, _ = greedy_group(graph, FusionLimits(max_sequence=3), ctx)
         call_groups = [g for g in groups if g.receiver_key.startswith("call")]
         assert all(len(g.vertex_indices) <= 3 for g in call_groups)
 
@@ -126,7 +134,7 @@ class TestGreedyGroup:
         ctx = AnalysisContext(program)
         method = program.resolve_method("I", "p")
         graph = build_dependence_graph(ctx, [method] * 6)
-        groups, _ = greedy_group(graph, FusionLimits(max_repeat=2))
+        groups, _ = greedy_group(graph, FusionLimits(max_repeat=2), ctx)
         for group in groups:
             names = [
                 call.method_name
@@ -138,15 +146,17 @@ class TestGreedyGroup:
 
 class TestScheduler:
     def test_schedule_covers_all_vertices_once(self):
-        graph = _graph(INDEPENDENT, [("I", "p1"), ("I", "p2")])
-        groups, assignment = greedy_group(graph, FusionLimits())
+        graph, groups, assignment = _grouped(
+            INDEPENDENT, [("I", "p1"), ("I", "p2")]
+        )
         order = schedule(graph, groups, assignment)
         flat = [i for unit in order for i in unit]
         assert sorted(flat) == [v.index for v in graph.vertices]
 
     def test_schedule_respects_dependences(self):
-        graph = _graph(INDEPENDENT, [("I", "p1"), ("I", "p2")])
-        groups, assignment = greedy_group(graph, FusionLimits())
+        graph, groups, assignment = _grouped(
+            INDEPENDENT, [("I", "p1"), ("I", "p2")]
+        )
         order = schedule(graph, groups, assignment)
         position = {}
         for slot, unit in enumerate(order):
@@ -157,8 +167,9 @@ class TestScheduler:
                 assert position[src] <= position[dst]
 
     def test_schedule_prefers_source_order_for_independents(self):
-        graph = _graph(INDEPENDENT, [("I", "p1"), ("I", "p2")])
-        groups, assignment = greedy_group(graph, FusionLimits())
+        graph, groups, assignment = _grouped(
+            INDEPENDENT, [("I", "p1"), ("I", "p2")]
+        )
         order = schedule(graph, groups, assignment)
         # the two assigns (a=1 from m0, b=2 from m1) are independent and
         # must keep source order: m0's before m1's
@@ -167,8 +178,9 @@ class TestScheduler:
         assert members == sorted(members)
 
     def test_grouped_calls_are_adjacent(self):
-        graph = _graph(INDEPENDENT, [("I", "p1"), ("I", "p2")])
-        groups, assignment = greedy_group(graph, FusionLimits())
+        graph, groups, assignment = _grouped(
+            INDEPENDENT, [("I", "p1"), ("I", "p2")]
+        )
         order = schedule(graph, groups, assignment)
         group_units = [unit for unit in order if len(unit) > 1]
         assert group_units  # the two calls fused into one schedule slot

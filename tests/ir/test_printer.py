@@ -119,3 +119,65 @@ class TestPrinter:
         assert "'y'" in printed
         reparsed = parse_program(printed)
         assert "A" in reparsed.tree_types
+
+
+DEFAULTS_SOURCE = """
+_tree_ class Node_ {
+    _child_ Node_* next;
+    int Value = VALUE;
+    int Neg = -3;
+    double Ratio = 0.5;
+    double Small = -0.25;
+    bool Flag = true;
+    char Mark = 'q';
+    int Plain;
+    _traversal_ void go() {
+        this->Plain = this->Value;
+    }
+};
+int main() {
+    Node_* root = ...;
+    root->go();
+}
+"""
+
+
+class TestDataDefaults:
+    """Data-field defaults are part of the printed (and so hashed)
+    program: dropping them let two programs that differ only in a
+    default share one compile key."""
+
+    def test_defaults_survive_print_parse_round_trip(self):
+        program = parse_program(DEFAULTS_SOURCE.replace("VALUE", "7"))
+        printed = print_program(program)
+        assert "int Value = 7;" in printed
+        assert "int Plain;" in printed
+        reparsed = parse_program(printed)
+        defaults = program.tree_types["Node_"].data_defaults
+        assert defaults == {
+            "Value": 7,
+            "Neg": -3,
+            "Ratio": 0.5,
+            "Small": -0.25,
+            "Flag": True,
+            "Mark": "q",
+        }
+        assert reparsed.tree_types["Node_"].data_defaults == defaults
+        assert print_program(reparsed) == printed
+
+    def test_default_only_variants_get_distinct_keys(self):
+        from repro.pipeline import CompileOptions, hash_program
+        from repro.pipeline import compile as pipeline_compile
+        from repro.storage import MemoryTier
+
+        one, seven = (
+            parse_program(DEFAULTS_SOURCE.replace("VALUE", value))
+            for value in ("1", "7")
+        )
+        assert hash_program(one) != hash_program(seven)
+        cache = MemoryTier()
+        options = CompileOptions(emit=False)
+        pipeline_compile(one, options=options, cache=cache)
+        result = pipeline_compile(seven, options=options, cache=cache)
+        assert not result.cache_hit
+        assert result.program.tree_types["Node_"].data_defaults["Value"] == 7

@@ -1,6 +1,9 @@
 """The metrics registry: typed instruments, label families, legacy
 stats() views, and the Prometheus text exposition."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.obs.metrics import (
@@ -63,6 +66,39 @@ def test_label_set_is_validated(registry):
         family.labels(wrong="x")
     with pytest.raises(ValueError):
         family.labels()  # missing the tier label entirely
+    family.labels(tier="memory").inc()
+    with pytest.raises(ValueError):
+        # an existing child is found without the lock; the extra label
+        # must still be refused
+        family.labels(tier="memory", extra="x")
+
+
+def test_racing_label_lookups_keep_one_child_per_label(registry):
+    # label lookups skip the lock once a child exists: threads racing to
+    # create and bump the same children must not lose a child or a count
+    family = registry.counter("races", labels=("slot",))
+    workers, slots = 8, 2000
+    start = threading.Barrier(workers)
+
+    def bump():
+        start.wait(timeout=60)
+        for slot in range(slots):
+            family.labels(slot=slot).inc()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=bump) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    samples = family.samples()
+    assert len(samples) == slots
+    assert sum(child.value for _, child in samples) == workers * slots
 
 
 def test_registration_is_idempotent_but_kind_checked(registry):
