@@ -9,7 +9,8 @@ cutoff exceeds what the dependences allow anyway.
 
 from repro.bench.metrics import measure_run
 from repro.bench.tables import format_series
-from repro.fusion import FusionLimits, fuse_program
+from repro.fusion import FusionLimits
+from repro.pipeline.stages import plan_and_synthesize
 from repro.workloads.render import build_document, render_program, replicated_pages_spec
 from repro.workloads.render.schema import DEFAULT_GLOBALS
 
@@ -27,7 +28,7 @@ def test_cutoff_ablation(report, benchmark):
     ratios = []
     units = []
     for cutoff in CUTOFFS:
-        fused = fuse_program(program, limits=FusionLimits(max_sequence=cutoff))
+        fused = plan_and_synthesize(program, limits=FusionLimits(max_sequence=cutoff))
         run = measure_run(program, build, DEFAULT_GLOBALS, fused=fused)
         ratios.append(run.node_visits / baseline.node_visits)
         units.append(fused.unit_count)
@@ -47,7 +48,7 @@ def test_cutoff_ablation(report, benchmark):
     assert ratios[0] >= 0.95
     # the default cutoff reaches the dependence-limited optimum
     assert ratios[-1] == min(ratios)
-    fused = fuse_program(program, limits=FusionLimits(max_sequence=12))
+    fused = plan_and_synthesize(program, limits=FusionLimits(max_sequence=12))
     benchmark.pedantic(
         lambda: measure_run(program, build, DEFAULT_GLOBALS, fused=fused),
         rounds=3, iterations=1,

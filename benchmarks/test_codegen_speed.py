@@ -13,9 +13,10 @@ import time
 
 from repro.bench.runner import fused_for
 from repro.codegen import compile_fused, compile_program
-from repro.pipeline import CompileCache, CompileOptions
+from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
 from repro.runtime import Heap
+from repro.storage import MemoryTier
 from repro.workloads.render import (
     RENDER_SOURCE,
     build_document,
@@ -118,7 +119,7 @@ def test_codegen_fused_walltime(benchmark, results_dir):
 def test_compile_cold_vs_warm(results_dir):
     """Cold-cache vs warm-cache compile time through the staged pipeline.
 
-    Cold: a fresh CompileCache per round — full parse → fuse → emit.
+    Cold: a fresh MemoryTier per round — full parse → fuse → emit.
     Warm: the same source + options again — a content-hash lookup. The
     two series are appended to benchmark_results/codegen_speed.txt so
     the codegen report carries the compile-time split alongside the
@@ -128,7 +129,7 @@ def test_compile_cold_vs_warm(results_dir):
     cold_series: list[float] = []
     warm_series: list[float] = []
     for _ in range(COMPILE_ROUNDS):
-        cache = CompileCache()
+        cache = MemoryTier()
         start = time.perf_counter()
         cold = pipeline_compile(RENDER_SOURCE, options=options, cache=cache)
         cold_series.append(time.perf_counter() - start)

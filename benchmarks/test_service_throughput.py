@@ -30,6 +30,7 @@ import sys
 import textwrap
 import time
 
+from repro.api import Workload
 from repro.bench.runner import run_forest
 from repro.workloads.render import (
     DEFAULT_GLOBALS,
@@ -37,6 +38,15 @@ from repro.workloads.render import (
     RENDER_SOURCE,
     build_document,
     replicated_pages_spec,
+)
+
+# the string-DSL render program: the artifact every run resolves
+WORKLOAD = Workload.from_source(
+    "render",
+    RENDER_SOURCE,
+    build_document,
+    pure_impls=RENDER_PURE_IMPLS,
+    globals_map=DEFAULT_GLOBALS,
 )
 
 FOREST = 64
@@ -52,11 +62,8 @@ def _forest():
 def _run(executor, sequential: bool):
     return run_forest(
         "sequential" if sequential else "batched",
-        RENDER_SOURCE,
+        WORKLOAD,
         _forest(),
-        build_document,
-        globals_map=DEFAULT_GLOBALS,
-        pure_impls=RENDER_PURE_IMPLS,
         sequential=sequential,
         executor=executor,
     )

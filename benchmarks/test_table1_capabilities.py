@@ -1,7 +1,7 @@
 """Table 1 — capability matrix, plus fusion (compile-time) cost timing."""
 
 from repro.bench.experiments import table1_capabilities
-from repro.fusion import fuse_program
+from repro.pipeline.stages import plan_and_synthesize
 
 from tests.fixtures import fig2_program
 
@@ -15,4 +15,4 @@ def test_table1(report, benchmark):
     assert treefuser_row[1] == "no"  # no heterogeneous trees
     # time the fusion engine itself on the paper's running example
     program = fig2_program()
-    benchmark.pedantic(lambda: fuse_program(program), rounds=3, iterations=1)
+    benchmark.pedantic(lambda: plan_and_synthesize(program), rounds=3, iterations=1)

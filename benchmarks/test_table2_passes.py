@@ -1,7 +1,7 @@
 """Table 2 — the render-tree and AST pass inventories."""
 
 from repro.bench.experiments import table2_passes
-from repro.fusion import fuse_program
+from repro.pipeline.stages import plan_and_synthesize
 from repro.workloads.astlang import ast_program
 
 
@@ -15,4 +15,4 @@ def test_table2(report, benchmark):
     assert "replaceVarRefs" in ast_passes
     # time AST fusion (the biggest synthesis job in the suite)
     program = ast_program()
-    benchmark.pedantic(lambda: fuse_program(program), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: plan_and_synthesize(program), rounds=1, iterations=1)

@@ -14,7 +14,8 @@ Run:  python examples/ast_optimizer.py
 import os
 
 import repro
-from repro.runtime import Heap, Interpreter
+from repro.interp import Interpreter, ObjectTreeView
+from repro.runtime import Heap
 from repro.workloads.astlang import (
     AstBuilder,
     K_ADD,
@@ -105,7 +106,7 @@ def main():
     meaning_before = evaluate_program(program, root)
 
     fused = compiled.fused
-    interp = Interpreter(program, heap)
+    interp = Interpreter(program, ObjectTreeView(program, heap))
     interp.run_fused(fused, root)
 
     print("\nafter the fused optimization pipeline:")
@@ -115,8 +116,8 @@ def main():
     assert meaning_before == meaning_after, "optimization changed semantics!"
     print("\nsemantics preserved:", meaning_after[0])
     print(f"fused pipeline: {fused.unit_count} synthesized traversals, "
-          f"{interp.stats.node_visits} node visits, "
-          f"{interp.stats.truncations} dynamic truncations")
+          f"{interp.node_visits} node visits, "
+          f"{interp.truncations} dynamic truncations")
 
 
 if __name__ == "__main__":

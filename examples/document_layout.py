@@ -20,7 +20,8 @@ import sys
 import repro
 from repro.bench.runner import compare_workload
 from repro.workloads.render import render_workload, replicated_pages_spec
-from repro.runtime import Heap, Interpreter
+from repro.interp import Interpreter, ObjectTreeView
+from repro.runtime import Heap
 
 
 def render_page_ascii(program, document, width=64, height=18):
@@ -83,7 +84,7 @@ def main():
         # draw the first page from a fresh fused run
         heap = Heap(program)
         document = workload.build_tree(program, heap, spec)
-        interp = Interpreter(program, heap)
+        interp = Interpreter(program, ObjectTreeView(program, heap))
         interp.globals.update(workload.globals_map)
         interp.run_fused(compiled.fused, document)
         print("\nfirst page (t=text, i=image, b=button, v=nested box):")

@@ -17,7 +17,8 @@ import sys
 
 import repro
 from repro.bench.runner import compare_workload
-from repro.runtime import Heap, Interpreter
+from repro.interp import Interpreter, ObjectTreeView
+from repro.runtime import Heap
 from repro.workloads.fmm import fmm_oracle, fmm_workload
 
 
@@ -54,7 +55,7 @@ def main():
     # correctness: total potential matches the reference recurrences
     heap = Heap(program)
     root = workload.build_tree(program, heap, particles)
-    interp = Interpreter(program, heap)
+    interp = Interpreter(program, ObjectTreeView(program, heap))
     interp.globals.update(workload.globals_map)
     interp.run_fused(fused_program, root)
     expected = fmm_oracle(program, root)

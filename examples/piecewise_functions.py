@@ -16,7 +16,8 @@ import os
 
 import repro
 from repro.bench.runner import compare_workload
-from repro.runtime import Heap, Interpreter
+from repro.interp import Interpreter, ObjectTreeView
+from repro.runtime import Heap
 from repro.workloads.kdtree import (
     EQ1_SCHEDULE,
     EQ2_SCHEDULE,
@@ -54,7 +55,7 @@ def main():
         function = workload.build_tree(program, heap, spec)
         oracle = PiecewiseOracle(leaf_segments(program, function))
         expected = oracle.apply_schedule(schedule)
-        interp = Interpreter(program, heap)
+        interp = Interpreter(program, ObjectTreeView(program, heap))
         interp.globals.update(workload.globals_map)
         interp.run_fused(fused, function)
 

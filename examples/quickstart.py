@@ -16,7 +16,8 @@ import os
 
 import repro
 from repro.fusion.fused_ir import print_fused_unit
-from repro.runtime import Heap, Interpreter, Node
+from repro.interp import Interpreter, ObjectTreeView
+from repro.runtime import ExecStats, Heap, Node
 from repro.runtime.values import ObjectValue
 
 # --------------------------------------------------------- the program
@@ -101,15 +102,18 @@ def quickstart_workload() -> repro.Workload:
 
 
 def run(program, root, fused=None):
-    interp = Interpreter(program, Heap(program))
+    # metered: charge the paper's instruction cost model as it runs
+    # (the heap here only supplies layouts; the tree carries its own
+    # addresses)
+    interp = Interpreter(
+        program, ObjectTreeView(program, Heap(program)), meter=ExecStats()
+    )
     interp.globals["CHAR_WIDTH"] = 2
-    # note: the heap given to the interpreter only matters for layouts;
-    # the tree carries its own addresses
     if fused is None:
         interp.run_entry(root)
     else:
         interp.run_fused(fused, root)
-    return interp.stats
+    return interp
 
 
 def main():
@@ -136,19 +140,19 @@ def main():
         # 3. run unfused and fused on identical inputs
         heap_a = Heap(program)
         root_a = build_chain(program, heap_a, [5, 7, 3, 9])
-        stats_a = run(program, root_a)
+        run_a = run(program, root_a)
 
         heap_b = Heap(program)
         root_b = build_chain(program, heap_b, [5, 7, 3, 9])
-        stats_b = run(program, root_b, fused=fused)
+        run_b = run(program, root_b, fused=fused)
 
         # 4. identical results, fewer visits
         assert root_a.snapshot(program) == root_b.snapshot(program)
-        print(f"\nunfused: {stats_a.node_visits} node visits, "
-              f"{stats_a.instructions} instructions")
-        print(f"fused:   {stats_b.node_visits} node visits, "
-              f"{stats_b.instructions} instructions")
-        print(f"visit ratio: {stats_b.node_visits / stats_a.node_visits:.2f} "
+        print(f"\nunfused: {run_a.node_visits} node visits, "
+              f"{run_a.meter.instructions} instructions")
+        print(f"fused:   {run_b.node_visits} node visits, "
+              f"{run_b.meter.instructions} instructions")
+        print(f"visit ratio: {run_b.node_visits / run_a.node_visits:.2f} "
               "(two traversals -> one)")
         print(f"\nroot TotalWidth = {root_a.get('TotalWidth')}, "
               f"MaxHeight = {root_a.get('MaxHeight')}")

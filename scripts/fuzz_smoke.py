@@ -1,10 +1,11 @@
 """CI smoke: the differential fuzzing campaign must find nothing.
 
 Runs the committed seed corpus (``tests/fuzz/seeds.json``) plus a
-200-case sweep of consecutive seeds. Each case executes six ways —
-reference interpreter, fused, and unfused compiled modules, under both
-the object-graph and forest-pool layouts — and diffs snapshot + final
-globals + derived write-set against the interpreter/object baseline.
+200-case sweep of consecutive seeds. Each case executes eight ways —
+the interpreter running the original and the fused program, and the
+fused and unfused compiled modules, under both the object-graph and
+forest-pool layouts — and diffs snapshot + final globals + derived
+write-set against the interpreter/object baseline.
 
 Any divergence fails the job and prints the minimized replayable repro
 (also written to ``fuzz-repro-<seed>.json`` for download), which is the
@@ -21,6 +22,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.fuzz import (  # noqa: E402
+    LABELS,
     generate_case,
     minimize_case,
     run_case,
@@ -45,7 +47,7 @@ def main() -> int:
     print(
         f"fuzz smoke: {len(corpus['seeds'])} corpus seeds + "
         f"{cases} sweep seeds from {start} "
-        f"({len(seeds)} unique cases, 6 executions each)"
+        f"({len(seeds)} unique cases, {len(LABELS)} executions each)"
     )
     began = time.time()
     failures = 0

@@ -10,12 +10,12 @@ The front door is the unified workload API (:mod:`repro.api`)::
     repro.Session(cache_dir=...).compile(w).run(trees)
 
 Lower layers stay importable directly: compile through
-:mod:`repro.pipeline`; run with :mod:`repro.runtime` (metering
-interpreter) or :mod:`repro.codegen` (generated Python); serve with
-:mod:`repro.service`.
+:mod:`repro.pipeline`; run with :mod:`repro.interp` (the interpreter,
+metered for the paper's cost model) or :mod:`repro.codegen` (generated
+Python); serve with :mod:`repro.service`.
 """
 
-__version__ = "0.7.1"
+__version__ = "0.8.0"
 
 # the public API surface re-exported from repro.api, resolved lazily so
 # `from repro import __version__` (used by low-level modules like the

@@ -17,10 +17,8 @@ warm stores, local roots or remote ``repro serve`` URLs — covers the
 in-memory compile cache, the on-disk artifact store, and the
 executor's workers), and a lazily created
 :class:`~repro.service.executor.BatchExecutor` (so sessions that only
-compile never spin up a pool). The old spellings — calling
-``pipeline.compile`` with loose impls, hand-building ``ExecRequest``s,
-wiring a ``BatchExecutor`` yourself — keep working as deprecation
-shims, but this is the supported front door.
+compile never spin up a pool) resolving through the same memory tier
+as the session's compiles.
 """
 
 from __future__ import annotations
@@ -30,8 +28,9 @@ from typing import Callable, Optional, Sequence, Union
 
 from repro import obs
 from repro.api.workload import Workload
-from repro.pipeline import CompileOptions, CompileResult
+from repro.pipeline import GLOBAL_CACHE, CompileOptions, CompileResult
 from repro.pipeline import compile as pipeline_compile
+from repro.storage import MemoryTier
 
 
 @dataclass
@@ -131,18 +130,15 @@ class Session:
         self.workers = workers
         self.backend = backend
         self._executor = None
-        # a memory budget gets this session its *own* memory tier: the
-        # process-shared GLOBAL_CACHE must never be resized by one
-        # session's budget (it would evict every other caller's results)
+        # a memory budget gets this session its *own* memory tier, for
+        # its compiles and its executor alike: the process-shared
+        # GLOBAL_CACHE must never be resized by one session's budget (it
+        # would evict every other caller's results)
         if self.options.memory_budget is not None:
-            from repro.storage import MemoryTier
-
             self._memory = MemoryTier(
                 max_bytes=self.options.memory_budget
             )
         else:
-            from repro.pipeline.cache import GLOBAL_CACHE
-
             self._memory = GLOBAL_CACHE
 
     # -- compilation ----------------------------------------------------
@@ -250,6 +246,7 @@ class Session:
                 backend=self.backend,
                 cache_dir=self.cache_dir,
                 peers=self.peers,
+                cache=self._memory,
             )
         return self._executor
 
@@ -314,9 +311,9 @@ class Session:
         if self._executor is not None:
             stats["executor"] = self._executor.stats()
         if self.cache_dir is not None:
-            from repro.service.store import store_for
+            from repro.storage import disk_tier_for
 
-            stats["store"] = store_for(self.cache_dir).stats()
+            stats["store"] = disk_tier_for(self.cache_dir).stats()
         tiers = self._tiers()
         if tiers is not None:
             stats["storage"] = tiers.stats()

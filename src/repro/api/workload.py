@@ -155,12 +155,13 @@ class Workload:
         ``mode="interpret"`` runs the reference interpreter instead of a
         compiled artifact (zero compile latency; ``fused`` is ignored).
         """
+        from repro.pipeline import CompileOptions
         from repro.service.batching import ExecRequest
 
-        return ExecRequest.from_workload(
+        return ExecRequest(
             self,
             self.specs(trees, **spec_kwargs),
-            options=options,
+            options=options if options is not None else CompileOptions(),
             fused=fused,
             collect=collect,
             mode=mode,

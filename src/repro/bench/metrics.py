@@ -8,8 +8,9 @@ from typing import Callable, Optional
 
 from repro.cachesim import paper_hierarchy
 from repro.fusion.fused_ir import FusedProgram
+from repro.interp import Interpreter, ObjectTreeView
 from repro.ir.program import Program
-from repro.runtime import ExecStats, Heap, Interpreter, Node
+from repro.runtime import ExecStats, Heap, Node
 
 
 @dataclass
@@ -51,7 +52,8 @@ def measure_run(
     fused: Optional[FusedProgram] = None,
     cache_scale: Optional[int] = None,
 ) -> Measurement:
-    """Build a fresh tree, execute (fused or unfused), return metrics.
+    """Build a fresh tree, execute (fused or unfused) on the metered
+    interpreter, return metrics.
 
     ``cache_scale`` enables the cache simulator with the paper geometry
     divided by that factor (see :func:`repro.cachesim.paper_hierarchy`);
@@ -61,21 +63,20 @@ def measure_run(
     root = build_tree(program, heap)
     cache = paper_hierarchy(scale=cache_scale) if cache_scale else None
     stats = ExecStats(cache=cache)
-    interp = Interpreter(program, heap, stats)
-    for name, value in (globals_map or {}).items():
-        interp.globals[name] = value
+    machine = Interpreter(program, ObjectTreeView(program, heap), meter=stats)
+    machine.globals.update(globals_map or {})
     start = time.perf_counter()
     if fused is not None:
-        interp.run_fused(fused, root)
+        machine.run_fused(fused, root)
     else:
-        interp.run_entry(root)
+        machine.run_entry(root)
     elapsed = time.perf_counter() - start
     return Measurement(
-        node_visits=stats.node_visits,
+        node_visits=machine.node_visits,
         instructions=stats.instructions,
         misses=stats.miss_counts(),
         modeled_cycles=stats.modeled_cycles(),
         wall_seconds=elapsed,
         tree_bytes=heap.footprint_bytes,
-        truncations=stats.truncations,
+        truncations=machine.truncations,
     )

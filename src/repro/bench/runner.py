@@ -161,12 +161,9 @@ class ForestRun:
 
 def run_forest(
     label: str,
-    source: Union[str, Program, "Workload"],
+    workload: "Workload",
     trees: Sequence,
-    build_tree: Optional[Callable] = None,
     *,
-    globals_map: Optional[dict] = None,
-    pure_impls: Optional[dict] = None,
     options: Optional[CompileOptions] = None,
     fused: bool = True,
     workers: int = 2,
@@ -175,12 +172,7 @@ def run_forest(
     sequential: bool = False,
     executor=None,
 ) -> ForestRun:
-    """Execute a forest through the batch executor.
-
-    ``source`` is preferably a :class:`~repro.api.workload.Workload`
-    (its builder/impls/globals come along; ``build_tree`` and friends
-    stay ``None``); raw source/Program plus loose fields is the legacy
-    spelling and still works.
+    """Execute a workload's forest through the batch executor.
 
     ``sequential=True`` is the single-tree baseline: every tree becomes
     its own request executed in its own wave (each paying the full
@@ -194,32 +186,15 @@ def run_forest(
     """
     import time
 
-    from repro._compat import suppress_legacy_warnings
-    from repro.api.workload import Workload
     from repro.service.batching import ExecRequest
     from repro.service.executor import BatchExecutor
 
     effective = options if options is not None else CompileOptions()
 
     def request(specs):
-        if isinstance(source, Workload):
-            return ExecRequest.from_workload(
-                source, list(specs), options=effective, fused=fused
-            )
-        if build_tree is None:
-            raise TypeError(
-                "run_forest needs a Workload or an explicit build_tree"
-            )
-        with suppress_legacy_warnings():
-            return ExecRequest(
-                source=source,
-                trees=list(specs),
-                build_tree=build_tree,
-                globals_map=globals_map,
-                pure_impls=pure_impls,
-                options=effective,
-                fused=fused,
-            )
+        return ExecRequest(
+            workload, list(specs), options=effective, fused=fused
+        )
 
     owned = executor is None
     if owned:

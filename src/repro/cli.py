@@ -259,16 +259,7 @@ def cmd_exec(args) -> int:
             f"have {', '.join(sorted(WORKLOADS))}"
         )
     spec = WORKLOADS[args.workload]
-    if args.pages is not None and spec.size_kwarg != "pages":
-        raise ReproError(
-            f"--pages is the render size knob; {args.workload} scales "
-            f"with --size (its {spec.size_kwarg!r})"
-        )
-    if args.pages is not None and args.size is not None:
-        raise ReproError(
-            "--pages and --size are the same knob; pass one of them"
-        )
-    size = args.size if args.size is not None else args.pages
+    size = args.size
     layout = getattr(args, "layout", None)
     mode = "interpret" if getattr(args, "interp", False) else None
     tracing = bool(getattr(args, "trace_out", None))
@@ -687,10 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-tree size knob (pages for render, functions for "
              "astlang, depth for kdtree, particles for fmm); each "
              "workload has its own default",
-    )
-    exec_cmd.add_argument(
-        "--pages", type=int, default=None,
-        help="legacy spelling of --size for the render workload",
     )
     exec_cmd.add_argument(
         "--sequential", action="store_true",

@@ -9,7 +9,7 @@ access paths compiled to direct field operations.
 Two uses:
 
 * **deployment** — compiled traversals run an order of magnitude faster
-  than the metering interpreter (no per-access instrumentation), which is
+  than the interpreter (no per-node dispatch over IR objects), which is
   what a downstream user wants once they trust the numbers;
 * **verification** — the test suite runs the interpreter and the
   generated code on identical inputs and asserts identical final states,

@@ -59,9 +59,10 @@ from repro.ir.stmts import (
 from repro.ir.types import is_primitive
 from repro.runtime.heap import Heap
 from repro.runtime.node import Node
+from repro.runtime.values import default_value, initial_globals
 
 _PRELUDE = '''\
-from repro.runtime.interpreter import _cxx_div as _div, _cxx_mod as _mod
+from repro.runtime.values import _cxx_div as _div, _cxx_mod as _mod
 from repro.runtime.values import copy_value as _copy
 
 
@@ -100,13 +101,7 @@ class RuntimeContext:
     def __init__(self, program: Program, heap: Heap, globals_map=None):
         self.program = program
         self.heap = heap
-        self.globals: dict[str, object] = {}
-        from repro.runtime.values import default_value
-
-        for var in program.globals.values():
-            self.globals[var.name] = default_value(program, var.type_name)
-        for name, value in (globals_map or {}).items():
-            self.globals[name] = value
+        self.globals = initial_globals(program, globals_map)
         self.pure = {
             name: func for name, func in program.pure_functions.items()
         }
@@ -115,8 +110,6 @@ class RuntimeContext:
         return Node.new(self.program, self.heap, type_name)
 
     def new_opaque(self, class_name: str):
-        from repro.runtime.values import default_value
-
         return default_value(self.program, class_name)
 
 

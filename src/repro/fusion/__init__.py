@@ -7,9 +7,11 @@
   same receiver, with the contraction-acyclicity safety check.
 * :mod:`repro.fusion.scheduling` — dependence-respecting topological
   ordering of the (contracted) dependence graph.
-* :mod:`repro.fusion.engine` — the fixpoint driver: outline/inline,
-  reorder, recurse on new sequences, memoize by sequence label, stop at
-  the termination cutoffs.
+
+The fixpoint driver (outline/inline, reorder, recurse on new sequences,
+memoize by sequence label, stop at the termination cutoffs) is the
+pipeline's fusion and schedule passes, :mod:`repro.pipeline.stages`;
+``plan_and_synthesize`` there is its uncached one-call form.
 """
 
 from repro.fusion.fused_ir import (
@@ -20,7 +22,7 @@ from repro.fusion.fused_ir import (
     GuardedStmt,
     MemberCall,
 )
-from repro.fusion.engine import FusionEngine, FusionLimits, fuse_program
+from repro.fusion.grouping import FusionLimits
 
 __all__ = [
     "EntryGroup",
@@ -29,7 +31,5 @@ __all__ = [
     "GroupCall",
     "GuardedStmt",
     "MemberCall",
-    "FusionEngine",
     "FusionLimits",
-    "fuse_program",
 ]

@@ -1,26 +1,30 @@
-"""Differential fuzzing harness: interpreter vs compiled, object vs
-pooled.
+"""Differential fuzzing harness: interpreter vs compiled, original vs
+fused, object vs pooled.
 
 A :class:`FuzzCase` is a fully serialized experiment — seed, program
 source, tree (as a snapshot-style dict), and initial globals — so any
 failure replays byte-identically from a JSON file (``repro fuzz
---replay``). :func:`run_case` executes the case six ways:
+--replay``). :func:`run_case` executes the case eight ways:
 
-====================  ==========================================
-label                 executor
-====================  ==========================================
-``interp/object``     :class:`repro.interp.InterpretedModule` (baseline)
-``interp/pooled``     same, through a ``ForestPool`` view
-``unfused/object``    ``compile_program`` → generated Python
-``fused/object``      ``fuse_program`` + ``compile_fused``
-``unfused/pooled``    ``compile_pooled_program`` (SoA columns)
-``fused/pooled``      ``compile_pooled_fused``
-====================  ==========================================
+=========================  ==========================================
+label                      executor
+=========================  ==========================================
+``interp/object``          :class:`repro.interp.InterpretedModule` (baseline)
+``interp/pooled``          same, through a ``ForestPool`` view
+``interp-fused/object``    the interpreter running the fused program
+``interp-fused/pooled``    same, through a ``ForestPool`` view
+``unfused/object``         ``compile_program`` → generated Python
+``fused/object``           ``plan_and_synthesize`` + ``compile_fused``
+``unfused/pooled``         ``compile_pooled_program`` (SoA columns)
+``fused/pooled``           ``compile_pooled_fused``
+=========================  ==========================================
 
 and diffs every execution against the interpreter/object baseline on
 snapshot + globals + write-set (:func:`repro.interp.diff_report`). The
-reference interpreter is the semantics; everything else is an
-optimization that must be observationally invisible.
+interpreter running the original program is the semantics; everything
+else is an optimization that must be observationally invisible. The
+fused program is synthesized once per case and shared by the three
+executions that run it.
 
 On divergence, :func:`minimize_case` shrinks the tree (subtree →
 ``Leaf``) and then the program (dropping body statements) while the
@@ -29,6 +33,7 @@ divergence persists, so the committed repro is small enough to read.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import re
@@ -53,6 +58,8 @@ BASELINE = "interp/object"
 LABELS = (
     BASELINE,
     "interp/pooled",
+    "interp-fused/object",
+    "interp-fused/pooled",
     "unfused/object",
     "fused/object",
     "unfused/pooled",
@@ -129,9 +136,12 @@ class CaseResult:
         return "\n".join(lines)
 
 
-def _execute(program, case: FuzzCase, label: str) -> ExecutionRecord:
+def _execute(
+    program, fused, case: FuzzCase, label: str
+) -> ExecutionRecord:
     """One execution of *case* under *label*'s executor; records
-    snapshot + final globals + derived write-set."""
+    snapshot + final globals + derived write-set. *fused* is a callable
+    returning the case's fused program."""
     heap = Heap(program)
     root = build_tree_from_dict(program, heap, case.tree)
     before = root.snapshot(program)
@@ -140,6 +150,9 @@ def _execute(program, case: FuzzCase, label: str) -> ExecutionRecord:
     if mode == "interp":
         module = InterpretedModule(program, layout=layout)
         context = module.run_entry(heap, root, globals_map)
+    elif mode == "interp-fused":
+        module = InterpretedModule(program, layout=layout, fused=fused())
+        context = module.run_fused(heap, root, globals_map)
     elif mode == "unfused":
         if layout == "object":
             from repro.codegen import compile_program
@@ -151,17 +164,14 @@ def _execute(program, case: FuzzCase, label: str) -> ExecutionRecord:
             module = compile_pooled_program(program)
         context = module.run_entry(heap, root, globals_map)
     else:  # fused
-        from repro.fusion import fuse_program
-
-        fused = fuse_program(program)
         if layout == "object":
             from repro.codegen import compile_fused
 
-            module = compile_fused(fused)
+            module = compile_fused(fused())
         else:
             from repro.codegen.pooled_backend import compile_pooled_fused
 
-            module = compile_pooled_fused(fused)
+            module = compile_pooled_fused(fused())
         context = module.run_fused(heap, root, globals_map)
     return make_record(
         label,
@@ -178,12 +188,16 @@ def run_case(case: FuzzCase) -> CaseResult:
     divergence (unless the baseline fails identically — then the case
     is reported as a baseline error and nothing is compared)."""
     from repro.frontend import parse_program
+    from repro.pipeline.stages import plan_and_synthesize
 
     result = CaseResult(case)
     program = parse_program(case.source, name=f"fuzz-{case.seed}")
+    # fused on first use, so a fusion failure is reported by each label
+    # that needed it; later labels reuse the one fused program
+    fused = functools.cache(lambda: plan_and_synthesize(program))
     for label in LABELS:
         try:
-            result.records[label] = _execute(program, case, label)
+            result.records[label] = _execute(program, fused, case, label)
         except Exception as exc:  # noqa: BLE001 - report, don't crash
             result.errors[label] = f"{type(exc).__name__}: {exc}"
     baseline = result.records.get(BASELINE)

@@ -1,14 +1,16 @@
-"""Reference IR interpreter: the executable specification.
+"""The IR interpreter: the executable specification.
 
-Nothing in this package compiles anything. A :class:`RefInterpreter`
+Nothing in this package compiles anything. The :class:`Interpreter`
 walks :mod:`repro.ir` programs directly — dynamic dispatch, truncation,
-topology mutation, globals, parameters, pure calls, entry schedules —
-against either tree layout (object graph or ``ForestPool`` columns, via
-:mod:`repro.interp.views`), producing the same snapshots, global
-states, and write-sets the compiled backends produce. The compiled
-fused/unfused modules are *measured against it* (:mod:`repro.fuzz`),
-and the service uses it as the zero-compile-latency fallback tier
-(``ExecRequest.mode == "interpret"``).
+topology mutation, globals, parameters, pure calls, entry schedules,
+and fused programs under active flags — against either tree layout
+(object graph or ``ForestPool`` columns, via :mod:`repro.interp.views`),
+producing the same snapshots, global states, and write-sets the
+compiled backends produce. The compiled fused/unfused modules are
+*measured against it* (:mod:`repro.fuzz`), the service uses it as the
+zero-compile-latency fallback tier (``ExecRequest.mode ==
+"interpret"``), and with a meter it prices runs under the paper's cost
+model (:mod:`repro.bench.metrics`).
 """
 
 from repro.interp.diff import (
@@ -20,11 +22,10 @@ from repro.interp.diff import (
     make_record,
     write_set,
 )
-from repro.interp.machine import RefInterpreter
+from repro.interp.machine import Interpreter
 from repro.interp.module import (
     InterpretedModule,
     interpret_workload,
-    interpreted_module,
     resolve_program,
 )
 from repro.interp.views import (
@@ -37,14 +38,13 @@ __all__ = [
     "Divergence",
     "ExecutionRecord",
     "InterpretedModule",
+    "Interpreter",
     "ObjectTreeView",
     "PooledTreeView",
-    "RefInterpreter",
     "diff_report",
     "first_divergence",
     "first_snapshot_divergence",
     "interpret_workload",
-    "interpreted_module",
     "make_record",
     "resolve_program",
     "view_for",

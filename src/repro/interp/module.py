@@ -1,10 +1,11 @@
 """The interpreter packaged like a compiled module.
 
 :class:`InterpretedModule` exposes the compiled backends' external
-contract — ``run_entry(heap, root, globals_map) -> RuntimeContext`` —
-so the executor, the session, and the service can treat "interpret" as
-just another execution tier: zero compile latency (resolving a program
-is a parse, not a pipeline run), identical observable results.
+contract — ``run_entry(heap, root, globals_map) -> RuntimeContext``,
+and ``run_fused`` for a module built over a fused program — so the
+executor, the session, and the service can treat "interpret" as just
+another execution tier: zero compile latency (resolving a program is a
+parse, not a pipeline run), identical observable results.
 
 Observability: every run records an ``interp.run`` span (nested under
 whatever request trace is active) and bumps the ``repro_interp_*``
@@ -19,7 +20,9 @@ from typing import Optional, Union
 
 from repro import obs
 from repro.codegen.python_backend import RuntimeContext
-from repro.interp.machine import RefInterpreter
+from repro.errors import RuntimeFailure
+from repro.fusion.fused_ir import FusedProgram
+from repro.interp.machine import Interpreter
 from repro.interp.views import view_for
 from repro.ir.program import Program
 from repro.ir.validate import LanguageMode
@@ -63,7 +66,7 @@ def resolve_program(
 
 
 class InterpretedModule:
-    """A drop-in execution module backed by :class:`RefInterpreter`.
+    """A drop-in execution module backed by :class:`Interpreter`.
 
     Mirrors ``CompiledProgram``/``CompiledPooledProgram`` externally:
     ``run_entry`` takes ``(heap, root, globals_map)`` and returns the
@@ -71,13 +74,20 @@ class InterpretedModule:
     ``layout='pooled'`` the tree round-trips through a
     :class:`~repro.layout.pool.ForestPool` (ingest → interpret over
     columns → write back), exactly like the pooled compiled modules.
-    Always original (unfused) semantics — the spec both compiled forms
-    must match.
+    ``run_entry`` runs the original semantics, the spec both compiled
+    forms must match; given ``fused``, ``run_fused`` runs that fused
+    program instead, like ``CompiledFused``.
     """
 
-    def __init__(self, program: Program, layout: str = "object"):
+    def __init__(
+        self,
+        program: Program,
+        layout: str = "object",
+        fused: Optional[FusedProgram] = None,
+    ):
         self.program = program.finalize()
         self.layout = layout
+        self.fused = fused
         # fail on unknown layout names at construction, not first run
         view_for(layout, program, None)
         self.last_stats: Optional[dict] = None
@@ -85,6 +95,18 @@ class InterpretedModule:
     def run_entry(
         self, heap: Heap, root: Node, globals_map=None
     ) -> RuntimeContext:
+        return self._run(heap, root, globals_map, None)
+
+    def run_fused(
+        self, heap: Heap, root: Node, globals_map=None
+    ) -> RuntimeContext:
+        if self.fused is None:
+            raise RuntimeFailure(
+                "run_fused needs a module built with a fused program"
+            )
+        return self._run(heap, root, globals_map, self.fused)
+
+    def _run(self, heap, root, globals_map, fused) -> RuntimeContext:
         context = RuntimeContext(self.program, heap, globals_map)
         start = time.perf_counter()
         with obs.span(
@@ -94,8 +116,11 @@ class InterpretedModule:
         ) as span:
             view = view_for(self.layout, self.program, heap)
             ref = view.ingest(root)
-            machine = RefInterpreter(self.program, view, context.globals)
-            machine.run_entry(ref)
+            machine = Interpreter(self.program, view, context.globals)
+            if fused is None:
+                machine.run_entry(ref)
+            else:
+                machine.run_fused(fused, ref)
             view.finish()
             span.set(
                 node_visits=machine.node_visits,
@@ -113,23 +138,6 @@ class InterpretedModule:
             "seconds": seconds,
         }
         return context
-
-
-def interpreted_module(
-    source: Union[str, Program],
-    *,
-    layout: str = "object",
-    name: str = "program",
-    pure_impls: Optional[dict] = None,
-    mode: LanguageMode = LanguageMode.GRAFTER,
-) -> InterpretedModule:
-    """Resolve + wrap in one call (the ``repro exec --interp`` path)."""
-    return InterpretedModule(
-        resolve_program(
-            source, name=name, pure_impls=pure_impls, mode=mode
-        ),
-        layout=layout,
-    )
 
 
 def interpret_workload(

@@ -31,8 +31,7 @@ the per-pass reuse). See :mod:`repro.pipeline.stages` for the pass
 implementations (the former monolithic fusion engine, decomposed).
 """
 
-from repro.pipeline.cache import GLOBAL_CACHE, CompileCache
-from repro.pipeline.driver import compile, hash_program, hash_source
+from repro.pipeline.driver import GLOBAL_CACHE, compile, hash_program, hash_source
 from repro.pipeline.manager import Pass, PassContext, PassManager, Unit
 from repro.pipeline.options import (
     CompileOptions,
@@ -50,7 +49,6 @@ __all__ = [
     "compile",
     "CompileOptions",
     "CompileResult",
-    "CompileCache",
     "GLOBAL_CACHE",
     "Pass",
     "PassContext",

@@ -18,9 +18,7 @@ from dataclasses import replace
 from typing import Optional, Union
 
 from repro import obs
-from repro._compat import warn_legacy
 from repro.ir.program import Program
-from repro.pipeline.cache import GLOBAL_CACHE
 from repro.pipeline.manager import PassContext, PassManager
 from repro.pipeline.options import (
     CompileOptions,
@@ -32,6 +30,12 @@ from repro.pipeline.options import (
 from repro.pipeline.stages import default_passes
 from repro.storage import MemoryTier, ResultKey, TieredStore
 
+#: The process-wide memory tier every in-process compile shares unless
+#: the caller passes its own (``Session(memory_budget=...)`` does). Keys
+#: are pure content hashes, so compiling the same text through two
+#: different ``Program`` objects hits the same entry.
+GLOBAL_CACHE = MemoryTier()
+
 
 def compile(
     source: Union[str, Program, "Workload"],
@@ -39,7 +43,6 @@ def compile(
     options: Optional[CompileOptions] = None,
     name: str = "program",
     cache: Optional[MemoryTier] = GLOBAL_CACHE,
-    pure_impls: Optional[dict] = None,
     incremental: bool = True,
     reuse_result: bool = True,
 ) -> CompileResult:
@@ -88,24 +91,13 @@ def compile(
     # Lazy import: repro.api sits above the pipeline.
     from repro.api.workload import Workload
 
+    pure_impls = None
     if isinstance(source, Workload):
-        if pure_impls is not None:
-            raise TypeError(
-                "pass impls inside the Workload, not as pure_impls"
-            )
         name = source.name
         pure_impls = (
             dict(source.pure_impls) if source.pure_impls else None
         )
         source = source.source
-    elif pure_impls is not None:
-        # the pre-Workload spelling: loose impls threaded alongside the
-        # source. Kept as a shim (internal plumbing suppresses the
-        # warning; see repro._compat).
-        warn_legacy(
-            "pipeline.compile(source, pure_impls=...) is deprecated; "
-            "bundle the program and its impls in a repro.Workload"
-        )
     options = options if options is not None else CompileOptions()
     # fail a typo'd layout before any hashing or tier traffic — the
     # knob participates in every cache key, so an unknown name would

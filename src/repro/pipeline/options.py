@@ -2,7 +2,7 @@
 
 :class:`CompileOptions` is the *complete* set of knobs that can change
 what the pipeline produces — it hashes to a stable string so the
-:class:`~repro.pipeline.cache.CompileCache` can key results on
+storage tiers (:mod:`repro.storage`) can key results on
 ``(source hash, options hash)``. Anything cosmetic (the module name, the
 cache instance) deliberately stays out of it.
 """

@@ -170,11 +170,10 @@ class EntryPlan:
 class FusionPlanner:
     """Worklist discovery of every reachable fused sequence.
 
-    Mirrors the old ``FusionEngine.fuse_sequence`` recursion: a sequence
-    is registered under its key *before* its groups are planned, so
-    self-referential sequences terminate as recursive references, and
-    memoization on the key keeps the label space finite under the
-    cutoffs (paper §4).
+    A sequence is registered under its key *before* its groups are
+    planned, so self-referential sequences terminate as recursive
+    references, and memoization on the key keeps the label space finite
+    under the cutoffs (paper §4).
     """
 
     def __init__(
@@ -280,8 +279,8 @@ class FusionPlanner:
         Worklist-driven: :meth:`plan_one` plans one sequence *shallowly*
         (children recorded, not recursed into), so the fusion pass can
         run the same discovery unit by unit through the cache; this
-        method is the one-call spelling the FusionEngine shim and
-        :func:`plan_and_synthesize` use. A sequence is registered under
+        method is the one-call spelling :func:`plan_and_synthesize`
+        uses. A sequence is registered under
         its key before its children are planned, so self-referential
         sequences terminate as recursive references, and memoization on
         the key keeps the label space finite under the cutoffs (§4).
@@ -447,34 +446,24 @@ def synthesize_fused(
     program: Program,
     planner: FusionPlanner,
     entry_plans: list[EntryPlan],
-    units: dict[SequenceKey, FusedUnit] | None = None,
     orders: dict[SequenceKey, list[list[int]]] | None = None,
 ) -> FusedProgram:
     """Schedule every planned unit and assemble the FusedProgram: each
     body is a topological order of the contracted dependence graph, with
     group leaders replaced by their fused calls (paper §3.4).
 
-    Passing a *units* dict makes synthesis incremental: keys already
-    present keep their (already-synthesized) FusedUnit objects, new
-    plans get fresh units wired into the same dict — the FusionEngine
-    shim uses this to preserve the old engine's identity-stable
-    memoization across repeated ``fuse_sequence`` calls. *orders* lets
-    the schedule pass hand in per-unit topological orders it already
-    computed (and counted) unit by unit.
+    *orders* lets the schedule pass hand in per-unit topological orders
+    it already computed (and counted) unit by unit.
     """
-    if units is None:
-        units = {}
-    fresh_keys = [key for key in planner.plans if key not in units]
-    for key in fresh_keys:
-        plan = planner.plans[key]
+    units: dict[SequenceKey, FusedUnit] = {}
+    for key, plan in planner.plans.items():
         units[key] = FusedUnit(
             label=plan.label,
             key=key,
             members=plan.members,
             this_type=plan.this_type,
         )
-    for key in fresh_keys:
-        plan = planner.plans[key]
+    for key, plan in planner.plans.items():
         order = (
             orders[key]
             if orders is not None and key in orders
@@ -518,7 +507,8 @@ def plan_and_synthesize(
     limits: FusionLimits | None = None,
     ctx: AnalysisContext | None = None,
 ) -> FusedProgram:
-    """Uncached one-call fusion (what the FusionEngine shim runs)."""
+    """Uncached one-call fusion: program → fused program, without the
+    pipeline's storage tiers or per-pass instrumentation."""
     program.finalize()
     limits = limits if limits is not None else FusionLimits()
     ctx = ctx if ctx is not None else AnalysisContext(program)

@@ -297,22 +297,9 @@ class UnitArtifacts:
     ``unit_disk_hits`` / ``unit_peer_hits`` numbers in the pass timing
     details. Publishing lands in memory always and spills to disk only
     for passes that opt in (``persist_units``) on persisting compiles.
-
-    The pre-storage constructor shape ``UnitArtifacts(cache=...,
-    store=..., persist=...)`` still works: the two layers become a
-    two-tier store.
     """
 
-    def __init__(
-        self, cache=None, store=None, persist: bool = True, tiers=None
-    ):
-        if tiers is None:
-            from repro.storage import TieredStore
-
-            tiers = TieredStore(
-                [layer for layer in (cache, store) if layer is not None],
-                persist=persist,
-            )
+    def __init__(self, tiers):
         self.tiers = tiers
         self.counts: dict[str, dict[str, int]] = {}
 

@@ -1,22 +1,17 @@
-"""Runtime: tree nodes, heap layout, interpreter, execution metrics.
+"""Runtime: tree nodes, heap layout, values, execution metrics.
 
 The reproduction's analogue of the paper's compiled binaries + hardware
 counters. Both the original (unfused) program and the synthesized fused
-traversals run on the same interpreter with the same instruction cost
-model and the same simulated memory system, so the fused/unfused ratios
-reported by the benchmark harness are apples-to-apples.
+traversals run on the same interpreter (:mod:`repro.interp`) metered by
+the same instruction cost model and the same simulated memory system,
+so the fused/unfused ratios reported by the benchmark harness are
+apples-to-apples.
 """
 
 from repro.runtime.values import ObjectValue, default_value
 from repro.runtime.heap import Heap, TypeLayout
 from repro.runtime.node import Node
-from repro.runtime.stats import (
-    CostModel,
-    ExecStats,
-    LatencyHistogram,
-    LatencySeries,
-)
-from repro.runtime.interpreter import Interpreter
+from repro.runtime.stats import CostModel, ExecStats, LatencySeries
 
 __all__ = [
     "ObjectValue",
@@ -26,7 +21,5 @@ __all__ = [
     "Node",
     "CostModel",
     "ExecStats",
-    "LatencyHistogram",
     "LatencySeries",
-    "Interpreter",
 ]

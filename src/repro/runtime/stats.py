@@ -42,13 +42,13 @@ class CostModel:
 
 @dataclass
 class ExecStats:
-    """Counters for one execution."""
+    """Counters for one metered execution: instructions charged and the
+    address trace. Node visits and truncations are counted by the
+    interpreter itself (:class:`repro.interp.Interpreter`)."""
 
-    node_visits: int = 0
     instructions: int = 0
     field_reads: int = 0
     field_writes: int = 0
-    truncations: int = 0
     cache: Optional[CacheHierarchy] = None
     cost: CostModel = field(default_factory=CostModel)
 
@@ -77,17 +77,6 @@ class ExecStats:
         if self.cache is not None:
             cycles += self.cache.penalty_cycles()
         return cycles
-
-    def as_dict(self) -> dict:
-        result = {
-            "node_visits": self.node_visits,
-            "instructions": self.instructions,
-            "field_reads": self.field_reads,
-            "field_writes": self.field_writes,
-            "modeled_cycles": self.modeled_cycles(),
-        }
-        result.update(self.miss_counts())
-        return result
 
 
 @dataclass
@@ -139,8 +128,3 @@ class LatencySeries:
             "p99": self.percentile(99),
             "max": max(self.samples),
         }
-
-
-#: Historical name for :class:`LatencySeries` (the original docs called
-#: the per-tree latency record a histogram; the summaries are the same).
-LatencyHistogram = LatencySeries

@@ -73,3 +73,32 @@ def copy_value(value):
     if isinstance(value, ObjectValue):
         return value.copy()
     return value
+
+
+def initial_globals(program: Program, overrides=None) -> dict:
+    """Every global at its zero value, then *overrides* on top."""
+    values = {
+        var.name: default_value(program, var.type_name)
+        for var in program.globals.values()
+    }
+    values.update(overrides or {})
+    return values
+
+
+def _cxx_div(lhs, rhs):
+    """C++ division: integer division truncates toward zero."""
+    if rhs == 0:
+        raise RuntimeFailure("division by zero")
+    if isinstance(lhs, bool) or isinstance(rhs, bool):
+        lhs, rhs = int(lhs), int(rhs)
+    if isinstance(lhs, int) and isinstance(rhs, int):
+        quotient = abs(lhs) // abs(rhs)
+        return quotient if (lhs < 0) == (rhs < 0) else -quotient
+    return lhs / rhs
+
+
+def _cxx_mod(lhs, rhs):
+    """C++ %: result has the sign of the dividend."""
+    if rhs == 0:
+        raise RuntimeFailure("modulo by zero")
+    return lhs - rhs * _cxx_div(lhs, rhs)

@@ -1,26 +1,21 @@
 """Traversal service: persistent artifacts + batched async execution.
 
-The compiler (``repro.pipeline``) produces content-addressed artifacts;
+The compiler (``repro.pipeline``) produces content-addressed artifacts,
+persisted across restarts by :class:`repro.storage.DiskTier` (a cold
+start with a warm store skips the whole parse→fuse→emit pipeline);
 this package makes them *servable*:
 
-* :mod:`repro.service.store` — the on-disk, content-addressed artifact
-  store (now :class:`repro.storage.DiskTier` behind a compat face)
-  that survives process restarts: a cold start with a warm store skips
-  the whole parse→fuse→emit pipeline, and the HTTP server's
-  ``/artifact`` endpoint serves it to other hosts as a
-  :class:`repro.storage.PeerTier`.
 * :mod:`repro.service.batching` — execution requests, grouping by
   compiled artifact, and forest sharding.
 * :mod:`repro.service.executor` — a batch executor that runs sharded
   forests on a worker pool and records per-batch metrics.
 * :mod:`repro.service.api` — the front end: a workload registry, the
   :class:`TraversalService` facade, and a small stdlib HTTP server
-  behind the ``repro serve`` CLI.
+  behind the ``repro serve`` CLI; its ``/artifact`` endpoint serves the
+  store to other hosts as a :class:`repro.storage.PeerTier`.
 """
 
 _EXPORTS = {
-    "ArtifactStore": "repro.service.store",
-    "store_for": "repro.service.store",
     "ExecRequest": "repro.service.batching",
     "RequestGroup": "repro.service.batching",
     "TreeResult": "repro.service.batching",

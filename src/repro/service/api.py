@@ -74,9 +74,9 @@ from repro.pipeline import GLOBAL_CACHE, CompileOptions
 from repro.pipeline import compile as pipeline_compile
 from repro.service.batching import ExecRequest
 from repro.service.executor import BatchExecutor, RequestResult
-from repro.service.store import store_for
 from repro.storage import (
     TieredStore,
+    disk_tier_for,
     is_content_hash,
     is_safe_pass_name,
     peer_tier_for,
@@ -222,7 +222,7 @@ class TraversalService:
         self.cache_dir = cache_dir
         self.peers = tuple(peers)
         self.layout = layout
-        self.store = store_for(cache_dir) if cache_dir else None
+        self.store = disk_tier_for(cache_dir) if cache_dir else None
         # the service's storage stack: the process memory tier, its
         # store (when persistent), and any read-only peers — what /gc
         # sweeps and the tier-labelled half of /stats reports

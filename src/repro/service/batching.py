@@ -10,20 +10,17 @@ every worker pull work.
 
 Everything a worker receives must survive ``pickle`` (the process
 backend ships shards to forked/spawned workers): tree *specs* rather
-than built trees, module-level ``build_tree``/``collect`` callables
-rather than closures, and source text plus portable pure impls rather
-than live ``Program`` objects.
+than built trees, and workloads whose ``build_tree``/``collect``
+callables and pure impls are module-level rather than closures.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro._compat import warn_legacy
-from repro.ir.program import Program
-from repro.pipeline import CompileOptions, hash_program, hash_source
+from repro.pipeline import CompileOptions
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api.workload import Workload
@@ -46,37 +43,29 @@ def default_collect(program, heap, root) -> dict:
 
 @dataclass
 class ExecRequest:
-    """One unit of service work: run a program over a forest.
+    """One unit of service work: run a workload's program over a forest.
 
-    The supported construction path is a :class:`~repro.api.workload.
-    Workload` — :meth:`from_workload` (or ``workload.request(...)``)
-    fills ``source``/``build_tree``/``globals_map``/``pure_impls`` from
-    the bundle. Filling those fields by hand still works as a
-    deprecation shim.
-
-    * ``source`` — Grafter source text (its content hash is stable
-      everywhere) or a built ``Program``.
-    * ``trees`` — picklable tree specs; ``build_tree(program, heap,
-      spec)`` realizes each one in a worker.
+    * ``workload`` — the :class:`~repro.api.workload.Workload` bundle:
+      program source, tree builder, globals and pure impls.
+    * ``trees`` — picklable tree specs; ``workload.build_tree(program,
+      heap, spec)`` realizes each one in a worker.
     * ``fused`` — run the fused module (the product under test) or the
       unfused baseline.
     * ``collect`` — optional ``(program, heap, root) -> picklable``
       per-tree summary; defaults to :func:`default_collect`.
     * ``mode`` — ``"compiled"`` (the pipeline artifact) or
-      ``"interpret"`` (the reference interpreter: zero compile latency,
-      original semantics; ``fused`` is ignored). Interpret requests
-      group under their own key so they never wait on a compile.
+      ``"interpret"`` (the interpreter: zero compile latency, original
+      semantics; ``fused`` is ignored). Interpret requests group under
+      their own key so they never wait on a compile.
+
+    ``workload.request(...)`` is the usual way to make one.
     """
 
-    source: Union[str, Program, None] = None
+    workload: "Workload"
     trees: Sequence = ()
-    build_tree: Optional[Callable] = None
-    globals_map: Optional[dict] = None
-    pure_impls: Optional[dict] = None
     options: CompileOptions = field(default_factory=CompileOptions)
     fused: bool = True
     collect: Optional[Callable] = None
-    workload: Optional["Workload"] = None
     mode: str = "compiled"
     request_id: int = field(default_factory=lambda: next(_request_ids))
     # the submitting span's (trace_id, span_id) — picklable, so the
@@ -85,64 +74,18 @@ class ExecRequest:
     trace_context: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.workload is not None:
-            if self.source is None:
-                self.source = self.workload.source
-            if self.build_tree is None:
-                self.build_tree = self.workload.build_tree
-            if self.globals_map is None and self.workload.globals_map:
-                self.globals_map = dict(self.workload.globals_map)
-            if self.pure_impls is None and self.workload.pure_impls:
-                self.pure_impls = dict(self.workload.pure_impls)
-        else:
-            warn_legacy(
-                "constructing ExecRequest from loose source/build_tree "
-                "fields is deprecated; use Workload.request(...) or "
-                "ExecRequest.from_workload(...)"
-            )
-        if self.source is None or self.build_tree is None:
-            raise TypeError(
-                "ExecRequest needs a workload or explicit "
-                "source + build_tree"
-            )
         if self.mode not in ("compiled", "interpret"):
             raise ValueError(
                 f"unknown execution mode {self.mode!r}; "
                 "pick 'compiled' or 'interpret'"
             )
 
-    @classmethod
-    def from_workload(
-        cls,
-        workload: "Workload",
-        trees: Sequence,
-        *,
-        options: Optional[CompileOptions] = None,
-        fused: bool = True,
-        collect: Optional[Callable] = None,
-        mode: str = "compiled",
-    ) -> "ExecRequest":
-        """The canonical constructor: everything program-shaped comes
-        from the workload bundle; only the forest and execution knobs
-        are per-request."""
-        return cls(
-            trees=list(trees),
-            options=options if options is not None else CompileOptions(),
-            fused=fused,
-            collect=collect,
-            workload=workload,
-            mode=mode,
-        )
-
     def compile_key(self) -> tuple[str, str]:
         """The cache key this request's artifact lives under. Interpret
         requests get a distinct key (prefixed options hash) so a wave
         never groups them with compiled requests for the same source —
         their whole point is not waiting on that compile."""
-        if isinstance(self.source, Program):
-            source_hash = hash_program(self.source)
-        else:
-            source_hash = hash_source(self.source, self.pure_impls)
+        source_hash = self.workload.source_hash()
         options_hash = self.options.options_hash()
         if self.mode == "interpret":
             return (source_hash, f"interp:{options_hash}")

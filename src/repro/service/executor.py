@@ -7,21 +7,23 @@ The :class:`BatchExecutor` takes waves of
    wave, however many requests name it),
 2. **resolves** each group's artifact once up front — a memory-cache
    hit, a disk-store load, or a cold compile that immediately spills
-   for the next process,
+   for the next process (interpret-mode groups only parse),
 3. **shards** the group's forests into contiguous runs and executes
-   them on the pool,
+   them on the pool against that one resolved artifact,
 4. **records** per-batch metrics: queue depth at wave formation, batch
    size, and p50/p99 tree/shard latency via
    :class:`repro.runtime.stats.LatencySeries`.
 
 Backends:
 
-* ``"thread"`` (default) — a ``ThreadPoolExecutor``; workers share the
-  in-process compile cache, so only the pre-resolve ever compiles.
+* ``"thread"`` (default) — a ``ThreadPoolExecutor``; workers run the
+  group's resolved artifact directly.
 * ``"process"`` — a ``ProcessPoolExecutor``; shards must pickle (see
-  :mod:`repro.service.batching`). Forked workers inherit the parent's
-  warm cache; spawned ones fall back to the on-disk store when the
-  requests carry a ``cache_dir``.
+  :mod:`repro.service.batching`). Each worker resolves the shard's
+  workload itself, in its own memory tier (shipping exec'd modules
+  would cost more than resolving them): forked workers inherit the
+  parent's warm process-wide tier, spawned ones fall back to the
+  on-disk store when the requests carry a ``cache_dir``.
 * ``"inline"`` — no pool, shards run in the caller's thread: the
   sequential baseline and the zero-dependency debugging mode.
 
@@ -45,7 +47,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from repro import obs
-from repro._compat import suppress_legacy_warnings
+from repro.ir.program import Program
+from repro.pipeline import GLOBAL_CACHE
 from repro.pipeline import compile as pipeline_compile
 from repro.runtime import Heap
 from repro.runtime.stats import LatencySeries
@@ -58,6 +61,7 @@ from repro.service.batching import (
     group_requests,
     shard_group,
 )
+from repro.storage import MemoryTier
 
 _BACKENDS = ("thread", "process", "inline")
 
@@ -94,20 +98,81 @@ class ShardRun:
     spans: Optional[list] = None
 
 
+@dataclass
+class Artifact:
+    """What a group's requests run: the program their trees are built
+    for, and the module for each execution form — the compiled fused
+    and unfused modules, or one :class:`~repro.interp.InterpretedModule`
+    (original semantics) for interpret mode."""
+
+    program: Program
+    unfused: object
+    fused: Optional[object] = None
+    cache_hit: bool = False
+
+    def runner(self, request: ExecRequest):
+        if request.mode == "compiled" and request.fused:
+            return self.fused.run_fused
+        return self.unfused.run_entry
+
+
+def resolve_artifact(
+    request: ExecRequest, cache: Optional[MemoryTier] = GLOBAL_CACHE
+) -> Artifact:
+    """Resolve *request*'s workload once: through the pipeline (memory
+    tier *cache*, then the options' disk store and peers, else a cold
+    compile), or for interpret mode by parsing the program and wrapping
+    it in an interpreter module."""
+    workload, options = request.workload, request.options
+    if request.mode == "interpret":
+        # looked up at call time, so a caller can wrap it
+        from repro.interp import InterpretedModule, resolve_program
+
+        program = resolve_program(
+            workload.source,
+            name=workload.name,
+            pure_impls=dict(workload.pure_impls or {}) or None,
+            mode=options.language_mode,
+        )
+        return Artifact(
+            program, InterpretedModule(program, layout=options.layout)
+        )
+    result = pipeline_compile(workload, options=options, cache=cache)
+    module = (
+        result.compiled_fused if request.fused else result.compiled_unfused
+    )
+    if module is None:
+        # emit=False options produce no runnable module — fail up front
+        # with a clear message instead of letting every shard die on a
+        # NoneType dereference
+        raise ValueError(
+            "service execution needs emitted modules; "
+            "compile with CompileOptions(emit=True)"
+        )
+    return Artifact(
+        result.program,
+        result.compiled_unfused,
+        result.compiled_fused,
+        result.cache_hit,
+    )
+
+
 def _execute_shard(
     request: ExecRequest,
     indexes: list[int],
     trace_ctx: Optional[tuple] = None,
+    artifact: Optional[Artifact] = None,
 ) -> ShardRun:
-    """Run one shard: compile (warm in every interesting case — see the
-    pre-resolve in ``BatchExecutor._run_group``) then build and traverse
-    each tree. Module-level so the process backend can pickle it.
+    """Run one shard: build, traverse and collect each tree on the
+    group's resolved *artifact*. Module-level so the process backend
+    can pickle it; there *artifact* is ``None`` and the worker resolves
+    the request's workload itself.
 
     ``trace_ctx`` is the dispatching group span's serialized context;
     when set, the shard records a reparented ``exec.shard`` span (and
-    any child spans the warm compile emits) into a local bucket that
-    rides home in the :class:`ShardRun` — a fresh worker process has
-    its own tracer, so spans must travel with the result."""
+    any child spans a worker-side resolve emits) into a local bucket
+    that rides home in the :class:`ShardRun` — a fresh worker process
+    has its own tracer, so spans must travel with the result."""
     with obs.collect_spans(trace_ctx is not None) as bucket:
         with obs.span_from(
             trace_ctx,
@@ -116,84 +181,29 @@ def _execute_shard(
             trees=len(indexes),
             mode=request.mode,
         ):
-            if request.mode == "interpret":
-                out = _interpret_trees(request, indexes)
-            else:
-                with suppress_legacy_warnings():
-                    result = pipeline_compile(
-                        request.source,
-                        options=request.options,
-                        pure_impls=request.pure_impls,
-                    )
-                program = result.program
-                compiled = (
-                    result.compiled_fused
-                    if request.fused
-                    else result.compiled_unfused
+            if artifact is None:
+                artifact = resolve_artifact(request)
+            program = artifact.program
+            run = artifact.runner(request)
+            workload = request.workload
+            collect = request.collect or default_collect
+            out = []
+            for index in indexes:
+                start = time.perf_counter()
+                heap = Heap(program)
+                root = workload.build_tree(
+                    program, heap, request.trees[index]
                 )
-                collect = request.collect or default_collect
-                out = []
-                for index in indexes:
-                    start = time.perf_counter()
-                    heap = Heap(program)
-                    root = request.build_tree(
-                        program, heap, request.trees[index]
+                run(heap, root, workload.globals_map)
+                out.append(
+                    TreeResult(
+                        request_id=request.request_id,
+                        index=index,
+                        summary=collect(program, heap, root),
+                        seconds=time.perf_counter() - start,
                     )
-                    if request.fused:
-                        compiled.run_fused(
-                            heap, root, request.globals_map
-                        )
-                    else:
-                        compiled.run_entry(
-                            heap, root, request.globals_map
-                        )
-                    summary = collect(program, heap, root)
-                    out.append(
-                        TreeResult(
-                            request_id=request.request_id,
-                            index=index,
-                            summary=summary,
-                            seconds=time.perf_counter() - start,
-                        )
-                    )
+                )
     return ShardRun(trees=out, spans=bucket)
-
-
-def _interpret_trees(
-    request: ExecRequest, indexes: list[int]
-) -> list[TreeResult]:
-    """The interpret-mode shard body: resolve (parse, not compile) the
-    program and run the reference interpreter over each tree. Same
-    result contract as the compiled path — summaries come from the same
-    ``collect`` on the same post-run heap/root — so callers can't tell
-    the tiers apart except by latency. Module-level and closure-free so
-    the process backend can pickle its way here too."""
-    from repro.interp import InterpretedModule, resolve_program
-
-    program = resolve_program(
-        request.source,
-        name=f"req-{request.request_id}",
-        pure_impls=request.pure_impls,
-        mode=request.options.language_mode,
-    )
-    module = InterpretedModule(program, layout=request.options.layout)
-    collect = request.collect or default_collect
-    out: list[TreeResult] = []
-    for index in indexes:
-        start = time.perf_counter()
-        heap = Heap(program)
-        root = request.build_tree(program, heap, request.trees[index])
-        module.run_entry(heap, root, request.globals_map)
-        summary = collect(program, heap, root)
-        out.append(
-            TreeResult(
-                request_id=request.request_id,
-                index=index,
-                summary=summary,
-                seconds=time.perf_counter() - start,
-            )
-        )
-    return out
 
 
 @dataclass
@@ -256,6 +266,7 @@ class BatchExecutor:
         linger_seconds: float = 0.005,
         peers: tuple = (),
         layout: Optional[str] = None,
+        cache: Optional[MemoryTier] = GLOBAL_CACHE,
     ):
         if backend not in _BACKENDS:
             raise ValueError(
@@ -263,6 +274,9 @@ class BatchExecutor:
             )
         self.workers = max(1, workers)
         self.backend = backend
+        # the memory tier groups resolve through (process-pool workers
+        # use their own process-wide tier)
+        self.cache = cache
         self.cache_dir = cache_dir
         self.peers = tuple(peers)
         self.layout = layout
@@ -373,51 +387,20 @@ class BatchExecutor:
             trees=group.tree_count,
             shards=len(shards),
         ) as gspan:
-            # resolve the artifact once per group: thread/fork workers
-            # then hit the memory cache, spawned workers the disk store.
-            # interpret-mode groups only parse — their whole point is
-            # that nothing waits on the pipeline
+            # resolve the artifact once per group; thread and inline
+            # shards run it as is. Interpret-mode groups only parse —
+            # their whole point is that nothing waits on the pipeline
             try:
                 compile_start = time.perf_counter()
+                artifact = resolve_artifact(first, self.cache)
+                metrics.compile_seconds = (
+                    time.perf_counter() - compile_start
+                )
                 if first.mode == "interpret":
-                    from repro.interp import resolve_program
-
-                    resolve_program(
-                        first.source,
-                        name=f"req-{first.request_id}",
-                        pure_impls=first.pure_impls,
-                        mode=first.options.language_mode,
-                    )
-                    metrics.compile_seconds = (
-                        time.perf_counter() - compile_start
-                    )
                     gspan.set(mode="interpret")
                 else:
-                    with suppress_legacy_warnings():
-                        resolved = pipeline_compile(
-                            first.source,
-                            options=first.options,
-                            pure_impls=first.pure_impls,
-                        )
-                    metrics.compile_seconds = (
-                        time.perf_counter() - compile_start
-                    )
-                    metrics.compile_cache_hit = resolved.cache_hit
-                    gspan.set(compile_cache_hit=resolved.cache_hit)
-                    compiled = (
-                        resolved.compiled_fused
-                        if first.fused
-                        else resolved.compiled_unfused
-                    )
-                    if compiled is None:
-                        # emit=False options produce no runnable module
-                        # — fail up front with a clear message instead
-                        # of letting every shard die on a NoneType
-                        # dereference
-                        raise ValueError(
-                            "service execution needs emitted modules; "
-                            "compile with CompileOptions(emit=True)"
-                        )
+                    metrics.compile_cache_hit = artifact.cache_hit
+                    gspan.set(compile_cache_hit=artifact.cache_hit)
             except Exception as error:  # compile failure fails the group
                 for request in group.requests:
                     by_id[request.request_id].error = (
@@ -433,6 +416,7 @@ class BatchExecutor:
                     self._guarded_shard(
                         shard,
                         shard.request.trace_context or gspan.context,
+                        artifact,
                     )
                     for shard in shards
                 ]
@@ -445,6 +429,8 @@ class BatchExecutor:
                         # multi-request groups: each shard reparents to
                         # its own request's trace when it has one
                         shard.request.trace_context or gspan.context,
+                        # process workers resolve the workload themselves
+                        artifact if self.backend == "thread" else None,
                     )
                     for shard in shards
                 ]
@@ -475,11 +461,11 @@ class BatchExecutor:
             self.batches.append(metrics)
 
     def _guarded_shard(
-        self, shard: Shard, trace_ctx: Optional[tuple] = None
+        self, shard: Shard, trace_ctx: Optional[tuple], artifact: Artifact
     ):
         try:
             return _execute_shard(
-                shard.request, shard.indexes, trace_ctx
+                shard.request, shard.indexes, trace_ctx, artifact
             )
         except Exception as error:
             return error
@@ -497,13 +483,9 @@ class BatchExecutor:
             # executor default only fills the options default
             patches["layout"] = self.layout
         if patches:
-            # dataclasses.replace re-runs __post_init__; this is the
-            # executor's own copy, not a user construction
-            with suppress_legacy_warnings():
-                return replace(
-                    request,
-                    options=replace(request.options, **patches),
-                )
+            return replace(
+                request, options=replace(request.options, **patches)
+            )
         return request
 
     # -- async API ------------------------------------------------------

@@ -7,12 +7,11 @@ unifies them behind one :class:`Tier` protocol and one composition:
 
 * :class:`MemoryTier` — the in-process layer: a byte-budgeted LRU over
   compile results, exec'd module artifacts, and per-unit pass
-  artifacts (``repro.pipeline.cache.CompileCache`` is now a thin shim
-  over it).
+  artifacts (``repro.pipeline.GLOBAL_CACHE`` is the shared one).
 * :class:`DiskTier` — the durable layer: the v1 content-addressed
   artifact directory with atomic writes, LRU byte-budget eviction,
-  compaction, and per-pass GC (``repro.service.store.ArtifactStore``
-  is now a thin shim over it; existing stores stay readable).
+  compaction, and per-pass GC (:func:`disk_tier_for` shares one
+  instance per directory).
 * :class:`PeerTier` — a read-only warm source: a second store root or
   a remote ``repro serve``'s ``/artifact`` endpoint, fetched
   read-through and promoted into the local tiers — the multi-host

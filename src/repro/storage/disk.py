@@ -1,12 +1,9 @@
 """The durable tier: a persistent, content-addressed artifact directory.
 
-This is the former ``repro.service.store.ArtifactStore``, absorbed into
-the storage stack unchanged at the format level — the v1 layout, the
-atomic temp-file + ``os.replace`` publishes, the LRU byte-budget
-eviction, and the compaction sweep all survive, so **every existing v1
-store stays readable without migration**. What's new is the
+The v1 layout, atomic temp-file + ``os.replace`` publishes, LRU
+byte-budget eviction, and a compaction sweep, behind the
 :class:`~repro.storage.base.Tier` face (``get_result``/``put_result``/
-``get_unit``/``put_unit``) and per-pass :meth:`gc`, which is how the
+``get_unit``/``put_unit``) plus per-pass :meth:`gc` — which is how the
 :class:`~repro.storage.tiered.TieredStore` composes a disk directory
 with the memory LRU above it and read-only peers below.
 

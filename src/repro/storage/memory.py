@@ -1,15 +1,12 @@
 """The in-process tier: one byte-budgeted LRU over three sections.
 
-This replaces the old ``CompileCache`` internals. The three artifact
-sections it kept — whole compile results, exec'd module artifacts, and
-per-unit pass artifacts — survive, but they now share **one byte
-budget** under a **global LRU**: every entry carries an approximate
-byte size and a recency stamp, and when the tier is over budget the
-globally least-recently-used entry goes first, whichever section it
-lives in. (The old unit layer was capped by entry count only — the
-ROADMAP's "no cap on the memory unit layer's byte footprint" item.)
-The per-section entry-count caps remain as a second bound so a flood
-of tiny entries cannot crowd the dictionaries either.
+Three artifact sections — whole compile results, exec'd module
+artifacts, and per-unit pass artifacts — share **one byte budget**
+under a **global LRU**: every entry carries an approximate byte size
+and a recency stamp, and when the tier is over budget the globally
+least-recently-used entry goes first, whichever section it lives in.
+Per-section entry-count caps are a second bound so a flood of tiny
+entries cannot crowd the dictionaries either.
 
 Sizes are approximations: strings and bytes by length, objects by a
 shallow scan of their string-valued fields (two levels deep, which
@@ -105,15 +102,6 @@ class MemoryTier:
 
     # -- internals ------------------------------------------------------
 
-    @staticmethod
-    def _result_key(key) -> tuple[str, str]:
-        """Accept a :class:`ResultKey` or the legacy ``(source hash,
-        options hash)`` tuple — the memory tier keys on the full options
-        hash either way."""
-        if isinstance(key, ResultKey):
-            return key.memory_key
-        return key
-
     def _touch(self, section: OrderedDict, key) -> None:
         self._clock += 1
         section[key].stamp = self._clock
@@ -161,25 +149,26 @@ class MemoryTier:
 
     # -- results --------------------------------------------------------
 
-    def get_result(self, key):
+    def get_result(self, key: ResultKey):
         with self._lock:
-            entry = self._results.get(self._result_key(key))
+            entry = self._results.get(key.memory_key)
             if entry is not None:
-                self._touch(self._results, self._result_key(key))
+                self._touch(self._results, key.memory_key)
                 self.hits += 1
                 return entry.value
             self.misses += 1
             return None
 
-    def put_result(self, key, result, promoted: bool = False) -> None:
+    def put_result(
+        self, key: ResultKey, result, promoted: bool = False
+    ) -> None:
         """Adopt a result — ``promoted`` marks read-through promotion
         from a lower tier, which converts this lookup's recorded miss
         into a ``disk_hits`` (served-from-below) hit so the stats stay
         honest."""
         with self._lock:
             self._insert(
-                self._results, self._result_key(key), result,
-                self.max_entries,
+                self._results, key.memory_key, result, self.max_entries
             )
             if promoted:
                 self.disk_hits += 1

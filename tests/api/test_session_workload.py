@@ -26,8 +26,7 @@ class TestWorkload:
         w = render_workload()
         request = w.request(2, pages=1)
         assert request.workload is w
-        assert request.build_tree is w.build_tree
-        assert request.globals_map == dict(w.globals_map)
+        assert request.compile_key()[0] == w.source_hash()
         assert len(request.trees) == 2
 
     def test_program_source_rejects_loose_impls(self):

@@ -7,9 +7,10 @@ import pytest
 
 from repro.codegen import compile_fused, compile_program
 from repro.frontend import parse_program
-from repro.fusion import fuse_program
-from repro.runtime import Heap, Interpreter
+from repro.pipeline.stages import plan_and_synthesize
+from repro.runtime import Heap
 from repro.treefuser import lower_program, lower_tree
+from tests.fixtures import metered
 
 from tests.generators import random_program_source, random_tree
 
@@ -28,7 +29,7 @@ def test_lowered_triple_differential(seed):
 
     # interpreter (unfused, lowered)
     heap_a, root_a = lowered_tree()
-    interp = Interpreter(lowered.program, heap_a)
+    interp = metered(lowered.program, heap_a)
     interp.run_entry(root_a)
     snap = root_a.snapshot(lowered.program)
 
@@ -39,7 +40,7 @@ def test_lowered_triple_differential(seed):
     assert snap == root_b.snapshot(lowered.program)
 
     # compiled fused (guard-merged slots + possible fallback calls)
-    fused = fuse_program(lowered.program)
+    fused = plan_and_synthesize(lowered.program)
     compiled_fused = compile_fused(fused)
     heap_c, root_c = lowered_tree()
     ctx_c = compiled_fused.run_fused(heap_c, root_c)
@@ -65,12 +66,12 @@ def test_render_lowered_codegen_matches():
         )
 
     heap_a, root_a = lowered_tree()
-    interp = Interpreter(lowered.program, heap_a)
+    interp = metered(lowered.program, heap_a)
     interp.globals.update(DEFAULT_GLOBALS)
     interp.run_entry(root_a)
     snap = root_a.snapshot(lowered.program)
 
-    fused = fuse_program(lowered.program)
+    fused = plan_and_synthesize(lowered.program)
     compiled = compile_fused(fused)
     heap_b, root_b = lowered_tree()
     compiled.run_fused(heap_b, root_b, DEFAULT_GLOBALS)

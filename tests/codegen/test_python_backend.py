@@ -7,11 +7,11 @@ import random
 import pytest
 
 from repro.codegen import compile_fused, compile_program, emit_module
-from repro.fusion import fuse_program
-from repro.runtime import Heap, Interpreter, Node
+from repro.pipeline.stages import plan_and_synthesize
+from repro.runtime import Heap, Node
 from repro.runtime.values import ObjectValue
 
-from tests.fixtures import fig1_program, fig2_program
+from tests.fixtures import fig1_program, fig2_program, metered
 from tests.generators import random_program_source, random_tree
 
 
@@ -19,7 +19,7 @@ def triple_run(program, build_tree, globals_map=None):
     """Interpreter vs compiled-unfused vs compiled-fused snapshots."""
     heap_a = Heap(program)
     root_a = build_tree(program, heap_a)
-    interp = Interpreter(program, heap_a)
+    interp = metered(program, heap_a)
     for name, value in (globals_map or {}).items():
         interp.globals[name] = value
     interp.run_entry(root_a)
@@ -29,7 +29,7 @@ def triple_run(program, build_tree, globals_map=None):
     root_b = build_tree(program, heap_b)
     ctx_b = compiled.run_entry(heap_b, root_b, globals_map)
 
-    fused = fuse_program(program)
+    fused = plan_and_synthesize(program)
     compiled_fused = compile_fused(fused)
     heap_c = Heap(program)
     root_c = build_tree(program, heap_c)
@@ -149,7 +149,7 @@ class TestEmission:
 
     def test_truncation_compiles_to_exception_only_when_needed(self):
         program = fig1_program()
-        fused = fuse_program(program)
+        fused = plan_and_synthesize(program)
         from repro.codegen import emit_fused_module
 
         source = emit_fused_module(fused)
@@ -169,7 +169,7 @@ class TestEmission:
         heap_a = Heap(program)
         root_a = replicated_functions(program, heap_a, 30)
         start = time.perf_counter()
-        interp = Interpreter(program, heap_a)
+        interp = metered(program, heap_a)
         interp.run_entry(root_a)
         interpreted = time.perf_counter() - start
 

@@ -120,3 +120,26 @@ def fig2_program():
 
 def fig1_program():
     return parse_program(FIG1_SOURCE, name="fig1")
+
+
+def metered(program, heap, stats=None):
+    """The interpreter over *heap*'s object graph, charging the paper's
+    cost model into *stats* (a fresh :class:`ExecStats` by default)."""
+    from repro.interp import Interpreter, ObjectTreeView
+    from repro.runtime import ExecStats
+
+    return Interpreter(
+        program,
+        ObjectTreeView(program, heap),
+        meter=stats if stats is not None else ExecStats(),
+    )
+
+
+def source_workload(source, pure_impls=None, name="program"):
+    """Grafter *source* bundled with its pure impls as a compile-only
+    :class:`~repro.api.Workload` (no tree builder)."""
+    from repro.api import Workload
+
+    return Workload(
+        name=name, source=source, build_tree=None, pure_impls=pure_impls
+    )

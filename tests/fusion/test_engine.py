@@ -2,15 +2,16 @@
 type-specific dispatch, cutoffs."""
 
 from repro.frontend import parse_program
-from repro.fusion import FusionEngine, FusionLimits, fuse_program
+from repro.fusion import FusionLimits
 from repro.fusion.fused_ir import GroupCall, GuardedStmt, print_fused_unit
+from repro.pipeline.stages import plan_and_synthesize
 
 from tests.fixtures import fig1_program, fig2_program
 
 
 class TestFig1Fusion:
     def test_two_traversals_fuse_into_recursive_unit(self):
-        fused = fuse_program(fig1_program())
+        fused = plan_and_synthesize(fig1_program())
         key = ("Inner::f1", "Inner::f2")
         assert key in fused.units
         unit = fused.units[key]
@@ -27,7 +28,7 @@ class TestFig1Fusion:
         assert inner_group.dispatch["Inner"] is inner_unit
 
     def test_dependence_preserved_in_order(self):
-        fused = fuse_program(fig1_program())
+        fused = plan_and_synthesize(fig1_program())
         unit = fused.units[("Inner::f1", "Inner::f2")]
         stmts = [i for i in unit.body if isinstance(i, GuardedStmt)]
         # s1 (member 0, writes x) must precede s2 (member 1, reads x)
@@ -35,8 +36,7 @@ class TestFig1Fusion:
         assert member_order == sorted(member_order)
 
     def test_memoization_shares_units(self):
-        engine = FusionEngine(fig1_program())
-        fused = engine.fuse_program()
+        fused = plan_and_synthesize(fig1_program())
         # Node::f3/Node::f4 (empty bodies, reached from dispatch on Leaf
         # and on Node) must be one unit, not two
         empty_keys = [k for k in fused.units if k == ("Node::f3", "Node::f4")]
@@ -45,7 +45,7 @@ class TestFig1Fusion:
 
 class TestFig2Fusion:
     def test_type_specific_units_exist(self):
-        fused = fuse_program(fig2_program())
+        fused = plan_and_synthesize(fig2_program())
         assert ("TextBox::computeWidth", "TextBox::computeHeight") in fused.units
         assert ("Group::computeWidth", "Group::computeHeight") in fused.units
         assert (
@@ -54,7 +54,7 @@ class TestFig2Fusion:
         ) in fused.units  # End's inherited no-ops
 
     def test_groups_formed_on_both_children(self):
-        fused = fuse_program(fig2_program())
+        fused = plan_and_synthesize(fig2_program())
         unit = fused.units[("Group::computeWidth", "Group::computeHeight")]
         groups = [i for i in unit.body if isinstance(i, GroupCall)]
         receivers = sorted(g.receiver.child.name for g in groups)
@@ -63,13 +63,13 @@ class TestFig2Fusion:
             assert len(group.calls) == 2  # width+height fused on each child
 
     def test_entry_dispatch_covers_concrete_types(self):
-        fused = fuse_program(fig2_program())
+        fused = plan_and_synthesize(fig2_program())
         assert len(fused.entry_groups) == 1
         dispatch = fused.entry_groups[0].dispatch
         assert set(dispatch) == {"TextBox", "Group", "End"}
 
     def test_print_fused_unit_readable(self):
-        fused = fuse_program(fig2_program())
+        fused = plan_and_synthesize(fig2_program())
         unit = fused.units[("TextBox::computeWidth", "TextBox::computeHeight")]
         text = print_fused_unit(unit)
         assert "active_flags" in text
@@ -94,7 +94,7 @@ class TestCutoffs:
         }
         """
         program = parse_program(source)
-        fused = fuse_program(program, limits=FusionLimits(max_sequence=2))
+        fused = plan_and_synthesize(program, limits=FusionLimits(max_sequence=2))
         assert len(fused.entry_groups) == 3  # 2 + 2 + 1
         widths = [u.width for u in fused.units.values()]
         assert max(widths) <= 2
@@ -116,7 +116,7 @@ class TestCutoffs:
         int main() { N* root = ...; root->f(); }
         """
         program = parse_program(source)
-        fused = fuse_program(program, limits=FusionLimits(max_repeat=2))
+        fused = plan_and_synthesize(program, limits=FusionLimits(max_repeat=2))
         # Each level doubles the calls; max_repeat caps any one group at 2
         # occurrences of I::f, so unit widths stay bounded.
         assert all(u.width <= 2 for u in fused.units.values())
@@ -139,7 +139,7 @@ class TestCutoffs:
         int main() { N* root = ...; root->f(); root->g(); }
         """
         program = parse_program(source)
-        fused = fuse_program(
+        fused = plan_and_synthesize(
             program, limits=FusionLimits(max_sequence=4, max_repeat=2)
         )
         assert fused.unit_count < 100
@@ -177,7 +177,7 @@ class TestBlockedFusion:
         int main() { N* root = ...; root->p1(); root->p2(); }
         """
         program = parse_program(source)
-        fused = fuse_program(program)
+        fused = plan_and_synthesize(program)
         unit = fused.units[("I::p1", "I::p2")]
         groups = [i for i in unit.body if isinstance(i, GroupCall)]
         assert len(groups) == 2

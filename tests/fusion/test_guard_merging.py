@@ -2,13 +2,17 @@
 member/method collapse into a single fused-call slot."""
 
 from repro.frontend import parse_program
-from repro.fusion import fuse_program
-from repro.fusion.engine import _guards_exclusive, _tag_test_atoms
 from repro.fusion.fused_ir import GroupCall
 from repro.ir.access import AccessPath, Step
 from repro.ir.exprs import BinOp, Const, DataAccess, UnaryOp
 from repro.ir.types import DataField
 from repro.ir.validate import LanguageMode
+from repro.pipeline.stages import (
+    _guards_exclusive,
+    _tag_test_atoms,
+    plan_and_synthesize,
+)
+from tests.fixtures import metered
 
 
 def _tag_access():
@@ -79,7 +83,7 @@ class TestSlotMergingEndToEnd:
 
     def test_exclusive_variants_share_one_slot(self):
         program = parse_program(self.SOURCE, mode=LanguageMode.TREEFUSER)
-        fused = fuse_program(program)
+        fused = plan_and_synthesize(program)
         unit = fused.units[("TN::p1", "TN::p2")]
         groups = [i for i in unit.body if isinstance(i, GroupCall)]
         assert len(groups) == 1
@@ -94,10 +98,10 @@ class TestSlotMergingEndToEnd:
             assert atoms is not None and atoms[1] == {1, 2}
 
     def test_merged_slots_execute_correct_variant(self):
-        from repro.runtime import Heap, Interpreter, Node
+        from repro.runtime import Heap, Node
 
         program = parse_program(self.SOURCE, mode=LanguageMode.TREEFUSER)
-        fused = fuse_program(program)
+        fused = plan_and_synthesize(program)
 
         def build(p, heap):
             leaf = Node.new(p, heap, "TN", tag=0)
@@ -106,10 +110,10 @@ class TestSlotMergingEndToEnd:
 
         heap_a = Heap(program)
         root_a = build(program, heap_a)
-        Interpreter(program, heap_a).run_entry(root_a)
+        metered(program, heap_a).run_entry(root_a)
         heap_b = Heap(program)
         root_b = build(program, heap_b)
-        interp_b = Interpreter(program, heap_b)
+        interp_b = metered(program, heap_b)
         interp_b.run_fused(fused, root_b)
         assert root_a.snapshot(program) == root_b.snapshot(program)
         assert root_b.get("a") == 1

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.frontend import parse_program
-from repro.fusion import fuse_program
-from repro.runtime import Heap, Interpreter, Node
+from repro.pipeline.stages import plan_and_synthesize
+from repro.runtime import Heap, Node
 from repro.runtime.values import ObjectValue
 
-from tests.fixtures import fig1_program, fig2_program
+from tests.fixtures import fig1_program, fig2_program, metered
 from tests.generators import random_program_source, random_tree
 
 
@@ -24,15 +24,15 @@ def run_both(program, build_tree, globals_init=None):
     """Run unfused and fused; return (snap_unfused, snap_fused, stats...)."""
     heap_a = Heap(program)
     root_a = build_tree(program, heap_a)
-    interp_a = Interpreter(program, heap_a)
+    interp_a = metered(program, heap_a)
     for name, value in (globals_init or {}).items():
         interp_a.globals[name] = value
     interp_a.run_entry(root_a)
 
-    fused = fuse_program(program)
+    fused = plan_and_synthesize(program)
     heap_b = Heap(program)
     root_b = build_tree(program, heap_b)
-    interp_b = Interpreter(program, heap_b)
+    interp_b = metered(program, heap_b)
     for name, value in (globals_init or {}).items():
         interp_b.globals[name] = value
     interp_b.run_fused(fused, root_b)
@@ -57,7 +57,7 @@ class TestFixtures:
 
         snap_a, snap_b, interp_a, interp_b = run_both(program, build)
         assert snap_a == snap_b
-        assert interp_b.stats.node_visits < interp_a.stats.node_visits
+        assert interp_b.node_visits < interp_a.node_visits
 
     def test_fig2_equivalence_and_visit_halving(self):
         program = fig2_program()
@@ -81,7 +81,7 @@ class TestFixtures:
         )
         assert snap_a == snap_b
         # total fusion: two full traversals become one
-        assert interp_b.stats.node_visits * 2 == interp_a.stats.node_visits
+        assert interp_b.node_visits * 2 == interp_a.node_visits
         assert interp_a.globals == interp_b.globals
 
     def test_truncation_equivalence(self):
@@ -122,7 +122,7 @@ class TestFixtures:
         snap_a, snap_b, interp_a, interp_b = run_both(program, build)
         assert snap_a == snap_b
         # the fused traversal keeps running t2 after t1 truncates
-        assert interp_b.stats.truncations == interp_a.stats.truncations
+        assert interp_b.truncations == interp_a.truncations
 
     def test_mutation_equivalence(self):
         source = """
@@ -177,7 +177,7 @@ class TestRandomPrograms:
         snap_a, snap_b, interp_a, interp_b = run_both(program, build)
         assert snap_a == snap_b, f"seed {seed} diverged\n{source}"
         assert interp_a.globals == interp_b.globals, f"seed {seed}:\n{source}"
-        assert interp_b.stats.node_visits <= interp_a.stats.node_visits
+        assert interp_b.node_visits <= interp_a.node_visits
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))

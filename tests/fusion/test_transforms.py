@@ -4,11 +4,12 @@ import pytest
 
 from repro.errors import FusionError
 from repro.frontend import parse_program
-from repro.fusion import fuse_program
 from repro.fusion.transforms import push_conditions
-from repro.ir.stmts import If, TraverseStmt, contains_traverse, walk_stmts
+from repro.ir.stmts import contains_traverse, If, TraverseStmt, walk_stmts
 from repro.ir.validate import LanguageMode, validate_program
-from repro.runtime import Heap, Interpreter, Node
+from repro.pipeline.stages import plan_and_synthesize
+from repro.runtime import Heap, Node
+from tests.fixtures import metered
 
 SOURCE = """
 _tree_ class N {
@@ -40,7 +41,7 @@ def _chain(program, heap, flags):
 def _run(program, build, fused=None):
     heap = Heap(program)
     root = build(program, heap)
-    interp = Interpreter(program, heap)
+    interp = metered(program, heap)
     if fused is None:
         interp.run_entry(root)
     else:
@@ -89,14 +90,14 @@ class TestPushConditions:
         )
         program = parse_program(source, mode=LanguageMode.TREEFUSER)
         push_conditions(program)
-        fused = fuse_program(program)
+        fused = plan_and_synthesize(program)
         flags = [1, 1, 1, 0, 1]
         root_a, stats_a = _run(program, lambda p, h: _chain(p, h, flags))
         root_b, stats_b = _run(
             program, lambda p, h: _chain(p, h, flags), fused=fused
         )
         assert root_a.snapshot(program) == root_b.snapshot(program)
-        assert stats_b.stats.node_visits < stats_a.stats.node_visits
+        assert stats_b.node_visits < stats_a.node_visits
 
     def test_instruction_overhead_exists(self):
         """The paper: pushing conditions 'introduces instruction
@@ -107,8 +108,8 @@ class TestPushConditions:
         flags = [1, 0, 1, 1]
         _, interp_a = _run(original, lambda p, h: _chain(p, h, flags))
         _, interp_b = _run(transformed, lambda p, h: _chain(p, h, flags))
-        assert interp_b.stats.node_visits >= interp_a.stats.node_visits
-        assert interp_b.stats.instructions > interp_a.stats.instructions
+        assert interp_b.node_visits >= interp_a.node_visits
+        assert interp_b.meter.instructions > interp_a.meter.instructions
 
     def test_calls_in_both_branches_rejected(self):
         source = """

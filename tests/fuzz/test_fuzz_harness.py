@@ -42,7 +42,8 @@ class TestCorpus:
             generate_case(seed, max_depth=CORPUS["max_depth"])
         )
         assert result.ok, result.report()
-        # all six executions actually ran and were compared
+        # all eight executions actually ran and were compared
+        assert len(LABELS) == 8
         assert set(result.records) | set(result.errors) == set(LABELS)
 
 

@@ -1,7 +1,8 @@
-"""Interpreter parity: the reference interpreter must produce the same
-snapshot, final globals, and write-set as BOTH compiled forms (fused and
-unfused) under BOTH tree layouts (object graph and forest pool), on all
-four paper workloads.
+"""Interpreter parity: the interpreter must produce the same snapshot,
+final globals, and write-set as BOTH compiled forms (fused and unfused)
+under BOTH tree layouts (object graph and forest pool), on all four
+paper workloads — and so must the interpreter running the fused
+program.
 
 This is the acceptance gate for the interpreter being "the executable
 specification": if it ever disagrees with compiled output, either a
@@ -35,8 +36,7 @@ CASES = [
 ]
 
 
-def _interp_record(workload, spec_kwargs, layout):
-    program, heap, root, context = None, None, None, None
+def _interp_record(workload, spec_kwargs, layout, fused=None):
     resolved = resolve_program(
         workload.source,
         name=workload.name,
@@ -48,10 +48,11 @@ def _interp_record(workload, spec_kwargs, layout):
     )
     before = root.snapshot(resolved)
     globals_map = dict(workload.globals_map or {})
-    module = InterpretedModule(resolved, layout=layout)
-    context = module.run_entry(heap, root, globals_map)
+    module = InterpretedModule(resolved, layout=layout, fused=fused)
+    runner = module.run_entry if fused is None else module.run_fused
+    context = runner(heap, root, globals_map)
     return make_record(
-        f"interp/{layout}",
+        f"interp{'' if fused is None else '-fused'}/{layout}",
         before,
         root.snapshot(resolved),
         globals_map,
@@ -103,6 +104,26 @@ class TestInterpreterMatchesCompiled:
         assert interp.write_set or interp.globals
 
 
+@pytest.mark.parametrize(
+    "name,factory,spec_kwargs",
+    CASES,
+    ids=[case[0] for case in CASES],
+)
+@pytest.mark.parametrize("layout", ["object", "pooled"])
+def test_interpreted_fused_matches_interpreted_original(
+    name, factory, spec_kwargs, layout
+):
+    workload = factory()
+    fused = pipeline_compile(
+        workload, options=CompileOptions(emit=False)
+    ).fused
+    original = _interp_record(workload, spec_kwargs, "object")
+    interp_fused = _interp_record(workload, spec_kwargs, layout, fused)
+    report = diff_report(original, interp_fused)
+    assert report is None, report
+    assert original.write_set or original.globals
+
+
 class TestInterpretWorkloadHelper:
     def test_returns_compiled_style_handles(self):
         program, heap, root, context = interpret_workload(
@@ -118,6 +139,18 @@ class TestInterpretWorkloadHelper:
         )
         assert obj[2].snapshot(obj[0]) == pooled[2].snapshot(pooled[0])
         assert obj[3].globals == pooled[3].globals
+
+    def test_run_fused_needs_a_fused_program(self):
+        from repro.errors import RuntimeFailure
+
+        workload = render_workload()
+        program = resolve_program(workload.source)
+        heap = Heap(program)
+        root = workload.build_tree(
+            program, heap, workload.make_spec(pages=1)
+        )
+        with pytest.raises(RuntimeFailure, match="fused program"):
+            InterpretedModule(program).run_fused(heap, root)
 
     def test_unknown_layout_rejected_at_construction(self):
         from repro.errors import RuntimeFailure

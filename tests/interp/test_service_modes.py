@@ -11,7 +11,7 @@ import pytest
 import repro
 from repro import obs
 from repro.service.api import TraversalService, make_server
-from repro.service.batching import ExecRequest, group_requests
+from repro.service.batching import group_requests
 from repro.workloads.kdtree import kdtree_workload
 from repro.workloads.render import render_workload
 
@@ -54,12 +54,8 @@ class TestRequestGrouping:
         groups = group_requests([compiled, interp])
         assert len(groups) == 2
 
-    def test_from_workload_carries_mode(self):
-        request = ExecRequest.from_workload(
-            render_workload(),
-            [render_workload().make_spec(pages=1)],
-            mode="interpret",
-        )
+    def test_workload_request_carries_mode(self):
+        request = render_workload().request(1, mode="interpret", pages=1)
         assert request.mode == "interpret"
 
 

@@ -4,11 +4,12 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.frontend import parse_program
-from repro.fusion import fuse_program
 from repro.ir.printer import print_program
 from repro.ir.stmts import While
-from repro.runtime import Heap, Interpreter, Node
+from repro.pipeline.stages import plan_and_synthesize
+from repro.runtime import Heap, Node
 from repro.treefuser import lower_program, lower_tree
+from tests.fixtures import metered
 
 LOOP_SOURCE = """
 _tree_ class N {
@@ -58,7 +59,7 @@ class TestWhileExtension:
         program = parse_program(LOOP_SOURCE)
         heap = Heap(program)
         root = _chain(program, heap, [947, 55])
-        interp = Interpreter(program, heap)
+        interp = metered(program, heap)
         interp.run_entry(root)
         assert root.get("total") == 9 + 4 + 7
         assert root.get("steps") == 3
@@ -95,7 +96,7 @@ class TestWhileExtension:
         program = parse_program(source)
         heap = Heap(program)
         root = Node.new(program, heap, "N")
-        interp = Interpreter(program, heap)
+        interp = metered(program, heap)
         with pytest.raises(RuntimeFailure, match="iterations"):
             interp.run_entry(root)
 
@@ -103,24 +104,24 @@ class TestWhileExtension:
         """The loop's accesses are summarized like a branch's, so the two
         traversals still fuse — and results agree with unfused."""
         program = parse_program(LOOP_SOURCE)
-        fused = fuse_program(program)
+        fused = plan_and_synthesize(program)
         values = [12, 305, 7]
         heap_a = Heap(program)
         root_a = _chain(program, heap_a, values)
-        Interpreter(program, heap_a).run_entry(root_a)
+        metered(program, heap_a).run_entry(root_a)
         heap_b = Heap(program)
         root_b = _chain(program, heap_b, values)
-        interp_b = Interpreter(program, heap_b)
+        interp_b = metered(program, heap_b)
         interp_b.run_fused(fused, root_b)
         assert root_a.snapshot(program) == root_b.snapshot(program)
         # sumDigits+scale fused into one visit per node
-        assert interp_b.stats.node_visits * 2 <= len(values) * 2 + 4
+        assert interp_b.node_visits * 2 <= len(values) * 2 + 4
 
     def test_loop_dependences_respected(self):
         """scale writes `value` which sumDigits' loop reads: fusion must
         keep sumDigits' loop before scale's write at each node."""
         program = parse_program(LOOP_SOURCE)
-        fused = fuse_program(program)
+        fused = plan_and_synthesize(program)
         unit = fused.units[("I::sumDigits", "I::scale")]
         from repro.fusion.fused_ir import GuardedStmt
 
@@ -152,6 +153,6 @@ class TestWhileExtension:
         twin = lower_tree(
             program, lowered, heap, _chain(program, src_heap, [947])
         )
-        interp = Interpreter(lowered.program, heap)
+        interp = metered(lowered.program, heap)
         interp.run_entry(twin)
         assert twin.get("total") == 20

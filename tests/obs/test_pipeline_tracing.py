@@ -4,10 +4,10 @@ True)`` without flipping the process tracer on."""
 
 from repro import obs
 from repro.pipeline import (
-    CompileCache,
     CompileOptions,
     compile as pipeline_compile,
 )
+from repro.storage import MemoryTier
 
 from tests.fixtures import FIG2_SOURCE
 
@@ -41,7 +41,7 @@ def test_traced_compile_records_pass_and_unit_spans():
 
 
 def test_compile_root_span_carries_cache_outcome():
-    cache = CompileCache()
+    cache = MemoryTier()
     options = CompileOptions(trace=True)
     pipeline_compile(FIG2_SOURCE, options=options, cache=cache)
     cold_root = next(
@@ -66,7 +66,7 @@ def test_compile_root_span_carries_cache_outcome():
 
 
 def test_storage_miss_span_on_cold_compile():
-    cache = CompileCache()
+    cache = MemoryTier()
     pipeline_compile(
         FIG2_SOURCE, options=CompileOptions(trace=True), cache=cache
     )

@@ -3,20 +3,20 @@
 from repro.codegen import compile_fused, compile_program
 from repro.frontend import parse_program
 from repro.pipeline import (
-    CompileCache,
     CompileOptions,
     compile as pipeline_compile,
     hash_program,
     hash_source,
 )
 from repro.fusion.grouping import FusionLimits
+from repro.storage import MemoryTier
 
-from tests.fixtures import FIG1_SOURCE, FIG2_SOURCE
+from tests.fixtures import FIG1_SOURCE, FIG2_SOURCE, source_workload
 
 
 class TestResultCache:
     def test_same_source_same_options_hits(self):
-        cache = CompileCache()
+        cache = MemoryTier()
         cold = pipeline_compile(FIG2_SOURCE, cache=cache)
         warm = pipeline_compile(FIG2_SOURCE, cache=cache)
         assert not cold.cache_hit
@@ -28,7 +28,7 @@ class TestResultCache:
         assert cache.stats()["misses"] >= 1
 
     def test_warm_timings_are_lookup_only_with_cold_preserved(self):
-        cache = CompileCache()
+        cache = MemoryTier()
         cold = pipeline_compile(FIG2_SOURCE, cache=cache)
         warm = pipeline_compile(FIG2_SOURCE, cache=cache)
         assert [t.name for t in warm.timings] == ["cache-lookup"]
@@ -40,7 +40,7 @@ class TestResultCache:
         assert not cold.cache_hit
 
     def test_changed_options_miss(self):
-        cache = CompileCache()
+        cache = MemoryTier()
         pipeline_compile(FIG2_SOURCE, cache=cache)
         for options in [
             CompileOptions(limits=FusionLimits(max_sequence=3)),
@@ -51,13 +51,13 @@ class TestResultCache:
             assert not result.cache_hit, options
 
     def test_changed_source_miss(self):
-        cache = CompileCache()
+        cache = MemoryTier()
         pipeline_compile(FIG2_SOURCE, cache=cache)
         result = pipeline_compile(FIG1_SOURCE, cache=cache)
         assert not result.cache_hit
 
     def test_emit_false_served_from_emit_true_entry(self):
-        cache = CompileCache()
+        cache = MemoryTier()
         emitted = pipeline_compile(FIG2_SOURCE, cache=cache)
         fused_only = pipeline_compile(
             FIG2_SOURCE, cache=cache, options=CompileOptions(emit=False)
@@ -66,7 +66,7 @@ class TestResultCache:
         assert fused_only.fused is emitted.fused
         # the reverse direction must stay a miss: an emit=False entry
         # lacks the compiled modules an emit=True caller needs
-        cache2 = CompileCache()
+        cache2 = MemoryTier()
         pipeline_compile(
             FIG2_SOURCE, cache=cache2, options=CompileOptions(emit=False)
         )
@@ -75,7 +75,7 @@ class TestResultCache:
         assert full.compiled_fused is not None
 
     def test_use_cache_false_bypasses(self):
-        cache = CompileCache()
+        cache = MemoryTier()
         pipeline_compile(FIG2_SOURCE, cache=cache)
         result = pipeline_compile(
             FIG2_SOURCE, cache=cache, options=CompileOptions(use_cache=False)
@@ -83,14 +83,14 @@ class TestResultCache:
         assert not result.cache_hit
 
     def test_clear_forgets_everything(self):
-        cache = CompileCache()
+        cache = MemoryTier()
         pipeline_compile(FIG2_SOURCE, cache=cache)
         cache.clear()
         assert len(cache) == 0
         assert not pipeline_compile(FIG2_SOURCE, cache=cache).cache_hit
 
     def test_lru_evicts_oldest(self):
-        cache = CompileCache(max_entries=1)
+        cache = MemoryTier(max_entries=1)
         pipeline_compile(FIG2_SOURCE, cache=cache)
         pipeline_compile(FIG1_SOURCE, cache=cache)  # evicts fig2
         assert not pipeline_compile(FIG2_SOURCE, cache=cache).cache_hit
@@ -104,7 +104,7 @@ class TestContentAddressing:
         assert hash_program(a) == hash_program(b)
 
     def test_equivalent_program_objects_share_cache_entry(self):
-        cache = CompileCache()
+        cache = MemoryTier()
         cold = pipeline_compile(parse_program(FIG2_SOURCE), cache=cache)
         warm = pipeline_compile(parse_program(FIG2_SOURCE), cache=cache)
         assert warm.cache_hit
@@ -131,20 +131,20 @@ class TestContentAddressing:
         _tree_ class L : public N { };
         int main() { N* root = ...; root->go(); }
         """
-        cache = CompileCache()
+        cache = MemoryTier()
         plus_one = pipeline_compile(
-            source, cache=cache, pure_impls={"f": lambda x: x + 1}
+            source_workload(source, {"f": lambda x: x + 1}), cache=cache
         )
         plus_hundred = pipeline_compile(
-            source, cache=cache, pure_impls={"f": lambda x: x + 100}
+            source_workload(source, {"f": lambda x: x + 100}), cache=cache
         )
         assert not plus_hundred.cache_hit
         assert plus_one.program.pure_functions["f"].impl(1) == 2
         assert plus_hundred.program.pure_functions["f"].impl(1) == 101
         # the *same* impl objects do share
         impls = {"f": lambda x: x * 2}
-        first = pipeline_compile(source, cache=cache, pure_impls=impls)
-        second = pipeline_compile(source, cache=cache, pure_impls=impls)
+        first = pipeline_compile(source_workload(source, impls), cache=cache)
+        second = pipeline_compile(source_workload(source, impls), cache=cache)
         assert second.cache_hit
         assert second.fused is first.fused
 
@@ -158,10 +158,10 @@ class TestCodegenArtifactSharing:
         assert "def run_entry(" in first.source
 
     def test_compile_fused_memoizes_by_content(self):
-        from repro.fusion import fuse_program
+        from repro.pipeline.stages import plan_and_synthesize
 
         program = parse_program(FIG2_SOURCE, name="fig2")
-        fused = fuse_program(program)
+        fused = plan_and_synthesize(program)
         first = compile_fused(fused)
         second = compile_fused(fused)
         assert first is second
@@ -171,12 +171,12 @@ class TestCodegenArtifactSharing:
         # a text-sourced pipeline compile and the Program-keyed codegen
         # helpers must land on the same exec'd module artifacts
         from repro.pipeline import GLOBAL_CACHE
-        from repro.fusion import fuse_program
+        from repro.pipeline.stages import plan_and_synthesize
 
         result = pipeline_compile(FIG2_SOURCE, name="fig2")
         program = parse_program(FIG2_SOURCE, name="fig2")
         assert compile_program(program) is result.compiled_unfused
-        assert compile_fused(fuse_program(program)) is result.compiled_fused
+        assert compile_fused(plan_and_synthesize(program)) is result.compiled_fused
         assert GLOBAL_CACHE.stats()["artifacts"] >= 2
 
     def test_entryless_program_compiles_without_fusion(self):

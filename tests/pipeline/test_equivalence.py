@@ -1,13 +1,15 @@
-"""The FusionEngine shim and pipeline.compile() synthesize the same
-fused programs on all four paper workloads (render, astlang, kdtree,
-fmm) and in TreeFuser-lowered mode."""
+"""Uncached one-call fusion (``plan_and_synthesize``) and the unit-cached
+pass pipeline (``pipeline.compile()``) synthesize the same fused
+programs on all four paper workloads (render, astlang, kdtree, fmm) and
+in TreeFuser-lowered mode."""
 
 import pytest
 
-from repro.fusion import FusionEngine
 from repro.fusion.fused_ir import print_fused_program
-from repro.pipeline import CompileCache, CompileOptions
+from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
+from repro.pipeline.stages import plan_and_synthesize
+from repro.storage import MemoryTier
 from repro.treefuser import lower_program
 from repro.workloads.astlang import ast_program
 from repro.workloads.fmm import fmm_program
@@ -23,35 +25,35 @@ WORKLOADS = {
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_engine_shim_matches_pipeline(name):
+def test_uncached_fusion_matches_pipeline(name):
     program = WORKLOADS[name]()
-    via_engine = FusionEngine(program).fuse_program()
+    uncached = plan_and_synthesize(program)
     via_pipeline = pipeline_compile(
-        program, cache=CompileCache(), options=CompileOptions(emit=False)
+        program, cache=MemoryTier(), options=CompileOptions(emit=False)
     ).fused
-    assert set(via_engine.units) == set(via_pipeline.units)
-    assert via_engine.stats() == via_pipeline.stats()
-    assert print_fused_program(via_engine) == print_fused_program(
+    assert set(uncached.units) == set(via_pipeline.units)
+    assert uncached.stats() == via_pipeline.stats()
+    assert print_fused_program(uncached) == print_fused_program(
         via_pipeline
     )
-    assert via_engine.root_type == via_pipeline.root_type
-    assert len(via_engine.entry_groups) == len(via_pipeline.entry_groups)
-    for a, b in zip(via_engine.entry_groups, via_pipeline.entry_groups):
+    assert uncached.root_type == via_pipeline.root_type
+    assert len(uncached.entry_groups) == len(via_pipeline.entry_groups)
+    for a, b in zip(uncached.entry_groups, via_pipeline.entry_groups):
         assert a.method_names == b.method_names
         assert set(a.dispatch) == set(b.dispatch)
         for type_name in a.dispatch:
             assert a.dispatch[type_name].key == b.dispatch[type_name].key
 
 
-def test_engine_shim_matches_pipeline_treefuser_lowered():
+def test_uncached_fusion_matches_pipeline_treefuser_lowered():
     lowered = lower_program(render_program())
-    via_engine = FusionEngine(lowered.program).fuse_program()
+    uncached = plan_and_synthesize(lowered.program)
     via_pipeline = pipeline_compile(
         lowered.program,
-        cache=CompileCache(),
+        cache=MemoryTier(),
         options=CompileOptions(emit=False),
     ).fused
-    assert set(via_engine.units) == set(via_pipeline.units)
-    assert print_fused_program(via_engine) == print_fused_program(
+    assert set(uncached.units) == set(via_pipeline.units)
+    assert print_fused_program(uncached) == print_fused_program(
         via_pipeline
     )

@@ -11,8 +11,10 @@ exactly the unit classes that depend on them.
 import pytest
 
 from repro.fusion.grouping import FusionLimits
-from repro.pipeline import CompileCache, CompileOptions
+from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
+from repro.storage import MemoryTier
+from tests.fixtures import source_workload
 
 # two traversals with disjoint recursion (f walks a, g walks b), so the
 # per-type singleton sequences give several independent fused units
@@ -66,7 +68,7 @@ def _cold(source, **kwargs):
 
 class TestSingleEdit:
     def test_constant_edit_reuses_every_plan_and_reemits_only_dirty(self):
-        cache = CompileCache()
+        cache = MemoryTier()
         _compile(SOURCE_V1, cache)
         edited = _compile(SOURCE_V2_CONST, cache)
         assert not edited.cache_hit
@@ -90,7 +92,7 @@ class TestSingleEdit:
         assert misses == len(dirty) + 1
 
     def test_constant_edit_is_byte_identical_to_cold_compile(self):
-        cache = CompileCache()
+        cache = MemoryTier()
         _compile(SOURCE_V1, cache)
         edited = _compile(SOURCE_V2_CONST, cache)
         cold = _cold(SOURCE_V2_CONST)
@@ -100,7 +102,7 @@ class TestSingleEdit:
         assert "+ 3" in edited.fused_source
 
     def test_access_edit_dirties_reaching_plans_only(self):
-        cache = CompileCache()
+        cache = MemoryTier()
         _compile(SOURCE_V1, cache)
         edited = _compile(SOURCE_V2_ACCESS, cache)
         _, fusion_misses = _counters(edited, "fusion")
@@ -118,7 +120,7 @@ class TestSingleEdit:
         # recompiled module and check the new constant took effect
         from repro.runtime import Heap, Node
 
-        cache = CompileCache()
+        cache = MemoryTier()
         _compile(SOURCE_V1, cache)
         edited = _compile(SOURCE_V2_CONST, cache)
         program = edited.program
@@ -132,7 +134,7 @@ class TestSingleEdit:
 
 class TestOptionAndImplInvalidation:
     def test_limits_change_dirties_plans_but_not_graphs_or_methods(self):
-        cache = CompileCache()
+        cache = MemoryTier()
         _compile(SOURCE_V1, cache)
         swept = _compile(
             SOURCE_V1,
@@ -165,17 +167,13 @@ class TestOptionAndImplInvalidation:
         _tree_ class L : public N { };
         int main() { N* root = ...; root->f(); }
         """
-        cache = CompileCache()
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            first = _compile(
-                source, cache, pure_impls={"boost": lambda a: a + 1}
-            )
-            second = _compile(
-                source, cache, pure_impls={"boost": lambda a: a * 2}
-            )
+        cache = MemoryTier()
+        first = _compile(
+            source_workload(source, {"boost": lambda a: a + 1}), cache
+        )
+        second = _compile(
+            source_workload(source, {"boost": lambda a: a * 2}), cache
+        )
         assert first.source_hash != second.source_hash
         assert not second.cache_hit
         for pass_name in ("access-analysis", "dependence", "fusion", "emit"):
@@ -208,7 +206,7 @@ class TestRecompileSurface:
             assert "unit_hits" not in timing.detail
 
     def test_incremental_false_skips_the_unit_layer(self):
-        cache = CompileCache()
+        cache = MemoryTier()
         _compile(SOURCE_V1, cache)
         again = _compile(
             SOURCE_V1, cache, incremental=False, reuse_result=False
@@ -220,13 +218,13 @@ class TestRecompileSurface:
 class TestDiskUnits:
     def test_units_persist_and_serve_a_fresh_memory_cache(self, tmp_path):
         options = CompileOptions(cache_dir=str(tmp_path))
-        first = _compile(SOURCE_V1, CompileCache(), options=options)
+        first = _compile(SOURCE_V1, MemoryTier(), options=options)
         assert not first.cache_hit
         # a brand-new memory cache, result lookup bypassed: every
         # fusion/emit unit must come back from disk
         again = _compile(
             SOURCE_V1,
-            CompileCache(),
+            MemoryTier(),
             options=options,
             reuse_result=False,
         )
@@ -238,18 +236,18 @@ class TestDiskUnits:
         assert again.fused_source == first.fused_source
 
     def test_store_counts_unit_entries(self, tmp_path):
-        from repro.service.store import store_for
+        from repro.storage import disk_tier_for
 
         options = CompileOptions(cache_dir=str(tmp_path))
-        _compile(SOURCE_V1, CompileCache(), options=options)
-        stats = store_for(str(tmp_path)).stats()
+        _compile(SOURCE_V1, MemoryTier(), options=options)
+        stats = disk_tier_for(str(tmp_path)).stats()
         assert stats["unit_entries"] > 0
         assert stats["unit_spills"] > 0
 
 
 class TestLowerPassUnits:
     def test_lowering_is_a_cached_pre_pass(self):
-        cache = CompileCache()
+        cache = MemoryTier()
         options = CompileOptions(lower=True, emit=False)
         first = _compile(SOURCE_V1, cache, options=options)
         assert first.lowered is not None
@@ -264,7 +262,7 @@ class TestLowerPassUnits:
         assert again.lowered.tags == first.lowered.tags
 
     def test_lower_pass_skipped_by_default(self):
-        result = pipeline_compile(SOURCE_V1, cache=CompileCache())
+        result = pipeline_compile(SOURCE_V1, cache=MemoryTier())
         lower = next(t for t in result.timings if t.name == "lower")
         assert lower.detail == {"skipped": 1}
         assert result.lowered is None

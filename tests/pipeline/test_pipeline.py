@@ -5,13 +5,13 @@ import pytest
 from repro.errors import FusionError, ValidationError
 from repro.frontend import parse_program
 from repro.pipeline import (
-    CompileCache,
     CompileOptions,
     PassManager,
     compile as pipeline_compile,
     default_passes,
 )
 from repro.fusion.grouping import FusionLimits
+from repro.storage import MemoryTier
 
 from tests.fixtures import FIG2_SOURCE
 
@@ -138,7 +138,7 @@ class TestFusionLimitsThroughPipeline:
             root->f(); root->f(); root->f(); root->f(); root->f();
         }
         """
-        cache = CompileCache()
+        cache = MemoryTier()
         options = CompileOptions(
             limits=FusionLimits(max_sequence=2), emit=False
         )

@@ -2,7 +2,7 @@
 
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.runtime.interpreter import _cxx_div, _cxx_mod
+from repro.runtime.values import _cxx_div, _cxx_mod
 
 ints = st.integers(min_value=-10_000, max_value=10_000)
 

@@ -3,8 +3,9 @@ truncation isolation, guarded slots, argument passing for truncated
 members (the paper's §3.4 runtime behaviour)."""
 
 from repro.frontend import parse_program
-from repro.fusion import fuse_program
-from repro.runtime import Heap, Interpreter, Node
+from repro.pipeline.stages import plan_and_synthesize
+from repro.runtime import Heap, Node
+from tests.fixtures import metered
 
 TRUNCATING = """
 _tree_ class N {
@@ -40,10 +41,10 @@ def _chain(program, heap, stops):
 
 def _run_fused(stops):
     program = parse_program(TRUNCATING)
-    fused = fuse_program(program)
+    fused = plan_and_synthesize(program)
     heap = Heap(program)
     root = _chain(program, heap, stops)
-    interp = Interpreter(program, heap)
+    interp = metered(program, heap)
     interp.run_fused(fused, root)
     return program, root, interp
 
@@ -63,7 +64,7 @@ class TestActiveFlags:
         nodes = [n for n in root.walk(program) if n.type_name == "I"]
         assert [n.get("sawA") for n in nodes] == [0, 0]
         assert [n.get("sawB") for n in nodes] == [1, 11]
-        assert interp.stats.truncations == 1
+        assert interp.truncations == 1
 
     def test_all_flags_cleared_short_circuits(self):
         """Once every member truncates, the fused frame stops early; the
@@ -72,24 +73,24 @@ class TestActiveFlags:
                                     "if (this->stopA == 1) return;\n"
                                     "        this->sawB = d;")
         program = parse_program(source)
-        fused = fuse_program(program)
+        fused = plan_and_synthesize(program)
         heap = Heap(program)
         root = _chain(program, heap, [0, 1, 0, 0, 0])
-        interp = Interpreter(program, heap)
+        interp = metered(program, heap)
         interp.run_fused(fused, root)
         nodes = [n for n in root.walk(program) if n.type_name == "I"]
         # both passes truncate at node 1; nodes 2+ never visited
         assert [n.get("sawA") for n in nodes] == [1, 0, 0, 0, 0]
         assert [n.get("sawB") for n in nodes] == [1, 0, 0, 0, 0]
         # visits: node0 + node1 (where both truncate); not 5
-        assert interp.stats.node_visits <= 3
+        assert interp.node_visits <= 3
 
     def test_arguments_still_passed_after_truncation(self):
         """Paper §5.2: parameters of truncated traversals keep being
         passed — the fused call still carries passA's argument slot, and
         the instruction cost model charges for it."""
         program = parse_program(TRUNCATING)
-        fused = fuse_program(program)
+        fused = plan_and_synthesize(program)
         unit = fused.units[("I::passA", "I::passB")]
         from repro.fusion.fused_ir import GroupCall
 
@@ -101,18 +102,18 @@ class TestActiveFlags:
 class TestVisitAccounting:
     def test_fused_visit_counts_once_per_node(self):
         program = parse_program(TRUNCATING)
-        fused = fuse_program(program)
+        fused = plan_and_synthesize(program)
         heap = Heap(program)
         root = _chain(program, heap, [0, 0, 0])
-        interp = Interpreter(program, heap)
+        interp = metered(program, heap)
         interp.run_fused(fused, root)
         # 3 I nodes + 1 L node, each visited once by the fused traversal
-        assert interp.stats.node_visits == 4
+        assert interp.node_visits == 4
 
     def test_unfused_visits_twice_per_node(self):
         program = parse_program(TRUNCATING)
         heap = Heap(program)
         root = _chain(program, heap, [0, 0, 0])
-        interp = Interpreter(program, heap)
+        interp = metered(program, heap)
         interp.run_entry(root)
-        assert interp.stats.node_visits == 8
+        assert interp.node_visits == 8

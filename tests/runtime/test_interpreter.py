@@ -4,17 +4,17 @@ import pytest
 
 from repro.errors import RuntimeFailure
 from repro.frontend import parse_program
-from repro.runtime import ExecStats, Heap, Interpreter, Node
+from repro.runtime import ExecStats, Heap, Node
 from repro.runtime.values import ObjectValue
 
-from tests.fixtures import fig2_program
+from tests.fixtures import fig2_program, metered
 
 
 def _run(source, build_tree, pure_impls=None, globals_init=None):
     program = parse_program(source, pure_impls=pure_impls or {})
     heap = Heap(program)
     root = build_tree(program, heap)
-    interp = Interpreter(program, heap)
+    interp = metered(program, heap)
     for name, value in (globals_init or {}).items():
         interp.globals[name] = value
     interp.run_entry(root)
@@ -86,7 +86,7 @@ class TestControlFlowAndTruncation:
         visited = [n.get("visited") for n in root.walk(program)
                    if n.type_name == "Inner"]
         assert visited == [1, 1, 1] + [0] * 7
-        assert interp.stats.truncations == 1
+        assert interp.truncations == 1
 
     def test_depth_parameter_flows(self):
         program, root, _ = _run(
@@ -101,7 +101,7 @@ class TestControlFlowAndTruncation:
             self.SOURCE, lambda p, h: self._chain(p, h, 5, 100)
         )
         # 5 Inner visits + the final call on Stop (inherited no-op)
-        assert interp.stats.node_visits == 6
+        assert interp.node_visits == 6
 
 
 class TestMutation:
@@ -202,7 +202,7 @@ class TestStatsAndCache:
         from repro.cachesim import paper_hierarchy
 
         stats = ExecStats(cache=paper_hierarchy())
-        interp = Interpreter(program, heap, stats)
+        interp = metered(program, heap, stats)
         interp.run_entry(root)
         assert stats.field_reads == 1
         assert stats.field_writes == 1
@@ -230,12 +230,23 @@ class TestStatsAndCache:
         heap = Heap(program)
         kid = Node.new(program, heap, "Z")
         root = Node.new(program, heap, "I", kid=kid)
-        interp = Interpreter(program, heap)
+        interp = metered(program, heap)
         interp.run_entry(root)
         assert kid.get("v") == 5
         # one pointer read (alias def) + one field write
-        assert interp.stats.field_reads == 1
-        assert interp.stats.field_writes == 1
+        assert interp.meter.field_reads == 1
+        assert interp.meter.field_writes == 1
+
+    def test_meter_prices_the_object_layout_only(self):
+        from repro.interp import Interpreter, PooledTreeView
+
+        program = fig2_program()
+        with pytest.raises(RuntimeFailure, match="object layout"):
+            Interpreter(
+                program,
+                PooledTreeView(program, Heap(program)),
+                meter=ExecStats(),
+            )
 
 
 class TestFig2EndToEnd:
@@ -256,7 +267,7 @@ class TestFig2EndToEnd:
         border.set("Content", content)
         border.set("Next", end2)
         border.get("Border").set("Size", 3)
-        interp = Interpreter(program, heap)
+        interp = metered(program, heap)
         interp.globals["CHAR_WIDTH"] = 2
         interp.run_entry(border)
         # widths: inner=6, content=4; group = content.Width + 2*3 = 10

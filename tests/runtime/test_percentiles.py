@@ -3,7 +3,6 @@ interpolation, duplicates, and monotonicity."""
 
 import pytest
 
-from repro.runtime import LatencyHistogram
 from repro.runtime.stats import LatencySeries
 
 
@@ -80,7 +79,3 @@ def test_merge_preserves_percentiles():
     a.merge(b)
     assert a.percentile(50) == pytest.approx(2.5)
     assert a.summary()["count"] == 4
-
-
-def test_latency_histogram_alias():
-    assert LatencyHistogram is LatencySeries

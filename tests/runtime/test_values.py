@@ -5,6 +5,7 @@ import pytest
 from repro.errors import RuntimeFailure
 from repro.frontend import parse_program
 from repro.runtime.values import ObjectValue, copy_value, default_value
+from tests.fixtures import metered
 
 
 def _program():
@@ -95,12 +96,12 @@ class TestByValueSemantics:
             box.set("v", box.get("v") + 100)  # mutate the copy
             return box.get("v")
 
-        from repro.runtime import Heap, Interpreter, Node
+        from repro.runtime import Heap, Node
 
         program = parse_program(source, pure_impls={"bump": bump})
         heap = Heap(program)
         root = Node.new(program, heap, "N", box=ObjectValue("Box", {"v": 5}))
-        interp = Interpreter(program, heap)
+        interp = metered(program, heap)
         interp.run_entry(root)
         assert root.get("out") == 105
         assert root.get("box").get("v") == 5  # caller's object untouched

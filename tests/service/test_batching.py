@@ -8,18 +8,13 @@ from repro.service.batching import (
     shard_indexes,
 )
 
-from tests.fixtures import FIG1_SOURCE, FIG2_SOURCE
+from tests.fixtures import FIG1_SOURCE, FIG2_SOURCE, source_workload
 
 
-def _noop_build(program, heap, spec):  # pragma: no cover - never run here
-    raise AssertionError("batching tests do not execute trees")
-
-
-def request(source=FIG2_SOURCE, trees=4, **kw):
+def request(source=FIG2_SOURCE, trees=4, pure_impls=None, **kw):
     return ExecRequest(
-        source=source,
+        workload=source_workload(source, pure_impls),
         trees=list(range(trees)),
-        build_tree=_noop_build,
         **kw,
     )
 

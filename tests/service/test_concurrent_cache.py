@@ -3,7 +3,7 @@
 Two dimensions, per the PR checklist:
 
 * **threads** — the executor's thread backend funnels shards through
-  one shared ``CompileCache``; racing compiles of the same program must
+  one shared ``MemoryTier``; racing compiles of the same program must
   not corrupt it and every racer must get a usable artifact.
 * **processes** — two processes spilling the same key into one store
   directory must both succeed (atomic rename: a reader can never see a
@@ -16,18 +16,19 @@ import sys
 import textwrap
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.pipeline import CompileCache, CompileOptions
+from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
-from repro.service.store import store_for
+from repro.storage import MemoryTier, disk_tier_for
+from repro.workloads.render import RENDER_PURE_IMPLS, RENDER_SOURCE
 
-from tests.fixtures import FIG2_SOURCE
+from tests.fixtures import FIG2_SOURCE, source_workload
 
 
 class TestThreadedAccess:
     def test_racing_compiles_share_the_store_without_corruption(
         self, tmp_path
     ):
-        cache = CompileCache()
+        cache = MemoryTier()
         options = CompileOptions(cache_dir=str(tmp_path))
 
         def compile_once(_):
@@ -43,7 +44,7 @@ class TestThreadedAccess:
         assert all(r.compiled_fused is not None for r in results)
         assert len({r.source_hash for r in results}) == 1
         # the store holds exactly the one artifact, and it loads
-        store = store_for(str(tmp_path))
+        store = disk_tier_for(str(tmp_path))
         assert len(store) == 1
         reloaded = store.load(
             results[0].source_hash, results[0].options.output_hash()
@@ -52,13 +53,13 @@ class TestThreadedAccess:
         assert reloaded.fused_source == results[0].fused_source
 
     def test_racing_spills_of_one_result_are_atomic(self, tmp_path):
-        cache = CompileCache()
+        cache = MemoryTier()
         result = pipeline_compile(
             FIG2_SOURCE,
             options=CompileOptions(cache_dir=str(tmp_path)),
             cache=cache,
         )
-        store = store_for(str(tmp_path))
+        store = disk_tier_for(str(tmp_path))
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             outcomes = list(
@@ -76,8 +77,10 @@ class TestThreadedAccess:
 _CHILD = textwrap.dedent(
     """
     import sys
-    from repro.pipeline import CompileCache, CompileOptions
+    from repro.api import Workload
+    from repro.pipeline import CompileOptions
     from repro.pipeline import compile as pipeline_compile
+    from repro.storage import MemoryTier
     from repro.workloads.render import (
         DEFAULT_GLOBALS, RENDER_PURE_IMPLS, RENDER_SOURCE,
         build_document, replicated_pages_spec,
@@ -85,10 +88,12 @@ _CHILD = textwrap.dedent(
     from repro.runtime import Heap
 
     result = pipeline_compile(
-        RENDER_SOURCE,
+        Workload.from_source(
+            "render", RENDER_SOURCE, build_document,
+            pure_impls=RENDER_PURE_IMPLS,
+        ),
         options=CompileOptions(cache_dir=sys.argv[1]),
-        cache=CompileCache(),
-        pure_impls=RENDER_PURE_IMPLS,
+        cache=MemoryTier(),
     )
     heap = Heap(result.program)
     root = build_document(result.program, heap, replicated_pages_spec(2))
@@ -120,24 +125,11 @@ class TestCrossProcessAccess:
             assert out.startswith("ok"), out
         # both racers left exactly one complete artifact behind, and a
         # third process-equivalent (fresh cache) loads and runs it
-        store = store_for(str(tmp_path))
+        store = disk_tier_for(str(tmp_path))
         assert len(store) == 1
         result = pipeline_compile(
-            _render_key_source(),
+            source_workload(RENDER_SOURCE, RENDER_PURE_IMPLS),
             options=CompileOptions(cache_dir=str(tmp_path)),
-            cache=CompileCache(),
-            pure_impls=_render_impls(),
+            cache=MemoryTier(),
         )
         assert result.cache_hit
-
-
-def _render_key_source():
-    from repro.workloads.render import RENDER_SOURCE
-
-    return RENDER_SOURCE
-
-
-def _render_impls():
-    from repro.workloads.render import RENDER_PURE_IMPLS
-
-    return RENDER_PURE_IMPLS

@@ -1,7 +1,10 @@
 """Batch executor: correctness across backends, metrics, error paths."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.api import Workload
 from repro.service.batching import ExecRequest
 from repro.service.executor import BatchExecutor
 
@@ -13,14 +16,20 @@ from repro.workloads.render import (
     replicated_pages_spec,
 )
 
+RENDER = Workload.from_source(
+    "render",
+    RENDER_SOURCE,
+    build_document,
+    pure_impls=RENDER_PURE_IMPLS,
+    globals_map=dict(DEFAULT_GLOBALS),
+)
 
-def render_request(trees=6, pages=2, source=RENDER_SOURCE, **kw):
+
+def render_request(trees=6, pages=2, source=RENDER_SOURCE,
+                   build_tree=build_document, **kw):
     return ExecRequest(
-        source=source,
+        workload=replace(RENDER, source=source, build_tree=build_tree),
         trees=[replicated_pages_spec(pages) for _ in range(trees)],
-        build_tree=build_document,
-        globals_map=dict(DEFAULT_GLOBALS),
-        pure_impls=RENDER_PURE_IMPLS,
         **kw,
     )
 
@@ -31,7 +40,7 @@ def reference_summaries(trees=6, pages=2):
     from repro.runtime import Heap
     from repro.service.batching import default_collect
 
-    result = pipeline_compile(RENDER_SOURCE, pure_impls=RENDER_PURE_IMPLS)
+    result = pipeline_compile(RENDER)
     out = []
     for _ in range(trees):
         heap = Heap(result.program)
@@ -138,13 +147,7 @@ class TestErrorPaths:
         def explode(program, heap, spec):
             raise RuntimeError("boom")
 
-        bad = ExecRequest(
-            source=RENDER_SOURCE,
-            trees=[replicated_pages_spec(1)],
-            build_tree=explode,
-            globals_map=dict(DEFAULT_GLOBALS),
-            pure_impls=RENDER_PURE_IMPLS,
-        )
+        bad = render_request(trees=1, pages=1, build_tree=explode)
         good = render_request(trees=2)
         with BatchExecutor(workers=1, backend="inline") as executor:
             bad_result, good_result = executor.run([bad, good])
@@ -162,18 +165,18 @@ class TestErrorPaths:
 
 class TestCacheDirFlows:
     def test_executor_cache_dir_applies_to_requests(self, tmp_path):
-        from repro.service.store import store_for
+        from repro.storage import disk_tier_for
 
         with BatchExecutor(
             workers=1, backend="inline", cache_dir=str(tmp_path)
         ) as executor:
             [result] = executor.run([render_request(trees=1)])
         assert result.ok
-        assert len(store_for(str(tmp_path))) == 1
+        assert len(disk_tier_for(str(tmp_path))) == 1
 
     def test_request_cache_dir_wins_over_executor(self, tmp_path):
         from repro.pipeline import CompileOptions
-        from repro.service.store import store_for
+        from repro.storage import disk_tier_for
 
         mine = tmp_path / "mine"
         other = tmp_path / "other"
@@ -185,8 +188,8 @@ class TestCacheDirFlows:
         ) as executor:
             [result] = executor.run([req])
         assert result.ok
-        assert len(store_for(str(mine))) == 1
-        assert len(store_for(str(other))) == 0
+        assert len(disk_tier_for(str(mine))) == 1
+        assert len(disk_tier_for(str(other))) == 0
 
 
 class TestLifecycleAndOptions:

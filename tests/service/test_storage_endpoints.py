@@ -16,7 +16,7 @@ import pytest
 from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
 from repro.service.api import TraversalService, make_server
-from repro.service.store import store_for
+from repro.storage import disk_tier_for
 from repro.storage import MemoryTier, PeerTier, ResultKey
 
 from tests.fixtures import FIG2_SOURCE
@@ -40,7 +40,7 @@ def persistent_service(tmp_path):
     thread.start()
     base = f"http://127.0.0.1:{server.server_address[1]}"
     try:
-        yield base, seeded, store_for(cache_dir)
+        yield base, seeded, disk_tier_for(cache_dir)
     finally:
         server.shutdown()
         server.server_close()

@@ -3,23 +3,23 @@
 import os
 import pickle
 
-from repro.pipeline import CompileCache, CompileOptions
+from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
-from repro.service.store import FORMAT_VERSION, ArtifactStore, store_for
+from repro.storage import FORMAT_VERSION, DiskTier, MemoryTier, disk_tier_for
 
-from tests.fixtures import FIG1_SOURCE, FIG2_SOURCE
+from tests.fixtures import FIG1_SOURCE, FIG2_SOURCE, source_workload
 
 
 def _compile_into(tmp_path, source=FIG2_SOURCE, **options_kw):
     options = CompileOptions(cache_dir=str(tmp_path), **options_kw)
-    return pipeline_compile(source, options=options, cache=CompileCache())
+    return pipeline_compile(source, options=options, cache=MemoryTier())
 
 
 class TestRoundTrip:
     def test_cold_compile_spills_and_new_cache_loads(self, tmp_path):
         cold = _compile_into(tmp_path)
         assert not cold.cache_hit
-        store = store_for(str(tmp_path))
+        store = disk_tier_for(str(tmp_path))
         assert len(store) == 1
         # a brand-new memory cache (standing in for a new process)
         # serves the same compile from disk
@@ -57,7 +57,7 @@ class TestRoundTrip:
 
     def test_layout_is_versioned_and_hash_sharded(self, tmp_path):
         result = _compile_into(tmp_path)
-        store = store_for(str(tmp_path))
+        store = disk_tier_for(str(tmp_path))
         path = store.path_for(result.source_hash, result.options.output_hash())
         assert path.exists()
         assert path.parent.parent.name == f"v{FORMAT_VERSION}"
@@ -67,7 +67,7 @@ class TestRoundTrip:
     def test_persist_false_is_read_only(self, tmp_path):
         result = _compile_into(tmp_path, persist=False)
         assert not result.cache_hit
-        assert len(store_for(str(tmp_path))) == 0
+        assert len(disk_tier_for(str(tmp_path))) == 0
 
     def test_non_portable_impls_never_spill(self, tmp_path):
         source = """
@@ -82,13 +82,13 @@ class TestRoundTrip:
         """
         options = CompileOptions(cache_dir=str(tmp_path))
         result = pipeline_compile(
-            source,
+            # id()-keyed impls: not portable
+            source_workload(source, {"f": lambda x: x + 1}),
             options=options,
-            cache=CompileCache(),
-            pure_impls={"f": lambda x: x + 1},  # id()-keyed: not portable
+            cache=MemoryTier(),
         )
         assert not result.cache_hit
-        store = store_for(str(tmp_path))
+        store = disk_tier_for(str(tmp_path))
         assert len(store) == 0
         assert store.spill_skips >= 1
 
@@ -96,7 +96,7 @@ class TestRoundTrip:
 class TestDamageTolerance:
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
         result = _compile_into(tmp_path)
-        store = store_for(str(tmp_path))
+        store = disk_tier_for(str(tmp_path))
         path = store.path_for(result.source_hash, result.options.output_hash())
         path.write_bytes(b"not a pickle")
         assert store.load(result.source_hash, result.options.output_hash()) is None
@@ -105,7 +105,7 @@ class TestDamageTolerance:
 
     def test_foreign_format_is_a_miss_and_removed(self, tmp_path):
         result = _compile_into(tmp_path)
-        store = store_for(str(tmp_path))
+        store = disk_tier_for(str(tmp_path))
         path = store.path_for(result.source_hash, result.options.output_hash())
         path.write_bytes(
             pickle.dumps({"format": FORMAT_VERSION + 1, "result": None})
@@ -114,7 +114,7 @@ class TestDamageTolerance:
         assert not path.exists()
 
     def test_missing_entry_is_a_miss(self, tmp_path):
-        store = ArtifactStore(str(tmp_path))
+        store = DiskTier(str(tmp_path))
         assert store.load("0" * 64, "1" * 64) is None
         assert store.load_misses == 1
 
@@ -123,7 +123,7 @@ class TestEviction:
     def test_lru_eviction_respects_byte_budget(self, tmp_path):
         a = _compile_into(tmp_path, source=FIG2_SOURCE)
         b = _compile_into(tmp_path, source=FIG1_SOURCE)
-        store = store_for(str(tmp_path))
+        store = disk_tier_for(str(tmp_path))
         path_a = store.path_for(a.source_hash, a.options.output_hash())
         path_b = store.path_for(b.source_hash, b.options.output_hash())
         assert path_a.exists() and path_b.exists()
@@ -139,7 +139,7 @@ class TestEviction:
     def test_load_refreshes_recency(self, tmp_path):
         a = _compile_into(tmp_path, source=FIG2_SOURCE)
         b = _compile_into(tmp_path, source=FIG1_SOURCE)
-        store = store_for(str(tmp_path))
+        store = disk_tier_for(str(tmp_path))
         path_a = store.path_for(a.source_hash, a.options.output_hash())
         path_b = store.path_for(b.source_hash, b.options.output_hash())
         os.utime(path_a, (1, 1))
@@ -155,13 +155,13 @@ class TestEviction:
 
 class TestRegistry:
     def test_store_for_dedupes_by_resolved_path(self, tmp_path):
-        direct = store_for(str(tmp_path))
-        dotted = store_for(str(tmp_path / "." ))
+        direct = disk_tier_for(str(tmp_path))
+        dotted = disk_tier_for(str(tmp_path / "." ))
         assert direct is dotted
 
     def test_stats_shape(self, tmp_path):
         _compile_into(tmp_path)
-        stats = store_for(str(tmp_path)).stats()
+        stats = disk_tier_for(str(tmp_path)).stats()
         for key in ("entries", "bytes", "spills", "loads", "evictions"):
             assert key in stats
         assert stats["entries"] == 1
@@ -188,20 +188,20 @@ class TestKeySpace:
         moved = tmp_path / "moved"
         options = CompileOptions(cache_dir=str(original))
         cold = pipeline_compile(
-            FIG2_SOURCE, options=options, cache=CompileCache()
+            FIG2_SOURCE, options=options, cache=MemoryTier()
         )
         assert not cold.cache_hit
         shutil.move(str(original), str(moved))
         warm = pipeline_compile(
             FIG2_SOURCE,
             options=CompileOptions(cache_dir=str(moved)),
-            cache=CompileCache(),
+            cache=MemoryTier(),
         )
         assert warm.cache_hit, "a relocated store must keep its entries"
 
     def test_foreign_repro_version_is_a_clean_miss(self, tmp_path):
         result = _compile_into(tmp_path)
-        store = store_for(str(tmp_path))
+        store = disk_tier_for(str(tmp_path))
         path = store.path_for(
             result.source_hash, result.options.output_hash()
         )
@@ -224,7 +224,7 @@ class TestReopenedStore:
         # a previous process left two entries behind
         a = _compile_into(tmp_path, source=FIG2_SOURCE)
         b = _compile_into(tmp_path, source=FIG1_SOURCE)
-        store = store_for(str(tmp_path))
+        store = disk_tier_for(str(tmp_path))
         path_a = store.path_for(a.source_hash, a.options.output_hash())
         path_b = store.path_for(b.source_hash, b.options.output_hash())
         os.utime(path_a, (1, 1))
@@ -232,7 +232,7 @@ class TestReopenedStore:
         # a fresh store instance (new process) with a budget smaller
         # than the leftovers must trim them on its first spill, even
         # though it spilled almost nothing itself
-        reopened = ArtifactStore(
+        reopened = DiskTier(
             str(tmp_path), max_bytes=path_b.stat().st_size + 1
         )
         result = _compile_into(tmp_path / "elsewhere")  # any result

@@ -2,7 +2,7 @@
 
 import pickle
 
-from repro.service.store import ArtifactStore
+from repro.storage import DiskTier
 from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
 
@@ -25,7 +25,7 @@ def spill_one(store_dir):
 
 class TestCompact:
     def test_drops_foreign_versions_and_tmp_files(self, tmp_path):
-        store = ArtifactStore(str(tmp_path))
+        store = DiskTier(str(tmp_path))
         spill_one(tmp_path)
         assert len(store) == 1
         # a crashed writer's dropping (backdated past the grace window
@@ -61,7 +61,7 @@ class TestCompact:
         assert stats["compacted_entries"] == 3
 
     def test_drops_foreign_format_version_trees(self, tmp_path):
-        store = ArtifactStore(str(tmp_path))
+        store = DiskTier(str(tmp_path))
         old_tree = tmp_path / "v0" / "ab"
         old_tree.mkdir(parents=True)
         (old_tree / ("a" * 64 + "-" + "2" * 8 + ".pkl")).write_bytes(
@@ -73,7 +73,7 @@ class TestCompact:
         assert store.dir.exists()  # the live tree is untouched
 
     def test_spares_fresh_tmp_files_of_live_writers(self, tmp_path):
-        store = ArtifactStore(str(tmp_path))
+        store = DiskTier(str(tmp_path))
         bucket = store.dir / "ab"
         bucket.mkdir()
         fresh = bucket / ".spill-live.tmp"
@@ -82,7 +82,7 @@ class TestCompact:
         assert fresh.exists()
 
     def test_compact_on_empty_store_is_a_noop(self, tmp_path):
-        store = ArtifactStore(str(tmp_path))
+        store = DiskTier(str(tmp_path))
         assert store.compact() == {"removed": 0, "reclaimed_bytes": 0}
 
     def test_counters_reach_service_stats(self, tmp_path):

@@ -3,10 +3,22 @@
 import repro
 from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
-from repro.pipeline.cache import GLOBAL_CACHE
+from repro.pipeline import GLOBAL_CACHE
+from repro.runtime import Node
+from repro.runtime.values import ObjectValue
 from repro.storage import MemoryTier
 
 from tests.fixtures import FIG2_SOURCE
+
+
+def _text_chain(program, heap, lengths):
+    node = Node.new(program, heap, "End")
+    for length in reversed(lengths):
+        node = Node.new(
+            program, heap, "TextBox",
+            Text=ObjectValue("String", {"Length": length}), Next=node,
+        )
+    return node
 
 
 def test_memory_budget_never_resizes_global_cache():
@@ -30,6 +42,25 @@ def test_session_memory_budget_gets_a_private_tier():
         # the session's own compiles land in its own tier
         assert session.stats()["compile_cache"]["entries"] >= 1
     assert GLOBAL_CACHE.max_bytes == before
+
+
+def test_budgeted_session_runs_on_its_own_tier():
+    # a source no other test compiles, so the process-wide tier cannot
+    # already hold its result
+    workload = repro.Workload.from_source(
+        "budgeted",
+        FIG2_SOURCE + "\n// compiled only by the budgeted-session test\n",
+        _text_chain,
+        globals_map={"CHAR_WIDTH": 2},
+    )
+    results_before = len(GLOBAL_CACHE)
+    with repro.Session(memory_budget=64 * 1024 * 1024) as session:
+        session.compile(workload)
+        outcome = session.run(workload, [[3, 5], [4]])
+        [batch] = session.executor.batches
+    assert len(outcome) == 2
+    assert batch.compile_cache_hit, "the run recompiled cold"
+    assert len(GLOBAL_CACHE) == results_before
 
 
 def test_privately_owned_cache_honors_the_budget():

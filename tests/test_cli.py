@@ -160,7 +160,7 @@ class TestCompileCommand:
 class TestServiceCli:
     def test_exec_batched(self, capsys):
         assert main([
-            "exec", "--workload", "render", "--trees", "4", "--pages", "2",
+            "exec", "--workload", "render", "--trees", "4", "--size", "2",
             "--workers", "2",
         ]) == 0
         out = capsys.readouterr().out
@@ -169,14 +169,14 @@ class TestServiceCli:
 
     def test_exec_sequential_inline(self, capsys):
         assert main([
-            "exec", "--trees", "3", "--pages", "2", "--sequential",
+            "exec", "--trees", "3", "--size", "2", "--sequential",
             "--backend", "inline", "--workers", "1",
         ]) == 0
         assert "(sequential, 1 workers, inline backend)" in capsys.readouterr().out
 
     def test_exec_with_cache_dir_reports_store(self, capsys, tmp_path):
         assert main([
-            "exec", "--trees", "2", "--pages", "2", "--backend", "inline",
+            "exec", "--trees", "2", "--size", "2", "--backend", "inline",
             "--workers", "1", "--cache-dir", str(tmp_path / "store"),
         ]) == 0
         assert "store: 1 entries" in capsys.readouterr().out
@@ -231,10 +231,3 @@ class TestRegistryCli:
             "--backend", "inline", "--workers", "1",
         ]) == 0
         assert "fmm: 2 trees executed" in capsys.readouterr().out
-
-    def test_pages_on_non_render_workload_errors(self, capsys):
-        assert main([
-            "exec", "--workload", "kdtree", "--pages", "3",
-            "--backend", "inline", "--workers", "1",
-        ]) == 1
-        assert "--size" in capsys.readouterr().err

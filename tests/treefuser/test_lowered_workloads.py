@@ -2,9 +2,10 @@
 for variant-local renaming: variants of one traversal share a flat scope
 after lowering, so their locals must not collide)."""
 
-from repro.fusion import fuse_program
-from repro.runtime import Heap, Interpreter
+from repro.pipeline.stages import plan_and_synthesize
+from repro.runtime import Heap
 from repro.treefuser import lower_program, lower_tree
+from tests.fixtures import metered
 
 
 class TestLoweredAst:
@@ -40,7 +41,7 @@ class TestLoweredAst:
     def test_lowered_unfused_runs_all_passes(self):
         program, lowered, build = self._lowered()
         heap, root = build()
-        interp = Interpreter(lowered.program, heap)
+        interp = metered(lowered.program, heap)
         interp.run_entry(root)
         # desugaring happened: no nodes tagged Incr/Decr remain
         incr_tag = lowered.tag_of("IncrExpr")
@@ -51,16 +52,16 @@ class TestLoweredAst:
     def test_lowered_fused_matches_unfused(self):
         program, lowered, build = self._lowered()
         heap_a, root_a = build()
-        interp_a = Interpreter(lowered.program, heap_a)
+        interp_a = metered(lowered.program, heap_a)
         interp_a.run_entry(root_a)
-        fused = fuse_program(lowered.program)
+        fused = plan_and_synthesize(lowered.program)
         heap_b, root_b = build()
-        interp_b = Interpreter(lowered.program, heap_b)
+        interp_b = metered(lowered.program, heap_b)
         interp_b.run_fused(fused, root_b)
         assert root_a.snapshot(lowered.program) == root_b.snapshot(
             lowered.program
         )
-        assert interp_b.stats.node_visits < interp_a.stats.node_visits
+        assert interp_b.node_visits < interp_a.node_visits
 
 
 class TestLoweredKdTree:
@@ -82,12 +83,12 @@ class TestLoweredKdTree:
             return heap, lower_tree(program, lowered, heap, het)
 
         heap_a, root_a = build()
-        interp_a = Interpreter(lowered.program, heap_a)
+        interp_a = metered(lowered.program, heap_a)
         interp_a.globals.update(KD_DEFAULT_GLOBALS)
         interp_a.run_entry(root_a)
-        fused = fuse_program(lowered.program)
+        fused = plan_and_synthesize(lowered.program)
         heap_b, root_b = build()
-        interp_b = Interpreter(lowered.program, heap_b)
+        interp_b = metered(lowered.program, heap_b)
         interp_b.globals.update(KD_DEFAULT_GLOBALS)
         interp_b.run_fused(fused, root_b)
         assert root_a.snapshot(lowered.program) == root_b.snapshot(
@@ -115,12 +116,12 @@ class TestLoweredFmm:
             return heap, lower_tree(program, lowered, heap, het)
 
         heap_a, root_a = build()
-        interp_a = Interpreter(lowered.program, heap_a)
+        interp_a = metered(lowered.program, heap_a)
         interp_a.globals.update(FMM_DEFAULT_GLOBALS)
         interp_a.run_entry(root_a)
-        fused = fuse_program(lowered.program)
+        fused = plan_and_synthesize(lowered.program)
         heap_b, root_b = build()
-        interp_b = Interpreter(lowered.program, heap_b)
+        interp_b = metered(lowered.program, heap_b)
         interp_b.globals.update(FMM_DEFAULT_GLOBALS)
         interp_b.run_fused(fused, root_b)
         assert root_a.snapshot(lowered.program) == root_b.snapshot(

@@ -5,13 +5,13 @@ import random
 import pytest
 
 from repro.frontend import parse_program
-from repro.fusion import fuse_program
 from repro.fusion.fused_ir import GroupCall
-from repro.runtime import Heap, Interpreter, Node
+from repro.pipeline.stages import plan_and_synthesize
+from repro.runtime import Heap, Node
 from repro.runtime.values import ObjectValue
 from repro.treefuser import lower_program, lower_tree
 
-from tests.fixtures import fig2_program
+from tests.fixtures import fig2_program, metered
 from tests.generators import random_program_source, random_tree
 
 
@@ -83,38 +83,38 @@ class TestLoweredSemantics:
         # heterogeneous run
         heap_a = Heap(program)
         root_a = _fig2_tree(program, heap_a)
-        interp_a = Interpreter(program, heap_a)
+        interp_a = metered(program, heap_a)
         interp_a.globals["CHAR_WIDTH"] = 2
         interp_a.run_entry(root_a)
         # lowered run
         heap_b = Heap(lowered.program)
         root_b = lower_tree(program, lowered, heap_b, _fig2_tree(program, Heap(program)))
-        interp_b = Interpreter(lowered.program, heap_b)
+        interp_b = metered(lowered.program, heap_b)
         interp_b.globals["CHAR_WIDTH"] = 2
         interp_b.run_entry(root_b)
         assert root_a.get("Width") == root_b.get("Width")
         assert root_a.get("MaxHeight") == root_b.get("MaxHeight")
         # baselines do the same work: identical node visits (paper §5.1)
-        assert interp_a.stats.node_visits == interp_b.stats.node_visits
+        assert interp_a.node_visits == interp_b.node_visits
         # ...but the tagged union pays conditional overhead
-        assert interp_b.stats.instructions > interp_a.stats.instructions
+        assert interp_b.meter.instructions > interp_a.meter.instructions
 
     def test_lowered_fused_matches_lowered_unfused(self):
         program = fig2_program()
         lowered = lower_program(program)
-        fused = fuse_program(lowered.program)
+        fused = plan_and_synthesize(lowered.program)
         heap_a = Heap(lowered.program)
         root_a = lower_tree(program, lowered, heap_a, _fig2_tree(program, Heap(program)))
-        interp_a = Interpreter(lowered.program, heap_a)
+        interp_a = metered(lowered.program, heap_a)
         interp_a.globals["CHAR_WIDTH"] = 2
         interp_a.run_entry(root_a)
         heap_b = Heap(lowered.program)
         root_b = lower_tree(program, lowered, heap_b, _fig2_tree(program, Heap(program)))
-        interp_b = Interpreter(lowered.program, heap_b)
+        interp_b = metered(lowered.program, heap_b)
         interp_b.globals["CHAR_WIDTH"] = 2
         interp_b.run_fused(fused, root_b)
         assert root_a.snapshot(lowered.program) == root_b.snapshot(lowered.program)
-        assert interp_b.stats.node_visits < interp_a.stats.node_visits
+        assert interp_b.node_visits < interp_a.node_visits
 
     def test_grafter_fuses_more_than_treefuser(self):
         """The paper's central comparison: on the same workload, Grafter's
@@ -122,21 +122,21 @@ class TestLoweredSemantics:
         baseline, whose branch-unioned dependences block some groups."""
         program = fig2_program()
         # Grafter
-        fused_het = fuse_program(program)
+        fused_het = plan_and_synthesize(program)
         heap_g = Heap(program)
         root_g = _fig2_tree(program, heap_g)
-        interp_g = Interpreter(program, heap_g)
+        interp_g = metered(program, heap_g)
         interp_g.globals["CHAR_WIDTH"] = 2
         interp_g.run_fused(fused_het, root_g)
         # TreeFuser
         lowered = lower_program(program)
-        fused_low = fuse_program(lowered.program)
+        fused_low = plan_and_synthesize(lowered.program)
         heap_t = Heap(lowered.program)
         root_t = lower_tree(program, lowered, heap_t, _fig2_tree(program, Heap(program)))
-        interp_t = Interpreter(lowered.program, heap_t)
+        interp_t = metered(lowered.program, heap_t)
         interp_t.globals["CHAR_WIDTH"] = 2
         interp_t.run_fused(fused_low, root_t)
-        assert interp_g.stats.node_visits < interp_t.stats.node_visits
+        assert interp_g.node_visits < interp_t.node_visits
 
     def test_mutation_lowers_and_runs(self):
         source = """
@@ -167,7 +167,7 @@ class TestLoweredSemantics:
 
         heap = Heap(lowered.program)
         root = lower_tree(program, lowered, heap, build(program, Heap(program)))
-        interp = Interpreter(lowered.program, heap)
+        interp = metered(lowered.program, heap)
         interp.run_entry(root)
         # the marked node was replaced by a fresh TNode tagged Z
         replacement = root.get("E_next")
@@ -192,14 +192,14 @@ class TestRandomLoweredPrograms:
         _, het_root_a = build_het()
         heap_a = Heap(lowered.program)
         root_a = lower_tree(program, lowered, heap_a, het_root_a)
-        interp_a = Interpreter(lowered.program, heap_a)
+        interp_a = metered(lowered.program, heap_a)
         interp_a.run_entry(root_a)
         # lowered fused
         _, het_root_b = build_het()
         heap_b = Heap(lowered.program)
         root_b = lower_tree(program, lowered, heap_b, het_root_b)
-        interp_b = Interpreter(lowered.program, heap_b)
-        fused = fuse_program(lowered.program)
+        interp_b = metered(lowered.program, heap_b)
+        fused = plan_and_synthesize(lowered.program)
         interp_b.run_fused(fused, root_b)
         assert root_a.snapshot(lowered.program) == root_b.snapshot(
             lowered.program

@@ -3,8 +3,8 @@ preservation, fusion behaviour with dynamic truncation."""
 
 import pytest
 
-from repro.fusion import fuse_program
-from repro.runtime import Heap, Interpreter
+from repro.pipeline.stages import plan_and_synthesize
+from repro.runtime import Heap
 from repro.workloads.astlang import (
     AstBuilder,
     ast_program,
@@ -17,13 +17,14 @@ from repro.workloads.astlang import (
     prog3_spec,
     replicated_functions,
 )
+from tests.fixtures import metered
 
 _FUSED_CACHE = {}
 
 
 def fused_ast_program():
     if "fused" not in _FUSED_CACHE:
-        _FUSED_CACHE["fused"] = fuse_program(ast_program())
+        _FUSED_CACHE["fused"] = plan_and_synthesize(ast_program())
     return _FUSED_CACHE["fused"]
 
 
@@ -32,7 +33,7 @@ def run_unfused(build):
     heap = Heap(program)
     root = build(program, heap)
     before = evaluate_program(program, root)
-    interp = Interpreter(program, heap)
+    interp = metered(program, heap)
     interp.run_entry(root)
     return program, root, interp, before
 
@@ -43,7 +44,7 @@ def run_fused(build):
     heap = Heap(program)
     root = build(program, heap)
     before = evaluate_program(program, root)
-    interp = Interpreter(program, heap)
+    interp = metered(program, heap)
     interp.run_fused(fused, root)
     return program, root, interp, before
 
@@ -108,7 +109,7 @@ class TestPassSemantics:
                 builder.assign(1, builder.add(builder.var(0), builder.const(4))),
             ])
         ])
-        interp = Interpreter(program, heap)
+        interp = metered(program, heap)
         interp.run_entry(root)
         fn = root.get("Functions").get("Fn")
         second = fn.get("Body").get("Next").get("S")
@@ -131,10 +132,10 @@ class TestPassSemantics:
             ])
         ])
         before = evaluate_program(program, root)
-        interp = Interpreter(program, heap)
+        interp = metered(program, heap)
         interp.run_entry(root)
         assert evaluate_program(program, root) == before
-        assert interp.stats.truncations > 0
+        assert interp.truncations > 0
 
 
 class TestFusion:
@@ -157,7 +158,7 @@ class TestFusion:
         build = lambda p, h: replicated_functions(p, h, 8)
         _, _, unfused, _ = run_unfused(build)
         _, _, fused, _ = run_fused(build)
-        ratio = fused.stats.node_visits / unfused.stats.node_visits
+        ratio = fused.node_visits / unfused.node_visits
         assert 0.4 <= ratio <= 0.95
 
     def test_instruction_overhead_small(self):
@@ -167,7 +168,7 @@ class TestFusion:
         build = lambda p, h: replicated_functions(p, h, 8)
         _, _, unfused, _ = run_unfused(build)
         _, _, fused, _ = run_fused(build)
-        ratio = fused.stats.instructions / unfused.stats.instructions
+        ratio = fused.meter.instructions / unfused.meter.instructions
         assert 0.9 <= ratio <= 1.2
 
     def test_truncation_heavy_input_pays_more_overhead(self):
@@ -177,7 +178,7 @@ class TestFusion:
         build = lambda p, h: prog2_spec(p, h, num_stmts=80)
         _, _, unfused, _ = run_unfused(build)
         _, _, fused, _ = run_fused(build)
-        ratio = fused.stats.instructions / unfused.stats.instructions
+        ratio = fused.meter.instructions / unfused.meter.instructions
         assert 1.0 <= ratio <= 1.45
 
     def test_prog_configs_have_distinct_shapes(self):
@@ -188,7 +189,7 @@ class TestFusion:
         def ratio_for(build):
             _, _, unfused, _ = run_unfused(build)
             _, _, fused, _ = run_fused(build)
-            return fused.stats.node_visits / unfused.stats.node_visits
+            return fused.node_visits / unfused.node_visits
 
         r1 = ratio_for(lambda p, h: prog1_spec(p, h, num_functions=20))
         r2 = ratio_for(lambda p, h: prog2_spec(p, h, num_stmts=120))

@@ -1,9 +1,9 @@
 """FMM case-study tests (paper §5.4): kernel recurrences against the
 oracle and the "two traversals fully fuse" structure."""
 
-from repro.fusion import fuse_program
 from repro.fusion.fused_ir import GroupCall
-from repro.runtime import Heap, Interpreter
+from repro.pipeline.stages import plan_and_synthesize
+from repro.runtime import Heap
 from repro.workloads.fmm import (
     FMM_DEFAULT_GLOBALS,
     build_fmm_tree,
@@ -11,16 +11,17 @@ from repro.workloads.fmm import (
     fmm_program,
     random_particles,
 )
+from tests.fixtures import metered
 
 
 def run(count=256, fused=False, seed=31):
     program = fmm_program()
     heap = Heap(program)
     root = build_fmm_tree(program, heap, random_particles(count, seed))
-    interp = Interpreter(program, heap)
+    interp = metered(program, heap)
     interp.globals.update(FMM_DEFAULT_GLOBALS)
     if fused:
-        interp.run_fused(fuse_program(program), root)
+        interp.run_fused(plan_and_synthesize(program), root)
     else:
         interp.run_entry(root)
     return program, root, interp
@@ -59,7 +60,7 @@ class TestFusion:
     def test_downward_passes_fully_fuse(self):
         """Paper: 'Grafter was able to fully fuse the two passes' — the
         locals+potentials unit recurses into itself on both children."""
-        fused = fuse_program(fmm_program())
+        fused = plan_and_synthesize(fmm_program())
         key = ("FmmCell::computeLocals", "FmmCell::evaluatePotentials")
         assert key in fused.units
         unit = fused.units[key]
@@ -72,7 +73,7 @@ class TestFusion:
         """computeLocals at a node needs the multipole that
         computeMultipoles finishes *after* recursing — a genuine
         upward/downward conflict, so the passes stay separate."""
-        fused = fuse_program(fmm_program())
+        fused = plan_and_synthesize(fmm_program())
         top = fused.entry_groups[0].dispatch["FmmCell"]
         groups = [i for i in top.body if isinstance(i, GroupCall)]
         for group in groups:
@@ -84,7 +85,7 @@ class TestFusion:
     def test_visit_reduction_one_of_three_passes(self):
         program, _, unfused = run(count=400)
         _, _, fused = run(count=400, fused=True)
-        ratio = fused.stats.node_visits / unfused.stats.node_visits
+        ratio = fused.node_visits / unfused.node_visits
         assert 0.6 <= ratio <= 0.75  # 3 passes -> 2
 
     def test_modest_instruction_cost(self):
@@ -92,5 +93,5 @@ class TestFusion:
         traversal overhead)."""
         _, _, unfused = run(count=400)
         _, _, fused = run(count=400, fused=True)
-        ratio = fused.stats.instructions / unfused.stats.instructions
+        ratio = fused.meter.instructions / unfused.meter.instructions
         assert 0.85 <= ratio <= 1.15

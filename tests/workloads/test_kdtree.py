@@ -3,8 +3,8 @@ piecewise oracle, splitting, truncation, and fusion shape."""
 
 import pytest
 
-from repro.fusion import fuse_program
-from repro.runtime import Heap, Interpreter
+from repro.pipeline.stages import plan_and_synthesize
+from repro.runtime import Heap
 from repro.workloads.kdtree import (
     EQ1_SCHEDULE,
     EQ2_SCHEDULE,
@@ -15,6 +15,7 @@ from repro.workloads.kdtree import (
     equation_program,
     leaf_segments,
 )
+from tests.fixtures import metered
 
 _SCHEDULES = {
     "eq1": EQ1_SCHEDULE,
@@ -29,10 +30,10 @@ def run_schedule(name, depth=5, fused=False):
     heap = Heap(program)
     function = build_balanced_tree(program, heap, depth=depth)
     before = leaf_segments(program, function)
-    interp = Interpreter(program, heap)
+    interp = metered(program, heap)
     interp.globals.update(KD_DEFAULT_GLOBALS)
     if fused:
-        interp.run_fused(fuse_program(program), function)
+        interp.run_fused(plan_and_synthesize(program), function)
     else:
         interp.run_entry(function)
     return program, function, interp, before
@@ -82,7 +83,7 @@ class TestTraversalAlgebra:
         heap = Heap(program2)
         f2 = build_balanced_tree(program2, heap, depth=3)
         n_before = len(leaf_segments(program2, f2))
-        interp = Interpreter(program2, heap)
+        interp = metered(program2, heap)
         interp.globals.update(KD_DEFAULT_GLOBALS)
         interp.run_entry(f2)
         segments = leaf_segments(program2, f2)
@@ -96,11 +97,11 @@ class TestTraversalAlgebra:
         _, _, interp, _ = run_schedule("eq2", depth=depth)
         # project() returns immediately on the off-path sibling at every
         # level: one truncation per level of the tree
-        assert interp.stats.truncations >= depth - 1
+        assert interp.truncations >= depth - 1
         # ...so the projection visits a root-to-leaf path, not the tree:
         # the five differentiate passes dominate the visit count
         full_traversal_visits = 5 * (2 ** (depth + 1))
-        assert interp.stats.node_visits < full_traversal_visits * 1.2
+        assert interp.node_visits < full_traversal_visits * 1.2
 
 
 class TestFusion:
@@ -115,7 +116,7 @@ class TestFusion:
         nodes (we allow 0.15-0.35 at our scales)."""
         _, _, unfused, _ = run_schedule("eq1", depth=7)
         _, _, fused, _ = run_schedule("eq1", depth=7, fused=True)
-        ratio = fused.stats.node_visits / unfused.stats.node_visits
+        ratio = fused.node_visits / unfused.node_visits
         assert 0.1 <= ratio <= 0.35
 
     def test_all_equations_reduce_visits(self):
@@ -123,7 +124,7 @@ class TestFusion:
         for name in ("eq1", "eq2", "eq3"):
             _, _, unfused, _ = run_schedule(name, depth=6)
             _, _, fused, _ = run_schedule(name, depth=6, fused=True)
-            ratio = fused.stats.node_visits / unfused.stats.node_visits
+            ratio = fused.node_visits / unfused.node_visits
             assert ratio < 0.6, name
 
     def test_different_schedules_produce_different_fusions(self):
@@ -132,6 +133,6 @@ class TestFusion:
         units = {}
         for name in ("eq1", "eq2", "eq3"):
             program = equation_program(_SCHEDULES[name], name)
-            units[name] = set(fuse_program(program).units)
+            units[name] = set(plan_and_synthesize(program).units)
         assert units["eq1"] != units["eq2"]
         assert units["eq2"] != units["eq3"]

@@ -3,13 +3,14 @@ against closed-form expectations."""
 
 import pytest
 
-from repro.runtime import Heap, Interpreter
+from repro.runtime import Heap
 from repro.workloads.kdtree import (
     KD_DEFAULT_GLOBALS,
     build_balanced_tree,
     leaf_segments,
 )
 from repro.workloads.kdtree.equations import equation_program
+from tests.fixtures import metered
 
 
 def run_ops(schedule, depth=3, name=None):
@@ -17,7 +18,7 @@ def run_ops(schedule, depth=3, name=None):
     heap = Heap(program)
     function = build_balanced_tree(program, heap, depth=depth)
     before = leaf_segments(program, function)
-    interp = Interpreter(program, heap)
+    interp = metered(program, heap)
     interp.globals.update(KD_DEFAULT_GLOBALS)
     interp.run_entry(function)
     return program, function, before

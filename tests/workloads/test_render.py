@@ -3,8 +3,8 @@ effectiveness, and TreeFuser comparison (paper §5.1)."""
 
 import pytest
 
-from repro.fusion import fuse_program
-from repro.runtime import ExecStats, Heap, Interpreter
+from repro.pipeline.stages import plan_and_synthesize
+from repro.runtime import ExecStats, Heap
 from repro.treefuser import lower_program, lower_tree
 from repro.workloads.render import (
     build_document,
@@ -16,6 +16,7 @@ from repro.workloads.render import (
     replicated_pages_spec,
 )
 from repro.workloads.render.schema import DEFAULT_GLOBALS
+from tests.fixtures import metered
 
 PASSES = [
     "resolveFlexWidths",
@@ -30,7 +31,7 @@ def run_unfused(spec):
     program = render_program()
     heap = Heap(program)
     doc = build_document(program, heap, spec)
-    interp = Interpreter(program, heap)
+    interp = metered(program, heap)
     interp.globals.update(DEFAULT_GLOBALS)
     interp.run_entry(doc)
     return program, doc, interp
@@ -38,10 +39,10 @@ def run_unfused(spec):
 
 def run_fused(spec):
     program = render_program()
-    fused = fuse_program(program)
+    fused = plan_and_synthesize(program)
     heap = Heap(program)
     doc = build_document(program, heap, spec)
-    interp = Interpreter(program, heap)
+    interp = metered(program, heap)
     interp.globals.update(DEFAULT_GLOBALS)
     interp.run_fused(fused, doc)
     return program, doc, interp
@@ -113,7 +114,7 @@ class TestFusionEffectiveness:
         spec = replicated_pages_spec(6)
         _, _, unfused = run_unfused(spec)
         _, _, fused = run_fused(spec)
-        ratio = fused.stats.node_visits / unfused.stats.node_visits
+        ratio = fused.node_visits / unfused.node_visits
         assert 0.2 <= ratio <= 0.5
 
     def test_no_instruction_overhead(self):
@@ -121,7 +122,7 @@ class TestFusionEffectiveness:
         spec = replicated_pages_spec(6)
         _, _, unfused = run_unfused(spec)
         _, _, fused = run_fused(spec)
-        ratio = fused.stats.instructions / unfused.stats.instructions
+        ratio = fused.meter.instructions / unfused.meter.instructions
         assert ratio <= 1.05
 
     def test_fused_equals_unfused_state(self):
@@ -140,16 +141,16 @@ class TestFusionEffectiveness:
         heap = Heap(program)
         doc = build_document(program, heap, spec)
         stats = ExecStats(cache=paper_hierarchy(scale=64))
-        interp = Interpreter(program, heap, stats)
+        interp = metered(program, heap, stats)
         interp.globals.update(DEFAULT_GLOBALS)
         interp.run_entry(doc)
         unfused_l2 = stats.miss_counts()["L2"]
 
-        fused = fuse_program(program)
+        fused = plan_and_synthesize(program)
         heap2 = Heap(program)
         doc2 = build_document(program, heap2, spec)
         stats2 = ExecStats(cache=paper_hierarchy(scale=64))
-        interp2 = Interpreter(program, heap2, stats2)
+        interp2 = metered(program, heap2, stats2)
         interp2.globals.update(DEFAULT_GLOBALS)
         interp2.run_fused(fused, doc2)
         fused_l2 = stats2.miss_counts()["L2"]
@@ -167,10 +168,10 @@ class TestTreeFuserComparison:
         twin = lower_tree(
             program, lowered, heap, build_document(program, src_heap, spec)
         )
-        interp = Interpreter(lowered.program, heap)
+        interp = metered(lowered.program, heap)
         interp.globals.update(DEFAULT_GLOBALS)
         interp.run_entry(twin)
-        assert interp.stats.node_visits == het.stats.node_visits
+        assert interp.node_visits == het.node_visits
 
     def test_treefuser_baseline_substantially_slower(self):
         """Paper §5.1: Grafter's baseline is already substantially faster
@@ -182,10 +183,10 @@ class TestTreeFuserComparison:
         twin = lower_tree(
             program, lowered, heap, build_document(program, Heap(program), spec)
         )
-        interp = Interpreter(lowered.program, heap)
+        interp = metered(lowered.program, heap)
         interp.globals.update(DEFAULT_GLOBALS)
         interp.run_entry(twin)
-        assert interp.stats.instructions > 1.5 * het.stats.instructions
+        assert interp.meter.instructions > 1.5 * het.meter.instructions
 
     def test_treefuser_fusion_has_instruction_overhead(self):
         """Fig. 9b: TreeFuser's fused version pays 30-40% more
@@ -193,7 +194,7 @@ class TestTreeFuserComparison:
         spec = replicated_pages_spec(3)
         program = render_program()
         lowered = lower_program(program)
-        fused_low = fuse_program(lowered.program)
+        fused_low = plan_and_synthesize(lowered.program)
 
         def run(fused_mode):
             heap = Heap(lowered.program)
@@ -201,16 +202,16 @@ class TestTreeFuserComparison:
                 program, lowered, heap,
                 build_document(program, Heap(program), spec),
             )
-            interp = Interpreter(lowered.program, heap)
+            interp = metered(lowered.program, heap)
             interp.globals.update(DEFAULT_GLOBALS)
             if fused_mode:
                 interp.run_fused(fused_low, twin)
             else:
                 interp.run_entry(twin)
-            return interp.stats
+            return interp
 
         baseline = run(False)
         fused = run(True)
-        overhead = fused.instructions / baseline.instructions
+        overhead = fused.meter.instructions / baseline.meter.instructions
         assert 1.1 <= overhead <= 1.9
         assert fused.node_visits < baseline.node_visits
