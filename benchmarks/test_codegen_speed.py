@@ -31,12 +31,12 @@ COMPILE_ROUNDS = 5
 
 # codegen_speed.txt holds one section per test, in this order; each test
 # rewrites only its own section so any selection of tests (-k, a failure
-# in one) leaves the other's committed numbers intact
+# in one) leaves the other's numbers intact
 _SECTION_MARKERS = ["Generated-code wall time", "Pipeline compile time"]
 
 
-def _write_section(results_dir, marker: str, text: str) -> None:
-    path = results_dir / "codegen_speed.txt"
+def _write_section(perf_results_dir, marker: str, text: str) -> None:
+    path = perf_results_dir / "codegen_speed.txt"
     existing = path.read_text() if path.exists() else ""
     positions = sorted(
         (existing.index(m), m) for m in _SECTION_MARKERS if m in existing
@@ -69,7 +69,7 @@ def test_codegen_unfused_walltime(benchmark):
     benchmark.pedantic(run, rounds=5, iterations=1)
 
 
-def test_codegen_fused_walltime(benchmark, results_dir):
+def test_codegen_fused_walltime(benchmark, perf_results_dir):
     program = render_program()
     compiled_unfused = compile_program(program)
     compiled_fused = compile_fused(fused_for(program))
@@ -112,16 +112,16 @@ def test_codegen_fused_walltime(benchmark, results_dir):
     # fused generated code should not be slower than unfused generated code
     assert fused_seconds <= unfused_seconds * 1.15
     # write only after the gate: a failing run must not overwrite a
-    # passing run's committed artifact
-    _write_section(results_dir, "Generated-code wall time", text)
+    # passing run's report
+    _write_section(perf_results_dir, "Generated-code wall time", text)
 
 
-def test_compile_cold_vs_warm(results_dir):
+def test_compile_cold_vs_warm(perf_results_dir):
     """Cold-cache vs warm-cache compile time through the staged pipeline.
 
     Cold: a fresh MemoryTier per round — full parse → fuse → emit.
     Warm: the same source + options again — a content-hash lookup. The
-    two series are appended to benchmark_results/codegen_speed.txt so
+    two series are appended to benchmark_results/perf/codegen_speed.txt so
     the codegen report carries the compile-time split alongside the
     run-time numbers.
     """
@@ -156,4 +156,4 @@ def test_compile_cold_vs_warm(results_dir):
     print(text)
     # a warm compile must be measurably faster than a cold one
     assert min(warm_series) * 5 < min(cold_series)
-    _write_section(results_dir, marker, text)
+    _write_section(perf_results_dir, marker, text)

@@ -10,7 +10,7 @@ not parallelism.
 
 Acceptance (ISSUE 4): recompile after editing one traversal is >= 3x
 faster than a cold compile and produces byte-identical generated
-Python. Results land in benchmark_results/incremental_compile.txt.
+Python. Results land in benchmark_results/perf/incremental_compile.txt.
 """
 
 import importlib
@@ -49,7 +49,7 @@ def _variant(round_index: int) -> str:
     )
 
 
-def test_incremental_recompile_speedup(results_dir):
+def test_incremental_recompile_speedup(perf_results_dir):
     cache = MemoryTier()
     # populate the unit layer once with the pristine source
     pipeline_compile(RENDER_SOURCE, cache=cache)
@@ -114,5 +114,5 @@ def test_incremental_recompile_speedup(results_dir):
     print(text)
     assert speedup >= 3.0
     # write only after the gate: a failing run must not overwrite a
-    # passing run's committed artifact
-    (results_dir / "incremental_compile.txt").write_text(text + "\n")
+    # passing run's report
+    (perf_results_dir / "incremental_compile.txt").write_text(text + "\n")

@@ -19,7 +19,7 @@ processes' load, clock changes); the gate takes the median of those
 per-round ratios. Unpaired medians do not cancel it: on a shared 2-vCPU
 host, two variants running identical code drew medians 4.5% apart over
 300 rounds, while their per-round ratios agreed within 0.2%. Results
-land in benchmark_results/obs_overhead.txt.
+land in benchmark_results/perf/obs_overhead.txt.
 """
 
 import statistics
@@ -111,19 +111,17 @@ VARIANTS = [
 ]
 
 
-def test_disabled_tracing_overhead_under_two_percent(results_dir):
+def test_disabled_tracing_overhead_under_two_percent(perf_results_dir):
     cache = MemoryTier()
     pipeline_compile(RENDER_SOURCE, cache=cache)  # warm the result key
-    spec = WORKLOADS["render"]
+    workload = WORKLOADS["render"].workload()
 
     with BatchExecutor(workers=1, backend="inline") as executor:
 
         def step():
             result = pipeline_compile(RENDER_SOURCE, cache=cache)
             assert result.cache_hit
-            outcome = executor.run(
-                [spec.make_request(trees=4, size=2)]
-            )
+            outcome = executor.run([workload.request(4, pages=2)])
             assert outcome[0].ok
 
         for _ in range(WARMUP):
@@ -174,5 +172,5 @@ def test_disabled_tracing_overhead_under_two_percent(results_dir):
     print(text)
     assert ratios["disabled"] <= 1.02, text
     # write only after the gate: a failing run must not overwrite a
-    # passing run's committed artifact
-    (results_dir / "obs_overhead.txt").write_text(text + "\n")
+    # passing run's report
+    (perf_results_dir / "obs_overhead.txt").write_text(text + "\n")

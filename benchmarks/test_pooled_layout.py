@@ -21,10 +21,10 @@ Three series on fig9/fig11-scale inputs:
   round trips vs 64 object runs.
 
 Acceptance (asserted *before* the artifact is written, so a failing
-run cannot overwrite a passing run's committed numbers): pooled
+run cannot overwrite a passing run's numbers): pooled
 per-request >= 1.3x faster than object on both render and astlang, and
 the reused pool beats per-request round trips on the 64-tree wave.
-Results land in ``benchmark_results/pooled_layout.txt``.
+Results land in ``benchmark_results/perf/pooled_layout.txt``.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def _wave_series(workload, spec_kwargs):
     return min(object_waves), min(round_trip_waves), min(reuse_waves)
 
 
-def test_pooled_layout_speedups(results_dir):
+def test_pooled_layout_speedups(perf_results_dir):
     render_object, render_pooled = _per_request_series(
         render_workload(), {"pages": 16}
     )
@@ -197,8 +197,8 @@ def test_pooled_layout_speedups(results_dir):
     print()
     print(text)
 
-    # gates first: a failing run must not overwrite the committed
-    # artifact from a passing run
+    # gates first: a failing run must not overwrite the report from a
+    # passing run
     assert render_speedup >= GATE, (
         f"pooled render per-request speedup {render_speedup:.2f}x "
         f"is below the {GATE}x gate"
@@ -213,4 +213,4 @@ def test_pooled_layout_speedups(results_dir):
     assert wave_reuse < wave_object, (
         "reused pooled wave is slower than the object wave"
     )
-    (results_dir / "pooled_layout.txt").write_text(text + "\n")
+    (perf_results_dir / "pooled_layout.txt").write_text(text + "\n")

@@ -1,6 +1,6 @@
 """Traversal-service throughput: batching and persistent warm starts.
 
-Two claims, recorded in ``benchmark_results/service_throughput.txt``:
+Two claims, recorded in ``benchmark_results/perf/service_throughput.txt``:
 
 1. **Batching wins.** Executing a 64-tree render forest as one batched
    request (grouped by artifact, sharded across ≥2 workers) beats the
@@ -69,7 +69,7 @@ def _run(executor, sequential: bool):
     )
 
 
-def test_batched_beats_sequential_single_tree(results_dir):
+def test_batched_beats_sequential_single_tree(perf_results_dir):
     from repro.service.executor import BatchExecutor
 
     with BatchExecutor(workers=WORKERS, backend="thread") as executor:
@@ -116,8 +116,8 @@ def test_batched_beats_sequential_single_tree(results_dir):
         f"{sequential_s * 1e3:.1f} ms"
     )
     # write only after the gate: a failing run must not overwrite a
-    # passing run's committed artifact
-    _write_section(results_dir, "Service throughput", text)
+    # passing run's report
+    _write_section(perf_results_dir, "Service throughput", text)
 
 
 _CHILD = textwrap.dedent(
@@ -177,7 +177,7 @@ def _child_compile_seconds(cache_dir: str) -> tuple[float, bool]:
 
 
 def test_warm_store_compiles_10x_faster_across_processes(
-    results_dir, tmp_path
+    perf_results_dir, tmp_path
 ):
     cache_dir = str(tmp_path / "artifacts")
 
@@ -204,16 +204,16 @@ def test_warm_store_compiles_10x_faster_across_processes(
         f"warm start {warm_s * 1e3:.1f} ms is not 10x faster than cold "
         f"{cold_s * 1e3:.1f} ms"
     )
-    _write_section(results_dir, "Persistent store", text)
+    _write_section(perf_results_dir, "Persistent store", text)
 
 
 # service_throughput.txt holds one section per test so a partial run
-# (-k, a failure) leaves the other section's committed numbers intact
+# (-k, a failure) leaves the other section's numbers intact
 _SECTION_MARKERS = ["Service throughput", "Persistent store"]
 
 
-def _write_section(results_dir, marker: str, text: str) -> None:
-    path = results_dir / "service_throughput.txt"
+def _write_section(perf_results_dir, marker: str, text: str) -> None:
+    path = perf_results_dir / "service_throughput.txt"
     existing = path.read_text() if path.exists() else ""
     positions = sorted(
         (existing.index(m), m) for m in _SECTION_MARKERS if m in existing

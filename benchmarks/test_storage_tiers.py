@@ -23,7 +23,7 @@ load from other processes on a shared host lands on every series alike
 rather than on whichever series was being measured when it hit.
 
 Acceptance: peer-served <= 2x warm-disk, and >= 10x faster than cold.
-Results land in ``benchmark_results/storage_tiers.txt``.
+Results land in ``benchmark_results/perf/storage_tiers.txt``.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def _child_compile_seconds(cache_dir: str, *peers: str):
 
 
 def test_peer_tier_within_2x_of_warm_disk_and_10x_over_cold(
-    results_dir, tmp_path
+    perf_results_dir, tmp_path
 ):
     seeded = str(tmp_path / "seeded-store")
 
@@ -156,5 +156,5 @@ def test_peer_tier_within_2x_of_warm_disk_and_10x_over_cold(
         f"than cold {cold_min * 1e3:.1f} ms"
     )
     # write only after the gates: a failing run must not overwrite a
-    # passing run's committed artifact
-    (results_dir / "storage_tiers.txt").write_text(text + "\n")
+    # passing run's report
+    (perf_results_dir / "storage_tiers.txt").write_text(text + "\n")

@@ -2,8 +2,8 @@
 """End-to-end smoke test of the observability layer.
 
 In-process (no server): enables tracing, runs a traced compile +
-batched execution of the render workload, and then asserts the three
-things a trace consumer relies on:
+batched execution of the render workload through ``Session.run``, and
+then asserts the three things a trace consumer relies on:
 
 1. the Chrome trace_event export is loadable JSON with one event per
    span;
@@ -30,19 +30,18 @@ def fail(message: str) -> int:
 
 
 def main() -> int:
+    import repro
     from repro import obs
-    from repro.service.api import WORKLOADS, TraversalService
+    from repro.workloads.render import render_workload
 
     obs.enable()
-    spec = WORKLOADS["render"]
-    with TraversalService(workers=2, backend="thread") as service:
+    with repro.Session(workers=2, backend="thread") as session:
         with obs.span("trace_smoke", force=True) as root:
             trace_id = root.trace_id
-            results = service.executor.run(
-                [spec.make_request(trees=4, size=2)]
-            )
-    if not results[0].ok:
-        return fail(f"execution failed: {results[0].error}")
+            try:
+                session.run(render_workload(), 4, pages=2)
+            except RuntimeError as error:
+                return fail(f"execution failed: {error}")
 
     spans = obs.get_tracer().spans(trace_id)
     print(f"trace_smoke: trace {trace_id}, {len(spans)} spans")

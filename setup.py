@@ -1,10 +1,27 @@
-"""Legacy setup shim.
+"""Packaging for the ``repro`` package (sources under ``src/``).
 
-The evaluation environment is offline with no ``wheel`` package, so PEP 660
-editable installs are unavailable; this file lets ``pip install -e .`` fall
-back to ``setup.py develop``. All metadata lives in ``pyproject.toml``.
+There is no ``pyproject.toml``: the metadata lives here. The version is
+read from ``src/repro/__init__.py`` without importing the package.
+``pip install -e .`` falls back to ``setup.py develop`` when the
+``wheel`` package (needed for PEP 660 editable installs) is missing.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.M,
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description="Grafter reproduction: sound, fine-grained traversal "
+    "fusion for heterogeneous trees (PLDI 2019)",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+)

@@ -12,13 +12,16 @@ reachable from here::
         print(outcome.summaries[0], session.stats()["executor"]["waves"])
 
 ``Session`` owns a :class:`~repro.pipeline.options.CompileOptions`
-template (so one ``cache_dir`` — and one ``peers`` list of read-only
-warm stores, local roots or remote ``repro serve`` URLs — covers the
-in-memory compile cache, the on-disk artifact store, and the
-executor's workers), and a lazily created
+template (one ``cache_dir``, one ``peers`` list of read-only warm
+stores — local roots or remote ``repro serve`` URLs — and one tree
+``layout``), a memory tier, and a lazily created
 :class:`~repro.service.executor.BatchExecutor` (so sessions that only
-compile never spin up a pool) resolving through the same memory tier
-as the session's compiles.
+compile never spin up a pool) resolving through that same tier. The
+session is the only place a request's options are filled in: every
+compile and every executor request it issues carries complete options,
+and the executor runs each request under exactly those. The HTTP
+service (:class:`~repro.service.api.TraversalService`) and the
+``repro exec``/``repro trace`` commands run on a session too.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from repro import obs
 from repro.api.workload import Workload
 from repro.pipeline import GLOBAL_CACHE, CompileOptions, CompileResult
 from repro.pipeline import compile as pipeline_compile
-from repro.storage import MemoryTier
+from repro.storage import MemoryTier, disk_tier_for
 
 
 @dataclass
@@ -92,7 +95,18 @@ class CompiledWorkload:
 
 
 class Session:
-    """Compile and run workloads with shared caching and one executor."""
+    """Compile and run workloads with shared caching and one executor.
+
+    ``session.options`` is the template every call starts from, and one
+    rule (:meth:`options_for`) picks the options a call runs under, the
+    same for :meth:`compile`, :meth:`recompile`, :meth:`run` and
+    :meth:`submit`: an explicit ``options=`` is taken verbatim — the
+    template's ``cache_dir``, ``peers`` and ``layout`` are *not* merged
+    into it — and without one the template applies. Keyword overrides
+    (``compile(w, emit=False)``) patch whichever of the two applies;
+    ``replace(session.options, ...)`` is the way to patch the template
+    for a run.
+    """
 
     def __init__(
         self,
@@ -125,8 +139,6 @@ class Session:
         if patches:
             base = replace(base, **patches)
         self.options = base
-        self.cache_dir = self.options.cache_dir
-        self.peers = tuple(self.options.peers)
         self.workers = workers
         self.backend = backend
         self._executor = None
@@ -135,11 +147,25 @@ class Session:
         # GLOBAL_CACHE must never be resized by one session's budget (it
         # would evict every other caller's results)
         if self.options.memory_budget is not None:
-            self._memory = MemoryTier(
-                max_bytes=self.options.memory_budget
-            )
+            self.memory = MemoryTier(max_bytes=self.options.memory_budget)
         else:
-            self._memory = GLOBAL_CACHE
+            self.memory = GLOBAL_CACHE
+        # the template's on-disk store, if any: what stats() reports,
+        # compact() maintains, and a service exposes to peers
+        self.store = (
+            disk_tier_for(self.options.cache_dir)
+            if self.options.cache_dir is not None
+            else None
+        )
+
+    def options_for(
+        self, options: Optional[CompileOptions] = None, **overrides
+    ) -> CompileOptions:
+        """The options one call runs under: *options* verbatim when
+        given, else the session template, then patched by *overrides*
+        (see the class docstring)."""
+        effective = options if options is not None else self.options
+        return replace(effective, **overrides) if overrides else effective
 
     # -- compilation ----------------------------------------------------
 
@@ -153,11 +179,9 @@ class Session:
         **option_overrides,
     ) -> CompiledWorkload:
         """Compile a workload (or raw Grafter source) through the staged
-        pipeline under this session's options. Keyword overrides patch
-        individual option fields (``emit=False``, ``mode=...``, …)."""
-        effective = options if options is not None else self.options
-        if option_overrides:
-            effective = replace(effective, **option_overrides)
+        pipeline under :meth:`options_for` ``(options,
+        **option_overrides)`` — e.g. ``emit=False`` or ``mode=...``."""
+        effective = self.options_for(options, **option_overrides)
         if isinstance(workload, str):
             workload = Workload(
                 name="inline",
@@ -175,7 +199,7 @@ class Session:
             result = pipeline_compile(
                 workload,
                 options=effective,
-                cache=self._memory,
+                cache=self.memory,
                 incremental=incremental,
                 reuse_result=reuse_result,
             )
@@ -244,11 +268,24 @@ class Session:
             self._executor = BatchExecutor(
                 workers=self.workers,
                 backend=self.backend,
-                cache_dir=self.cache_dir,
-                peers=self.peers,
-                cache=self._memory,
+                cache=self.memory,
             )
         return self._executor
+
+    def request(
+        self,
+        workload: Workload,
+        trees: Union[int, Sequence] = 1,
+        *,
+        options: Optional[CompileOptions] = None,
+        **kwargs,
+    ):
+        """The :class:`~repro.service.batching.ExecRequest` that
+        :meth:`run` and :meth:`submit` execute: ``workload.request(trees,
+        **kwargs)`` carrying :meth:`options_for` ``(options)``."""
+        return workload.request(
+            trees, options=self.options_for(options), **kwargs
+        )
 
     def run(
         self,
@@ -268,18 +305,18 @@ class Session:
         zero-compile-latency tier for cold programs or semantics
         cross-checks; ``fused`` is ignored there.
         """
-        request = workload.request(
+        request = self.request(
+            workload,
             trees,
-            options=options if options is not None else self.options,
             fused=fused,
             collect=collect,
+            options=options,
             mode=mode,
             **spec_kwargs,
         )
-        effective = request.options
         with obs.span(
             "session.run",
-            force=bool(effective.trace),
+            force=bool(request.options.trace),
             workload=workload.name,
             trees=len(request.trees),
             mode=mode,
@@ -298,33 +335,46 @@ class Session:
         )
 
     def submit(self, workload: Workload, trees=1, **kwargs):
-        """Async variant of :meth:`run`: returns the executor's future."""
-        request = workload.request(
-            trees, options=kwargs.pop("options", self.options), **kwargs
-        )
-        return self.executor.submit(request)
+        """Async variant of :meth:`run`, taking the same arguments:
+        returns the executor's future."""
+        return self.executor.submit(self.request(workload, trees, **kwargs))
 
     # -- introspection --------------------------------------------------
 
     def stats(self) -> dict:
-        stats = {"compile_cache": self._memory.stats()}
-        if self._executor is not None:
-            stats["executor"] = self._executor.stats()
-        if self.cache_dir is not None:
-            from repro.storage import disk_tier_for
-
-            stats["store"] = disk_tier_for(self.cache_dir).stats()
+        """Compile cache, executor, store and per-tier records — also
+        the core of the service's ``/stats``. ``store`` is the disk
+        tier's record lifted out of ``storage`` (``None`` without a
+        store), so one call walks the store directory once."""
         tiers = self._tiers()
-        if tiers is not None:
-            stats["storage"] = tiers.stats()
-        return stats
+        storage = tiers.stats() if tiers is not None else []
+        store = None
+        if self.store is not None:
+            store = next(
+                (
+                    {
+                        key: value
+                        for key, value in record.items()
+                        if key not in ("label", "kind")
+                    }
+                    for record in storage
+                    if record["label"] == self.store.label
+                ),
+                None,
+            ) or self.store.stats()
+        return {
+            "compile_cache": self.memory.stats(),
+            "executor": self.executor.stats(),
+            "store": store,
+            "storage": storage,
+        }
 
     def _tiers(self):
         """The session's storage stack (memory → disk → peers), shared
         with every compile run under its options."""
         from repro.pipeline.driver import _tiers_for
 
-        return _tiers_for(self._memory, self.options)
+        return _tiers_for(self.memory, self.options)
 
     def gc(
         self,
@@ -343,6 +393,13 @@ class Session:
             max_age_seconds=max_age_seconds,
             max_bytes=max_bytes,
         )
+
+    def compact(self) -> dict:
+        """Drop unservable entries (corrupt, foreign-version, stale
+        temp files) from the session's store; a no-op without one."""
+        if self.store is None:
+            return {"removed": 0, "reclaimed_bytes": 0}
+        return self.store.compact()
 
     # -- lifecycle ------------------------------------------------------
 

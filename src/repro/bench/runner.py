@@ -168,7 +168,6 @@ def run_forest(
     fused: bool = True,
     workers: int = 2,
     backend: str = "thread",
-    cache_dir: Optional[str] = None,
     sequential: bool = False,
     executor=None,
 ) -> ForestRun:
@@ -186,21 +185,14 @@ def run_forest(
     """
     import time
 
-    from repro.service.batching import ExecRequest
     from repro.service.executor import BatchExecutor
 
-    effective = options if options is not None else CompileOptions()
-
     def request(specs):
-        return ExecRequest(
-            workload, list(specs), options=effective, fused=fused
-        )
+        return workload.request(list(specs), options=options, fused=fused)
 
     owned = executor is None
     if owned:
-        executor = BatchExecutor(
-            workers=workers, backend=backend, cache_dir=cache_dir
-        )
+        executor = BatchExecutor(workers=workers, backend=backend)
     try:
         from repro import obs
 

@@ -56,6 +56,7 @@ from repro.fusion.diagnostics import explain_sequence
 from repro.fusion.fused_ir import print_fused_program
 from repro.ir.printer import print_program
 from repro.ir.validate import LanguageMode
+from repro.layout.base import LAYOUT_NAMES
 from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
 
@@ -249,30 +250,46 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def cmd_exec(args) -> int:
-    """One-shot batched execution of a named workload."""
-    from repro.service.api import WORKLOADS, TraversalService
+def _workload_spec(name: str):
+    from repro.service.api import WORKLOADS
 
-    if args.workload not in WORKLOADS:
+    if name not in WORKLOADS:
         raise ReproError(
-            f"unknown workload {args.workload!r}; "
+            f"unknown workload {name!r}; "
             f"have {', '.join(sorted(WORKLOADS))}"
         )
-    spec = WORKLOADS[args.workload]
-    size = args.size
-    layout = getattr(args, "layout", None)
-    mode = "interpret" if getattr(args, "interp", False) else None
-    tracing = bool(getattr(args, "trace_out", None))
+    return WORKLOADS[name]
+
+
+def _run(session, spec, trees: int, size, mode: str):
+    """One ``Session.run`` forest of a registered workload; a failed
+    request exits like every other CLI error."""
+    try:
+        return session.run(
+            spec.workload(), trees, mode=mode, **spec.size_kwargs(size)
+        )
+    except RuntimeError as error:
+        raise ReproError(str(error)) from None
+
+
+def cmd_exec(args) -> int:
+    """One-shot batched execution of a named workload."""
+    from repro.api.session import Session
+
+    spec = _workload_spec(args.workload)
+    layout = args.layout
+    mode = "interpret" if args.interp else "compiled"
+    tracing = bool(args.trace_out)
     if tracing:
         obs.enable()
-    trace_id = None
-    with TraversalService(
+    with Session(
+        cache_dir=args.cache_dir,
+        peers=tuple(args.peer),
         workers=args.workers,
         backend=args.backend,
-        cache_dir=args.cache_dir,
-        peers=tuple(args.peer or ()),
-    ) as service:
-        # one root span for the whole invocation: executor.run is
+        layout=layout,
+    ) as session:
+        # one root span for the whole invocation: Session.run is
         # synchronous on this thread, so every wave/group/shard span
         # nests under it (shards via the serialized context)
         with obs.span(
@@ -283,41 +300,27 @@ def cmd_exec(args) -> int:
                 # one request per tree, executed one wave at a time —
                 # the single-tree baseline the batched mode is
                 # measured against
-                results = [
-                    service.executor.run(
-                        [
-                            spec.make_request(
-                                trees=1, size=size, layout=layout,
-                                mode=mode,
-                            )
-                        ]
-                    )[0]
+                outcomes = [
+                    _run(session, spec, 1, args.size, mode)
                     for _ in range(args.trees)
                 ]
             else:
-                results = service.executor.run(
-                    [
-                        spec.make_request(
-                            trees=args.trees, size=size, layout=layout,
-                            mode=mode,
-                        )
-                    ]
-                )
-        failed = [r for r in results if not r.ok]
-        if failed:
-            raise ReproError(failed[0].error or "execution failed")
-        stats = service.executor.stats()
-        trees = sum(len(r.trees) for r in results)
+                outcomes = [
+                    _run(session, spec, args.trees, args.size, mode)
+                ]
+        session_stats = session.stats()
+        stats = session_stats["executor"]
+        trees = sum(len(outcome) for outcome in outcomes)
         if tracing:
             spans = obs.get_tracer().spans(trace_id)
             obs.write_chrome_trace(spans, args.trace_out)
         batch_mode = "sequential" if args.sequential else "batched"
-        if getattr(args, "json", False):
+        if args.json:
             doc = {
                 "workload": args.workload,
                 "trees": trees,
                 "mode": batch_mode,
-                "execution": mode or "compiled",
+                "execution": mode,
                 "backend": args.backend,
                 "workers": args.workers,
                 "layout": layout,
@@ -329,7 +332,7 @@ def cmd_exec(args) -> int:
                 "failed_requests": stats["failed_requests"],
             }
             if args.cache_dir:
-                doc["store"] = service.stats()["store"]
+                doc["store"] = session_stats["store"]
             if tracing:
                 doc["trace_id"] = trace_id
                 doc["trace_out"] = args.trace_out
@@ -346,7 +349,7 @@ def cmd_exec(args) -> int:
         print(f"  batches: {stats['batches']}, "
               f"completed requests: {stats['completed_requests']}")
         if args.cache_dir:
-            store = service.stats()["store"]
+            store = session_stats["store"]
             print(f"  store: {store['entries']} entries, "
                   f"{store['loads']} loads, {store['spills']} spills")
         if tracing:
@@ -358,41 +361,27 @@ def cmd_exec(args) -> int:
 def cmd_trace(args) -> int:
     """Trace one workload end to end (compile + batched execution) and
     print the indented flame summary of every recorded span."""
-    from repro.service.api import WORKLOADS, TraversalService
+    from repro.api.session import Session
 
-    if args.workload not in WORKLOADS:
-        raise ReproError(
-            f"unknown workload {args.workload!r}; "
-            f"have {', '.join(sorted(WORKLOADS))}"
-        )
-    spec = WORKLOADS[args.workload]
+    spec = _workload_spec(args.workload)
     obs.enable()
-    with TraversalService(
+    with Session(
+        cache_dir=args.cache_dir,
         workers=args.workers,
         backend=args.backend,
-        cache_dir=args.cache_dir,
-    ) as service:
+        layout=args.layout,
+    ) as session:
         with obs.span(
             "cli.trace", force=True, workload=args.workload
         ) as root:
             trace_id = root.trace_id
-            results = service.executor.run(
-                [
-                    spec.make_request(
-                        trees=args.trees,
-                        size=args.size,
-                        layout=args.layout,
-                        mode=(
-                            "interpret"
-                            if getattr(args, "interp", False)
-                            else None
-                        ),
-                    )
-                ]
+            _run(
+                session,
+                spec,
+                args.trees,
+                args.size,
+                "interpret" if args.interp else "compiled",
             )
-        failed = [r for r in results if not r.ok]
-        if failed:
-            raise ReproError(failed[0].error or "execution failed")
     spans = obs.get_tracer().spans(trace_id)
     print(f"trace {trace_id}: {len(spans)} spans ({args.workload}, "
           f"{args.trees} trees, {args.backend} backend)")
@@ -593,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
              "payloads are pickles — name only peers you trust)",
     )
     compile_cmd.add_argument(
-        "--layout", choices=["object", "pooled"], default="object",
+        "--layout", choices=LAYOUT_NAMES, default="object",
         help="tree layout the generated modules run against: object "
              "(node graph, default) or pooled (structure-of-arrays "
              "forest pools); pooled artifacts content-address "
@@ -684,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="submit one tree at a time instead of one batched forest",
     )
     exec_cmd.add_argument(
-        "--layout", choices=["object", "pooled"], default=None,
+        "--layout", choices=LAYOUT_NAMES, default=None,
         help="tree layout the traversals execute against: object (node "
              "graph, default) or pooled (structure-of-arrays forest "
              "pools — trees are serialized into flat columns, run by "
@@ -764,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-tree size knob (same meaning as exec --size)",
     )
     trace_cmd.add_argument(
-        "--layout", choices=["object", "pooled"], default=None,
+        "--layout", choices=LAYOUT_NAMES, default=None,
         help="tree layout to execute against",
     )
     trace_cmd.add_argument(
@@ -810,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="port to listen on; 0 picks a free port (default 8177)",
     )
     serve_cmd.add_argument(
-        "--layout", choices=["object", "pooled"], default=None,
+        "--layout", choices=LAYOUT_NAMES, default=None,
         help="default tree layout for submitted requests (a request's "
              "explicit layout field wins); pooled artifacts "
              "content-address separately — no cache cross-hits",

@@ -28,13 +28,12 @@ from __future__ import annotations
 from repro.errors import RuntimeFailure
 from repro.ir.access import AccessPath
 from repro.ir.program import Program
+from repro.layout.base import LAYOUT_NAMES
 from repro.layout.pool import ForestPool
 from repro.runtime.heap import Heap
 from repro.runtime.node import Node
 from repro.runtime.stats import ExecStats
 from repro.runtime.values import copy_value
-
-VIEW_NAMES = ("object", "pooled")
 
 
 class _GlobalsAccess:
@@ -192,5 +191,5 @@ def view_for(layout: str, program: Program, heap: Heap):
     if layout == "pooled":
         return PooledTreeView(program, heap)
     raise RuntimeFailure(
-        f"unknown tree layout {layout!r}; have {VIEW_NAMES}"
+        f"unknown tree layout {layout!r}; have {LAYOUT_NAMES}"
     )

@@ -1,20 +1,11 @@
 """Tree layouts: object graphs and structure-of-arrays forest pools."""
 
-from repro.layout.base import (
-    LAYOUT_NAMES,
-    ObjectGraphLayout,
-    PooledLayout,
-    TreeLayout,
-    layout_for,
-)
+from repro.layout.base import LAYOUT_NAMES, check_layout
 from repro.layout.pool import ForestPool, column_names
 
 __all__ = [
     "LAYOUT_NAMES",
     "ForestPool",
-    "ObjectGraphLayout",
-    "PooledLayout",
-    "TreeLayout",
+    "check_layout",
     "column_names",
-    "layout_for",
 ]

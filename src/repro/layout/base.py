@@ -1,108 +1,38 @@
 """Tree layouts: how a program's trees are represented at run time.
 
-A :class:`TreeLayout` names one representation and knows how to move a
-tree into it, run compiled code against it, and get the tree back out.
-Two implementations exist:
+Two layouts exist, named by ``CompileOptions(layout=...)``:
 
-* :class:`ObjectGraphLayout` (``"object"``) — the seed representation:
+* ``"object"`` — the seed representation:
   :class:`~repro.runtime.node.Node` objects whose ``fields`` dicts hold
   children and data directly. Zero ingest cost; every generated access
   is an attribute + dict hop.
-* :class:`PooledLayout` (``"pooled"``) — structure-of-arrays
+* ``"pooled"`` — structure-of-arrays
   :class:`~repro.layout.pool.ForestPool` columns indexed by integer
   rows. Pays one serialization per tree (amortized across a batch via
   :meth:`ForestPool.clone`), then every generated access is a list
   subscript.
 
-The knob is ``CompileOptions(layout=...)``: it participates in the
-options hash, so pooled and object artifacts content-address separately
-in every storage tier.
+Each name has one code generator (:mod:`repro.codegen.python_backend`,
+:mod:`repro.codegen.pooled_backend`) and one interpreter view
+(:mod:`repro.interp.views`). The knob participates in the options hash,
+so pooled and object artifacts content-address separately in every
+storage tier.
 """
 
 from __future__ import annotations
 
 from repro.errors import ReproError
 
+#: Every layout name, in one place: the CLI's ``--layout`` choices, the
+#: interpreter's views, and :func:`check_layout` all read it.
 LAYOUT_NAMES = ("object", "pooled")
 
 
-class TreeLayout:
-    """Protocol for one tree representation (see module docstring)."""
-
-    name: str = "?"
-
-    def from_tree(self, program, root):
-        """Ingest *root* into this layout's run-time representation."""
-        raise NotImplementedError
-
-    def to_tree(self, program, heap, handle):
-        """Materialize a representation handle back into a ``Node``."""
-        raise NotImplementedError
-
-    def compile_program(self, program):
-        """An eagerly-compiled unfused module for this layout."""
-        raise NotImplementedError
-
-    def compile_fused(self, fused):
-        """An eagerly-compiled fused module for this layout."""
-        raise NotImplementedError
-
-
-class ObjectGraphLayout(TreeLayout):
-    name = "object"
-
-    def from_tree(self, program, root):
-        return root
-
-    def to_tree(self, program, heap, handle):
-        return handle
-
-    def compile_program(self, program):
-        from repro.codegen.python_backend import CompiledProgram
-
-        return CompiledProgram(program)
-
-    def compile_fused(self, fused):
-        from repro.codegen.python_backend import CompiledFused
-
-        return CompiledFused(fused)
-
-
-class PooledLayout(TreeLayout):
-    name = "pooled"
-
-    def from_tree(self, program, root):
-        from repro.layout.pool import ForestPool
-
-        return ForestPool.from_tree(program, root)
-
-    def to_tree(self, program, heap, handle):
-        return handle.to_tree(heap, handle.roots[0])
-
-    def compile_program(self, program):
-        from repro.codegen.pooled_backend import CompiledPooledProgram
-
-        return CompiledPooledProgram(program)
-
-    def compile_fused(self, fused):
-        from repro.codegen.pooled_backend import CompiledPooledFused
-
-        return CompiledPooledFused(fused)
-
-
-_LAYOUTS = {
-    "object": ObjectGraphLayout(),
-    "pooled": PooledLayout(),
-}
-
-
-def layout_for(name: str) -> TreeLayout:
-    """The layout registered under *name*; raises for unknown names so
-    a typo'd ``--layout`` fails before anything is compiled or cached."""
-    try:
-        return _LAYOUTS[name]
-    except KeyError:
-        known = ", ".join(sorted(_LAYOUTS))
+def check_layout(name: str) -> None:
+    """Raise for an unknown layout name, so a typo'd ``--layout`` fails
+    before anything is compiled or cached."""
+    if name not in LAYOUT_NAMES:
+        known = ", ".join(LAYOUT_NAMES)
         raise ReproError(
             f"unknown tree layout {name!r} (known layouts: {known})"
-        ) from None
+        )

@@ -102,9 +102,9 @@ def compile(
     # fail a typo'd layout before any hashing or tier traffic — the
     # knob participates in every cache key, so an unknown name would
     # otherwise pollute the stores before the emit pass rejects it
-    from repro.layout import layout_for
+    from repro.layout import check_layout
 
-    layout_for(options.layout)
+    check_layout(options.layout)
     # one span per compile: the trace root when this is the outermost
     # recorded operation (a bare pipeline.compile() call), otherwise a
     # child of session.compile / exec.group. options.trace=True forces

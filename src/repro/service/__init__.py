@@ -10,9 +10,10 @@ this package makes them *servable*:
 * :mod:`repro.service.executor` — a batch executor that runs sharded
   forests on a worker pool and records per-batch metrics.
 * :mod:`repro.service.api` — the front end: a workload registry, the
-  :class:`TraversalService` facade, and a small stdlib HTTP server
-  behind the ``repro serve`` CLI; its ``/artifact`` endpoint serves the
-  store to other hosts as a :class:`repro.storage.PeerTier`.
+  :class:`TraversalService` (HTTP bookkeeping over one
+  :class:`repro.Session`), and a small stdlib HTTP server behind the
+  ``repro serve`` CLI; its ``/artifact`` endpoint serves the store to
+  other hosts as a :class:`repro.storage.PeerTier`.
 """
 
 _EXPORTS = {

@@ -1,10 +1,13 @@
 """Service front end: workload registry, facade, and HTTP server.
 
-:class:`TraversalService` is the programmatic face of the subsystem —
-submit/await/stats over a :class:`~repro.service.executor.BatchExecutor`
-with an optional persistent artifact store. The workload registry maps
-names (``"render"``) to request builders so callers (CLI, HTTP, tests)
-can say *what* to run without holding tree-builder callables.
+:class:`TraversalService` is HTTP bookkeeping over one
+:class:`~repro.api.session.Session`: the session compiles, runs,
+stores and reports (its options template holds the server's
+``cache_dir``, ``peers`` and default layout), and the service adds
+tickets, trace ids, per-layout and per-mode counters, and raw artifact
+bytes for peers. The workload registry maps names (``"render"``) to
+workload bundles so callers (CLI, HTTP, tests) can say *what* to run
+without holding tree-builder callables.
 
 The HTTP layer is deliberately stdlib-only (``http.server``): the
 reproduction must not grow dependencies. Endpoints::
@@ -65,22 +68,15 @@ import json
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
 
 from repro import __version__, obs
-from repro.pipeline import GLOBAL_CACHE, CompileOptions
-from repro.pipeline import compile as pipeline_compile
-from repro.service.batching import ExecRequest
-from repro.service.executor import BatchExecutor, RequestResult
-from repro.storage import (
-    TieredStore,
-    disk_tier_for,
-    is_content_hash,
-    is_safe_pass_name,
-    peer_tier_for,
-)
+from repro.api.session import Session
+from repro.pipeline import CompileOptions
+from repro.service.executor import RequestResult
+from repro.storage import is_content_hash, is_safe_pass_name
 
 
 # ===========================================================================
@@ -109,32 +105,10 @@ class WorkloadSpec:
     def workload(self):
         return self.make_workload()
 
-    def make_request(
-        self,
-        trees: int = 8,
-        fused: bool = True,
-        options: Optional[CompileOptions] = None,
-        size: Optional[int] = None,
-        layout: Optional[str] = None,
-        mode: Optional[str] = None,
-        **spec_kwargs,
-    ) -> ExecRequest:
-        if size is not None:
-            spec_kwargs.setdefault(self.size_kwarg, size)
-        effective = options if options is not None else CompileOptions()
-        if layout is not None:
-            # per-request tree layout ('object' | 'pooled') — the
-            # /submit body's "layout" field lands here
-            effective = replace(effective, layout=layout)
-        return self.workload().request(
-            trees,
-            options=effective,
-            fused=fused,
-            # per-request execution tier ('compiled' | 'interpret') —
-            # the /submit body's "mode" field lands here
-            mode=mode if mode is not None else "compiled",
-            **spec_kwargs,
-        )
+    def size_kwargs(self, size: Optional[int]) -> dict:
+        """A generic ``size`` (the CLI's ``--size``, the /submit body's
+        ``"size"``) in this workload's own vocabulary."""
+        return {} if size is None else {self.size_kwarg: size}
 
 
 # memoized: a sequential wave builds one request per tree, and the
@@ -202,13 +176,27 @@ WORKLOADS: dict[str, WorkloadSpec] = {
 }
 
 
+def workload_spec(name: str) -> WorkloadSpec:
+    """The registered workload *name*; ``KeyError`` names the known
+    ones."""
+    spec = WORKLOADS.get(name)
+    if spec is None:
+        raise KeyError(
+            f"unknown workload {name!r}; have {sorted(WORKLOADS)}"
+        )
+    return spec
+
+
 # ===========================================================================
 # the facade
 # ===========================================================================
 
 
 class TraversalService:
-    """Submit/await/stats over a batch executor + tiered storage."""
+    """HTTP bookkeeping over one :class:`~repro.api.session.Session`
+    (see the module docstring). Run/submit, stats, GC, compaction and
+    recompiles are the session's; a submit that names a ``layout``
+    runs that layout, any other takes the session's default."""
 
     def __init__(
         self,
@@ -219,30 +207,18 @@ class TraversalService:
         peers: tuple = (),
         layout: Optional[str] = None,
     ):
-        self.cache_dir = cache_dir
-        self.peers = tuple(peers)
-        self.layout = layout
-        self.store = disk_tier_for(cache_dir) if cache_dir else None
-        # the service's storage stack: the process memory tier, its
-        # store (when persistent), and any read-only peers — what /gc
-        # sweeps and the tier-labelled half of /stats reports
-        self.tiers = TieredStore(
-            [GLOBAL_CACHE, self.store]
-            + [peer_tier_for(p) for p in self.peers]
-        )
-        self.executor = BatchExecutor(
+        self.session = Session(
+            cache_dir,
+            peers=peers,
             workers=workers,
             backend=backend,
-            cache_dir=cache_dir,
-            peers=self.peers,
             layout=layout,
         )
         self.max_tickets = max_tickets
         self._tickets: "OrderedDict[int, object]" = OrderedDict()
         self._lock = threading.Lock()
         # per-layout submission counters (reported under /stats
-        # "layouts"); counted at submit time from the request the
-        # executor will actually run, defaults applied
+        # "layouts"), counted from the options each request runs under
         self._layout_counts: dict[str, int] = {}
         # per-mode counters (compiled vs interpreted), surfaced in
         # /stats as modes + interpreted/compiled_requests_total
@@ -259,10 +235,12 @@ class TraversalService:
         # as scrape-time views: /metrics carries the same numbers
         # /stats always has, without double bookkeeping
         obs.REGISTRY.register_view(
-            "repro_cache", GLOBAL_CACHE.stats
+            "repro_cache", self.session.memory.stats
         )
-        if self.store is not None:
-            obs.REGISTRY.register_view("repro_store", self.store.stats)
+        if self.session.store is not None:
+            obs.REGISTRY.register_view(
+                "repro_store", self.session.store.stats
+            )
         obs.REGISTRY.register_view(
             "repro_service", self._identity_view
         )
@@ -277,10 +255,34 @@ class TraversalService:
 
     # -- submission -----------------------------------------------------
 
-    def submit(self, request: ExecRequest) -> int:
-        effective_layout = request.options.layout
-        if self.layout is not None and effective_layout == "object":
-            effective_layout = self.layout
+    def submit_workload(
+        self,
+        name: str,
+        trees: int = 8,
+        fused: bool = True,
+        size: Optional[int] = None,
+        layout: Optional[str] = None,
+        mode: str = "compiled",
+        **spec_kwargs,
+    ) -> int:
+        """Queue one forest of a registered workload — the ``POST
+        /submit`` body — and return its request id. ``size`` maps onto
+        the workload's own knob; ``layout`` ('object' | 'pooled') and
+        ``mode`` ('compiled' | 'interpret') are per request."""
+        spec = workload_spec(name)
+        request = self.session.request(
+            spec.workload(),
+            trees,
+            fused=fused,
+            options=(
+                self.session.options_for(layout=layout)
+                if layout is not None
+                else None
+            ),
+            mode=mode,
+            **{**spec.size_kwargs(size), **spec_kwargs},
+        )
+        layout = request.options.layout
         # the trace root for this request (when tracing is on): the
         # executor's group/shard spans reparent under it via the
         # context stamped onto the request, even though execution
@@ -289,20 +291,20 @@ class TraversalService:
             "service.submit",
             request_id=request.request_id,
             trees=len(request.trees),
-            layout=effective_layout,
+            layout=layout,
             mode=request.mode,
         ) as span:
-            if request.trace_context is None and span.recorded:
+            if span.recorded:
                 request.trace_context = span.context
-            ticket = self.executor.submit(request)
+            ticket = self.session.executor.submit(request)
         with self._lock:
             self._requests_total += 1
             if span.recorded:
                 self._trace_ids[request.request_id] = span.trace_id
                 while len(self._trace_ids) > self.max_tickets:
                     self._trace_ids.popitem(last=False)
-            self._layout_counts[effective_layout] = (
-                self._layout_counts.get(effective_layout, 0) + 1
+            self._layout_counts[layout] = (
+                self._layout_counts.get(layout, 0) + 1
             )
             self._mode_counts[request.mode] = (
                 self._mode_counts.get(request.mode, 0) + 1
@@ -324,14 +326,6 @@ class TraversalService:
                 )
                 del self._tickets[victim]
         return request.request_id
-
-    def submit_workload(self, name: str, **kwargs) -> int:
-        spec = WORKLOADS.get(name)
-        if spec is None:
-            raise KeyError(
-                f"unknown workload {name!r}; have {sorted(WORKLOADS)}"
-            )
-        return self.submit(spec.make_request(**kwargs))
 
     # -- results --------------------------------------------------------
 
@@ -398,29 +392,10 @@ class TraversalService:
     # -- stats ----------------------------------------------------------
 
     def stats(self) -> dict:
-        # "store" is always present so dashboards can key on it: the
-        # eviction/compaction counters ride alongside the executor
-        # metrics when a store is attached, and read as null otherwise.
-        # "storage" is the tier-labelled view of the same stack
-        # (memory / disk / peers, in lookup order). The store record is
-        # lifted out of the tier view rather than recomputed —
-        # DiskTier.stats() globs the whole store directory, and one
-        # walk per poll is enough.
-        storage = self.tiers.stats()
-        store = None
-        if self.store is not None:
-            store = next(
-                (
-                    {
-                        key: value
-                        for key, value in record.items()
-                        if key not in ("label", "kind")
-                    }
-                    for record in storage
-                    if record.get("label") == self.store.label
-                ),
-                None,
-            ) or self.store.stats()
+        """The ``GET /stats`` body: the session's record (``executor``,
+        ``compile_cache``, ``store`` — ``None`` without a store — and
+        the tier-labelled ``storage``) plus the service's identity and
+        counters."""
         with self._lock:
             layouts = dict(sorted(self._layout_counts.items()))
             modes = dict(sorted(self._mode_counts.items()))
@@ -429,22 +404,17 @@ class TraversalService:
             "version": __version__,
             "uptime_seconds": time.time() - self.started,
             "requests_total": requests_total,
-            "executor": self.executor.stats(),
-            "compile_cache": GLOBAL_CACHE.stats(),
+            **self.session.stats(),
             "workloads": sorted(WORKLOADS),
             "layouts": layouts,
             "modes": modes,
             "interpreted_requests_total": modes.get("interpret", 0),
             "compiled_requests_total": modes.get("compiled", 0),
-            "store": store,
-            "storage": storage,
         }
 
     def compact_store(self) -> dict:
         """Run one artifact-store compaction (no-op without a store)."""
-        if self.store is None:
-            return {"removed": 0, "reclaimed_bytes": 0}
-        return self.store.compact()
+        return self.session.compact()
 
     def gc(
         self,
@@ -452,10 +422,10 @@ class TraversalService:
         max_age_seconds: Optional[float] = None,
         max_bytes: Optional[int] = None,
     ) -> dict:
-        """One GC policy across the service's writable tiers (the
+        """One GC policy across the session's writable tiers (the
         memory cache's unit layer + the store); see
         :meth:`repro.storage.TieredStore.gc`."""
-        return self.tiers.gc(
+        return self.session.gc(
             pass_name=pass_name,
             max_age_seconds=max_age_seconds,
             max_bytes=max_bytes,
@@ -471,20 +441,21 @@ class TraversalService:
         this service as a :class:`~repro.storage.PeerTier`. Inputs are
         validated before touching the filesystem; the requesting peer
         re-validates the payload itself on decode."""
-        if self.store is None:
+        store = self.session.store
+        if store is None:
             return None
         if (
             kind == "result"
             and is_content_hash(first)
             and is_content_hash(second)
         ):
-            path = self.store.path_for(first, second)
+            path = store.path_for(first, second)
         elif (
             kind == "unit"
             and is_safe_pass_name(first)
             and is_content_hash(second)
         ):
-            path = self.store.unit_path_for(first, second)
+            path = store.unit_path_for(first, second)
         else:
             return None
         try:
@@ -498,36 +469,22 @@ class TraversalService:
         options: Optional[CompileOptions] = None,
         **option_overrides,
     ) -> dict:
-        """Rebuild one registered workload through the tiered store —
-        the whole-result cache is bypassed so every pass demonstrably
-        re-runs unit by unit — and return the unit-reuse report
-        (the ``POST /recompile`` body)."""
-        spec = WORKLOADS.get(name)
-        if spec is None:
-            raise KeyError(
-                f"unknown workload {name!r}; have {sorted(WORKLOADS)}"
-            )
-        if options is None:
-            options = CompileOptions(
-                cache_dir=self.cache_dir, peers=self.peers
-            )
-        if option_overrides:
-            from dataclasses import replace
-
-            options = replace(options, **option_overrides)
-        result = pipeline_compile(
-            spec.workload(),
+        """Rebuild one registered workload through the session's
+        tiered store — the whole-result cache is bypassed so every pass
+        demonstrably re-runs unit by unit — and return the unit-reuse
+        report (the ``POST /recompile`` body)."""
+        result = self.session.recompile(
+            workload_spec(name).workload(),
             options=options,
-            incremental=True,
-            reuse_result=False,
-        )
+            **option_overrides,
+        ).result
         summary = result.unit_summary()
         summary["workload"] = name
         summary["unit_report"] = result.unit_report()
         return summary
 
     def close(self) -> None:
-        self.executor.close()
+        self.session.close()
 
     def __enter__(self) -> "TraversalService":
         return self

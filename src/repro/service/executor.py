@@ -12,7 +12,12 @@ The :class:`BatchExecutor` takes waves of
    them on the pool against that one resolved artifact,
 4. **records** per-batch metrics: queue depth at wave formation, batch
    size, and p50/p99 tree/shard latency via
-   :class:`repro.runtime.stats.LatencySeries`.
+   :class:`repro.runtime.stats.LatencySeries`, keeping the most recent
+   :data:`BATCH_HISTORY` records.
+
+Every request runs under the options it carries: the executor adds no
+defaults of its own (a :class:`~repro.api.session.Session` fills them
+in when it builds the request).
 
 Backends:
 
@@ -23,7 +28,7 @@ Backends:
   workload itself, in its own memory tier (shipping exec'd modules
   would cost more than resolving them): forked workers inherit the
   parent's warm process-wide tier, spawned ones fall back to the
-  on-disk store when the requests carry a ``cache_dir``.
+  on-disk store when the requests' options name a ``cache_dir``.
 * ``"inline"`` — no pool, shards run in the caller's thread: the
   sequential baseline and the zero-dependency debugging mode.
 
@@ -38,12 +43,13 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import (
     Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro import obs
@@ -64,6 +70,11 @@ from repro.service.batching import (
 from repro.storage import MemoryTier
 
 _BACKENDS = ("thread", "process", "inline")
+
+#: How many batch records (one per artifact group) an executor keeps;
+#: ``stats()`` summarizes latency over this window, so its cost stays
+#: flat however long the executor has been serving.
+BATCH_HISTORY = 256
 
 # the registry face of stats(): totals survive executor turnover and
 # are scrapeable (/metrics) without walking BatchMetrics records
@@ -261,11 +272,8 @@ class BatchExecutor:
         self,
         workers: int = 2,
         backend: str = "thread",
-        cache_dir: Optional[str] = None,
         shards_per_worker: int = 2,
         linger_seconds: float = 0.005,
-        peers: tuple = (),
-        layout: Optional[str] = None,
         cache: Optional[MemoryTier] = GLOBAL_CACHE,
     ):
         if backend not in _BACKENDS:
@@ -277,9 +285,6 @@ class BatchExecutor:
         # the memory tier groups resolve through (process-pool workers
         # use their own process-wide tier)
         self.cache = cache
-        self.cache_dir = cache_dir
-        self.peers = tuple(peers)
-        self.layout = layout
         self.shards_per_worker = shards_per_worker
         self.linger_seconds = linger_seconds
         self._pool = None
@@ -291,9 +296,10 @@ class BatchExecutor:
         self._dispatcher: Optional[threading.Thread] = None
         self._closed = False
         self._closed_lock = threading.Lock()
-        # metrics
+        # metrics: a window of recent batch records, plus totals
         self._metrics_lock = threading.Lock()
-        self.batches: list[BatchMetrics] = []
+        self.batches: "deque[BatchMetrics]" = deque(maxlen=BATCH_HISTORY)
+        self.batch_count = 0
         self.completed_requests = 0
         self.failed_requests = 0
         self.completed_trees = 0
@@ -327,7 +333,6 @@ class BatchExecutor:
         self, requests: Sequence[ExecRequest]
     ) -> list[RequestResult]:
         """Execute a wave of requests; results come back in input order."""
-        requests = [self._effective(r) for r in requests]
         with self._metrics_lock:
             self.waves += 1
         _EXEC_WAVES.inc()
@@ -407,8 +412,7 @@ class BatchExecutor:
                         f"compile failed: {error}"
                     )
                 metrics.wall_seconds = time.perf_counter() - wave_start
-                with self._metrics_lock:
-                    self.batches.append(metrics)
+                self._record(metrics)
                 return
             pool = self._get_pool()
             if pool is None:
@@ -457,8 +461,12 @@ class BatchExecutor:
             result.trees.sort(key=lambda t: t.index)
             result.wall_seconds = time.perf_counter() - wave_start
         metrics.wall_seconds = time.perf_counter() - wave_start
+        self._record(metrics)
+
+    def _record(self, metrics: BatchMetrics) -> None:
         with self._metrics_lock:
             self.batches.append(metrics)
+            self.batch_count += 1
 
     def _guarded_shard(
         self, shard: Shard, trace_ctx: Optional[tuple], artifact: Artifact
@@ -469,24 +477,6 @@ class BatchExecutor:
             )
         except Exception as error:
             return error
-
-    def _effective(self, request: ExecRequest) -> ExecRequest:
-        """Apply executor-level defaults (the artifact cache dir, any
-        read-only peer stores, and the executor's tree layout)."""
-        patches = {}
-        if self.cache_dir and request.options.cache_dir is None:
-            patches["cache_dir"] = self.cache_dir
-        if self.peers and not request.options.peers:
-            patches["peers"] = self.peers
-        if self.layout is not None and request.options.layout == "object":
-            # requests that picked a layout explicitly keep it; the
-            # executor default only fills the options default
-            patches["layout"] = self.layout
-        if patches:
-            return replace(
-                request, options=replace(request.options, **patches)
-            )
-        return request
 
     # -- async API ------------------------------------------------------
 
@@ -546,7 +536,10 @@ class BatchExecutor:
     # -- metrics --------------------------------------------------------
 
     def stats(self) -> dict:
-        """The service dashboard record."""
+        """The service dashboard record. ``batches`` and the request and
+        tree counts are totals since the executor started;
+        ``tree_latency`` and ``shard_latency`` summarize only the last
+        :data:`BATCH_HISTORY` batch records."""
         with self._metrics_lock:
             tree_latency = LatencySeries()
             shard_latency = LatencySeries()
@@ -557,7 +550,7 @@ class BatchExecutor:
                 "backend": self.backend,
                 "workers": self.workers,
                 "waves": self.waves,
-                "batches": len(self.batches),
+                "batches": self.batch_count,
                 "completed_requests": self.completed_requests,
                 "failed_requests": self.failed_requests,
                 "completed_trees": self.completed_trees,
@@ -565,7 +558,7 @@ class BatchExecutor:
                 "tree_latency": tree_latency.summary(),
                 "shard_latency": shard_latency.summary(),
                 "recent_batches": [
-                    b.as_dict() for b in self.batches[-5:]
+                    b.as_dict() for b in list(self.batches)[-5:]
                 ],
             }
 

@@ -7,6 +7,7 @@ import pytest
 import repro
 from repro.errors import WorkloadError
 from repro.pipeline import CompileOptions
+from repro.storage import disk_tier_for
 from repro.workloads.astlang import astlang_workload
 from repro.workloads.fmm import fmm_workload
 from repro.workloads.kdtree import kdtree_workload
@@ -116,3 +117,99 @@ int main() { N* root = ...; root->go(); }
             ticket = session.submit(render_workload(), 1, pages=1)
             result = ticket.result(60)
         assert result.ok
+
+
+def _private_session(**kwargs):
+    """A session on its own empty memory tier, so no result another
+    test compiled can serve it and every miss reaches its stores."""
+    return repro.Session(
+        memory_budget=1 << 30, workers=1, backend="inline", **kwargs
+    )
+
+
+def _call(session, name, options=None):
+    workload = render_workload()
+    if name == "run":
+        session.run(workload, 1, options=options, pages=1)
+    elif name == "submit":
+        ticket = session.submit(workload, 1, options=options, pages=1)
+        assert ticket.result(120).ok
+    else:
+        getattr(session, name)(workload, options=options)
+
+
+class TestCacheDirFlows:
+    def test_session_cache_dir_reaches_the_store(self, tmp_path):
+        with _private_session(cache_dir=str(tmp_path)) as session:
+            session.run(render_workload(), 1, pages=1)
+        assert len(disk_tier_for(str(tmp_path))) == 1
+
+    def test_request_cache_dir_wins_over_the_session(self, tmp_path):
+        mine = str(tmp_path / "mine")
+        other = str(tmp_path / "other")
+        with _private_session(cache_dir=other) as session:
+            session.run(
+                render_workload(),
+                1,
+                options=CompileOptions(cache_dir=mine),
+                pages=1,
+            )
+        assert len(disk_tier_for(mine)) == 1
+        assert len(disk_tier_for(other)) == 0
+
+
+CALLS = ["compile", "recompile", "run", "submit"]
+
+
+class TestOptionsRule:
+    """One rule for ``options=`` across compile, recompile, run and
+    submit: explicit options are taken verbatim, else the template."""
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_explicit_options_are_taken_verbatim(self, tmp_path, call):
+        store = str(tmp_path / "session-store")
+        with _private_session(cache_dir=store) as session:
+            _call(session, call, options=CompileOptions())
+        # the template's cache_dir was not merged into the options
+        assert len(disk_tier_for(store)) == 0
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_template_applies_without_options(self, tmp_path, call):
+        store = str(tmp_path / "session-store")
+        with _private_session(cache_dir=store) as session:
+            _call(session, call)
+        assert len(disk_tier_for(store)) == 1
+
+    def test_overrides_patch_the_template(self):
+        with repro.Session(layout="pooled") as session:
+            assert session.options_for(emit=False).layout == "pooled"
+            assert session.options_for(CompileOptions()).layout == "object"
+            assert session.options_for() is session.options
+
+
+class TestStats:
+    def test_one_store_walk_per_call(self, tmp_path, monkeypatch):
+        from repro.storage.disk import DiskTier
+
+        walks = []
+        original = DiskTier.stats
+
+        def counting(self):
+            walks.append(self.root)
+            return original(self)
+
+        monkeypatch.setattr(DiskTier, "stats", counting)
+        with repro.Session(cache_dir=str(tmp_path)) as session:
+            stats = session.stats()
+        assert len(walks) == 1
+        assert stats["store"]["entries"] == 0
+        assert [record["kind"] for record in stats["storage"]] == [
+            "memory",
+            "disk",
+        ]
+
+    def test_store_is_none_without_a_cache_dir(self):
+        with repro.Session() as session:
+            stats = session.stats()
+        assert stats["store"] is None
+        assert set(stats) == {"compile_cache", "executor", "store", "storage"}

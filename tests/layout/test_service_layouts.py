@@ -1,7 +1,10 @@
 """Service-level layout plumbing: per-request layout selection, the
 service-wide default, and the /stats ``layouts`` counters."""
 
-from repro.service.api import TraversalService
+import repro.service.executor as executor_module
+from repro.pipeline import CompileOptions
+from repro.service.api import WORKLOADS, TraversalService
+from repro.storage import disk_tier_for
 
 
 def _submit_and_wait(service, **kwargs):
@@ -35,3 +38,41 @@ class TestLayoutCounters:
             assert _submit_and_wait(service) == expected
             _submit_and_wait(service, layout="pooled")
             assert service.stats()["layouts"] == {"pooled": 2}
+
+    def test_explicit_object_request_on_a_pooled_service_runs_object(
+        self, monkeypatch
+    ):
+        # an explicit "object" is a choice, not an unset field: the
+        # pooled service default must not overwrite it
+        layouts = []
+        original = executor_module.pipeline_compile
+
+        def spy(workload, options=None, **kwargs):
+            layouts.append(options.layout)
+            return original(workload, options=options, **kwargs)
+
+        monkeypatch.setattr(executor_module, "pipeline_compile", spy)
+        with TraversalService(
+            workers=1, backend="inline", layout="pooled"
+        ) as service:
+            _submit_and_wait(service, layout="object")
+            assert service.stats()["layouts"] == {"object": 1}
+        assert layouts == ["object"]
+
+
+class TestRecompileLayout:
+    def test_recompile_rebuilds_the_served_layout(self, tmp_path):
+        store = str(tmp_path)
+        with TraversalService(
+            workers=1, backend="inline", cache_dir=store, layout="pooled"
+        ) as service:
+            service.recompile_workload("render")
+        source_hash = WORKLOADS["render"].workload().source_hash()
+        disk = disk_tier_for(store)
+
+        def stored(layout):
+            options = CompileOptions(cache_dir=store, layout=layout)
+            return disk.path_for(source_hash, options.output_hash()).exists()
+
+        assert stored("pooled")
+        assert not stored("object")

@@ -141,6 +141,26 @@ class TestMetrics:
         assert "compile failed" in result.error
         assert executor.stats()["failed_requests"] == 1
 
+    def test_batch_history_is_bounded(self):
+        # one group per wave, more waves than the window holds: the
+        # records stay at the cap, the totals keep counting, and the
+        # latency summary covers the window only
+        from repro.service.executor import BATCH_HISTORY
+        from repro.workloads.kdtree import kdtree_workload
+
+        workload = kdtree_workload()
+        waves = BATCH_HISTORY + 20
+        with BatchExecutor(workers=1, backend="inline") as executor:
+            for _ in range(waves):
+                [result] = executor.run([workload.request(1, depth=1)])
+                assert result.ok, result.error
+            assert len(executor.batches) == BATCH_HISTORY
+            stats = executor.stats()
+        assert stats["batches"] == waves
+        assert stats["completed_requests"] == waves
+        assert stats["tree_latency"]["count"] == BATCH_HISTORY
+        assert stats["shard_latency"]["count"] == BATCH_HISTORY
+
 
 class TestErrorPaths:
     def test_shard_failure_is_contained(self):
@@ -161,35 +181,6 @@ class TestErrorPaths:
         executor.close()
         with pytest.raises(RuntimeError, match="closed"):
             executor.submit(render_request())
-
-
-class TestCacheDirFlows:
-    def test_executor_cache_dir_applies_to_requests(self, tmp_path):
-        from repro.storage import disk_tier_for
-
-        with BatchExecutor(
-            workers=1, backend="inline", cache_dir=str(tmp_path)
-        ) as executor:
-            [result] = executor.run([render_request(trees=1)])
-        assert result.ok
-        assert len(disk_tier_for(str(tmp_path))) == 1
-
-    def test_request_cache_dir_wins_over_executor(self, tmp_path):
-        from repro.pipeline import CompileOptions
-        from repro.storage import disk_tier_for
-
-        mine = tmp_path / "mine"
-        other = tmp_path / "other"
-        req = render_request(
-            trees=1, options=CompileOptions(cache_dir=str(mine))
-        )
-        with BatchExecutor(
-            workers=1, backend="inline", cache_dir=str(other)
-        ) as executor:
-            [result] = executor.run([req])
-        assert result.ok
-        assert len(disk_tier_for(str(mine))) == 1
-        assert len(disk_tier_for(str(other))) == 0
 
 
 class TestLifecycleAndOptions:

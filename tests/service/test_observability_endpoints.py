@@ -61,6 +61,37 @@ class TestStatsIdentity:
         ):
             assert key in stats
 
+    def test_stats_key_set_is_pinned(self, service, tmp_path):
+        keys = {
+            "version", "uptime_seconds", "requests_total", "executor",
+            "compile_cache", "workloads", "layouts", "modes",
+            "interpreted_requests_total", "compiled_requests_total",
+            "store", "storage",
+        }
+        assert set(service.stats()) == keys
+        with TraversalService(
+            workers=1, backend="inline", cache_dir=str(tmp_path)
+        ) as persistent:
+            assert set(persistent.stats()) == keys
+
+    def test_stats_walk_the_store_once(self, tmp_path, monkeypatch):
+        from repro.storage.disk import DiskTier
+
+        walks = []
+        original = DiskTier.stats
+
+        def counting(self):
+            walks.append(self.root)
+            return original(self)
+
+        monkeypatch.setattr(DiskTier, "stats", counting)
+        with TraversalService(
+            workers=1, backend="inline", cache_dir=str(tmp_path)
+        ) as persistent:
+            stats = persistent.stats()
+        assert len(walks) == 1
+        assert stats["store"]["entries"] == 0
+
     def test_requests_total_is_monotonic(self, service):
         spec_submit = lambda: service.submit_workload(
             "kdtree", trees=1, size=2

@@ -54,9 +54,10 @@ class TestRegistry:
         # `size` maps onto each workload's own vocabulary, so generic
         # callers (the CLI's --size, dashboards) need no per-workload
         # knowledge
-        request = WORKLOADS["kdtree"].make_request(trees=1, size=2)
+        kdtree, fmm = WORKLOADS["kdtree"], WORKLOADS["fmm"]
+        request = kdtree.workload().request(1, **kdtree.size_kwargs(2))
         assert request.trees[0][0] == 2
-        request = WORKLOADS["fmm"].make_request(trees=1, size=8)
+        request = fmm.workload().request(1, **fmm.size_kwargs(8))
         assert len(request.trees[0]) == 8
 
     def test_http_submit_new_workloads(self):

@@ -13,14 +13,17 @@ from repro.service.executor import BatchExecutor, _execute_shard
 from repro.service.batching import Shard, shard_group, group_requests
 
 
+def kdtree_request(trees: int, depth: int):
+    return WORKLOADS["kdtree"].workload().request(trees, depth=depth)
+
+
 def run_traced(backend: str, workers: int = 2, trees: int = 4):
     """Execute one request under a forced root span; returns the
     trace's spans."""
-    spec = WORKLOADS["kdtree"]
     with BatchExecutor(workers=workers, backend=backend) as executor:
         with obs.span("test.root", force=True) as root:
             trace_id = root.trace_id
-            request = spec.make_request(trees=trees, size=3)
+            request = kdtree_request(trees, 3)
             request.trace_context = root.context
             results = executor.run([request])
     assert results[0].ok, results[0].error
@@ -77,8 +80,7 @@ def test_group_span_records_compile_outcome_and_shape():
 def test_shard_run_payload_pickles_with_spans():
     """The exact object the process pool returns — results plus the
     span bucket — must survive pickling."""
-    spec = WORKLOADS["kdtree"]
-    request = spec.make_request(trees=2, size=2)
+    request = kdtree_request(2, 2)
     with obs.span("test.root", force=True) as root:
         ctx = root.context
     outcome = _execute_shard(request, [0, 1], pickle.loads(
@@ -93,18 +95,16 @@ def test_shard_run_payload_pickles_with_spans():
 
 
 def test_untraced_shard_collects_nothing():
-    spec = WORKLOADS["kdtree"]
-    request = spec.make_request(trees=1, size=2)
+    request = kdtree_request(1, 2)
     outcome = _execute_shard(request, [0], None)
     assert outcome.spans is None
     assert len(outcome.trees) == 1
 
 
 def test_submit_captures_ambient_context():
-    spec = WORKLOADS["kdtree"]
     with BatchExecutor(workers=1, backend="inline") as executor:
         with obs.span("submitter", force=True) as root:
-            ticket = executor.submit(spec.make_request(trees=1, size=2))
+            ticket = executor.submit(kdtree_request(1, 2))
         result = ticket.result(timeout=60)
     assert result.ok, result.error
     spans = obs.get_tracer().spans(root.trace_id)

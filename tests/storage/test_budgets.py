@@ -37,8 +37,8 @@ def test_session_memory_budget_gets_a_private_tier():
     with repro.Session(memory_budget=64 * 1024 * 1024) as session:
         compiled = session.compile(FIG2_SOURCE)
         assert compiled.result.fused is not None
-        assert session._memory is not GLOBAL_CACHE
-        assert session._memory.max_bytes == 64 * 1024 * 1024
+        assert session.memory is not GLOBAL_CACHE
+        assert session.memory.max_bytes == 64 * 1024 * 1024
         # the session's own compiles land in its own tier
         assert session.stats()["compile_cache"]["entries"] >= 1
     assert GLOBAL_CACHE.max_bytes == before

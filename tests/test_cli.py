@@ -185,6 +185,21 @@ class TestServiceCli:
         assert main(["exec", "--workload", "nope"]) == 1
         assert "unknown workload" in capsys.readouterr().err
 
+    def test_trace_prints_one_connected_run(self, capsys):
+        from repro import obs
+
+        try:
+            assert main([
+                "trace", "kdtree", "--trees", "2", "--size", "2",
+                "--layout", "pooled",
+            ]) == 0
+        finally:
+            obs.disable()
+        out = capsys.readouterr().out
+        assert "spans (kdtree, 2 trees, inline backend)" in out
+        for name in ("cli.trace", "session.run", "exec.group", "exec.shard"):
+            assert name in out
+
     def test_compile_cache_dir_spills(self, fig2_file, capsys, tmp_path):
         store = tmp_path / "artifacts"
         assert main(["compile", fig2_file, "--cache-dir", str(store)]) == 0
