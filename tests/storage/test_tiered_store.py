@@ -1,5 +1,7 @@
 """Tier composition: promotion, persist gating, and per-pass disk GC."""
 
+import pytest
+
 from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
 from repro.storage import (
@@ -43,23 +45,40 @@ class TestPromotion:
         # ...and in the memory tier (adopted as a served-from-below hit)
         assert memory.disk_hits == 1
 
-    def test_peer_promotion_republishes_the_exact_bytes(self, tmp_path):
-        # promotion goes through the blob face: the local store's copy
-        # is the peer's payload verbatim, not a re-pickle (which also
-        # keeps the peer-warm path within sight of a local-warm one)
+    @pytest.mark.parametrize("kind", ["result", "unit"])
+    def test_peer_promotion_republishes_the_exact_bytes(
+        self, tmp_path, kind
+    ):
+        # the local store's copy is the peer's payload verbatim, not a
+        # re-pickle (which also keeps the peer-warm path within sight
+        # of a local-warm one). A unit-by-unit rebuild (no whole-result
+        # lookup) promotes units; a plain warm compile promotes the
+        # result.
         peer_root = tmp_path / "peer"
         local_root = tmp_path / "local"
-        seeded = _compile(cache_dir=str(peer_root))
-        _compile(
-            cache_dir=str(local_root), peers=(str(peer_root),)
+        _compile(cache_dir=str(peer_root))
+        pipeline_compile(
+            FIG2_SOURCE,
+            options=CompileOptions(
+                cache_dir=str(local_root), peers=(str(peer_root),)
+            ),
+            cache=MemoryTier(),
+            reuse_result=kind == "result",
         )
-        peer_path = DiskTier(str(peer_root)).path_for(
-            seeded.source_hash, seeded.options.output_hash()
+        pattern = (
+            "v1/[0-9a-f][0-9a-f]/*.pkl"
+            if kind == "result"
+            else "v1/units/*/*/*.pkl"
         )
-        local_path = DiskTier(str(local_root)).path_for(
-            seeded.source_hash, seeded.options.output_hash()
+        promoted = sorted(
+            path.relative_to(local_root)
+            for path in local_root.glob(pattern)
         )
-        assert local_path.read_bytes() == peer_path.read_bytes()
+        assert promoted
+        for relative in promoted:
+            assert (local_root / relative).read_bytes() == (
+                peer_root / relative
+            ).read_bytes()
 
     def test_repeat_access_no_longer_needs_the_peer(self, tmp_path):
         peer_root = tmp_path / "peer"
