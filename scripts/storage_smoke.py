@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """End-to-end smoke test of the tiered storage stack.
 
-Four processes, one shared workload (``examples/fig2.grafter``):
+Five processes plus a server, one shared workload
+(``examples/fig2.grafter``):
 
 1. **Process A** populates a store (``repro compile --cache-dir A``)
    and exports the emitted fused module as the byte-identity baseline.
@@ -10,9 +11,13 @@ Four processes, one shared workload (``examples/fig2.grafter``):
    demonstrably re-runs unit by unit. The fusion row of the unit
    report must show **zero recomputation** (no misses, every plan
    served), and B's emitted module must be byte-identical to A's.
-3. ``repro store gc`` drops A's fusion units (per-pass GC; other
+3. **Process D** does the same through an HTTP peer: ``repro serve
+   --cache-dir A`` on an ephemeral port, then a compile with an empty
+   store plus ``--peer http://127.0.0.1:<port>`` — the ``/artifact``
+   routes end to end, with the same checks — and ``POST /shutdown``.
+4. ``repro store gc`` drops A's fusion units (per-pass GC; other
    passes' units and the full results must survive).
-4. **Process C** compiles against the gc'd store with ``--explain``:
+5. **Process C** compiles against the gc'd store with ``--explain``:
    fusion recomputes (its units are gone), everything else stays warm,
    and the output is **still byte-identical** — GC can reclaim space
    but can never change what the compiler produces.
@@ -30,6 +35,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import urllib.request
 
 SOURCE = os.path.join("examples", "fig2.grafter")
 
@@ -48,6 +54,43 @@ def run(*argv: str) -> str:
         raise SystemExit(f"FAIL: repro {' '.join(argv)} exited "
                          f"{proc.returncode}")
     return proc.stdout
+
+
+def serve(store: str) -> tuple[subprocess.Popen, str]:
+    """``repro serve`` over *store* on an ephemeral port; returns the
+    server process and its base URL."""
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--cache-dir", store,
+         "--port", "0", "--workers", "1"],
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    line = server.stdout.readline()
+    match = re.search(r"listening on http://[^:]+:(\d+)", line)
+    if not match:
+        server.kill()
+        server.wait()
+        raise SystemExit(f"FAIL: unexpected serve banner {line!r}")
+    return server, f"http://127.0.0.1:{match.group(1)}"
+
+
+def check_peer_compile(output: str, module: str, baseline: str,
+                       via: str) -> tuple[int, int]:
+    """Zero fusion recomputation, a nonzero peer column, and a module
+    byte-identical to the baseline; returns (hits, peer hits)."""
+    hits, misses, peer = explain_row(output, "fusion")
+    if misses != 0 or hits == 0:
+        raise SystemExit(
+            f"FAIL: expected zero fusion recomputation through the "
+            f"{via} peer, got {hits} hits / {misses} misses"
+        )
+    if peer == 0:
+        raise SystemExit(f"FAIL: no fusion unit was served by the {via} "
+                         "peer")
+    if open(module).read() != baseline:
+        raise SystemExit(f"FAIL: {via}-peer-served compile is not "
+                         "byte-identical to the baseline")
+    return hits, peer
 
 
 def explain_row(output: str, pass_name: str) -> tuple[int, int, int]:
@@ -71,9 +114,11 @@ def main(argv: list[str]) -> int:
     store_a = os.path.join(workdir, "store-a")
     store_b = os.path.join(workdir, "store-b")
     store_c = os.path.join(workdir, "store-c")
+    store_d = os.path.join(workdir, "store-d")
     module_a = os.path.join(workdir, "fused-a.py")
     module_b = os.path.join(workdir, "fused-b.py")
     module_c = os.path.join(workdir, "fused-c.py")
+    module_d = os.path.join(workdir, "fused-d.py")
 
     # 1. process A populates its store and exports the baseline module
     run("compile", SOURCE, "--cache-dir", store_a,
@@ -86,22 +131,36 @@ def main(argv: list[str]) -> int:
                 "--peer", store_a, "--explain",
                 "--emit-python", module_b)
     print(out_b)
-    hits, misses, peer = explain_row(out_b, "fusion")
-    if misses != 0 or hits == 0:
-        raise SystemExit(
-            f"FAIL: expected zero fusion recomputation through the "
-            f"peer, got {hits} hits / {misses} misses"
-        )
-    if peer == 0:
-        raise SystemExit("FAIL: no fusion unit was served by the peer")
     baseline = open(module_a).read()
-    if open(module_b).read() != baseline:
-        raise SystemExit("FAIL: peer-served compile is not "
-                         "byte-identical to the baseline")
+    hits, peer = check_peer_compile(out_b, module_b, baseline, "directory")
     print("storage_smoke: B compiled warm through the peer "
           f"(fusion {hits} hits, {peer} from peer, 0 recomputed)")
 
-    # 3. per-pass GC on A: fusion units go, everything else stays
+    # 3. process D: the same through `repro serve --cache-dir A` as an
+    # HTTP peer (the /artifact routes end to end)
+    server, base = serve(store_a)
+    try:
+        out_d = run("compile", SOURCE, "--cache-dir", store_d,
+                    "--peer", base, "--explain",
+                    "--emit-python", module_d)
+        print(out_d)
+        hits, peer = check_peer_compile(out_d, module_d, baseline, "HTTP")
+        print(f"storage_smoke: D compiled warm through {base} "
+              f"(fusion {hits} hits, {peer} from peer, 0 recomputed)")
+        urllib.request.urlopen(
+            urllib.request.Request(
+                base + "/shutdown", data=b"{}", method="POST"
+            ),
+            timeout=30,
+        ).close()
+        if server.wait(timeout=30) != 0:
+            raise SystemExit(f"FAIL: serve exited {server.returncode}")
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+
+    # 4. per-pass GC on A: fusion units go, everything else stays
     print(run("store", "gc", "--cache-dir", store_a, "--pass", "fusion"),
           end="")
     remaining = [
@@ -112,7 +171,7 @@ def main(argv: list[str]) -> int:
     if not any("/units/emit/" in path for path in remaining):
         raise SystemExit("FAIL: gc was not pass-scoped (emit units gone)")
 
-    # 4. process C compiles against the gc'd store: fusion recomputes,
+    # 5. process C compiles against the gc'd store: fusion recomputes,
     # output byte-identical
     out_c = run("compile", SOURCE, "--cache-dir", store_c,
                 "--peer", store_a, "--explain",

@@ -103,11 +103,12 @@ def lowered_for(program: Program) -> LoweredProgram:
     from repro.pipeline.options import hash_text
     from repro.treefuser.lowering import lower_program
 
-    key = hash_text(f"lower\x00{hash_program(program)}")
-    lowered = GLOBAL_CACHE.get_unit("lower", key)
-    if lowered is None:
-        lowered = lower_program(program)
-        GLOBAL_CACHE.put_unit("lower", key, lowered)
+    key = ("lower", hash_text(f"lower\x00{hash_program(program)}"))
+    hit = GLOBAL_CACHE.fetch("unit", key)
+    if hit is not None:
+        return hit[0]
+    lowered = lower_program(program)
+    GLOBAL_CACHE.store("unit", key, lowered)
     return lowered
 
 

@@ -47,13 +47,13 @@ def compile_program(program) -> CompiledProgram:
     from repro.pipeline import compile as pipeline_compile
 
     key = ("unfused-module", hash_program(program))
-    cached = GLOBAL_CACHE.get_artifact(key)
-    if cached is not None:
-        return cached
+    hit = GLOBAL_CACHE.fetch("module", key)
+    if hit is not None:
+        return hit[0]
     if program.root_type_name is None or not program.entry:
-        cached = CompiledProgram(program)
-        GLOBAL_CACHE.put_artifact(key, cached)
-        return cached
+        compiled = CompiledProgram(program)
+        GLOBAL_CACHE.store("module", key, compiled)
+        return compiled
     result = pipeline_compile(program, options=CompileOptions(emit=True))
     return result.compiled_unfused
 
@@ -70,11 +70,12 @@ def compile_fused(fused) -> CompiledFused:
         hash_program(fused.program),
         hash_text(print_fused_program(fused)),
     )
-    cached = GLOBAL_CACHE.get_artifact(key)
-    if cached is None:
-        cached = CompiledFused(fused)
-        GLOBAL_CACHE.put_artifact(key, cached)
-    return cached
+    hit = GLOBAL_CACHE.fetch("module", key)
+    if hit is not None:
+        return hit[0]
+    compiled = CompiledFused(fused)
+    GLOBAL_CACHE.store("module", key, compiled)
+    return compiled
 
 
 __all__ = [

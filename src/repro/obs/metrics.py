@@ -291,9 +291,13 @@ class MetricsRegistry:
         with self._lock:
             self._views[name] = producer
 
-    def unregister_view(self, name: str) -> None:
+    def unregister_view(self, name: str, producer=None) -> None:
+        """Drop the view *name*; given *producer*, only while that is
+        still the registered callback (an owner that closes must not
+        drop the view a newer owner registered under the same name)."""
         with self._lock:
-            self._views.pop(name, None)
+            if producer is None or self._views.get(name) is producer:
+                self._views.pop(name, None)
 
     def _view_values(self) -> dict[str, float]:
         with self._lock:

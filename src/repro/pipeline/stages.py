@@ -1102,7 +1102,8 @@ class EmitPass:
         # through it the impls), so impl rebindings must not share one
         program_hash = hash_program(pctx.program)
         unfused_key = (f"{module_prefix}unfused-module", program_hash)
-        compiled = cache.get_artifact(unfused_key) if cache else None
+        hit = cache.fetch("module", unfused_key) if cache else None
+        compiled = hit[0] if hit else None
         if compiled is None:
             compiled = unfused_class.from_source(
                 pctx.program, unfused_source
@@ -1114,7 +1115,7 @@ class EmitPass:
                 # restored from the disk store
                 compiled.namespace
             if cache is not None:
-                cache.put_artifact(unfused_key, compiled)
+                cache.store("module", unfused_key, compiled)
         pctx.compiled_unfused = compiled
         pctx.unfused_source = compiled.source
 
@@ -1123,7 +1124,8 @@ class EmitPass:
             program_hash,
             hash_text(print_fused_program(pctx.fused)),
         )
-        compiled_fused = cache.get_artifact(fused_key) if cache else None
+        hit = cache.fetch("module", fused_key) if cache else None
+        compiled_fused = hit[0] if hit else None
         if compiled_fused is None:
             compiled_fused = fused_class.from_source(
                 pctx.fused, full_fused_source
@@ -1131,7 +1133,7 @@ class EmitPass:
             if pctx.units is None:
                 compiled_fused.namespace
             if cache is not None:
-                cache.put_artifact(fused_key, compiled_fused)
+                cache.store("module", fused_key, compiled_fused)
         pctx.compiled_fused = compiled_fused
         pctx.fused_source = compiled_fused.source
         return {

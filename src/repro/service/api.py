@@ -39,11 +39,12 @@ reproduction must not grow dependencies. Endpoints::
                                 ("modes", interpreted/
                                 compiled_requests_total)
     GET  /result/<id>        -> completion state / summaries of one id
-    GET  /artifact/result/<source>/<output>
-    GET  /artifact/unit/<pass>/<key>
-                             -> raw stored payload bytes: this server's
-                                store served as a PeerTier, so another
-                                host's compile can start warm here
+    GET  /artifact/<kind>/...
+                             -> raw stored payload bytes (routes:
+                                repro.storage.artifact_route): this
+                                server's store served as a PeerTier, so
+                                another host's compile can start warm
+                                here
     POST /recompile          -> {"workload": name}: rebuild through the
                                 tiered store (whole-result cache
                                 bypassed) and return the unit-reuse
@@ -76,7 +77,7 @@ from repro import __version__, obs
 from repro.api.session import Session
 from repro.pipeline import CompileOptions
 from repro.service.executor import RequestResult
-from repro.storage import is_content_hash, is_safe_pass_name
+from repro.storage import artifact_path, route_key
 
 
 # ===========================================================================
@@ -233,17 +234,19 @@ class TraversalService:
         self._trace_ids: "OrderedDict[int, str]" = OrderedDict()
         # expose the legacy stats() dicts through the metrics registry
         # as scrape-time views: /metrics carries the same numbers
-        # /stats always has, without double bookkeeping
-        obs.REGISTRY.register_view(
-            "repro_cache", self.session.memory.stats
-        )
+        # /stats always has, without double bookkeeping. The newest
+        # service owns the names (a store-less one leaves no store
+        # view behind); close() drops only the views still its own.
+        self._views = {
+            "repro_cache": self.session.memory.stats,
+            "repro_service": self._identity_view,
+        }
         if self.session.store is not None:
-            obs.REGISTRY.register_view(
-                "repro_store", self.session.store.stats
-            )
-        obs.REGISTRY.register_view(
-            "repro_service", self._identity_view
-        )
+            self._views["repro_store"] = self.session.store.stats
+        else:
+            obs.REGISTRY.unregister_view("repro_store")
+        for name, producer in self._views.items():
+            obs.REGISTRY.register_view(name, producer)
 
     def _identity_view(self) -> dict:
         with self._lock:
@@ -433,33 +436,17 @@ class TraversalService:
 
     # -- storage endpoints ----------------------------------------------
 
-    def artifact_bytes(
-        self, kind: str, first: str, second: str
-    ) -> Optional[bytes]:
-        """The raw stored payload for one artifact, or ``None`` —
-        the ``GET /artifact/...`` body that lets another host mount
-        this service as a :class:`~repro.storage.PeerTier`. Inputs are
-        validated before touching the filesystem; the requesting peer
-        re-validates the payload itself on decode."""
+    def artifact_bytes(self, kind: str, key) -> Optional[bytes]:
+        """The raw stored payload for one artifact, or ``None`` — the
+        ``GET /artifact/...`` body that lets another host mount this
+        service as a :class:`~repro.storage.PeerTier`. The key comes
+        validated from :func:`~repro.storage.route_key`; the requesting
+        peer re-validates the payload itself on decode."""
         store = self.session.store
         if store is None:
             return None
-        if (
-            kind == "result"
-            and is_content_hash(first)
-            and is_content_hash(second)
-        ):
-            path = store.path_for(first, second)
-        elif (
-            kind == "unit"
-            and is_safe_pass_name(first)
-            and is_content_hash(second)
-        ):
-            path = store.unit_path_for(first, second)
-        else:
-            return None
         try:
-            return path.read_bytes()
+            return (store.dir / artifact_path(kind, key)).read_bytes()
         except OSError:
             return None
 
@@ -484,6 +471,8 @@ class TraversalService:
         return summary
 
     def close(self) -> None:
+        for name, producer in self._views.items():
+            obs.REGISTRY.unregister_view(name, producer)
         self.session.close()
 
     def __enter__(self) -> "TraversalService":
@@ -526,6 +515,14 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def _reply_error(self, error: Exception) -> None:
+        # a KeyError's str() is the repr of its message, quotes and all
+        if isinstance(error, KeyError) and error.args:
+            message = str(error.args[0])
+        else:
+            message = str(error)
+        self._reply(400, {"error": message})
+
     def log_message(self, *args) -> None:  # quiet by default
         pass
 
@@ -558,12 +555,12 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             self._reply(200, self.service.poll(request_id))
         elif self.path.startswith("/artifact/"):
-            # /artifact/result/<source>/<output>, /artifact/unit/<pass>/<key>
-            parts = self.path.split("/")
-            if len(parts) != 5:
-                self._reply(404, {"error": "bad artifact route"})
+            try:
+                address = route_key(self.path)
+            except ValueError as error:
+                self._reply(404, {"error": str(error)})
                 return
-            blob = self.service.artifact_bytes(*parts[2:5])
+            blob = address and self.service.artifact_bytes(*address)
             if blob is None:
                 self._reply(404, {"error": "no such artifact"})
                 return
@@ -585,7 +582,7 @@ class _Handler(BaseHTTPRequestHandler):
                     max_bytes=payload.get("max_bytes"),
                 )
             except Exception as error:
-                self._reply(400, {"error": str(error)})
+                self._reply_error(error)
                 return
             self._reply(200, summary)
             return
@@ -604,7 +601,7 @@ class _Handler(BaseHTTPRequestHandler):
                     )
                 summary = self.service.recompile_workload(name)
             except Exception as error:
-                self._reply(400, {"error": str(error)})
+                self._reply_error(error)
                 return
             self._reply(200, summary)
             return
@@ -622,7 +619,7 @@ class _Handler(BaseHTTPRequestHandler):
             name = payload.pop("workload")
             request_id = self.service.submit_workload(name, **payload)
         except Exception as error:
-            self._reply(400, {"error": str(error)})
+            self._reply_error(error)
             return
         self._reply(
             200,

@@ -1,9 +1,7 @@
 """Tiered artifact storage: one substrate under every cache and store.
 
-PR 2–4 grew three parallel storage mechanisms — the in-memory compile
-cache's result/unit LRUs, the on-disk artifact store, and the per-pass
-unit view — each with its own eviction rules and stats. This package
-unifies them behind one :class:`Tier` protocol and one composition:
+One :class:`Tier` protocol and one composition cover the in-memory
+compile cache, the on-disk artifact store, and remote warm sources:
 
 * :class:`MemoryTier` — the in-process layer: a byte-budgeted LRU over
   compile results, exec'd module artifacts, and per-unit pass
@@ -16,25 +14,33 @@ unifies them behind one :class:`Tier` protocol and one composition:
   a remote ``repro serve``'s ``/artifact`` endpoint, fetched
   read-through and promoted into the local tiers — the multi-host
   warm-compile path.
-* :class:`TieredStore` — composes them with unified get/put/stats and
-  GC policies; built per compile by the pipeline driver from
+* :class:`TieredStore` — composes them: one lookup-and-promote loop
+  and one publish loop for both artifact kinds, plus stats and GC
+  policies; built per compile by the pipeline driver from
   ``CompileOptions(cache_dir=..., peers=...)``.
 
-The durable exchange format (versioned pickled payloads) lives in
-:mod:`repro.storage.base` and is shared by disk files, peer fetches,
-and the service's ``/artifact`` endpoint.
+Every tier has one read and one write, keyed by artifact kind
+(``"result"`` or ``"unit"``): ``fetch(kind, key)`` returns
+``(artifact, blob)`` — ``blob`` being the payload bytes a durable tier
+read, ``None`` from memory — or ``None``; ``store(kind, key, artifact,
+blob=None, promoted=False)`` adopts one. The durable address (the
+``v1/`` file layout and the ``/artifact`` routes) and the exchange
+format (versioned pickled payloads) live in :mod:`repro.storage.base`,
+shared by disk files, peer fetches, and the service's ``/artifact``
+endpoint.
 """
 
 from repro.storage.base import (
     FORMAT_VERSION,
     ResultKey,
     Tier,
-    decode_result,
-    decode_unit,
-    encode_result,
-    encode_unit,
+    artifact_path,
+    artifact_route,
+    decode,
+    encode,
     is_content_hash,
     is_safe_pass_name,
+    route_key,
 )
 from repro.storage.disk import DiskTier, disk_tier_for
 from repro.storage.memory import MemoryTier, approx_size
@@ -50,12 +56,13 @@ __all__ = [
     "Tier",
     "TieredStore",
     "approx_size",
-    "decode_result",
-    "decode_unit",
+    "artifact_path",
+    "artifact_route",
+    "decode",
     "disk_tier_for",
-    "encode_result",
-    "encode_unit",
+    "encode",
     "is_content_hash",
     "is_safe_pass_name",
     "peer_tier_for",
+    "route_key",
 ]

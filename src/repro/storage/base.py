@@ -1,29 +1,35 @@
-"""The tier contract and the shared on-wire artifact payloads.
+"""The tier contract, the artifact address, and the payload codec.
 
 Every storage layer in the system — the in-process byte-budgeted LRU,
 the on-disk artifact directory, a read-only peer (a second store root
 or a remote ``repro serve``) — implements one small protocol,
-:class:`Tier`, over two artifact shapes:
+:class:`Tier`, whose one read and one write take an artifact *kind*:
 
-* **results** — whole :class:`~repro.pipeline.options.CompileResult`
-  records, addressed by :class:`ResultKey`. The memory tier keys on the
+* ``"result"`` — whole :class:`~repro.pipeline.options.CompileResult`
+  records, keyed by :class:`ResultKey`. The memory tier keys on the
   *full* options hash (every knob participates, so nothing can alias);
   durable tiers key on the *output* options hash (caching knobs must
   not fragment a store shared across processes or hosts — see
   ``CompileOptions.output_hash``).
-* **units** — one pass's artifact for one compilation unit (a fusion
+* ``"unit"`` — one pass's artifact for one compilation unit (a fusion
   plan, an emitted module function — see :mod:`repro.pipeline.units`),
-  addressed by ``(pass name, content key)``.
+  keyed by ``(pass name, content key)``.
 
-Durable tiers exchange artifacts as versioned pickled payloads; the
-encode/decode helpers here are the single source of truth for that
-format, shared by the disk tier (files), the peer tier (files or HTTP
-bodies), and the service's ``/artifact`` endpoint — which is what makes
-a store directory, a mounted copy of it, and a remote server's cache
-interchangeable warm sources. Both the format version *and* the repro
-version are checked on decode: pickled records mirror in-memory class
-layouts, so a foreign entry is a clean miss, never an attribute-drift
-surprise at run time.
+The two kinds never share a namespace. (The memory tier holds a third,
+process-local kind, ``"module"``: exec'd module objects, which never
+leave the process.)
+
+Durable tiers share everything below the protocol: where an artifact
+lives under a store's ``v1/`` directory (:func:`artifact_path`), which
+``/artifact/...`` route serves it (:func:`artifact_route` and its
+inverse :func:`route_key`), and the versioned pickled payload it is
+stored as (:func:`encode` / :func:`decode`). The disk tier (files), the
+peer tier (files or HTTP bodies), and the service's ``/artifact``
+endpoint all go through them — which is what makes a store directory, a
+mounted copy of it, and a remote server's cache interchangeable warm
+sources. Both the format version *and* the repro version are checked on
+decode: pickled records mirror in-memory class layouts, so a foreign
+entry is a clean miss, never an attribute-drift surprise at run time.
 """
 
 from __future__ import annotations
@@ -37,6 +43,9 @@ from repro import __version__
 #: Version prefix of the on-disk layout (``<root>/v1/...``). Bump it
 #: only with a new directory shape; existing v1 stores stay readable.
 FORMAT_VERSION = 1
+
+RESULT = "result"
+UNIT = "unit"
 
 
 _HEX = set("0123456789abcdef")
@@ -95,37 +104,31 @@ class Tier(Protocol):
     ``kind`` is the tier's class of storage (``"memory"``, ``"disk"``,
     ``"peer"``); ``label`` identifies the instance in stats
     (``"peer:http://..."``); ``writable`` gates read-through promotion
-    and publication. ``get_*`` return ``None`` on a miss — including
-    any corrupt, truncated, or foreign-version artifact, which tiers
-    must swallow (counted in their stats) rather than raise.
+    and publication.
 
-    Durable tiers may additionally implement the optional **blob
-    face** — ``fetch_result(key)`` / ``fetch_unit(pass, key)``
-    returning ``(artifact, payload_blob)``, and ``promote_result(key,
-    result, blob)`` / ``promote_unit(pass, key, artifact, blob)``
-    accepting an already-encoded payload. The payload codecs below are
-    shared by every durable tier, so a :class:`TieredStore` promotes a
-    peer hit onto the local disk by republishing the peer's exact
-    bytes instead of re-pickling the decoded object — which is what
-    keeps a peer-served compile within sight of a warm local one.
-    ``TieredStore`` discovers both halves with ``getattr``, so tiers
-    without them still compose.
+    ``fetch`` returns ``(artifact, blob)`` or ``None`` on a miss —
+    including any corrupt, truncated, or foreign-version artifact,
+    which tiers must swallow (counted in their stats) rather than
+    raise. ``blob`` is the payload a durable tier read, ``None`` from
+    memory. ``store`` adopts one artifact: given ``blob`` a durable
+    tier writes those bytes instead of encoding the artifact again, so
+    a :class:`TieredStore` promotes a peer hit onto the local disk as
+    the peer's exact bytes (no re-pickle on the cross-process warm
+    path); ``promoted`` tells the memory tier that a lookup it missed
+    was served from below.
     """
 
     kind: str
     label: str
     writable: bool
 
-    def get_result(self, key: ResultKey):  # -> Optional[CompileResult]
+    def fetch(self, kind: str, key):  # -> Optional[tuple[object, bytes]]
         ...  # pragma: no cover - protocol
 
-    def put_result(self, key: ResultKey, result, promoted: bool = False):
-        ...  # pragma: no cover - protocol
-
-    def get_unit(self, pass_name: str, key: str):
-        ...  # pragma: no cover - protocol
-
-    def put_unit(self, pass_name: str, key: str, artifact) -> None:
+    def store(
+        self, kind: str, key, artifact, blob: Optional[bytes] = None,
+        promoted: bool = False,
+    ):
         ...  # pragma: no cover - protocol
 
     def gc(
@@ -140,50 +143,102 @@ class Tier(Protocol):
         ...  # pragma: no cover - protocol
 
 
+def counter_name(kind: str, name: str) -> str:
+    """A tier counter under today's names: results count bare
+    (``loads``), units with a ``unit_`` prefix (``unit_loads``)."""
+    return name if kind == RESULT else f"{kind}_{name}"
+
+
+# ===========================================================================
+# the address (the durable tiers' layout and routes)
+# ===========================================================================
+
+
+def _pair(key) -> tuple[str, str]:
+    """A durable address's two parts: a result's ``(source hash, output
+    hash)`` — a :class:`ResultKey` contributes its output half — or a
+    unit's ``(pass name, content key)``."""
+    if isinstance(key, ResultKey):
+        return key.source_hash, key.output_hash
+    return key
+
+
+def _addressable(kind: str, first: str, second: str) -> bool:
+    if kind == RESULT:
+        return is_content_hash(first) and is_content_hash(second)
+    if kind == UNIT:
+        return is_safe_pass_name(first) and is_content_hash(second)
+    return False
+
+
+def artifact_path(kind: str, key) -> str:
+    """Where one artifact lives under a store's ``v1/`` directory::
+
+        result  <source_hash[:2]>/<source_hash>-<output_hash>.pkl
+        unit    units/<pass>/<unit_key[:2]>/<unit_key>.pkl
+
+    Glob wildcards pass through (``("*", "*")`` is every artifact of a
+    kind), which is how the disk tier's eviction and GC sweeps find
+    them."""
+    first, second = _pair(key)
+    if kind == RESULT:
+        return f"{first[:2]}/{first}-{second}.pkl"
+    if kind == UNIT:
+        return f"units/{first}/{second[:2]}/{second}.pkl"
+    raise ValueError(f"{kind!r} artifacts have no durable address")
+
+
+def artifact_route(kind: str, key) -> Optional[str]:
+    """The ``/artifact/<kind>/...`` route a server answers for one
+    artifact with its payload bytes, or ``None`` when the key is not one
+    the pipeline makes (anything else must never reach a URL or a
+    filesystem path)."""
+    first, second = _pair(key)
+    if not _addressable(kind, first, second):
+        return None
+    return f"/artifact/{kind}/{first}/{second}"
+
+
+def route_key(route: str) -> Optional[tuple[str, tuple[str, str]]]:
+    """The inverse of :func:`artifact_route`: ``(kind, (first,
+    second))``, or ``None`` when the route names no valid artifact.
+    Raises ``ValueError`` when *route* is not shaped like an artifact
+    route at all."""
+    parts = route.split("/")
+    if len(parts) != 5 or parts[:2] != ["", "artifact"]:
+        raise ValueError("bad artifact route")
+    _, _, kind, first, second = parts
+    if not _addressable(kind, first, second):
+        return None
+    return kind, (first, second)
+
+
 # ===========================================================================
 # payloads (the durable tiers' exchange format)
 # ===========================================================================
 
 
-def encode_result(result) -> bytes:
-    """One compile result as a versioned payload blob.
+def encode(kind: str, artifact) -> bytes:
+    """One artifact as a versioned payload blob.
 
-    Stored records are plain cold results: ``cache_hit``/``cold_timings``
-    bookkeeping is the *loading* process's business. May raise — callers
-    (spill paths) treat serialization failure as a skipped write.
+    A stored result is a plain cold result: ``cache_hit``/
+    ``cold_timings`` bookkeeping is the *loading* process's business.
+    May raise — callers treat serialization failure as a skipped write.
     """
+    if kind == RESULT:
+        artifact = replace(artifact, cache_hit=False, cold_timings=None)
     payload = {
         "format": FORMAT_VERSION,
         "repro": __version__,
-        "result": replace(result, cache_hit=False, cold_timings=None),
+        kind: artifact,
     }
     return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def decode_result(blob: bytes):
-    """The compile result inside a payload blob; raises on corrupt,
-    truncated, or foreign-version payloads (callers turn that into a
-    counted miss)."""
-    return _decode(blob, "result")
-
-
-def encode_unit(artifact) -> bytes:
-    """One pass's unit artifact as a versioned payload blob."""
-    payload = {
-        "format": FORMAT_VERSION,
-        "repro": __version__,
-        "unit": artifact,
-    }
-    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def decode_unit(blob: bytes):
-    """The unit artifact inside a payload blob; raises like
-    :func:`decode_result`."""
-    return _decode(blob, "unit")
-
-
-def _decode(blob: bytes, field: str):
+def decode(kind: str, blob: bytes):
+    """The artifact inside a payload blob; raises on corrupt,
+    truncated, or foreign-version payloads, and on a payload of another
+    kind (callers turn that into a counted miss)."""
     payload = pickle.loads(blob)
     if payload.get("format") != FORMAT_VERSION:
         raise ValueError(
@@ -193,4 +248,4 @@ def _decode(blob: bytes, field: str):
         raise ValueError(
             f"repro {payload.get('repro')!r} != {__version__}"
         )
-    return payload[field]
+    return payload[kind]

@@ -2,12 +2,13 @@
 
 The v1 layout, atomic temp-file + ``os.replace`` publishes, LRU
 byte-budget eviction, and a compaction sweep, behind the
-:class:`~repro.storage.base.Tier` face (``get_result``/``put_result``/
-``get_unit``/``put_unit``) plus per-pass :meth:`gc` — which is how the
+:class:`~repro.storage.base.Tier` face (``fetch``/``store``) plus
+per-pass :meth:`gc` — which is how the
 :class:`~repro.storage.tiered.TieredStore` composes a disk directory
 with the memory LRU above it and read-only peers below.
 
-Layout (versioned so future formats never misread old files)::
+Layout (versioned so future formats never misread old files; see
+:func:`~repro.storage.base.artifact_path`)::
 
     <root>/v1/<source_hash[:2]>/<source_hash>-<output_hash>.pkl
     <root>/v1/units/<pass>/<unit_key[:2]>/<unit_key>.pkl
@@ -35,8 +36,8 @@ are published with ``os.replace`` (atomic on POSIX), so a reader never
 observes a half-written artifact and two processes racing to spill the
 same key both leave a complete file. Corrupt or unreadable entries are
 deleted and treated as misses. Eviction is LRU by file mtime under a
-total byte budget; ``load`` touches the file's mtime so recently served
-artifacts survive.
+total byte budget; ``fetch`` touches the file's mtime so recently
+served artifacts survive.
 
 Results whose programs carry non-portable pure-function impls (lambdas,
 closures — anything keyed by ``id()``, see
@@ -48,21 +49,20 @@ never hit and at worst alias.
 from __future__ import annotations
 
 import os
-import pickle
 import tempfile
 import threading
 import time
 from pathlib import Path
 from typing import Optional
 
-from repro import __version__
 from repro.storage.base import (
     FORMAT_VERSION,
-    ResultKey,
-    decode_result,
-    decode_unit,
-    encode_result,
-    encode_unit,
+    RESULT,
+    UNIT,
+    artifact_path,
+    counter_name,
+    decode,
+    encode,
     is_safe_pass_name,
 )
 
@@ -71,6 +71,17 @@ _DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 # compact() only reclaims .tmp files older than this: younger ones may
 # be a concurrent writer between mkstemp and os.replace
 _TMP_GRACE_SECONDS = 60.0
+
+# every stored artifact of each kind, for the eviction and GC sweeps
+_GLOBS = {kind: artifact_path(kind, ("*", "*")) for kind in (RESULT, UNIT)}
+
+_COUNTERS = (
+    "spills", "spill_skips", "spill_errors", "loads", "load_misses",
+    "load_errors", "unit_spills", "unit_spill_errors", "unit_loads",
+    "unit_load_misses", "unit_load_errors", "evictions", "compactions",
+    "compacted_entries", "compacted_bytes", "gc_runs", "gc_removed",
+    "gc_reclaimed_bytes",
+)
 
 
 class DiskTier:
@@ -92,105 +103,37 @@ class DiskTier:
         # budget too
         self._bytes_since_scan = 0
         self._scanned = False
-        self.spills = 0
-        self.spill_skips = 0
-        self.spill_errors = 0
-        self.loads = 0
-        self.load_misses = 0
-        self.load_errors = 0
-        self.unit_spills = 0
-        self.unit_spill_errors = 0
-        self.unit_loads = 0
-        self.unit_load_misses = 0
-        self.unit_load_errors = 0
-        self.evictions = 0
-        self.compactions = 0
-        self.compacted_entries = 0
-        self.compacted_bytes = 0
-        self.gc_runs = 0
-        self.gc_removed = 0
-        self.gc_reclaimed_bytes = 0
+        self.counts = dict.fromkeys(_COUNTERS, 0)
 
     @property
     def label(self) -> str:
         return f"disk:{self.root}"
 
-    # -- paths ----------------------------------------------------------
-
-    def path_for(self, source_hash: str, output_hash: str) -> Path:
-        return (
-            self.dir / source_hash[:2] / f"{source_hash}-{output_hash}.pkl"
-        )
-
-    def unit_path_for(self, pass_name: str, key: str) -> Path:
-        """Per-unit pass artifacts live beside the full results, bucketed
-        by pass name: ``<root>/v1/units/<pass>/<key[:2]>/<key>.pkl``."""
-        return self.dir / "units" / pass_name / key[:2] / f"{key}.pkl"
+    def _count(self, kind: str, name: str) -> None:
+        with self._lock:
+            self.counts[counter_name(kind, name)] += 1
 
     # -- the Tier face --------------------------------------------------
 
-    def get_result(self, key: ResultKey):
-        return self.load(key.source_hash, key.output_hash)
-
-    def put_result(self, key: ResultKey, result, promoted: bool = False):
-        # the disk key comes from the result's own hashes (identical to
-        # the requested output half — only output fields participate)
-        return self.spill(result)
-
-    def get_unit(self, pass_name: str, key: str):
-        return self.load_unit(pass_name, key)
-
-    def put_unit(self, pass_name: str, key: str, artifact) -> None:
-        self.spill_unit(pass_name, key, artifact)
-
-    # -- the blob face (read-through promotion without re-encoding) -----
-
-    def fetch_result(self, key: ResultKey):
-        """``(result, payload blob)`` or ``None`` — the blob is the
+    def fetch(self, kind: str, key):
+        """``(artifact, payload blob)`` or ``None``. The blob is the
         exact bytes on disk, which a :class:`TieredStore` hands to
-        another durable tier's ``promote_result`` so promotion costs a
-        file write, not a re-pickle."""
-        return self._fetch(key.source_hash, key.output_hash)
-
-    def promote_result(self, key: ResultKey, result, blob: bytes) -> bool:
-        """Adopt a hit served by a lower tier, republishing its
-        already-validated payload bytes verbatim."""
-        return self.spill(result, blob=blob)
-
-    def fetch_unit(self, pass_name: str, key: str):
-        """``(artifact, payload blob)`` or ``None`` — the unit-artifact
-        twin of :meth:`fetch_result`."""
-        return self._fetch_unit(pass_name, key)
-
-    def promote_unit(
-        self, pass_name: str, key: str, artifact, blob: bytes
-    ) -> bool:
-        return self.spill_unit(pass_name, key, artifact, blob=blob)
-
-    # -- read -----------------------------------------------------------
-
-    def load(self, source_hash: str, output_hash: str):
-        """The stored result for a key, or ``None``. Touches the entry's
-        mtime (LRU recency); removes entries that fail to deserialize or
-        were written by a different format/repro version."""
-        got = self._fetch(source_hash, output_hash)
-        return None if got is None else got[0]
-
-    def _fetch(self, source_hash: str, output_hash: str):
-        path = self.path_for(source_hash, output_hash)
+        another durable tier's ``store`` so promotion costs a file
+        write, not a re-pickle. Touches the entry's mtime (LRU
+        recency); removes entries that fail to deserialize or were
+        written by a different format/repro version."""
+        path = self.dir / artifact_path(kind, key)
         try:
             blob = path.read_bytes()
         except OSError:
-            with self._lock:
-                self.load_misses += 1
+            self._count(kind, "load_misses")
             return None
         try:
-            result = decode_result(blob)
+            artifact = decode(kind, blob)
         except Exception:
             # a corrupt/foreign file is a miss; drop it so it cannot
             # keep failing (and cannot count against the byte budget)
-            with self._lock:
-                self.load_errors += 1
+            self._count(kind, "load_errors")
             try:
                 path.unlink()
             except OSError:
@@ -200,50 +143,53 @@ class DiskTier:
             os.utime(path)
         except OSError:
             pass
-        with self._lock:
-            self.loads += 1
-        return result, blob
+        self._count(kind, "loads")
+        return artifact, blob
 
-    # -- write ----------------------------------------------------------
-
-    def spill(self, result, blob: Optional[bytes] = None) -> bool:
-        """Persist one compile result (atomic publish; best-effort).
+    def store(
+        self, kind: str, key, artifact, blob: Optional[bytes] = None,
+        promoted: bool = False,
+    ) -> bool:
+        """Persist one artifact (atomic publish; best-effort).
 
         Returns ``True`` when the artifact is on disk afterwards.
         Results with non-portable impls are skipped (counted in
-        ``spill_skips``); serialization/IO failures are counted in
-        ``spill_errors`` and never propagate — persistence is an
-        optimization, not a correctness requirement. ``blob`` short-
-        circuits serialization with an already-encoded payload (the
-        promotion path: the bytes just decoded from a peer or another
-        store are republished verbatim).
+        ``spill_skips``); unit artifacts (fusion plans, emitted module
+        functions) never embed pure-function impls — generated code
+        binds them at run time through ``RT.pure`` — so they are always
+        portable. Serialization/IO failures are counted in
+        ``spill_errors``/``unit_spill_errors`` and never propagate —
+        persistence is an optimization, not a correctness requirement.
+        ``blob`` short-circuits serialization with an already-encoded
+        payload (the promotion path: the bytes just decoded from a peer
+        or another store are republished verbatim). ``promoted`` makes
+        no difference here.
         """
-        from repro.pipeline.options import impls_portable
+        if kind == RESULT:
+            from repro.pipeline.options import impls_portable
 
-        if result.program is None or not impls_portable(result.program):
-            with self._lock:
-                self.spill_skips += 1
-            return False
-        path = self.path_for(
-            result.source_hash, result.options.output_hash()
-        )
+            if artifact.program is None or not impls_portable(
+                artifact.program
+            ):
+                self._count(kind, "spill_skips")
+                return False
         if blob is None:
             try:
-                blob = encode_result(result)
+                blob = encode(kind, artifact)
             except Exception:
-                with self._lock:
-                    self.spill_errors += 1
+                self._count(kind, "spill_errors")
                 return False
-        if not self._publish(path, blob):
-            with self._lock:
-                self.spill_errors += 1
+        if not self._publish(self.dir / artifact_path(kind, key), blob):
+            self._count(kind, "spill_errors")
             return False
         with self._lock:
-            self.spills += 1
+            self.counts[counter_name(kind, "spills")] += 1
             scan = self._account(len(blob))
         if scan:
             self.evict()
         return True
+
+    # -- write ----------------------------------------------------------
 
     def _publish(self, path: Path, blob: bytes) -> bool:
         """Atomic write (temp file + ``os.replace``); best-effort."""
@@ -274,77 +220,10 @@ class DiskTier:
         self._bytes_since_scan += size
         return not self._scanned or self._bytes_since_scan > self.max_bytes
 
-    # -- per-unit pass artifacts ----------------------------------------
-
-    def spill_unit(
-        self, pass_name: str, key: str, artifact,
-        blob: Optional[bytes] = None,
-    ) -> bool:
-        """Persist one pass's artifact for one compilation unit.
-
-        Unit artifacts (fusion plans, emitted module functions) never
-        embed pure-function impls — generated code binds them at run
-        time through ``RT.pure`` — so unlike full results they are
-        always portable and need no ``impls_portable`` gate. ``blob``
-        short-circuits serialization like :meth:`spill`.
-        """
-        if blob is None:
-            try:
-                blob = encode_unit(artifact)
-            except Exception:
-                with self._lock:
-                    self.unit_spill_errors += 1
-                return False
-        if not self._publish(self.unit_path_for(pass_name, key), blob):
-            with self._lock:
-                self.unit_spill_errors += 1
-            return False
-        with self._lock:
-            self.unit_spills += 1
-            scan = self._account(len(blob))
-        if scan:
-            self.evict()
-        return True
-
-    def load_unit(self, pass_name: str, key: str):
-        """The stored unit artifact, or ``None``. Same recency touch and
-        corrupt/foreign-version handling as :meth:`load`."""
-        got = self._fetch_unit(pass_name, key)
-        return None if got is None else got[0]
-
-    def _fetch_unit(self, pass_name: str, key: str):
-        path = self.unit_path_for(pass_name, key)
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            with self._lock:
-                self.unit_load_misses += 1
-            return None
-        try:
-            artifact = decode_unit(blob)
-        except Exception:
-            with self._lock:
-                self.unit_load_errors += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        try:
-            os.utime(path)
-        except OSError:
-            pass
-        with self._lock:
-            self.unit_loads += 1
-        return artifact, blob
-
     # -- eviction -------------------------------------------------------
 
-    _RESULT_GLOB = "[0-9a-f][0-9a-f]/*.pkl"
-    _UNIT_GLOB = "units/*/*/*.pkl"
-
     def _entries(
-        self, patterns: tuple[str, ...] = (_RESULT_GLOB, _UNIT_GLOB)
+        self, patterns: tuple[str, ...] = tuple(_GLOBS.values())
     ) -> list[tuple[float, int, Path]]:
         """(mtime, size, path) for stored artifacts — by default both
         full results and per-unit pass artifacts, which share one LRU
@@ -375,7 +254,7 @@ class DiskTier:
                     continue
                 total -= size
                 removed += 1
-            self.evictions += removed
+            self.counts["evictions"] += removed
             self._bytes_since_scan = total
             self._scanned = True
             return removed
@@ -418,9 +297,9 @@ class DiskTier:
         ):
             max_age_seconds = 0.0  # "drop the pass"
         patterns = (
-            (f"units/{pass_name}/*/*.pkl",)
+            (artifact_path(UNIT, (pass_name, "*")),)
             if pass_name is not None
-            else (self._RESULT_GLOB, self._UNIT_GLOB)
+            else tuple(_GLOBS.values())
         )
         removed = 0
         reclaimed = 0
@@ -458,9 +337,9 @@ class DiskTier:
                 size for _, size, _ in self._entries()
             )
             self._scanned = True
-            self.gc_runs += 1
-            self.gc_removed += removed
-            self.gc_reclaimed_bytes += reclaimed
+            self.counts["gc_runs"] += 1
+            self.counts["gc_removed"] += removed
+            self.counts["gc_reclaimed_bytes"] += reclaimed
         return {"removed": removed, "reclaimed_bytes": reclaimed}
 
     # -- compaction -----------------------------------------------------
@@ -513,28 +392,22 @@ class DiskTier:
                 continue
             removed += 1
             reclaimed += size
-        for _, _, path in self._entries():
-            try:
-                payload = pickle.loads(path.read_bytes())
-                keep = (
-                    payload.get("format") == FORMAT_VERSION
-                    and payload.get("repro") == __version__
-                )
-            except Exception:
-                keep = False
-            if keep:
-                continue
-            try:
-                size = path.stat().st_size
-                path.unlink()
-            except OSError:
-                continue
-            removed += 1
-            reclaimed += size
+        for kind, pattern in _GLOBS.items():
+            for _, _, path in self._entries((pattern,)):
+                try:
+                    decode(kind, path.read_bytes())
+                except Exception:
+                    try:
+                        size = path.stat().st_size
+                        path.unlink()
+                    except OSError:
+                        continue
+                    removed += 1
+                    reclaimed += size
         with self._lock:
-            self.compactions += 1
-            self.compacted_entries += removed
-            self.compacted_bytes += reclaimed
+            self.counts["compactions"] += 1
+            self.counts["compacted_entries"] += removed
+            self.counts["compacted_bytes"] += reclaimed
             # the estimate drove eviction scans; refresh it from disk
             self._bytes_since_scan = sum(
                 size for _, size, _ in self._entries()
@@ -547,7 +420,7 @@ class DiskTier:
     def __len__(self) -> int:
         """Full-result entries only (unit artifacts are counted in
         :meth:`stats` under ``unit_entries``)."""
-        return len(self._entries((self._RESULT_GLOB,)))
+        return len(self._entries((_GLOBS[RESULT],)))
 
     def total_bytes(self) -> int:
         return sum(size for _, size, _ in self._entries())
@@ -560,31 +433,14 @@ class DiskTier:
                 pass
 
     def stats(self) -> dict[str, int]:
-        results = self._entries((self._RESULT_GLOB,))
-        units = self._entries((self._UNIT_GLOB,))
+        results = self._entries((_GLOBS[RESULT],))
+        units = self._entries((_GLOBS[UNIT],))
         return {
             "entries": len(results),
             "unit_entries": len(units),
             "bytes": sum(size for _, size, _ in results)
             + sum(size for _, size, _ in units),
-            "spills": self.spills,
-            "spill_skips": self.spill_skips,
-            "spill_errors": self.spill_errors,
-            "loads": self.loads,
-            "load_misses": self.load_misses,
-            "load_errors": self.load_errors,
-            "unit_spills": self.unit_spills,
-            "unit_spill_errors": self.unit_spill_errors,
-            "unit_loads": self.unit_loads,
-            "unit_load_misses": self.unit_load_misses,
-            "unit_load_errors": self.unit_load_errors,
-            "evictions": self.evictions,
-            "compactions": self.compactions,
-            "compacted_entries": self.compacted_entries,
-            "compacted_bytes": self.compacted_bytes,
-            "gc_runs": self.gc_runs,
-            "gc_removed": self.gc_removed,
-            "gc_reclaimed_bytes": self.gc_reclaimed_bytes,
+            **self.counts,
         }
 
 

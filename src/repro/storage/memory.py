@@ -1,7 +1,8 @@
 """The in-process tier: one byte-budgeted LRU over three sections.
 
-Three artifact sections — whole compile results, exec'd module
-artifacts, and per-unit pass artifacts — share **one byte budget**
+One section per artifact kind — whole compile results (``"result"``),
+exec'd module artifacts (``"module"``, which only this tier holds), and
+per-unit pass artifacts (``"unit"``) — all sharing **one byte budget**
 under a **global LRU**: every entry carries an approximate byte size
 and a recency stamp, and when the tier is over budget the globally
 least-recently-used entry goes first, whichever section it lives in.
@@ -26,9 +27,9 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Optional
 
-from repro.storage.base import ResultKey
+from repro.storage.base import RESULT, UNIT, counter_name
 
 _DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
@@ -57,6 +58,11 @@ def approx_size(value, _depth: int = 2) -> int:
             elif getattr(attr, "__dict__", None):
                 size += approx_size(attr, _depth - 1)
     return size
+
+
+_COUNTERS = (
+    "hits", "misses", "disk_hits", "unit_hits", "unit_misses", "evictions",
+)
 
 
 @dataclass
@@ -88,17 +94,14 @@ class MemoryTier:
         # single render compile touches ~150 of them
         self.max_units = max_units
         self._lock = threading.RLock()
-        self._results: OrderedDict[tuple[str, str], _Entry] = OrderedDict()
-        self._artifacts: OrderedDict[Hashable, _Entry] = OrderedDict()
-        self._units: OrderedDict[tuple[str, str], _Entry] = OrderedDict()
+        self._sections: dict[str, OrderedDict] = {
+            RESULT: OrderedDict(),
+            "module": OrderedDict(),
+            UNIT: OrderedDict(),
+        }
         self._bytes = 0
         self._clock = 0
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.unit_hits = 0
-        self.unit_misses = 0
-        self.evictions = 0
+        self.counts = dict.fromkeys(_COUNTERS, 0)
 
     # -- internals ------------------------------------------------------
 
@@ -107,7 +110,8 @@ class MemoryTier:
         section[key].stamp = self._clock
         section.move_to_end(key)
 
-    def _insert(self, section: OrderedDict, key, value, count_cap: int) -> None:
+    def _insert(self, kind: str, key, value) -> None:
+        section = self._sections[kind]
         old = section.get(key)
         if old is not None:
             self._bytes -= old.size
@@ -121,14 +125,15 @@ class MemoryTier:
         section[key] = entry
         section.move_to_end(key)
         self._bytes += entry.size
-        while len(section) > count_cap:
+        cap = self.max_units if kind == UNIT else self.max_entries
+        while len(section) > cap:
             self._pop_lru(section)
         self._enforce_budget()
 
     def _pop_lru(self, section: OrderedDict) -> None:
         _, entry = section.popitem(last=False)
         self._bytes -= entry.size
-        self.evictions += 1
+        self.counts["evictions"] += 1
 
     def _enforce_budget(self) -> None:
         """Evict the globally least-recently-used entry (any section)
@@ -136,7 +141,7 @@ class MemoryTier:
         while self._bytes > self.max_bytes:
             victim_section = None
             victim_stamp = None
-            for section in (self._results, self._artifacts, self._units):
+            for section in self._sections.values():
                 if not section:
                     continue
                 head = next(iter(section.values()))
@@ -147,66 +152,39 @@ class MemoryTier:
                 break
             self._pop_lru(victim_section)
 
-    # -- results --------------------------------------------------------
+    # -- the Tier face --------------------------------------------------
 
-    def get_result(self, key: ResultKey):
+    def fetch(self, kind: str, key):
+        """``(artifact, None)`` or ``None``: memory holds objects, not
+        payloads. Results are keyed by ``ResultKey.memory_key``."""
+        address = key.memory_key if kind == RESULT else key
         with self._lock:
-            entry = self._results.get(key.memory_key)
-            if entry is not None:
-                self._touch(self._results, key.memory_key)
-                self.hits += 1
-                return entry.value
-            self.misses += 1
-            return None
-
-    def put_result(
-        self, key: ResultKey, result, promoted: bool = False
-    ) -> None:
-        """Adopt a result — ``promoted`` marks read-through promotion
-        from a lower tier, which converts this lookup's recorded miss
-        into a ``disk_hits`` (served-from-below) hit so the stats stay
-        honest."""
-        with self._lock:
-            self._insert(
-                self._results, key.memory_key, result, self.max_entries
-            )
-            if promoted:
-                self.disk_hits += 1
-                self.hits += 1
-                self.misses -= 1
-
-    # -- exec'd module artifacts ----------------------------------------
-
-    def get_artifact(self, key: Hashable):
-        with self._lock:
-            entry = self._artifacts.get(key)
+            section = self._sections[kind]
+            entry = section.get(address)
+            if kind != "module":  # module lookups are not counted
+                outcome = "misses" if entry is None else "hits"
+                self.counts[counter_name(kind, outcome)] += 1
             if entry is None:
                 return None
-            self._touch(self._artifacts, key)
-            return entry.value
+            self._touch(section, address)
+            return entry.value, None
 
-    def put_artifact(self, key: Hashable, value) -> None:
+    def store(
+        self, kind: str, key, artifact, blob: Optional[bytes] = None,
+        promoted: bool = False,
+    ) -> None:
+        """Adopt one artifact (``blob`` is unused: memory keeps the
+        object). ``promoted`` marks a result read through from a lower
+        tier, which converts this lookup's recorded miss into a
+        ``disk_hits`` (served-from-below) hit so the stats stay honest;
+        a promoted unit keeps its miss."""
+        address = key.memory_key if kind == RESULT else key
         with self._lock:
-            self._insert(self._artifacts, key, value, self.max_entries)
-
-    # -- per-unit pass artifacts ----------------------------------------
-
-    def get_unit(self, pass_name: str, key: str):
-        """One pass's artifact for one compilation unit, or ``None``."""
-        with self._lock:
-            entry = self._units.get((pass_name, key))
-            if entry is not None:
-                self._touch(self._units, (pass_name, key))
-                self.unit_hits += 1
-                return entry.value
-            self.unit_misses += 1
-            return None
-
-    def put_unit(self, pass_name: str, key: str, artifact) -> None:
-        with self._lock:
-            self._insert(
-                self._units, (pass_name, key), artifact, self.max_units
-            )
+            self._insert(kind, address, artifact)
+            if promoted and kind == RESULT:
+                self.counts["disk_hits"] += 1
+                self.counts["hits"] += 1
+                self.counts["misses"] -= 1
 
     # -- gc -------------------------------------------------------------
 
@@ -231,10 +209,11 @@ class MemoryTier:
             and max_bytes is None
         )
         with self._lock:
+            units = self._sections[UNIT]
             sections = (
-                (self._units,)
+                (units,)
                 if pass_name is not None
-                else (self._results, self._artifacts, self._units)
+                else tuple(self._sections.values())
             )
             for section in sections:
                 for key in list(section):
@@ -256,25 +235,25 @@ class MemoryTier:
                     # (OrderedDict order is LRU-first)
                     scoped = [
                         (key, entry)
-                        for key, entry in self._units.items()
+                        for key, entry in units.items()
                         if key[0] == pass_name
                     ]
                     total = sum(entry.size for _, entry in scoped)
                     for key, entry in scoped:
                         if total <= max_bytes:
                             break
-                        del self._units[key]
+                        del units[key]
                         self._bytes -= entry.size
                         total -= entry.size
                         removed += 1
                         reclaimed += entry.size
                 else:
-                    before_evictions = self.evictions
+                    before_evictions = self.counts["evictions"]
                     before_bytes = self._bytes
                     budget, self.max_bytes = self.max_bytes, max_bytes
                     self._enforce_budget()
                     self.max_bytes = budget
-                    removed += self.evictions - before_evictions
+                    removed += self.counts["evictions"] - before_evictions
                     reclaimed += before_bytes - self._bytes
         return {"removed": removed, "reclaimed_bytes": reclaimed}
 
@@ -282,7 +261,7 @@ class MemoryTier:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._results)
+            return len(self._sections[RESULT])
 
     def total_bytes(self) -> int:
         with self._lock:
@@ -290,29 +269,18 @@ class MemoryTier:
 
     def clear(self) -> None:
         with self._lock:
-            self._results.clear()
-            self._artifacts.clear()
-            self._units.clear()
+            for section in self._sections.values():
+                section.clear()
             self._bytes = 0
-            self.hits = 0
-            self.misses = 0
-            self.disk_hits = 0
-            self.unit_hits = 0
-            self.unit_misses = 0
-            self.evictions = 0
+            self.counts = dict.fromkeys(_COUNTERS, 0)
 
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {
-                "entries": len(self._results),
-                "artifacts": len(self._artifacts),
-                "units": len(self._units),
+                "entries": len(self._sections[RESULT]),
+                "artifacts": len(self._sections["module"]),
+                "units": len(self._sections[UNIT]),
                 "bytes": self._bytes,
                 "max_bytes": self.max_bytes,
-                "hits": self.hits,
-                "misses": self.misses,
-                "disk_hits": self.disk_hits,
-                "unit_hits": self.unit_hits,
-                "unit_misses": self.unit_misses,
-                "evictions": self.evictions,
+                **self.counts,
             }

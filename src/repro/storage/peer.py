@@ -7,15 +7,15 @@ peer shapes:
 
 * a **directory** — a second store root (an NFS mount, an rsync'd or
   CI-restored copy, another user's cache dir). Files are read through
-  the same v1 layout as :class:`~repro.storage.disk.DiskTier`, but
-  strictly read-only: no recency touches, no corrupt-entry deletion —
-  the peer's hygiene is the peer's business.
-* an **HTTP endpoint** — a running ``repro serve`` exposing
-  ``GET /artifact/result/<source>/<output>`` and
-  ``GET /artifact/unit/<pass>/<key>``, which return the identical
-  payload bytes the disk tier stores. This is the multi-host warm
-  path: one host compiles, every other host's first compile is a fetch
-  plus an unpickle.
+  the same v1 layout as :class:`~repro.storage.disk.DiskTier`
+  (:func:`~repro.storage.base.artifact_path`), but strictly read-only:
+  no recency touches, no corrupt-entry deletion — the peer's hygiene is
+  the peer's business.
+* an **HTTP endpoint** — a running ``repro serve`` answering the
+  ``GET /artifact/...`` routes (:func:`~repro.storage.base.
+  artifact_route`) with the identical payload bytes the disk tier
+  stores. This is the multi-host warm path: one host compiles, every
+  other host's first compile is a fetch plus an unpickle.
 
 Peers sit *below* disk in a :class:`~repro.storage.tiered.TieredStore`,
 so a peer hit is promoted into the local tiers (read-through) and the
@@ -42,11 +42,14 @@ from typing import Optional
 
 from repro.storage.base import (
     FORMAT_VERSION,
-    ResultKey,
-    decode_result,
-    decode_unit,
-    is_content_hash as _is_hash,
-    is_safe_pass_name as _safe_pass_name,
+    artifact_path,
+    artifact_route,
+    counter_name,
+    decode,
+)
+
+_COUNTERS = (
+    "hits", "misses", "errors", "unit_hits", "unit_misses", "unit_errors",
 )
 
 
@@ -63,76 +66,47 @@ class PeerTier:
             ("http://", "https://")
         )
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.errors = 0
-        self.unit_hits = 0
-        self.unit_misses = 0
-        self.unit_errors = 0
+        self.counts = dict.fromkeys(_COUNTERS, 0)
 
     @property
     def label(self) -> str:
         return f"peer:{self.target}"
 
+    def _count(self, *names: str) -> None:
+        with self._lock:
+            for name in names:
+                self.counts[name] += 1
+
     # -- the Tier face --------------------------------------------------
 
-    def get_result(self, key: ResultKey):
-        got = self.fetch_result(key)
-        return None if got is None else got[0]
-
-    def fetch_result(self, key: ResultKey):
-        """``(result, payload blob)`` or ``None`` — the blob is the
+    def fetch(self, kind: str, key):
+        """``(artifact, payload blob)`` or ``None`` — the blob is the
         peer's exact payload bytes, already validated by decode, which
         the :class:`~repro.storage.tiered.TieredStore` republishes into
-        the local disk tier verbatim (promotion without re-pickling)."""
-        blob = self._fetch_result(key.source_hash, key.output_hash)
+        the local disk tier verbatim (promotion without re-pickling).
+        A key that has no route is never looked up."""
+        route = artifact_route(kind, key)
+        if route is None:
+            blob = None
+        elif self.is_http:
+            blob = self._http_get(route)
+        else:
+            blob = self._read_file(kind, key)
         if blob is None:
-            with self._lock:
-                self.misses += 1
+            self._count(counter_name(kind, "misses"))
             return None
         try:
-            result = decode_result(blob)
+            artifact = decode(kind, blob)
         except Exception:
             # corrupt/truncated/foreign payload: a counted clean miss
-            with self._lock:
-                self.errors += 1
-                self.misses += 1
+            self._count(
+                counter_name(kind, "errors"), counter_name(kind, "misses")
+            )
             return None
-        with self._lock:
-            self.hits += 1
-        return result, blob
-
-    def put_result(self, key: ResultKey, result, promoted: bool = False):
-        raise TypeError("PeerTier is read-only")
-
-    def get_unit(self, pass_name: str, key: str):
-        got = self.fetch_unit(pass_name, key)
-        return None if got is None else got[0]
-
-    def fetch_unit(self, pass_name: str, key: str):
-        """``(artifact, payload blob)`` or ``None`` — the unit-artifact
-        twin of :meth:`fetch_result`."""
-        if not (_safe_pass_name(pass_name) and _is_hash(key)):
-            with self._lock:
-                self.unit_misses += 1
-            return None
-        blob = self._fetch_unit(pass_name, key)
-        if blob is None:
-            with self._lock:
-                self.unit_misses += 1
-            return None
-        try:
-            artifact = decode_unit(blob)
-        except Exception:
-            with self._lock:
-                self.unit_errors += 1
-                self.unit_misses += 1
-            return None
-        with self._lock:
-            self.unit_hits += 1
+        self._count(counter_name(kind, "hits"))
         return artifact, blob
 
-    def put_unit(self, pass_name: str, key: str, artifact) -> None:
+    def store(self, kind, key, artifact, blob=None, promoted=False):
         raise TypeError("PeerTier is read-only")
 
     def gc(self, pass_name=None, max_age_seconds=None, max_bytes=None):
@@ -141,41 +115,20 @@ class PeerTier:
 
     # -- transport ------------------------------------------------------
 
-    def _fetch_result(
-        self, source_hash: str, output_hash: str
-    ) -> Optional[bytes]:
-        if not (_is_hash(source_hash) and _is_hash(output_hash)):
-            return None
-        if self.is_http:
-            return self._http_get(
-                f"/artifact/result/{source_hash}/{output_hash}"
-            )
-        return self._read_file(
+    def _read_file(self, kind: str, key) -> Optional[bytes]:
+        path = (
             Path(self.target)
             / f"v{FORMAT_VERSION}"
-            / source_hash[:2]
-            / f"{source_hash}-{output_hash}.pkl"
+            / artifact_path(kind, key)
         )
-
-    def _fetch_unit(self, pass_name: str, key: str) -> Optional[bytes]:
-        if self.is_http:
-            return self._http_get(f"/artifact/unit/{pass_name}/{key}")
-        return self._read_file(
-            Path(self.target)
-            / f"v{FORMAT_VERSION}"
-            / "units"
-            / pass_name
-            / key[:2]
-            / f"{key}.pkl"
-        )
-
-    def _read_file(self, path: Path) -> Optional[bytes]:
         try:
             return path.read_bytes()
         except OSError:
             return None
 
     def _http_get(self, route: str) -> Optional[bytes]:
+        """The body at *route*, or ``None``. Transport failures count
+        under ``errors`` whatever the artifact kind."""
         try:
             with urllib.request.urlopen(
                 self.target + route, timeout=self.timeout
@@ -186,14 +139,12 @@ class PeerTier:
         except urllib.error.HTTPError as error:
             if error.code != 404:
                 # 404 is an ordinary miss; anything else is peer damage
-                with self._lock:
-                    self.errors += 1
+                self._count("errors")
             return None
         except (urllib.error.URLError, OSError, ValueError):
             # unreachable/timeout/refused: the peer is an optimization,
             # not a dependency — fall through to a local compile
-            with self._lock:
-                self.errors += 1
+            self._count("errors")
             return None
 
     # -- maintenance ----------------------------------------------------
@@ -203,12 +154,7 @@ class PeerTier:
             return {
                 "target": self.target,
                 "transport": "http" if self.is_http else "path",
-                "hits": self.hits,
-                "misses": self.misses,
-                "errors": self.errors,
-                "unit_hits": self.unit_hits,
-                "unit_misses": self.unit_misses,
-                "unit_errors": self.unit_errors,
+                **self.counts,
             }
 
 

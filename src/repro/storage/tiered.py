@@ -1,9 +1,9 @@
 """Tier composition: one read-through store over memory → disk → peers.
 
 A :class:`TieredStore` is what the compile driver (and the service)
-actually talk to. It walks its tiers in order for every lookup, and on
-a hit **promotes** the artifact into every writable tier above the one
-that served it — a disk hit lands in memory for the rest of the
+actually talk to. It walks its tiers in order for every lookup, of
+either artifact kind, and on a hit **promotes** the artifact into every
+writable tier above the one that served it — a disk hit lands in memory for the rest of the
 process, a peer hit lands on the local disk *and* in memory, so the
 peer is asked once per artifact per store, not once per compile. Writes
 ("publication") go to every writable tier, with disk writes further
@@ -29,7 +29,13 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro import obs
-from repro.storage.base import ResultKey, Tier
+from repro.storage.base import (
+    RESULT,
+    UNIT,
+    ResultKey,
+    Tier,
+    is_safe_pass_name,
+)
 
 # lookup outcomes by kind (result|unit) and outcome (a tier label on a
 # hit, "miss" otherwise) — the registry face of the tiers' own stats()
@@ -50,113 +56,68 @@ class TieredStore:
     def __bool__(self) -> bool:
         return bool(self.tiers)
 
-    # -- tier selection -------------------------------------------------
-
     def writable(self, tier: Tier) -> bool:
         """Publication/promotion target? Peers never are; disk only
         when this compile may persist."""
         return tier.writable and (tier.kind != "disk" or self.persist)
 
-    @property
-    def memory(self) -> Optional[Tier]:
-        for tier in self.tiers:
-            if tier.kind == "memory":
-                return tier
-        return None
+    # -- the two loops --------------------------------------------------
 
-    # -- results --------------------------------------------------------
-
-    def get_result(self, key: ResultKey):
-        """First tier that holds the result wins; the hit is promoted
-        into every writable tier above it (memory adoptions are marked
-        ``promoted`` so their hit/miss bookkeeping stays honest).
-
-        Durable tiers serve through the blob face (``fetch_result``),
-        so a peer hit is promoted onto the local disk by republishing
-        the peer's exact payload bytes — no re-pickle on the hot
-        cross-process warm path (see :meth:`DiskTier.promote_result`).
-        """
-        with obs.span("storage.result") as span:
+    def _fetch(self, kind: str, key):
+        """``(artifact, serving tier)`` or ``None``. The first tier that
+        holds the artifact wins, and the hit is promoted into every
+        writable tier above it, with the payload bytes it was read as: a
+        peer hit lands on the local disk as the peer's exact bytes (no
+        re-pickle on the hot cross-process warm path), and in memory as
+        a ``promoted`` adoption (so its hit/miss bookkeeping stays
+        honest)."""
+        attrs = {"pass_name": key[0]} if kind == UNIT else {}
+        with obs.span(f"storage.{kind}", **attrs) as span:
             for depth, tier in enumerate(self.tiers):
-                fetch = getattr(tier, "fetch_result", None)
-                if fetch is not None:
-                    got = fetch(key)
-                    if got is None:
-                        continue
-                    result, blob = got
-                else:
-                    result = tier.get_result(key)
-                    if result is None:
-                        continue
-                    blob = None
+                got = tier.fetch(kind, key)
+                if got is None:
+                    continue
+                artifact, blob = got
                 for upper in self.tiers[:depth]:
-                    if not self.writable(upper):
-                        continue
-                    promote = getattr(upper, "promote_result", None)
-                    if blob is not None and promote is not None:
-                        promote(key, result, blob)
-                    else:
-                        upper.put_result(key, result, promoted=True)
+                    if self.writable(upper):
+                        upper.store(
+                            kind, key, artifact, blob, promoted=True
+                        )
                 span.set(hit=True, tier=tier.label, depth=depth)
-                _LOOKUPS.labels(kind="result", outcome=tier.label).inc()
-                return result
+                _LOOKUPS.labels(kind=kind, outcome=tier.label).inc()
+                return artifact, tier
             span.set(hit=False)
-            _LOOKUPS.labels(kind="result", outcome="miss").inc()
+            _LOOKUPS.labels(kind=kind, outcome="miss").inc()
             return None
 
-    def put_result(self, key: ResultKey, result) -> None:
+    def _publish(self, kind: str, key, artifact, durable: bool) -> None:
+        """One freshly computed artifact into every writable tier —
+        durable ones only when *durable*."""
         for tier in self.tiers:
-            if self.writable(tier):
-                tier.put_result(key, result)
+            if self.writable(tier) and (durable or tier.kind == "memory"):
+                tier.store(kind, key, artifact)
 
-    # -- units ----------------------------------------------------------
+    # -- entry points ---------------------------------------------------
+
+    def get_result(self, key: ResultKey):
+        got = self._fetch(RESULT, key)
+        return None if got is None else got[0]
+
+    def put_result(self, key: ResultKey, result) -> None:
+        self._publish(RESULT, key, result, durable=True)
 
     def get_unit(self, pass_name: str, key: str):
         """``(artifact, serving tier)`` or ``None`` — callers
         (:class:`~repro.pipeline.units.UnitArtifacts`) use the tier to
-        attribute the hit in per-pass counters. Unit promotion is
-        unconditional into writable tiers: a unit fetched from a peer
-        belongs on the local disk so the next process doesn't re-fetch.
-        """
-        with obs.span("storage.unit", pass_name=pass_name) as span:
-            for depth, tier in enumerate(self.tiers):
-                fetch = getattr(tier, "fetch_unit", None)
-                if fetch is not None:
-                    got = fetch(pass_name, key)
-                    if got is None:
-                        continue
-                    artifact, blob = got
-                else:
-                    artifact = tier.get_unit(pass_name, key)
-                    if artifact is None:
-                        continue
-                    blob = None
-                for upper in self.tiers[:depth]:
-                    if not self.writable(upper):
-                        continue
-                    promote = getattr(upper, "promote_unit", None)
-                    if blob is not None and promote is not None:
-                        promote(pass_name, key, artifact, blob)
-                    else:
-                        upper.put_unit(pass_name, key, artifact)
-                span.set(hit=True, tier=tier.label, depth=depth)
-                _LOOKUPS.labels(kind="unit", outcome=tier.label).inc()
-                return artifact, tier
-            span.set(hit=False)
-            _LOOKUPS.labels(kind="unit", outcome="miss").inc()
-            return None
+        attribute the hit in per-pass counters."""
+        return self._fetch(UNIT, (pass_name, key))
 
     def put_unit(
         self, pass_name: str, key: str, artifact, spill: bool = False
     ) -> None:
         """Publish one freshly computed unit: always to memory; to disk
         only for passes that opted into spilling (``spill``)."""
-        for tier in self.tiers:
-            if not self.writable(tier):
-                continue
-            if tier.kind != "memory" and not spill:
-                continue
-            tier.put_unit(pass_name, key, artifact)
+        self._publish(UNIT, (pass_name, key), artifact, durable=spill)
 
     # -- maintenance ----------------------------------------------------
 
@@ -178,11 +139,8 @@ class TieredStore:
             raise ValueError(
                 "gc needs a pass_name, max_age_seconds, and/or max_bytes"
             )
-        if pass_name is not None:
-            from repro.storage.base import is_safe_pass_name
-
-            if not is_safe_pass_name(pass_name):
-                raise ValueError(f"invalid pass name {pass_name!r}")
+        if pass_name is not None and not is_safe_pass_name(pass_name):
+            raise ValueError(f"invalid pass name {pass_name!r}")
         per_tier = {}
         removed = 0
         reclaimed = 0

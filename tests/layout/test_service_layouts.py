@@ -4,7 +4,7 @@ service-wide default, and the /stats ``layouts`` counters."""
 import repro.service.executor as executor_module
 from repro.pipeline import CompileOptions
 from repro.service.api import WORKLOADS, TraversalService
-from repro.storage import disk_tier_for
+from repro.storage import ResultKey, artifact_path, disk_tier_for
 
 
 def _submit_and_wait(service, **kwargs):
@@ -72,7 +72,8 @@ class TestRecompileLayout:
 
         def stored(layout):
             options = CompileOptions(cache_dir=store, layout=layout)
-            return disk.path_for(source_hash, options.output_hash()).exists()
+            key = ResultKey.of(source_hash, options)
+            return (disk.dir / artifact_path("result", key)).exists()
 
         assert stored("pooled")
         assert not stored("object")

@@ -1,7 +1,9 @@
 """Service facade and HTTP front end."""
 
+import gc
 import json
 import threading
+import weakref
 import urllib.error
 import urllib.request
 
@@ -124,6 +126,16 @@ class TestHTTP:
         status, _ = http_service.post("/submit", {"trees": 3})
         assert status == 400
 
+    def test_unknown_workload_errors_carry_the_plain_message(
+        self, http_service
+    ):
+        # a KeyError's str() is its repr: the body must carry the
+        # message itself, not a quoted copy of it
+        for route in ("/submit", "/recompile"):
+            status, body = http_service.post(route, {"workload": "nope"})
+            assert status == 400
+            assert body["error"].startswith("unknown workload 'nope'; have")
+
     def test_unknown_routes_are_404(self, http_service):
         status, _ = http_service.get("/nope")
         assert status == 404
@@ -149,3 +161,31 @@ class TestTicketRetention:
             # the oldest completed ticket was evicted to admit the third
             assert service.poll(first)["state"] == "unknown"
             assert service.poll(third)["state"] == "done"
+
+
+class TestMetricsViews:
+    """A service's registry views live exactly as long as the service."""
+
+    def test_a_closed_service_is_collectable(self):
+        service = TraversalService(workers=1, backend="inline")
+        ref = weakref.ref(service)
+        service.close()
+        del service
+        gc.collect()
+        assert ref() is None
+
+    def test_a_storeless_service_inherits_no_store_gauges(self, tmp_path):
+        with TraversalService(
+            workers=1, backend="inline", cache_dir=str(tmp_path)
+        ) as stored:
+            assert "repro_store_" in stored.metrics_text()
+        with TraversalService(workers=1, backend="inline") as plain:
+            assert "repro_store_" not in plain.metrics_text()
+
+    def test_closing_the_older_service_keeps_the_newer_ones_gauges(self):
+        older = TraversalService(workers=1, backend="inline")
+        newer = TraversalService(workers=1, backend="inline")
+        older.close()
+        assert "repro_service_requests_total" in newer.metrics_text()
+        newer.close()
+        assert "repro_service_" not in newer.metrics_text()

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
-from repro.storage import MemoryTier, disk_tier_for
+from repro.storage import MemoryTier, ResultKey, disk_tier_for
 from repro.workloads.render import RENDER_PURE_IMPLS, RENDER_SOURCE
 
 from tests.fixtures import FIG2_SOURCE, source_workload
@@ -46,11 +46,12 @@ class TestThreadedAccess:
         # the store holds exactly the one artifact, and it loads
         store = disk_tier_for(str(tmp_path))
         assert len(store) == 1
-        reloaded = store.load(
-            results[0].source_hash, results[0].options.output_hash()
+        reloaded = store.fetch(
+            "result",
+            ResultKey.of(results[0].source_hash, results[0].options),
         )
         assert reloaded is not None
-        assert reloaded.fused_source == results[0].fused_source
+        assert reloaded[0].fused_source == results[0].fused_source
 
     def test_racing_spills_of_one_result_are_atomic(self, tmp_path):
         cache = MemoryTier()
@@ -60,10 +61,13 @@ class TestThreadedAccess:
             cache=cache,
         )
         store = disk_tier_for(str(tmp_path))
+        key = ResultKey.of(result.source_hash, result.options)
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             outcomes = list(
-                pool.map(lambda _: store.spill(result), range(32))
+                pool.map(
+                    lambda _: store.store("result", key, result), range(32)
+                )
             )
         assert all(outcomes)
         assert len(store) == 1  # last writer wins, no tmp debris
@@ -71,7 +75,7 @@ class TestThreadedAccess:
             p for p in store.dir.rglob("*") if p.name.startswith(".spill-")
         ]
         assert leftovers == []
-        assert store.load(result.source_hash, result.options.output_hash()) is not None
+        assert store.fetch("result", key) is not None
 
 
 _CHILD = textwrap.dedent(

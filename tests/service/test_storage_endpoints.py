@@ -17,7 +17,7 @@ from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
 from repro.service.api import TraversalService, make_server
 from repro.storage import disk_tier_for
-from repro.storage import MemoryTier, PeerTier, ResultKey
+from repro.storage import MemoryTier, PeerTier, ResultKey, artifact_path
 
 from tests.fixtures import FIG2_SOURCE
 
@@ -80,8 +80,11 @@ class TestArtifactEndpoint:
             f"{base}/artifact/result/{seeded.source_hash}/{output_hash}"
         )
         assert status == 200
-        assert body == store.path_for(
-            seeded.source_hash, output_hash
+        assert body == (
+            store.dir
+            / artifact_path(
+                "result", ResultKey.of(seeded.source_hash, seeded.options)
+            )
         ).read_bytes()
 
     def test_unit_bytes_round_trip(self, persistent_service):
@@ -107,10 +110,10 @@ class TestArtifactEndpoint:
         base, seeded, _ = persistent_service
         peer = PeerTier(base)
         key = ResultKey.of(seeded.source_hash, seeded.options)
-        fetched = peer.get_result(key)
+        fetched = peer.fetch("result", key)
         assert fetched is not None
-        assert fetched.fused_source == seeded.fused_source
-        assert peer.hits == 1
+        assert fetched[0].fused_source == seeded.fused_source
+        assert peer.counts["hits"] == 1
 
     def test_cross_host_compile_goes_warm_through_http(
         self, persistent_service, tmp_path

@@ -5,7 +5,14 @@ import pickle
 
 from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
-from repro.storage import FORMAT_VERSION, DiskTier, MemoryTier, disk_tier_for
+from repro.storage import (
+    FORMAT_VERSION,
+    DiskTier,
+    MemoryTier,
+    ResultKey,
+    artifact_path,
+    disk_tier_for,
+)
 
 from tests.fixtures import FIG1_SOURCE, FIG2_SOURCE, source_workload
 
@@ -13,6 +20,14 @@ from tests.fixtures import FIG1_SOURCE, FIG2_SOURCE, source_workload
 def _compile_into(tmp_path, source=FIG2_SOURCE, **options_kw):
     options = CompileOptions(cache_dir=str(tmp_path), **options_kw)
     return pipeline_compile(source, options=options, cache=MemoryTier())
+
+
+def _key(result) -> ResultKey:
+    return ResultKey.of(result.source_hash, result.options)
+
+
+def _path(store, result):
+    return store.dir / artifact_path("result", _key(result))
 
 
 class TestRoundTrip:
@@ -58,7 +73,7 @@ class TestRoundTrip:
     def test_layout_is_versioned_and_hash_sharded(self, tmp_path):
         result = _compile_into(tmp_path)
         store = disk_tier_for(str(tmp_path))
-        path = store.path_for(result.source_hash, result.options.output_hash())
+        path = _path(store, result)
         assert path.exists()
         assert path.parent.parent.name == f"v{FORMAT_VERSION}"
         assert path.parent.name == result.source_hash[:2]
@@ -90,33 +105,34 @@ class TestRoundTrip:
         assert not result.cache_hit
         store = disk_tier_for(str(tmp_path))
         assert len(store) == 0
-        assert store.spill_skips >= 1
+        assert store.counts["spill_skips"] >= 1
 
 
 class TestDamageTolerance:
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
         result = _compile_into(tmp_path)
         store = disk_tier_for(str(tmp_path))
-        path = store.path_for(result.source_hash, result.options.output_hash())
+        path = _path(store, result)
         path.write_bytes(b"not a pickle")
-        assert store.load(result.source_hash, result.options.output_hash()) is None
+        assert store.fetch("result", _key(result)) is None
         assert not path.exists()
-        assert store.load_errors == 1
+        assert store.counts["load_errors"] == 1
 
     def test_foreign_format_is_a_miss_and_removed(self, tmp_path):
         result = _compile_into(tmp_path)
         store = disk_tier_for(str(tmp_path))
-        path = store.path_for(result.source_hash, result.options.output_hash())
+        path = _path(store, result)
         path.write_bytes(
             pickle.dumps({"format": FORMAT_VERSION + 1, "result": None})
         )
-        assert store.load(result.source_hash, result.options.output_hash()) is None
+        assert store.fetch("result", _key(result)) is None
         assert not path.exists()
 
     def test_missing_entry_is_a_miss(self, tmp_path):
         store = DiskTier(str(tmp_path))
-        assert store.load("0" * 64, "1" * 64) is None
-        assert store.load_misses == 1
+        missing = ResultKey("0" * 64, "2" * 64, "1" * 64)
+        assert store.fetch("result", missing) is None
+        assert store.counts["load_misses"] == 1
 
 
 class TestEviction:
@@ -124,8 +140,8 @@ class TestEviction:
         a = _compile_into(tmp_path, source=FIG2_SOURCE)
         b = _compile_into(tmp_path, source=FIG1_SOURCE)
         store = disk_tier_for(str(tmp_path))
-        path_a = store.path_for(a.source_hash, a.options.output_hash())
-        path_b = store.path_for(b.source_hash, b.options.output_hash())
+        path_a = _path(store, a)
+        path_b = _path(store, b)
         assert path_a.exists() and path_b.exists()
         # make recency unambiguous (fs mtime granularity): a is older
         os.utime(path_a, (1, 1))
@@ -140,12 +156,12 @@ class TestEviction:
         a = _compile_into(tmp_path, source=FIG2_SOURCE)
         b = _compile_into(tmp_path, source=FIG1_SOURCE)
         store = disk_tier_for(str(tmp_path))
-        path_a = store.path_for(a.source_hash, a.options.output_hash())
-        path_b = store.path_for(b.source_hash, b.options.output_hash())
+        path_a = _path(store, a)
+        path_b = _path(store, b)
         os.utime(path_a, (1, 1))
         os.utime(path_b, (2, 2))
         # serving a bumps it to most recent, so b becomes the victim
-        assert store.load(a.source_hash, a.options.output_hash()) is not None
+        assert store.fetch("result", _key(a)) is not None
         os.utime(path_a, None)  # belt and braces on coarse clocks
         store.max_bytes = store.total_bytes() - 1
         store.evict()
@@ -202,16 +218,14 @@ class TestKeySpace:
     def test_foreign_repro_version_is_a_clean_miss(self, tmp_path):
         result = _compile_into(tmp_path)
         store = disk_tier_for(str(tmp_path))
-        path = store.path_for(
-            result.source_hash, result.options.output_hash()
-        )
+        path = _path(store, result)
         payload = pickle.loads(path.read_bytes())
         payload["repro"] = "0.0.0-someone-else"
         path.write_bytes(pickle.dumps(payload))
         # a version-mismatched entry misses cleanly and is dropped —
         # never deserialized into a possibly stale class layout
         assert (
-            store.load(result.source_hash, result.options.output_hash())
+            store.fetch("result", _key(result))
             is None
         )
         assert not path.exists()
@@ -225,8 +239,8 @@ class TestReopenedStore:
         a = _compile_into(tmp_path, source=FIG2_SOURCE)
         b = _compile_into(tmp_path, source=FIG1_SOURCE)
         store = disk_tier_for(str(tmp_path))
-        path_a = store.path_for(a.source_hash, a.options.output_hash())
-        path_b = store.path_for(b.source_hash, b.options.output_hash())
+        path_a = _path(store, a)
+        path_b = _path(store, b)
         os.utime(path_a, (1, 1))
         os.utime(path_b, (2, 2))
         # a fresh store instance (new process) with a budget smaller
@@ -236,5 +250,5 @@ class TestReopenedStore:
             str(tmp_path), max_bytes=path_b.stat().st_size + 1
         )
         result = _compile_into(tmp_path / "elsewhere")  # any result
-        assert reopened.spill(result)
+        assert reopened.store("result", _key(result), result)
         assert not path_a.exists(), "pre-existing LRU entry must go"

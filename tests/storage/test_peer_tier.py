@@ -18,6 +18,7 @@ from repro.storage import (
     MemoryTier,
     PeerTier,
     ResultKey,
+    artifact_path,
     peer_tier_for,
 )
 
@@ -40,62 +41,68 @@ class TestDirectoryPeer:
         result, store = _seed(tmp_path)
         peer = PeerTier(str(tmp_path))
         key = ResultKey.of(result.source_hash, result.options)
-        assert peer.get_result(key) is not None
-        assert peer.hits == 1
+        assert peer.fetch("result", key) is not None
+        assert peer.counts["hits"] == 1
         unit_file = next(store.dir.glob("units/fusion/*/*.pkl"))
         unit_key = unit_file.stem
-        assert peer.get_unit("fusion", unit_key) is not None
+        assert peer.fetch("unit", ("fusion", unit_key)) is not None
 
     def test_is_strictly_read_only(self, tmp_path):
         result, store = _seed(tmp_path)
         peer = PeerTier(str(tmp_path))
         with pytest.raises(TypeError, match="read-only"):
-            peer.put_result(
-                ResultKey.of(result.source_hash, result.options), result
+            peer.store(
+                "result",
+                ResultKey.of(result.source_hash, result.options),
+                result,
             )
         with pytest.raises(TypeError, match="read-only"):
-            peer.put_unit("fusion", "00" * 32, object())
+            peer.store("unit", ("fusion", "00" * 32), object())
 
     def test_corrupt_entry_is_a_counted_miss_and_left_in_place(
         self, tmp_path
     ):
         result, store = _seed(tmp_path)
-        path = store.path_for(
-            result.source_hash, result.options.output_hash()
+        path = store.dir / artifact_path(
+            "result", ResultKey.of(result.source_hash, result.options)
         )
         path.write_bytes(b"not a pickle at all")
         peer = PeerTier(str(tmp_path))
         key = ResultKey.of(result.source_hash, result.options)
-        assert peer.get_result(key) is None
-        assert peer.errors == 1 and peer.misses == 1
+        assert peer.fetch("result", key) is None
+        assert peer.counts["errors"] == 1 and peer.counts["misses"] == 1
         # unlike the disk tier, a peer never deletes the other store's
         # files — its hygiene is its owner's business
         assert path.exists()
 
     def test_truncated_entry_is_a_counted_miss(self, tmp_path):
         result, store = _seed(tmp_path)
-        path = store.path_for(
-            result.source_hash, result.options.output_hash()
+        path = store.dir / artifact_path(
+            "result", ResultKey.of(result.source_hash, result.options)
         )
         path.write_bytes(path.read_bytes()[: 40])
         peer = PeerTier(str(tmp_path))
         assert (
-            peer.get_result(ResultKey.of(result.source_hash, result.options))
+            peer.fetch(
+                "result", ResultKey.of(result.source_hash, result.options)
+            )
             is None
         )
-        assert peer.errors == 1
+        assert peer.counts["errors"] == 1
 
     def test_foreign_format_version_is_a_clean_miss(self, tmp_path):
         result, store = _seed(tmp_path)
-        path = store.path_for(
-            result.source_hash, result.options.output_hash()
+        path = store.dir / artifact_path(
+            "result", ResultKey.of(result.source_hash, result.options)
         )
         payload = pickle.loads(path.read_bytes())
         payload["format"] = FORMAT_VERSION + 1
         path.write_bytes(pickle.dumps(payload))
         peer = PeerTier(str(tmp_path))
         assert (
-            peer.get_result(ResultKey.of(result.source_hash, result.options))
+            peer.fetch(
+                "result", ResultKey.of(result.source_hash, result.options)
+            )
             is None
         )
 
@@ -121,8 +128,8 @@ class TestHTTPPeerFailure:
         # a port nothing listens on: connection refused, immediately
         peer = PeerTier("http://127.0.0.1:1", timeout=0.5)
         _, _ = _seed_key(tmp_path)
-        assert peer.get_result(_seed_key(tmp_path)[0]) is None
-        assert peer.errors >= 1
+        assert peer.fetch("result", _seed_key(tmp_path)[0]) is None
+        assert peer.counts["errors"] >= 1
 
     def test_compile_survives_an_unreachable_peer(self):
         compiled = pipeline_compile(

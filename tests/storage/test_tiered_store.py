@@ -39,11 +39,11 @@ class TestPromotion:
         assert warm.cache_hit
         # the peer's artifact now lives in the local store...
         local = DiskTier(str(local_root))
-        assert local.load(
-            warm.source_hash, warm.options.output_hash()
+        assert local.fetch(
+            "result", ResultKey.of(warm.source_hash, warm.options)
         ) is not None
         # ...and in the memory tier (adopted as a served-from-below hit)
-        assert memory.disk_hits == 1
+        assert memory.counts["disk_hits"] == 1
 
     @pytest.mark.parametrize("kind", ["result", "unit"])
     def test_peer_promotion_republishes_the_exact_bytes(
@@ -97,7 +97,7 @@ class TestPromotion:
 
     def test_unit_promotion_disk_to_memory(self, tmp_path):
         store = DiskTier(str(tmp_path))
-        store.put_unit("fusion", "ab" * 32, {"plan": 1})
+        store.store("unit", ("fusion", "ab" * 32), {"plan": 1})
         memory = MemoryTier()
         tiers = TieredStore([memory, store])
         artifact, served_by = tiers.get_unit("fusion", "ab" * 32)
@@ -115,7 +115,7 @@ class TestPersistGating:
         tiers = TieredStore([memory, disk], persist=False)
         tiers.put_unit("emit", "cd" * 32, "text", spill=True)
         assert disk.stats()["unit_entries"] == 0
-        assert memory.get_unit("emit", "cd" * 32) == "text"
+        assert memory.fetch("unit", ("emit", "cd" * 32))[0] == "text"
 
     def test_persist_false_promotion_skips_disk(self, tmp_path):
         peer_root = tmp_path / "peer"
@@ -128,7 +128,7 @@ class TestPersistGating:
         key = ResultKey.of(seeded.source_hash, seeded.options)
         assert tiers.get_result(key) is not None
         assert len(local) == 0  # read-only local store stayed clean
-        assert memory.get_result(key) is not None
+        assert memory.fetch("result", key) is not None
 
 
 class TestDiskGC:
@@ -146,8 +146,8 @@ class TestDiskGC:
         assert not list(store.dir.glob("units/fusion/*/*.pkl"))
         assert list(store.dir.glob("units/emit/*/*.pkl")) == emit_files
         # the full result is untouched
-        assert store.load(
-            result.source_hash, result.options.output_hash()
+        assert store.fetch(
+            "result", ResultKey.of(result.source_hash, result.options)
         ) is not None
 
     def test_post_gc_recompile_is_byte_identical(self, tmp_path):
