@@ -101,12 +101,31 @@ class Workload:
     # -- identity -------------------------------------------------------
 
     def source_hash(self) -> str:
-        """The content hash compilation will key this workload under."""
-        from repro.pipeline import hash_program, hash_source
+        """The content hash compilation will key this workload under.
 
-        if isinstance(self.source, Program):
-            return hash_program(self.source)
-        return hash_source(self.source, dict(self.pure_impls or {}))
+        Computed once per instance: hashing a ``Program`` prints it,
+        and every served request asks twice (grouping, then the compile
+        lookup). ``dataclasses.replace`` builds a new instance, so an
+        edited workload hashes afresh."""
+        cached = self.__dict__.get("_source_hash")
+        if cached is None:
+            from repro.pipeline import hash_program, hash_source
+
+            if isinstance(self.source, Program):
+                cached = hash_program(self.source)
+            else:
+                cached = hash_source(
+                    self.source, dict(self.pure_impls or {})
+                )
+            object.__setattr__(self, "_source_hash", cached)
+        return cached
+
+    def __getstate__(self):
+        # the memo stays in its process: a hash of id()-referenced
+        # impls names other objects anywhere else
+        state = dict(self.__dict__)
+        state.pop("_source_hash", None)
+        return state
 
     # -- inputs ---------------------------------------------------------
 

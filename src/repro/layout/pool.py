@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.errors import RuntimeFailure
 from repro.ir.program import Program
 from repro.ir.types import is_primitive
-from repro.runtime.heap import Heap
-from repro.runtime.node import Node, default_fields
+from repro.runtime.heap import Heap, type_table
+from repro.runtime.node import Node
 from repro.runtime.values import ObjectValue, copy_value
 
 
@@ -138,16 +137,7 @@ class ForestPool:
         """Allocate one default-initialized row (what a generated ``new``
         statement calls); the row has no backing node until
         :meth:`write_back` materializes one."""
-        program = self.program
-        if type_name not in program.tree_types:
-            raise RuntimeFailure(
-                f"cannot instantiate unknown type {type_name!r}"
-            )
-        if program.tree_types[type_name].abstract:
-            raise RuntimeFailure(
-                f"cannot instantiate abstract type {type_name}"
-            )
-        fields = default_fields(program, type_name)
+        fields = type_table(self.program).new_fields(type_name)
         index = len(self.tags)
         self.tags.append(self._type_ids[type_name])
         self.nodes.append(None)

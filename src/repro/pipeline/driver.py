@@ -92,7 +92,9 @@ def compile(
     from repro.api.workload import Workload
 
     pure_impls = None
+    workload = None
     if isinstance(source, Workload):
+        workload = source
         name = source.name
         pure_impls = (
             dict(source.pure_impls) if source.pure_impls else None
@@ -119,12 +121,18 @@ def compile(
         if isinstance(source, Program):
             program: Optional[Program] = source
             source_text = None
-            source_hash = hash_program(source)
             name = source.name
         else:
             program = None
             source_text = source
-            source_hash = hash_source(source, pure_impls)
+        if workload is not None:
+            # memoized on the workload, so a served request does not
+            # print its program again here
+            source_hash = workload.source_hash()
+        elif program is not None:
+            source_hash = hash_program(program)
+        else:
+            source_hash = hash_source(source_text, pure_impls)
         key = ResultKey.of(source_hash, options)
         span.set(source_hash=source_hash[:12])
 

@@ -1099,10 +1099,17 @@ class EmitPass:
         # Program-keyed codegen helpers share one exec'd module per
         # content; unlike unit keys, the program hash includes the
         # pure-impl signature — a module object binds its program (and
-        # through it the impls), so impl rebindings must not share one
-        program_hash = hash_program(pctx.program)
+        # through it the impls), so impl rebindings must not share one.
+        # A Program handed in and not lowered is the one the source
+        # hash already printed.
+        if pctx.trusted_program and pctx.lowered is None:
+            program_hash = pctx.source_hash
+        else:
+            program_hash = hash_program(pctx.program)
         unfused_key = (f"{module_prefix}unfused-module", program_hash)
-        hit = cache.fetch("module", unfused_key) if cache else None
+        # `is not None`: an empty-looking tier (no results) may still
+        # hold modules
+        hit = cache.fetch("module", unfused_key) if cache is not None else None
         compiled = hit[0] if hit else None
         if compiled is None:
             compiled = unfused_class.from_source(
@@ -1124,7 +1131,7 @@ class EmitPass:
             program_hash,
             hash_text(print_fused_program(pctx.fused)),
         )
-        hit = cache.fetch("module", fused_key) if cache else None
+        hit = cache.fetch("module", fused_key) if cache is not None else None
         compiled_fused = hit[0] if hit else None
         if compiled_fused is None:
             compiled_fused = fused_class.from_source(

@@ -2,31 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.errors import RuntimeFailure
 from repro.ir.program import Program
-from repro.runtime.heap import Heap
-from repro.runtime.values import ObjectValue, default_value
-
-
-def default_fields(program: Program, type_name: str) -> dict:
-    """A fresh field dict for one node of *type_name*: children ``None``,
-    data fields at their declared or zero defaults. Shared between
-    :meth:`Node.new` and the pooled layout's row allocator
-    (:meth:`repro.layout.ForestPool.new`) so both backends agree on what
-    a default-constructed node holds."""
-    fields: dict = {}
-    for field_name, field in program.fields_of(type_name).items():
-        if field.is_child:
-            fields[field_name] = None
-        else:
-            declared_default = _declared_default(program, type_name, field_name)
-            if declared_default is not None:
-                fields[field_name] = declared_default
-            else:
-                fields[field_name] = default_value(program, field.type_name)
-    return fields
+from repro.runtime.heap import Heap, type_table
+from repro.runtime.values import ObjectValue
 
 
 class Node:
@@ -46,11 +27,12 @@ class Node:
 
     @staticmethod
     def new(program: Program, heap: Heap, type_name: str, **overrides) -> "Node":
-        if type_name not in program.tree_types:
-            raise RuntimeFailure(f"cannot instantiate unknown type {type_name!r}")
-        if program.tree_types[type_name].abstract:
-            raise RuntimeFailure(f"cannot instantiate abstract type {type_name}")
-        fields = default_fields(program, type_name)
+        """A node of *type_name* with *overrides* over its defaults, at
+        the next address of *heap*: one copy of the type's template from
+        the program's :class:`~repro.runtime.heap.TypeTable` (a heap of
+        this program already holds it)."""
+        table = heap.table if heap.program is program else type_table(program)
+        fields = table.new_fields(type_name)
         for key, value in overrides.items():
             if key not in fields:
                 raise RuntimeFailure(f"{type_name} has no field {key!r}")
@@ -129,13 +111,3 @@ class Node:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.type_name}@{self.address:#x})"
-
-
-def _declared_default(program: Program, type_name: str, field_name: str) -> Optional[object]:
-    for owner_name in program.mro(type_name):
-        owner = program.tree_types[owner_name]
-        if field_name in owner.data_defaults:
-            return owner.data_defaults[field_name]
-        if field_name in owner.data or field_name in owner.children:
-            return None
-    return None

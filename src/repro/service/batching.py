@@ -16,11 +16,13 @@ callables and pure impls are module-level rather than closures.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.pipeline import CompileOptions
+from repro.runtime.values import ObjectValue
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api.workload import Workload
@@ -30,15 +32,65 @@ _request_ids = itertools.count(1)
 
 def default_collect(program, heap, root) -> dict:
     """Per-tree summary when a request has no collector: enough to
-    cross-check batched against sequential execution (the snapshot is
-    hashed so shipping results between processes stays cheap)."""
-    import hashlib
-
-    snapshot = repr(root.snapshot(program))
+    cross-check batched against sequential execution. The digest is the
+    SHA-256 of ``repr(root.snapshot(program))``, so results stay cheap
+    to ship between processes; :func:`_snapshot_text` writes that text
+    without building the snapshot."""
     return {
-        "snapshot_sha": hashlib.sha256(snapshot.encode()).hexdigest(),
+        "snapshot_sha": hashlib.sha256(
+            _snapshot_text(program, root).encode()
+        ).hexdigest(),
         "tree_bytes": heap.footprint_bytes,
     }
+
+
+def _snapshot_text(program, root) -> str:
+    """Exactly ``repr(root.snapshot(program))``, written by one
+    iterative preorder walk: no snapshot dicts, and no recursion, so a
+    chain of any depth digests. The stack holds finished text and nodes
+    still to write; a node's text up to each non-``None`` child goes on
+    ahead of that child. Each type's opening and field prefixes
+    (``", 'Width': "``) are formatted once per call."""
+    shapes: dict[str, tuple] = {}
+    out: list[str] = []
+    stack: list = [root]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is str:
+            out.append(node)
+            continue
+        shape = shapes.get(node.type_name)
+        if shape is None:
+            shape = shapes[node.type_name] = (
+                f"{{'__type__': {node.type_name!r}",
+                tuple(
+                    (f", {name!r}: ", name, field.is_child)
+                    for name, field in program.fields_of(
+                        node.type_name
+                    ).items()
+                ),
+            )
+        text, fields = shape
+        values = node.fields
+        parts = []
+        for prefix, name, is_child in fields:
+            value = values[name]
+            if is_child and value is not None:
+                parts.append(text + prefix)
+                parts.append(value)
+                text = ""
+            elif isinstance(value, ObjectValue):
+                # the snapshot holds (class_name, members) for an object
+                text = f"{text}{prefix}{(value.class_name, value.members)!r}"
+            else:
+                text = f"{text}{prefix}{value!r}"
+        if parts:
+            parts.append(text + "}")
+            parts.reverse()
+            stack.extend(parts)
+        else:
+            out.append(text + "}")
+    return "".join(out)
 
 
 @dataclass

@@ -89,7 +89,7 @@ class PeerTier:
         if route is None:
             blob = None
         elif self.is_http:
-            blob = self._http_get(route)
+            blob = self._http_get(kind, route)
         else:
             blob = self._read_file(kind, key)
         if blob is None:
@@ -126,9 +126,10 @@ class PeerTier:
         except OSError:
             return None
 
-    def _http_get(self, route: str) -> Optional[bytes]:
+    def _http_get(self, kind: str, route: str) -> Optional[bytes]:
         """The body at *route*, or ``None``. Transport failures count
-        under ``errors`` whatever the artifact kind."""
+        under the *kind*'s ``errors`` counter (``unit_errors`` for a
+        unit)."""
         try:
             with urllib.request.urlopen(
                 self.target + route, timeout=self.timeout
@@ -139,12 +140,12 @@ class PeerTier:
         except urllib.error.HTTPError as error:
             if error.code != 404:
                 # 404 is an ordinary miss; anything else is peer damage
-                self._count("errors")
+                self._count(counter_name(kind, "errors"))
             return None
         except (urllib.error.URLError, OSError, ValueError):
             # unreachable/timeout/refused: the peer is an optimization,
             # not a dependency — fall through to a local compile
-            self._count("errors")
+            self._count(counter_name(kind, "errors"))
             return None
 
     # -- maintenance ----------------------------------------------------

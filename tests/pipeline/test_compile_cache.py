@@ -1,5 +1,7 @@
 """Content-addressed compile cache: hit/miss behavior and sharing."""
 
+from pathlib import Path
+
 from repro.codegen import compile_fused, compile_program
 from repro.frontend import parse_program
 from repro.pipeline import (
@@ -178,6 +180,24 @@ class TestCodegenArtifactSharing:
         assert compile_program(program) is result.compiled_unfused
         assert compile_fused(plan_and_synthesize(program)) is result.compiled_fused
         assert GLOBAL_CACHE.stats()["artifacts"] >= 2
+
+    def test_modules_reused_from_a_tier_holding_no_result(self):
+        # the emit stage's module lookup must not hinge on len(tier),
+        # which counts results only
+        source = (
+            Path(__file__).resolve().parents[2] / "examples" / "fig2.grafter"
+        ).read_text()
+        cache = MemoryTier()
+        first = pipeline_compile(source, name="fig2", cache=cache)
+        # no public call drops results alone; clear that section
+        cache._sections["result"].clear()
+        assert len(cache) == 0
+        assert cache.stats()["artifacts"] >= 2
+        second = pipeline_compile(
+            source, name="fig2", cache=cache, reuse_result=False
+        )
+        assert second.compiled_unfused is first.compiled_unfused
+        assert second.compiled_fused is first.compiled_fused
 
     def test_entryless_program_compiles_without_fusion(self):
         source = """

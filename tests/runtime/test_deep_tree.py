@@ -2,17 +2,21 @@
 
 ``Node.walk`` and ``Node.snapshot`` used to recurse per node, so a
 chain deeper than ``sys.getrecursionlimit()`` (a worst-case kd-tree, a
-long document list) blew up before any traversal ran. Both are
-explicit-stack iterations now; these tests pin that on a chain several
-times deeper than the default limit.
+long document list) blew up before any traversal ran. The served
+digest (``default_collect``) used to ``repr`` the nested snapshot,
+which recursed the same way. All three are explicit-stack iterations
+now; these tests pin that on a chain several times deeper than the
+default limit.
 """
 
+import hashlib
 import sys
 
 import pytest
 
 from repro.runtime.heap import Heap
 from repro.runtime.node import Node
+from repro.service.batching import default_collect
 from repro.workloads.render import render_workload
 
 DEPTH = 4000  # several times the default recursion limit
@@ -72,3 +76,18 @@ class TestDeepChain:
             if field.is_child or name == child:
                 continue
             assert snapshot[name] is not None or root.fields[name] is None
+
+    def test_digest_reaches_the_bottom(self, deep_chain):
+        program, root, child = deep_chain
+        # every link is a default node, so the nested repr is one
+        # node's text opened DEPTH times around "None" and closed
+        # DEPTH times
+        tip = repr(Node.new(program, Heap(program), root.type_name)
+                   .snapshot(program))
+        cut = tip.index(f"{child!r}: None") + len(f"{child!r}: ")
+        opening, closing = tip[:cut], tip[cut + len("None"):]
+        text = opening * DEPTH + "None" + closing * DEPTH
+        summary = default_collect(program, Heap(program), root)
+        assert summary["snapshot_sha"] == hashlib.sha256(
+            text.encode()
+        ).hexdigest()

@@ -250,9 +250,9 @@ class TestAddresses:
             f"/artifact/unit/fusion/{'12' * 32}",
         ]
         # a 404 is a miss; any other failure is a transport error,
-        # counted under "errors" whatever the artifact kind
+        # counted under the requested kind's errors counter
         assert _counters(peer.stats()) == {
-            "transport": "http", "hits": 0, "misses": 2, "errors": 1,
-            "unit_hits": 0, "unit_misses": 3, "unit_errors": 0,
+            "transport": "http", "hits": 0, "misses": 2, "errors": 0,
+            "unit_hits": 0, "unit_misses": 3, "unit_errors": 1,
         }
 
