@@ -17,6 +17,7 @@ pool row allocation of that program reads.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -167,15 +168,18 @@ def _declared_default(
 _TABLES: "weakref.WeakKeyDictionary[Program, TypeTable]" = (
     weakref.WeakKeyDictionary()
 )
+_TABLES_LOCK = threading.Lock()
 
 
 def type_table(program: Program) -> TypeTable:
-    """*program*'s :class:`TypeTable`, built on first use. Two threads
-    racing on a new program may each build one; they are equal, and
-    the last one stored is kept."""
+    """*program*'s :class:`TypeTable`, built on first use; every caller,
+    in any thread, gets the same one."""
     table = _TABLES.get(program)
     if table is None:
-        table = _TABLES[program] = TypeTable(program)
+        with _TABLES_LOCK:
+            table = _TABLES.get(program)
+            if table is None:
+                table = _TABLES[program] = TypeTable(program)
     return table
 
 

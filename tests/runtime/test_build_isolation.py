@@ -11,6 +11,8 @@ programs interleaved as a serving loop sees them.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -189,3 +191,38 @@ def test_served_answers_match_interpreted_answers(layout):
             assert outcome.summaries == [refs[name][i] for i in picks], (
                 f"step {step}: {name} forest {picks}"
             )
+
+
+def test_threads_building_a_new_program_share_one_table():
+    # executor worker threads build trees of one program at once; their
+    # first builds race to make its type table, and all must get one
+    program = fig2_program()  # parsed afresh: it has no table yet
+    barrier = threading.Barrier(8)
+    heaps, nodes, errors = [], [], []
+
+    def build():
+        try:
+            barrier.wait(timeout=10)
+            heap = Heap(program)
+            for _ in range(20):
+                for type_name in program.concrete_subtypes_all():
+                    nodes.append(Node.new(program, heap, type_name))
+            heaps.append(heap)
+        except Exception as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert len(heaps) == 8
+    assert len({id(heap.table) for heap in heaps}) == 1
+    assert assert_unshared(node.fields for node in nodes) > 0
