@@ -21,7 +21,6 @@ import threading
 import weakref
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Optional
 
 from repro.errors import RuntimeFailure
 from repro.ir.program import Program
@@ -138,7 +137,8 @@ def _template(program: Program, type_name: str) -> tuple[dict, tuple]:
     for name, field in program.fields_of(type_name).items():
         value = None
         if not field.is_child:
-            value = _declared_default(program, type_name, name)
+            # the declaring class's default, as the printer prints it
+            value = program.tree_types[field.owner].data_defaults.get(name)
             if value is None:
                 value = default_value(program, field.type_name)
             if isinstance(value, ObjectValue):
@@ -146,19 +146,6 @@ def _template(program: Program, type_name: str) -> tuple[dict, tuple]:
                 value = None  # filled per node by TypeTable.new_fields
         defaults[name] = value
     return defaults, tuple(opaque)
-
-
-def _declared_default(
-    program: Program, type_name: str, field_name: str
-) -> Optional[object]:
-    """The default the most-derived declaration gives *field_name*."""
-    for owner_name in program.mro(type_name):
-        owner = program.tree_types[owner_name]
-        if field_name in owner.data_defaults:
-            return owner.data_defaults[field_name]
-        if field_name in owner.data or field_name in owner.children:
-            return None
-    return None
 
 
 # Keyed by the Program object itself, never by id(): an entry goes away
