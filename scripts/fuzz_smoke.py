@@ -8,12 +8,14 @@ forest-pool layouts — and diffs snapshot + final globals + derived
 write-set against the interpreter/object baseline. Each case's baseline
 tree is also digested the way served requests are
 (``repro.service.batching.default_collect``), and the digest must be
-the SHA-256 of ``repr(root.snapshot(program))``.
+the SHA-256 of ``repr(root.snapshot(program))``. That summary must
+also survive a pooled round trip with no run in between
+(``ForestPool.from_tree``, then ``write_back``).
 
 Any divergence fails the job and prints the minimized replayable repro
 (also written to ``fuzz-repro-<seed>.json`` for download), which is the
-artifact a fix should commit as a named regression test. A digest
-mismatch fails the job too, naming its seed.
+artifact a fix should commit as a named regression test. A digest or
+round-trip mismatch fails the job too, naming its seed.
 
 Usage: python scripts/fuzz_smoke.py [cases] [start_seed]
 """
@@ -36,14 +38,16 @@ from repro.fuzz import (  # noqa: E402
 )
 from repro.fuzz.generators import build_tree_from_dict  # noqa: E402
 from repro.interp import InterpretedModule  # noqa: E402
+from repro.layout import ForestPool  # noqa: E402
 from repro.runtime import Heap  # noqa: E402
 from repro.service.batching import default_collect  # noqa: E402
 
 
-def digest_matches(case) -> bool:
-    """The served digest of the case's baseline tree (built, then run
-    by the interpreter on the original program) equals the SHA-256 of
-    its nested snapshot's repr."""
+def baseline_summaries(case) -> tuple[dict, str, dict]:
+    """The served summary of the case's baseline tree (built, then run
+    by the interpreter on the original program), the SHA-256 of its
+    nested snapshot's repr, and its summary again after a pooled round
+    trip with no run: ingest, then write-back."""
     program = parse_program(case.source, name=f"fuzz-{case.seed}")
     heap = Heap(program)
     root = build_tree_from_dict(program, heap, case.tree)
@@ -55,7 +59,8 @@ def digest_matches(case) -> bool:
         pass
     nested = hashlib.sha256(repr(root.snapshot(program)).encode())
     summary = default_collect(program, heap, root)
-    return summary["snapshot_sha"] == nested.hexdigest()
+    ForestPool.from_tree(program, root).write_back(heap)
+    return summary, nested.hexdigest(), default_collect(program, heap, root)
 
 
 def main() -> int:
@@ -80,11 +85,17 @@ def main() -> int:
     began = time.time()
     failures = 0
     digest_failures = []
+    round_trip_failures = []
     for count, seed in enumerate(seeds, 1):
         case = generate_case(seed, max_depth=corpus["max_depth"])
-        if not digest_matches(case):
+        summary, nested, round_tripped = baseline_summaries(case)
+        if summary["snapshot_sha"] != nested:
             digest_failures.append(seed)
             print(f"seed {seed}: served digest != sha256(repr(snapshot))")
+        if round_tripped != summary:
+            round_trip_failures.append(seed)
+            print(f"seed {seed}: summary changed by a pooled round trip "
+                  f"with no run: {summary} -> {round_tripped}")
         result = run_case(case)
         if not result.ok:
             failures += 1
@@ -104,7 +115,8 @@ def main() -> int:
     print(
         f"fuzz smoke: {len(seeds)} cases in {time.time() - began:.1f}s, "
         f"{failures} divergence(s), "
-        f"{len(digest_failures)} digest mismatch(es)"
+        f"{len(digest_failures)} digest mismatch(es), "
+        f"{len(round_trip_failures)} round-trip mismatch(es)"
     )
     if failures:
         print("FAIL: executions diverged — commit the repro as a "
@@ -112,10 +124,14 @@ def main() -> int:
     if digest_failures:
         print(f"FAIL: the served digest differs from the nested-repr "
               f"digest for seeds {digest_failures}")
-    if failures or digest_failures:
+    if round_trip_failures:
+        print(f"FAIL: a pooled round trip with no run changed the "
+              f"summary for seeds {round_trip_failures}")
+    if failures or digest_failures or round_trip_failures:
         return 1
     print("OK: interpreter, fused, and unfused agree under both layouts, "
-          "and every served digest is the nested-repr digest")
+          "every served digest is the nested-repr digest, and a pooled "
+          "round trip keeps every summary")
     return 0
 
 

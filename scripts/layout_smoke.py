@@ -13,9 +13,12 @@ warm cross-process path):
 2. Fresh processes recompile both layouts: each must **hit** its own
    entries and re-emit byte-identical modules.
 3. Run a render batch under each layout (``repro exec --layout ...``)
-   and, in two more fresh processes, execute one identical fused
-   render forest per layout — their result summaries (snapshot hash +
-   heap footprint) must match exactly.
+   and, in two more fresh processes (one per layout), run one
+   identical fused tree of each workload: render, astlang (whose
+   traversals allocate rows mid-run, so write-back materializes new
+   nodes), kdtree and fmm (floats and opaque values). Per workload the
+   two layouts' result summaries (snapshot hash + heap footprint) must
+   match exactly.
 
 Exits non-zero on any failure. Run locally with::
 
@@ -39,26 +42,29 @@ _PARITY_CHILD = textwrap.dedent(
     from repro.pipeline import CompileOptions
     from repro.pipeline import compile as pipeline_compile
     from repro.runtime import Heap
+    from repro.service.api import workload_spec
     from repro.service.batching import default_collect
-    from repro.workloads.render import render_workload
 
     layout, cache_dir = sys.argv[1], sys.argv[2]
-    workload = render_workload()
-    result = pipeline_compile(
-        workload,
-        options=CompileOptions(cache_dir=cache_dir, layout=layout),
-    )
-    program = result.program
-    heap = Heap(program)
-    root = workload.build_tree(
-        program, heap, workload.make_spec(pages=2)
-    )
-    result.compiled_fused.run_fused(
-        heap, root, dict(workload.globals_map or {})
-    )
-    print(json.dumps(default_collect(program, heap, root)))
+    summaries = {}
+    for name in sys.argv[3:]:
+        workload = workload_spec(name).make_workload()
+        result = pipeline_compile(
+            workload,
+            options=CompileOptions(cache_dir=cache_dir, layout=layout),
+        )
+        program = result.program
+        heap = Heap(program)
+        root = workload.build_tree(program, heap, workload.make_spec())
+        result.compiled_fused.run_fused(
+            heap, root, dict(workload.globals_map or {})
+        )
+        summaries[name] = default_collect(program, heap, root)
+    print(json.dumps(summaries))
     """
 )
+
+PARITY_WORKLOADS = ("render", "astlang", "kdtree", "fmm")
 
 
 def run(*argv: str) -> str:
@@ -153,17 +159,22 @@ def main(argv: list[str]) -> int:
         if "4 trees executed" not in out:
             raise SystemExit(f"FAIL: {layout} exec did not complete")
     summaries = {
-        layout: json.loads(run("-c", _PARITY_CHILD, layout, store))
+        layout: json.loads(
+            run("-c", _PARITY_CHILD, layout, store, *PARITY_WORKLOADS)
+        )
         for layout in ("object", "pooled")
     }
-    if summaries["object"] != summaries["pooled"]:
-        raise SystemExit(
-            f"FAIL: layouts disagree on the render forest: "
-            f"{summaries['object']} vs {summaries['pooled']}"
-        )
-    print("layout_smoke: object and pooled runs agree "
-          f"({summaries['object']['snapshot_sha'][:12]}..., "
-          f"{summaries['object']['tree_bytes']} bytes)")
+    for name in PARITY_WORKLOADS:
+        expected = summaries["object"][name]
+        pooled = summaries["pooled"][name]
+        if pooled != expected:
+            raise SystemExit(
+                f"FAIL: layouts disagree on the {name} tree: "
+                f"{expected} vs {pooled}"
+            )
+        print(f"layout_smoke: object and pooled runs agree on {name} "
+              f"({expected['snapshot_sha'][:12]}..., "
+              f"{expected['tree_bytes']} bytes)")
     print("layout_smoke: OK")
     return 0
 

@@ -12,9 +12,16 @@ pickles without walking an object graph.
 
 Row order is DFS preorder of each added tree, the order fused
 traversals visit nodes, so consecutive accesses walk the columns mostly
-forward. Dynamic type tags are integer indices into a per-pool
+forward. Dynamic type tags are integer indices into a per-program
 ``type_table`` (every tree type registered up front, sorted, so tag
 assignment is deterministic and dispatch dicts are int-keyed).
+
+What a pool needs of the program — the tags, the columns, each type's
+child and data fields — is the program's
+:class:`~repro.runtime.heap.PoolPlan`, computed once in its
+:class:`~repro.runtime.heap.TypeTable`. A row is written and read
+through its own type's field names only; the columns a type lacks hold
+``None``, filled in one extend per tree.
 """
 
 from __future__ import annotations
@@ -22,8 +29,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.ir.program import Program
-from repro.ir.types import is_primitive
-from repro.runtime.heap import Heap, type_table
+from repro.runtime.heap import Heap, TypeTable, type_table
 from repro.runtime.node import Node
 from repro.runtime.values import ObjectValue, copy_value
 
@@ -31,10 +37,7 @@ from repro.runtime.values import ObjectValue, copy_value
 def column_names(program: Program) -> list[str]:
     """The union of field names across every tree type, sorted — the
     pool's column set and the pooled module's binding order."""
-    names: set[str] = set()
-    for type_name in program.tree_types:
-        names.update(program.fields_of(type_name))
-    return sorted(names)
+    return list(type_table(program).pool_plan.columns)
 
 
 class ForestPool:
@@ -54,28 +57,26 @@ class ForestPool:
     def __init__(self, program: Program):
         program.finalize()
         self.program = program
-        self.type_table: list[str] = sorted(program.tree_types)
-        self._type_ids = {
-            name: tag for tag, name in enumerate(self.type_table)
-        }
+        self._adopt(type_table(program))
         self.tags: list[int] = []
         self.columns: dict[str, list] = {
-            name: [] for name in column_names(program)
+            name: [] for name in self._plan.columns
         }
         self.roots: list[int] = []
         self.nodes: list[Optional[Node]] = []
-        self.object_columns = frozenset(
-            name
-            for type_name in program.tree_types
-            for name, field in program.fields_of(type_name).items()
-            if not field.is_child and not is_primitive(field.type_name)
-        )
+
+    def _adopt(self, table: TypeTable) -> None:
+        """Read the program's table and plan (shared, never pickled)."""
+        self._table = table
+        self._plan = table.pool_plan
+        self.type_table: list[str] = self._plan.type_names
+        self.object_columns: frozenset[str] = self._plan.object_columns
 
     def __len__(self) -> int:
         return len(self.tags)
 
     def type_id(self, type_name: str) -> int:
-        return self._type_ids[type_name]
+        return self._plan.type_ids[type_name]
 
     def type_name(self, index: int) -> str:
         return self.type_table[self.tags[index]]
@@ -98,51 +99,55 @@ class ForestPool:
     def add_tree(self, root: Node) -> int:
         """Serialize one tree into the pool (rows in DFS preorder);
         returns the root's row index and records it in ``roots``."""
-        program = self.program
+        shapes = self._plan.shapes
         base = len(self.tags)
         order: list[Node] = []
-        index_of: dict[int, int] = {}
-        stack = [root]
+        row_shapes = []
+        # (child field, parent row, child row): a child's row is known
+        # when it is popped, before the columns have grown to hold it
+        links: list[tuple[str, int, int]] = []
+        stack: list[tuple[Node, Optional[str], int]] = [(root, None, base)]
         while stack:
-            node = stack.pop()
-            index_of[id(node)] = base + len(order)
+            node, link, parent = stack.pop()
+            row = base + len(order)
+            if link is not None:
+                links.append((link, parent, row))
+            shape = shapes[node.type_name]
             order.append(node)
-            children = [
-                node.fields[name]
-                for name, field in program.fields_of(
-                    node.type_name
-                ).items()
-                if field.is_child and node.fields[name] is not None
-            ]
-            stack.extend(reversed(children))
-        for node in order:
-            fields = program.fields_of(node.type_name)
-            self.tags.append(self._type_ids[node.type_name])
-            self.nodes.append(node)
-            for name, column in self.columns.items():
-                field = fields.get(name)
-                if field is None:
-                    column.append(None)
-                elif field.is_child:
-                    child = node.fields[name]
-                    column.append(
-                        None if child is None else index_of[id(child)]
-                    )
-                else:
-                    column.append(node.fields[name])
-        self.roots.append(index_of[id(root)])
-        return index_of[id(root)]
+            row_shapes.append(shape)
+            fields = node.fields
+            for name in reversed(shape.children):
+                child = fields[name]
+                if child is not None:
+                    stack.append((child, name, row))
+        self.tags.extend([shape.tag for shape in row_shapes])
+        self.nodes.extend(order)
+        columns = self.columns
+        filler = [None] * len(order)
+        for column in columns.values():
+            column.extend(filler)
+        for row, (node, shape) in enumerate(zip(order, row_shapes), base):
+            fields = node.fields
+            for name in shape.data:
+                columns[name][row] = fields[name]
+        for name, parent, row in links:
+            columns[name][parent] = row
+        self.roots.append(base)
+        return base
 
     def new(self, type_name: str) -> int:
         """Allocate one default-initialized row (what a generated ``new``
         statement calls); the row has no backing node until
         :meth:`write_back` materializes one."""
-        fields = type_table(self.program).new_fields(type_name)
+        fields = self._table.new_fields(type_name)
         index = len(self.tags)
-        self.tags.append(self._type_ids[type_name])
+        self.tags.append(self._plan.type_ids[type_name])
         self.nodes.append(None)
-        for name, column in self.columns.items():
-            column.append(fields.get(name))
+        columns = self.columns
+        for column in columns.values():
+            column.append(None)
+        for name, value in fields.items():
+            columns[name][index] = value
         return index
 
     # -- accessors -------------------------------------------------------
@@ -166,9 +171,7 @@ class ForestPool:
         and read out, not written back into someone else's tree."""
         twin = ForestPool.__new__(ForestPool)
         twin.program = self.program
-        twin.type_table = self.type_table
-        twin._type_ids = self._type_ids
-        twin.object_columns = self.object_columns
+        twin._adopt(self._table)
         twin.tags = list(self.tags)
         twin.roots = list(self.roots)
         twin.nodes = [None] * len(self.tags)
@@ -190,22 +193,22 @@ class ForestPool:
         Returns the per-row node list."""
         program = self.program
         nodes = self.nodes
-        for index in range(len(self.tags)):
-            if nodes[index] is None:
+        tags = self.tags
+        for index, node in enumerate(nodes):
+            if node is None:
                 nodes[index] = Node.new(
-                    program, heap, self.type_table[self.tags[index]]
+                    program, heap, self.type_table[tags[index]]
                 )
         columns = self.columns
-        for index, node in enumerate(nodes):
-            node_fields = node.fields
-            for name, field in program.fields_of(node.type_name).items():
-                value = columns[name][index]
-                if field.is_child:
-                    node_fields[name] = (
-                        None if value is None else nodes[value]
-                    )
-                else:
-                    node_fields[name] = value
+        shapes = self._plan.shapes_by_tag
+        for index, (node, tag) in enumerate(zip(nodes, tags)):
+            shape = shapes[tag]
+            fields = node.fields
+            for name in shape.data:
+                fields[name] = columns[name][index]
+            for name in shape.children:
+                child = columns[name][index]
+                fields[name] = None if child is None else nodes[child]
         return nodes
 
     def to_tree(self, heap: Heap, index: int) -> Node:
@@ -213,59 +216,52 @@ class ForestPool:
         tree on *heap* (values copied — the pool stays untouched)."""
         program = self.program
         columns = self.columns
+        shapes = self._plan.shapes_by_tag
         order: list[int] = []
         stack = [index]
         while stack:
             row = stack.pop()
             order.append(row)
-            fields = program.fields_of(self.type_table[self.tags[row]])
-            children = [
-                columns[name][row]
-                for name, field in fields.items()
-                if field.is_child and columns[name][row] is not None
-            ]
-            stack.extend(reversed(children))
+            for name in reversed(shapes[self.tags[row]].children):
+                child = columns[name][row]
+                if child is not None:
+                    stack.append(child)
         made = {
-            row: Node.new(
-                program, heap, self.type_table[self.tags[row]]
-            )
+            row: Node.new(program, heap, self.type_name(row))
             for row in order
         }
         for row in order:
-            node = made[row]
-            for name, field in program.fields_of(node.type_name).items():
+            fields = made[row].fields
+            for name, is_child in shapes[self.tags[row]].fields:
                 value = columns[name][row]
-                if field.is_child:
-                    node.fields[name] = (
-                        None if value is None else made[value]
-                    )
+                if is_child:
+                    fields[name] = None if value is None else made[value]
                 else:
-                    node.fields[name] = copy_value(value)
+                    fields[name] = copy_value(value)
         return made[index]
 
     def snapshot(self, index: int) -> dict:
         """Structural snapshot of the subtree at row *index*, matching
         :meth:`repro.runtime.node.Node.snapshot` byte for byte — the
         differential tests diff the two directly."""
-        program = self.program
         columns = self.columns
+        shapes = self._plan.shapes_by_tag
         done: dict[int, dict] = {}
         stack: list[tuple[int, bool]] = [(index, False)]
         while stack:
             row, expanded = stack.pop()
-            type_name = self.type_table[self.tags[row]]
-            fields = program.fields_of(type_name)
+            shape = shapes[self.tags[row]]
             if not expanded:
                 stack.append((row, True))
-                for name, field in fields.items():
-                    child = columns[name][row] if field.is_child else None
-                    if field.is_child and child is not None:
+                for name in shape.children:
+                    child = columns[name][row]
+                    if child is not None:
                         stack.append((child, False))
                 continue
-            data = {"__type__": type_name}
-            for name, field in fields.items():
+            data = {"__type__": self.type_table[shape.tag]}
+            for name, is_child in shape.fields:
                 value = columns[name][row]
-                if field.is_child:
+                if is_child:
                     data[name] = None if value is None else done[value]
                 elif isinstance(value, ObjectValue):
                     data[name] = (value.class_name, dict(value.members))
@@ -277,11 +273,21 @@ class ForestPool:
     # -- pickling --------------------------------------------------------
 
     def __getstate__(self):
-        state = dict(self.__dict__)
         # backing nodes are transport-hostile (and meaningless in
-        # another process) — a restored pool is a value, like a clone
-        state["nodes"] = [None] * len(self.tags)
-        return state
+        # another process) — a restored pool is a value, like a clone;
+        # the type table does not pickle, and the restored pool finds
+        # it again through its program
+        return {
+            "program": self.program,
+            "tags": self.tags,
+            "columns": self.columns,
+            "roots": self.roots,
+        }
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self.nodes = [None] * len(self.tags)
+        self._adopt(type_table(self.program))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

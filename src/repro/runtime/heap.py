@@ -9,10 +9,10 @@ workload generators build trees and giving the allocation-order locality
 that makes the cache results meaningful.
 
 Everything here that depends only on the program — each type's layout,
-the field dict a new node of each concrete type starts from, the
-globals' addresses — is computed once per :class:`Program` into its
-:class:`TypeTable` (:func:`type_table`), which every heap, node build and
-pool row allocation of that program reads.
+the field dict a new node of each concrete type starts from, how a
+pool lays out its rows, the globals' addresses — is computed once per
+:class:`Program` into its :class:`TypeTable` (:func:`type_table`), which
+every heap, node build and pool of that program reads.
 """
 
 from __future__ import annotations
@@ -73,6 +73,70 @@ def compute_layout(program: Program, type_name: str) -> TypeLayout:
     )
 
 
+@dataclass(frozen=True)
+class RowShape:
+    """One tree type's fields as a pool row holds them."""
+
+    tag: int
+    children: tuple[str, ...]  # child-field names, declaration order
+    data: tuple[str, ...]  # data-field names, declaration order
+    # every field, declaration order, as (name, is_child): the key
+    # order of a node's field dict and of its snapshot
+    fields: tuple[tuple[str, bool], ...]
+
+
+@dataclass(frozen=True)
+class PoolPlan:
+    """How one program's trees lie in a
+    :class:`~repro.layout.ForestPool`: every pool of the program reads
+    this one plan instead of asking the program per row.
+
+    * ``type_names`` — every tree type, sorted; a row's tag indexes it.
+    * ``type_ids`` — the inverse: type name to tag.
+    * ``columns`` — the union of field names, sorted: the pool's column
+      set and the pooled module's binding order.
+    * ``object_columns`` — the columns that hold opaque values.
+    * ``shapes`` / ``shapes_by_tag`` — each type's :class:`RowShape`,
+      by name and by tag.
+    """
+
+    type_names: list[str]
+    type_ids: dict[str, int]
+    columns: tuple[str, ...]
+    object_columns: frozenset[str]
+    shapes: dict[str, RowShape]
+    shapes_by_tag: tuple[RowShape, ...]
+
+    @classmethod
+    def of(cls, program: Program) -> "PoolPlan":
+        type_names = sorted(program.tree_types)
+        shapes: dict[str, RowShape] = {}
+        columns: set[str] = set()
+        object_columns: set[str] = set()
+        for tag, type_name in enumerate(type_names):
+            fields = program.fields_of(type_name).items()
+            shapes[type_name] = RowShape(
+                tag=tag,
+                children=tuple(name for name, f in fields if f.is_child),
+                data=tuple(name for name, f in fields if not f.is_child),
+                fields=tuple((name, f.is_child) for name, f in fields),
+            )
+            columns.update(name for name, _ in fields)
+            object_columns.update(
+                name
+                for name, f in fields
+                if not f.is_child and not is_primitive(f.type_name)
+            )
+        return cls(
+            type_names=type_names,
+            type_ids={name: shape.tag for name, shape in shapes.items()},
+            columns=tuple(sorted(columns)),
+            object_columns=frozenset(object_columns),
+            shapes=shapes,
+            shapes_by_tag=tuple(shapes.values()),
+        )
+
+
 class TypeTable:
     """The run-time shape of one program's types, computed once.
 
@@ -81,6 +145,8 @@ class TypeTable:
       starts from (children ``None``, data fields at their declared or
       zero defaults) and the opaque fields that need a fresh
       :class:`ObjectValue` per node, as ``(field, class, members)``.
+    * ``pool_plan`` — the :class:`PoolPlan` every pool of the program
+      reads.
     * ``global_addresses`` — each global's address in the globals
       segment (read-only).
 
@@ -99,6 +165,7 @@ class TypeTable:
             for name, tree_type in program.tree_types.items()
             if not tree_type.abstract
         }
+        self.pool_plan = PoolPlan.of(program)
         addresses: dict[str, int] = {}
         offset = Heap.GLOBALS_BASE
         for var in program.globals.values():

@@ -174,17 +174,18 @@ class MemoryTier:
         promoted: bool = False,
     ) -> None:
         """Adopt one artifact (``blob`` is unused: memory keeps the
-        object). ``promoted`` marks a result read through from a lower
-        tier, which converts this lookup's recorded miss into a
-        ``disk_hits`` (served-from-below) hit so the stats stay honest;
-        a promoted unit keeps its miss."""
+        object). ``promoted`` marks an artifact read through from a
+        lower tier, which converts this lookup's recorded miss into a
+        hit so the stats stay honest: a result's into a ``disk_hits``
+        (served-from-below) hit, a unit's into a ``unit_hits`` one."""
         address = key.memory_key if kind == RESULT else key
         with self._lock:
             self._insert(kind, address, artifact)
-            if promoted and kind == RESULT:
-                self.counts["disk_hits"] += 1
-                self.counts["hits"] += 1
-                self.counts["misses"] -= 1
+            if promoted:
+                if kind == RESULT:
+                    self.counts["disk_hits"] += 1
+                self.counts[counter_name(kind, "hits")] += 1
+                self.counts[counter_name(kind, "misses")] -= 1
 
     # -- gc -------------------------------------------------------------
 

@@ -119,7 +119,7 @@ class TestScriptedCounters:
 
         # 2. the result and one unit through a fresh memory tier over
         # the same disk: a promoted result turns the memory miss into
-        # a served-from-below hit; a promoted unit leaves its miss
+        # a served-from-below hit, a promoted unit into a unit hit
         key = ResultKey.of(result.source_hash, result.options)
         unit = sorted(disk.dir.glob("units/fusion/*/*.pkl"))[0].stem
         fresh = MemoryTier()
@@ -129,8 +129,8 @@ class TestScriptedCounters:
         assert served_by is disk
         assert _counters(fresh.stats()) == {
             "entries": 1, "artifacts": 0, "units": 1, "hits": 1,
-            "misses": 0, "disk_hits": 1, "unit_hits": 0,
-            "unit_misses": 1, "evictions": 0,
+            "misses": 0, "disk_hits": 1, "unit_hits": 1,
+            "unit_misses": 0, "evictions": 0,
         }
         assert _counters(disk.stats()) == {
             **cold_disk, "loads": 1, "unit_loads": 1,
@@ -161,8 +161,8 @@ class TestScriptedCounters:
         }
         assert _counters(near.stats()) == {
             "entries": 1, "artifacts": 0, "units": 1, "hits": 1,
-            "misses": 0, "disk_hits": 1, "unit_hits": 0,
-            "unit_misses": 1, "evictions": 0,
+            "misses": 0, "disk_hits": 1, "unit_hits": 1,
+            "unit_misses": 0, "evictions": 0,
         }
 
         # 4. one corrupt file (a counted error, deleted) and one
@@ -183,8 +183,8 @@ class TestScriptedCounters:
         }
         assert _counters(near.stats()) == {
             "entries": 1, "artifacts": 0, "units": 1, "hits": 1,
-            "misses": 1, "disk_hits": 1, "unit_hits": 0,
-            "unit_misses": 1, "evictions": 0,
+            "misses": 1, "disk_hits": 1, "unit_hits": 1,
+            "unit_misses": 0, "evictions": 0,
         }
 
 
