@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """End-to-end smoke test of the tiered storage stack.
 
-Five processes plus a server, one shared workload
-(``examples/fig2.grafter``):
+Six processes plus a server over one shared workload
+(``examples/fig2.grafter``), then two over the registered ``render``
+workload:
 
 1. **Process A** populates a store (``repro compile --cache-dir A``)
    and exports the emitted fused module as the byte-identity baseline.
@@ -21,6 +22,11 @@ Five processes plus a server, one shared workload
    fusion recomputes (its units are gone), everything else stays warm,
    and the output is **still byte-identical** — GC can reclaim space
    but can never change what the compiler produces.
+6. **Process E** runs ``repro exec --workload render --cache-dir E``:
+   a cold compile, and a first run that compiles the fused module's
+   source and stores its bytecode. **Process F** runs the same command
+   against E's store: its store stats must show that bytecode loaded
+   from disk and nothing written, with no failed request.
 
 Exits non-zero on any failure. Run locally with::
 
@@ -29,6 +35,7 @@ Exits non-zero on any failure. Run locally with::
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 import re
@@ -107,6 +114,41 @@ def explain_row(output: str, pass_name: str) -> tuple[int, int, int]:
     return hits, misses, peer
 
 
+def exec_render(store: str) -> dict:
+    """``repro exec --workload render`` over *store*; its JSON document,
+    checked for failed requests."""
+    doc = json.loads(run("exec", "--workload", "render", "--cache-dir",
+                         store, "--json"))
+    if doc["failed_requests"] != 0 or doc["completed_requests"] == 0:
+        raise SystemExit(f"FAIL: exec over {store}: {doc}")
+    return doc
+
+
+def check_bytecode_reuse(store: str) -> None:
+    """Process E stores the fused module's bytecode; process F, over
+    E's store, loads it from disk and writes nothing."""
+    exec_render(store)
+    units = pathlib.Path(store, "v1", "units", "bytecode")
+    stored = sorted(units.rglob("*.pkl"))
+    if len(stored) != 1:
+        raise SystemExit(
+            f"FAIL: E stored {len(stored)} bytecode units, expected the "
+            "fused module's one"
+        )
+    counts = exec_render(store)["store"]
+    # F's compile is a whole-result hit, so its one unit load is the
+    # fused module's bytecode
+    expected = {"loads": 1, "unit_loads": 1, "unit_load_misses": 0,
+                "spills": 0, "unit_spills": 0}
+    seen = {key: counts[key] for key in expected}
+    if seen != expected:
+        raise SystemExit(f"FAIL: F's store stats {seen} != {expected}")
+    if sorted(units.rglob("*.pkl")) != stored:
+        raise SystemExit("FAIL: F changed E's bytecode units")
+    print("storage_smoke: F ran E's stored bytecode "
+          f"({stored[0].stem[:12]}), compiled and wrote nothing")
+
+
 def main(argv: list[str]) -> int:
     workdir = argv[1] if len(argv) > 1 else tempfile.mkdtemp(
         prefix="repro-storage-smoke-"
@@ -115,6 +157,7 @@ def main(argv: list[str]) -> int:
     store_b = os.path.join(workdir, "store-b")
     store_c = os.path.join(workdir, "store-c")
     store_d = os.path.join(workdir, "store-d")
+    store_e = os.path.join(workdir, "store-e")
     module_a = os.path.join(workdir, "fused-a.py")
     module_b = os.path.join(workdir, "fused-b.py")
     module_c = os.path.join(workdir, "fused-c.py")
@@ -187,6 +230,10 @@ def main(argv: list[str]) -> int:
         raise SystemExit("FAIL: post-GC compile is not byte-identical")
     print(f"storage_smoke: post-GC compile recomputed {misses} fusion "
           "units, output byte-identical")
+
+    # 6. processes E and F: a fresh process over a warm store runs the
+    # stored bytecode instead of compiling the module's source
+    check_bytecode_reuse(store_e)
     print("storage_smoke: OK")
     return 0
 

@@ -25,11 +25,23 @@ Member truncation (``return;`` under ``active_flags``) compiles to a
 ``_Trunc`` exception caught at the guarded statement, clearing the
 member's bit — truncations are rare, so the exception cost is paid only
 when the paper's semantics actually need it.
+
+A module's source is compiled to bytecode once per store, not once per
+process: the first build looks up the module's ``("bytecode", key)``
+unit (:func:`bytecode_key`) in the store that resolved it, and on a
+miss compiles the source and publishes ``marshal.dumps`` of the code
+object for the next process.
 """
 
 from __future__ import annotations
 
+import hashlib
 import keyword
+import marshal
+import sys
+import threading
+from importlib.util import MAGIC_NUMBER
+from types import CodeType
 from typing import Optional
 
 from repro.errors import ReproError
@@ -692,6 +704,27 @@ def _emit_group_call(
 # ===========================================================================
 
 
+#: The unit namespace generated modules' bytecode is stored under.
+BYTECODE_PASS = "bytecode"
+
+# One lock for every module's first build, so threads racing to make a
+# module's first run build its namespace once. compile() holds the GIL
+# throughout, so one lock for all modules costs almost no parallelism.
+_BUILD_LOCK = threading.Lock()
+
+
+def bytecode_key(module_name: str, source: str) -> str:
+    """The content key of one generated module's bytecode unit: the
+    interpreter's bytecode magic number, its optimization level, the
+    module name (it becomes ``co_filename``) and the source. A store
+    shared across Python versions never serves one version's bytecode to
+    another."""
+    digest = hashlib.sha256(MAGIC_NUMBER)
+    digest.update(f"\x00{sys.flags.optimize}\x00{module_name}\x00".encode())
+    digest.update(source.encode())
+    return digest.hexdigest()
+
+
 class _CompiledModule:
     """Shared exec machinery for the two compiled-module classes.
 
@@ -700,18 +733,54 @@ class _CompiledModule:
     unpickle — a disk-restored artifact pays the module exec only when
     it is actually run, which keeps warm-store compiles to the cost of a
     file read plus an unpickle.
+
+    The store that resolved the module (:meth:`attach_store`) serves and
+    keeps its bytecode; like the namespace it is never pickled.
     """
 
     source: str
     _namespace: Optional[dict]
+    _store = None
 
     @property
     def namespace(self) -> dict:
+        namespace = self._namespace
+        if namespace is None:
+            with _BUILD_LOCK:
+                namespace = self._namespace
+                if namespace is None:
+                    namespace = {}
+                    exec(self._code(), namespace)
+                    self._namespace = namespace
+        return namespace
+
+    def attach_store(self, store) -> None:
+        """Build this module's namespace from the bytecode unit *store*
+        holds, and publish the bytecode there when it holds none. A
+        module already built needs no store."""
         if self._namespace is None:
-            namespace: dict = {}
-            exec(compile(self.source, self._module_name(), "exec"), namespace)
-            self._namespace = namespace
-        return self._namespace
+            self._store = store
+
+    def _code(self) -> CodeType:
+        """The module's code: its stored bytecode when the store holds a
+        unit that decodes to code, else compiled from the source and
+        published to the store."""
+        name = self._module_name()
+        store = self._store
+        if store is None:
+            return compile(self.source, name, "exec")
+        key = bytecode_key(name, self.source)
+        hit = store.get_unit(BYTECODE_PASS, key)
+        if hit is not None:
+            try:
+                code = marshal.loads(hit[0])
+            except (EOFError, TypeError, ValueError):
+                code = None  # not marshal data: compile it afresh
+            if isinstance(code, CodeType):
+                return code
+        code = compile(self.source, name, "exec")
+        store.put_unit(BYTECODE_PASS, key, marshal.dumps(code), spill=True)
+        return code
 
     def _module_name(self) -> str:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -719,6 +788,7 @@ class _CompiledModule:
     def __getstate__(self):
         state = dict(self.__dict__)
         state["_namespace"] = None
+        state.pop("_store", None)
         return state
 
     def __setstate__(self, state):

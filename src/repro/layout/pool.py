@@ -191,19 +191,27 @@ class ForestPool:
         allocated — after this, the original tree objects reflect the
         pooled run exactly as an object-graph run would have left them.
         Returns the per-row node list."""
-        program = self.program
         nodes = self.nodes
         tags = self.tags
         for index, node in enumerate(nodes):
             if node is None:
-                nodes[index] = Node.new(
-                    program, heap, self.type_table[tags[index]]
-                )
+                # a row generated code allocated: its node starts empty
+                # and takes the row's fields below, in the key order a
+                # new node has (no defaults built only to be overwritten)
+                type_name = self.type_table[tags[index]]
+                nodes[index] = Node(type_name, {}, heap.allocate(type_name))
         columns = self.columns
         shapes = self._plan.shapes_by_tag
         for index, (node, tag) in enumerate(zip(nodes, tags)):
             shape = shapes[tag]
             fields = node.fields
+            if not fields:
+                for name, is_child in shape.fields:
+                    value = columns[name][index]
+                    if is_child and value is not None:
+                        value = nodes[value]
+                    fields[name] = value
+                continue
             for name in shape.data:
                 fields[name] = columns[name][index]
             for name in shape.children:

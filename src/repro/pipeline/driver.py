@@ -68,7 +68,9 @@ def compile(
     promoted upward — a disk hit into memory, a peer hit onto the local
     disk *and* into memory — and cold results are published to every
     writable tier (unless ``options.persist`` is off) so *other
-    processes and hosts* start warm.
+    processes and hosts* start warm. The returned modules build through
+    the same store: the first run of each loads its stored bytecode, or
+    compiles its source and publishes the bytecode.
 
     ``incremental`` (default on) keys every pass's work on *compilation
     units* (methods, fused sequences, emitted module functions — see
@@ -153,6 +155,7 @@ def compile(
                     seconds=time.perf_counter() - start,
                     detail={"hit": 1},
                 )
+                _attach_store(hit, store)
                 return replace(
                     hit,
                     cache_hit=True,
@@ -196,7 +199,18 @@ def compile(
         )
         if store is not None:
             store.put_result(key, result)
+            _attach_store(result, store)
         return result
+
+
+def _attach_store(result: CompileResult, store: TieredStore) -> None:
+    """Hand *store* to the result's modules: one not built yet loads its
+    bytecode from there on first run, or compiles its source and
+    publishes the bytecode for the next process. Nothing here compiles:
+    a cold compile stays lazy."""
+    for module in (result.compiled_unfused, result.compiled_fused):
+        if module is not None:
+            module.attach_store(store)
 
 
 def _tiers_for(

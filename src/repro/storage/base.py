@@ -13,7 +13,11 @@ or a remote ``repro serve``) — implements one small protocol,
   ``CompileOptions.output_hash``).
 * ``"unit"`` — one pass's artifact for one compilation unit (a fusion
   plan, an emitted module function — see :mod:`repro.pipeline.units`),
-  keyed by ``(pass name, content key)``.
+  keyed by ``(pass name, content key)``. The same namespace holds each
+  generated module's bytecode, under the ``"bytecode"`` pass: the
+  ``marshal`` dump of its compiled code, keyed by the interpreter's
+  magic number, optimization level, module name and source (see
+  :func:`repro.codegen.python_backend.bytecode_key`).
 
 The two kinds never share a namespace. (The memory tier holds a third,
 process-local kind, ``"module"``: exec'd module objects, which never

@@ -29,7 +29,8 @@ by a different repro version is a clean miss (and deleted) rather than
 an attribute-drift surprise. Compiled modules travel as generated
 source (their exec'd namespaces rebuild lazily on first run — see
 ``codegen.python_backend``), so a warm-store compile costs a file read
-plus an unpickle, not a module exec.
+plus an unpickle, not a module exec; that first run loads the module's
+bytecode from its ``units/bytecode/`` unit when the store holds one.
 
 Concurrency: writes go to a temp file in the destination directory and
 are published with ``os.replace`` (atomic on POSIX), so a reader never
