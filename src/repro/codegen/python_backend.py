@@ -38,8 +38,10 @@ from __future__ import annotations
 import hashlib
 import keyword
 import marshal
+import os
 import sys
 import threading
+import weakref
 from importlib.util import MAGIC_NUMBER
 from types import CodeType
 from typing import Optional
@@ -707,10 +709,22 @@ def _emit_group_call(
 #: The unit namespace generated modules' bytecode is stored under.
 BYTECODE_PASS = "bytecode"
 
-# One lock for every module's first build, so threads racing to make a
-# module's first run build its namespace once. compile() holds the GIL
-# throughout, so one lock for all modules costs almost no parallelism.
-_BUILD_LOCK = threading.Lock()
+# Each module's first-build lock: threads racing on one module's first
+# run build its namespace once, and a build waiting on its store holds
+# up no other module. Keyed by the module object itself (as
+# repro.runtime.heap keys type tables), so pickling a module never
+# carries its lock. A forked child starts with none: a lock some parent
+# thread held at the fork would never be released in the child.
+_BUILD_LOCKS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _forget_build_locks() -> None:
+    global _BUILD_LOCKS
+    _BUILD_LOCKS = weakref.WeakKeyDictionary()
+
+
+if hasattr(os, "register_at_fork"):  # not on platforms without fork
+    os.register_at_fork(after_in_child=_forget_build_locks)
 
 
 def bytecode_key(module_name: str, source: str) -> str:
@@ -746,7 +760,7 @@ class _CompiledModule:
     def namespace(self) -> dict:
         namespace = self._namespace
         if namespace is None:
-            with _BUILD_LOCK:
+            with _BUILD_LOCKS.setdefault(self, threading.Lock()):
                 namespace = self._namespace
                 if namespace is None:
                     namespace = {}

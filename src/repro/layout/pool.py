@@ -193,25 +193,23 @@ class ForestPool:
         Returns the per-row node list."""
         nodes = self.nodes
         tags = self.tags
+        templates = self._table.templates
         for index, node in enumerate(nodes):
             if node is None:
-                # a row generated code allocated: its node starts empty
-                # and takes the row's fields below, in the key order a
-                # new node has (no defaults built only to be overwritten)
+                # a row generated code allocated: its node takes the
+                # template's keys, in a new node's order, and every
+                # field from the row below (no opaque default is built)
                 type_name = self.type_table[tags[index]]
-                nodes[index] = Node(type_name, {}, heap.allocate(type_name))
+                nodes[index] = Node(
+                    type_name,
+                    templates[type_name][0].copy(),
+                    heap.allocate(type_name),
+                )
         columns = self.columns
         shapes = self._plan.shapes_by_tag
         for index, (node, tag) in enumerate(zip(nodes, tags)):
             shape = shapes[tag]
             fields = node.fields
-            if not fields:
-                for name, is_child in shape.fields:
-                    value = columns[name][index]
-                    if is_child and value is not None:
-                        value = nodes[value]
-                    fields[name] = value
-                continue
             for name in shape.data:
                 fields[name] = columns[name][index]
             for name in shape.children:

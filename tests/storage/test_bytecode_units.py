@@ -15,9 +15,11 @@ import json
 import marshal
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import threading
+import time
 from types import CodeType
 
 import pytest
@@ -356,6 +358,107 @@ def test_threads_racing_on_a_first_run_build_the_module_once(
     assert len(done) == 8
     assert lookups == [unit_key(module)]
     assert compiles == ([] if warm else [module._module_name()])
+
+
+class _SlowStore:
+    """A store whose first bytecode lookup blocks until released (or 30
+    seconds pass, so a broken lock fails a test rather than hanging
+    it). A child forked during that lookup copies the count, so its own
+    lookups do not block."""
+
+    def __init__(self, store):
+        self.store = store
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.lookups = 0
+
+    def get_unit(self, pass_name, key):
+        self.lookups += 1
+        if self.lookups == 1:
+            self.entered.set()
+            self.release.wait(timeout=30)
+        return self.store.get_unit(pass_name, key)
+
+    def put_unit(self, pass_name, key, artifact, spill=False):
+        self.store.put_unit(pass_name, key, artifact, spill=spill)
+
+
+def _blocked_first_build(tmp_path):
+    """A render result whose fused module's first build is blocked in
+    its store lookup on another thread: ``(result, slow, thread)``."""
+    result = pipeline_compile(
+        render_workload(),
+        options=CompileOptions(cache_dir=str(tmp_path)),
+        cache=MemoryTier(),
+    )
+    module = result.compiled_fused
+    slow = _SlowStore(module._store)
+    module.attach_store(slow)
+    thread = threading.Thread(target=lambda: module.namespace)
+    thread.start()
+    assert slow.entered.wait(timeout=10)
+    return result, slow, thread
+
+
+def test_a_build_waiting_on_its_store_holds_up_no_other_module(
+    tmp_path, compiles
+):
+    result, slow, blocked = _blocked_first_build(tmp_path)
+    other = threading.Thread(target=lambda: result.compiled_unfused.namespace)
+    try:
+        other.start()
+        other.join(timeout=10)
+        finished_first = not other.is_alive()
+    finally:
+        slow.release.set()
+        blocked.join(timeout=10)
+        other.join(timeout=10)
+    assert finished_first
+    assert not blocked.is_alive()
+    assert compiles == [
+        result.compiled_unfused._module_name(),
+        result.compiled_fused._module_name(),
+    ]
+    assert result.compiled_fused._namespace is not None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_builds_a_module_a_parent_thread_is_building(
+    tmp_path,
+):
+    result, slow, blocked = _blocked_first_build(tmp_path)
+    module = result.compiled_fused
+    workload = render_workload()
+    program = result.program
+    try:
+        pid = os.fork()
+        if pid == 0:  # a parent thread holds the module's build lock
+            status = 1
+            try:
+                heap = Heap(program)
+                root = workload.build_tree(
+                    program, heap, render_spec(pages=1)
+                )
+                module.run_fused(heap, root, workload.globals_map)
+                status = 0
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 30
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    finally:
+        slow.release.set()
+        blocked.join(timeout=10)
+    assert done, "the child's first build waited on a lock it inherited"
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+    assert not blocked.is_alive()
+    assert module._namespace is not None
 
 
 def test_pickled_modules_carry_no_store(tmp_path):
