@@ -102,9 +102,6 @@ class DependenceGraph:
     def has_edge(self, src: int, dst: int) -> bool:
         return dst in self.succ[src]
 
-    def edge_count(self) -> int:
-        return sum(len(s) for s in self.succ.values())
-
     def to_dot(self) -> str:  # pragma: no cover - debugging aid
         lines = ["digraph dependences {"]
         for vertex in self.vertices:

@@ -15,7 +15,7 @@ workers and the on-disk artifact store unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from repro.errors import WorkloadError
@@ -94,9 +94,6 @@ class Workload:
             make_spec=make_spec,
             description=description,
         )
-
-    def with_description(self, description: str) -> "Workload":
-        return replace(self, description=description)
 
     # -- identity -------------------------------------------------------
 

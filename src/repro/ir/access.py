@@ -57,10 +57,6 @@ class AccessPath:
     def local(name: str, *steps: Step) -> "AccessPath":
         return AccessPath(f"local:{name}", tuple(steps))
 
-    @staticmethod
-    def global_(name: str, *steps: Step) -> "AccessPath":
-        return AccessPath(f"global:{name}", tuple(steps))
-
     # -- classification ---------------------------------------------------
 
     @property
@@ -90,15 +86,6 @@ class AccessPath:
     @property
     def ends_in_data(self) -> bool:
         return bool(self.steps) and not self.steps[-1].field.is_child
-
-    def child_prefix_length(self) -> int:
-        """Number of leading child steps (the node-navigation part)."""
-        count = 0
-        for step in self.steps:
-            if not step.field.is_child:
-                break
-            count += 1
-        return count
 
     def check_well_formed(self) -> None:
         """Child steps must all precede data steps (grammar rules 17/20)."""

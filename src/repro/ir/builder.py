@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from repro.errors import ValidationError
-from repro.ir.access import AccessPath, Receiver, Step
+from repro.ir.access import AccessPath, Step
 from repro.ir.method import Param, PureFunction, TraversalMethod
 from repro.ir.program import EntryCall, Program
-from repro.ir.types import OpaqueClass, TreeType, is_primitive
+from repro.ir.types import TreeType
 
 
 @dataclass(frozen=True)
@@ -94,15 +94,6 @@ def resolve_member_chain(
     return AccessPath(base, tuple(steps))
 
 
-def static_type_of_path(program: Program, path: AccessPath, this_type: str) -> str:
-    """The static type a resolved path denotes (tree type for node paths)."""
-    if not path.steps:
-        if path.base == "this":
-            return this_type
-        raise ValidationError(f"cannot type bare path {path}")
-    return path.steps[-1].field.type_name
-
-
 class ProgramBuilder:
     """Assemble a Program from Python, with two-stage finalization.
 
@@ -132,15 +123,6 @@ class ProgramBuilder:
     ) -> TreeType:
         tree_type = TreeType(name, bases=list(bases), abstract=abstract)
         return self.program.add_tree_type(tree_type)
-
-    def opaque_class(self, name: str, fields: dict[str, str] | None = None) -> OpaqueClass:
-        cls = OpaqueClass(name)
-        for field_name, type_name in (fields or {}).items():
-            cls.add_field(field_name, type_name)
-        return self.program.add_opaque_class(cls)
-
-    def global_var(self, name: str, type_name: str):
-        return self.program.add_global(name, type_name)
 
     def pure(
         self,
@@ -183,12 +165,6 @@ class ProgramBuilder:
         self.program.tree_types[owner].add_method(method)
         return method
 
-    def receiver_child(self, owner_type: str, child_name: str) -> Receiver:
-        field = self.program.resolve_field(owner_type, child_name)
-        if not field.is_child:
-            raise ValidationError(f"{owner_type}.{child_name} is not a child")
-        return Receiver(child=field)
-
     def entry(self, root_type: str, calls: Iterable[tuple[str, tuple]]) -> None:
         self.program.set_entry(
             root_type,
@@ -198,7 +174,3 @@ class ProgramBuilder:
     def build(self) -> Program:
         self.program.finalize()
         return self.program
-
-
-def primitive_or_opaque(program: Program, type_name: str) -> bool:
-    return is_primitive(type_name) or type_name in program.opaque_classes

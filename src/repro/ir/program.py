@@ -223,10 +223,6 @@ class Program:
         if not self._types_ready:
             raise ValidationError("program types must be finalized first")
 
-    def _require_finalized(self) -> None:
-        if not self._finalized:
-            raise ValidationError("program must be finalized first")
-
     def mro(self, type_name: str) -> list[str]:
         self._require_types()
         return self._mro[type_name]
@@ -300,13 +296,6 @@ class Program:
             method_name in self.tree_types[ancestor].methods
             for ancestor in self._mro.get(type_name, ())
         )
-
-    def methods_of(self, type_name: str) -> dict[str, TraversalMethod]:
-        self._require_finalized()
-        return dict(self._method_tables[type_name])
-
-    def declaring_type(self, method: TraversalMethod) -> TreeType:
-        return self.tree_types[method.owner]
 
     def all_methods(self) -> Iterable[TraversalMethod]:
         for tree_type in self.tree_types.values():

@@ -130,11 +130,3 @@ def check_pruned(program: Program, root: Node) -> bool:
             if dead.type_name != "StmtListEnd":
                 return False
     return True
-
-
-def count_kinds(program: Program, root: Node) -> dict[str, int]:
-    """Node-type census (useful in tests and reports)."""
-    counts: dict[str, int] = {}
-    for node in root.walk(program):
-        counts[node.type_name] = counts.get(node.type_name, 0) + 1
-    return counts
