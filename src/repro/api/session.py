@@ -174,7 +174,6 @@ class Session:
         workload: Union[Workload, str],
         *,
         options: Optional[CompileOptions] = None,
-        incremental: bool = True,
         reuse_result: bool = True,
         **option_overrides,
     ) -> CompiledWorkload:
@@ -189,18 +188,13 @@ class Session:
                 build_tree=_no_build_tree,
             )
         # the trace root for an API-driven compile (mirrors the
-        # service's /submit root); CompileOptions(trace=True) forces
-        # recording even with the process tracer off
-        with obs.span(
-            "session.compile",
-            force=bool(effective.trace),
-            workload=workload.name,
-        ) as span:
+        # service's /submit root); a caller's forced root span records
+        # it even with the process tracer off
+        with obs.span("session.compile", workload=workload.name) as span:
             result = pipeline_compile(
                 workload,
                 options=effective,
                 cache=self.memory,
-                incremental=incremental,
                 reuse_result=reuse_result,
             )
             span.set(
@@ -244,7 +238,6 @@ class Session:
         compiled = self.compile(
             workload,
             options=options,
-            incremental=True,
             reuse_result=False,
             **option_overrides,
         )
@@ -316,7 +309,6 @@ class Session:
         )
         with obs.span(
             "session.run",
-            force=bool(request.options.trace),
             workload=workload.name,
             trees=len(request.trees),
             mode=mode,

@@ -27,7 +27,9 @@ happens once per (runtime context, pool) pair; ``P.new`` appends to the
 bound column lists in place, so allocation inside a traversal never
 invalidates a binding. The statement compiler, scheduling, and fusion
 machinery are shared with the object backend — only the expression
-layer (:class:`_PooledExprCompiler`) differs.
+layer (:class:`PooledExprCompiler`) differs; the layout table
+(:data:`repro.layout.base.LAYOUTS`) names it, with this module's
+assemblers and classes, as the ``"pooled"`` backend.
 
 Fused pooled modules are self-contained: ``bind_fused`` carries the
 unfused methods and dispatch tables too (the fused body's fallback
@@ -39,25 +41,21 @@ from __future__ import annotations
 
 import textwrap
 
-from repro.fusion.fused_ir import FusedProgram, FusedUnit
+from repro.fusion.fused_ir import FusedProgram
 from repro.ir.access import AccessPath
 from repro.ir.exprs import PureCall
-from repro.ir.method import TraversalMethod
 from repro.ir.program import Program
 from repro.layout.pool import ForestPool, column_names
 from repro.runtime.heap import Heap
 from repro.runtime.node import Node
 from repro.codegen.python_backend import (
     _PRELUDE,
+    ExprCompiler,
     RuntimeContext,
     _CompiledModule,
-    _ExprCompiler,
-    _emit_method,
-    _emit_unit,
     _fused_body,
     _module_body,
     _sanitize,
-    module_methods,
 )
 
 
@@ -75,7 +73,7 @@ def column_locals(program: Program) -> dict[str, str]:
     return mapping
 
 
-class _PooledExprCompiler(_ExprCompiler):
+class PooledExprCompiler(ExprCompiler):
     """The object expression compiler with every representation touch
     redirected at the pool: columns for tree fields, integer tags for
     dispatch, ``P.new`` for allocation. Locals/globals/opaque members
@@ -133,25 +131,6 @@ class _PooledExprCompiler(_ExprCompiler):
 # ===========================================================================
 
 
-def emit_pooled_method_source(
-    program: Program, method: TraversalMethod
-) -> str:
-    """Pooled source of one unfused method — the pooled emit pass's
-    per-method compilation unit (cached under an ``emit:pooled`` salt,
-    never aliasing the object backend's pieces)."""
-    return "\n".join(_emit_method(program, method, _PooledExprCompiler))
-
-
-def emit_pooled_unit_source(
-    program: Program, unit: FusedUnit
-) -> tuple[str, list[str]]:
-    """(function source, dispatch-table lines) of one pooled fused
-    unit; same split as the object backend's ``emit_unit_source``."""
-    group_tables: list[str] = []
-    lines = _emit_unit(program, unit, group_tables, _PooledExprCompiler)
-    return "\n".join(lines), group_tables
-
-
 def _bind_preamble(program: Program) -> list[str]:
     lines = [
         "    _t = P.tags",
@@ -168,10 +147,9 @@ def _bind_preamble(program: Program) -> list[str]:
 def assemble_pooled_module(
     program: Program, method_sources: dict[str, str]
 ) -> str:
-    """Stitch pooled per-method sources into the full pooled module —
-    byte-identical to a monolithic :func:`emit_pooled_module`."""
+    """Stitch pooled per-method sources into the full pooled module."""
     program.finalize()
-    exprc = _PooledExprCompiler(program)
+    exprc = PooledExprCompiler(program)
     lines = [
         f'"""Generated from program {program.name!r} (pooled unfused)."""'
     ]
@@ -194,7 +172,7 @@ def assemble_pooled_fused_module(
     pooled fused module (unfused tables ride along for fallback calls)."""
     program = fused.program
     program.finalize()
-    exprc = _PooledExprCompiler(program)
+    exprc = PooledExprCompiler(program)
     lines = [
         f'"""Generated from program {program.name!r} (pooled fused)."""'
     ]
@@ -210,35 +188,6 @@ def assemble_pooled_fused_module(
     )
     lines.append("")
     return "\n".join(lines)
-
-
-def emit_pooled_module(program: Program) -> str:
-    """Pooled Python source for the original (unfused) program."""
-    program.finalize()
-    return assemble_pooled_module(
-        program,
-        {
-            qualified: emit_pooled_method_source(program, method)
-            for qualified, method in module_methods(program).items()
-        },
-    )
-
-
-def emit_pooled_fused_module(fused: FusedProgram) -> str:
-    """Pooled Python source for a fused program (self-contained)."""
-    program = fused.program
-    program.finalize()
-    return assemble_pooled_fused_module(
-        fused,
-        {
-            qualified: emit_pooled_method_source(program, method)
-            for qualified, method in module_methods(program).items()
-        },
-        {
-            key: emit_pooled_unit_source(program, fused.units[key])
-            for key in fused.units
-        },
-    )
 
 
 # ===========================================================================
@@ -272,21 +221,12 @@ class _PooledRunMixin:
 class CompiledPooledProgram(_PooledRunMixin, _CompiledModule):
     _bind_name = "bind_program"
 
-    def __init__(self, program: Program):
-        self.program = program
-        self.source = emit_pooled_module(program)
-        self._namespace = None
-        self.namespace  # eager exec: surface bad codegen at compile time
-
-    @classmethod
-    def from_source(
-        cls, program: Program, source: str
-    ) -> "CompiledPooledProgram":
-        self = cls.__new__(cls)
+    def __init__(self, program: Program, source: str):
+        """Wrap assembled source (:func:`assemble_pooled_module`);
+        lazy namespace."""
         self.program = program
         self.source = source
         self._namespace = None
-        return self
 
     def _module_name(self) -> str:
         return f"<repro:{self.program.name}:pooled>"
@@ -300,23 +240,13 @@ class CompiledPooledProgram(_PooledRunMixin, _CompiledModule):
 class CompiledPooledFused(_PooledRunMixin, _CompiledModule):
     _bind_name = "bind_fused"
 
-    def __init__(self, fused: FusedProgram):
-        self.fused = fused
-        self.program = fused.program
-        self.source = emit_pooled_fused_module(fused)
-        self._namespace = None
-        self.namespace  # eager exec: surface bad codegen at compile time
-
-    @classmethod
-    def from_source(
-        cls, fused: FusedProgram, source: str
-    ) -> "CompiledPooledFused":
-        self = cls.__new__(cls)
+    def __init__(self, fused: FusedProgram, source: str):
+        """Wrap assembled source (:func:`assemble_pooled_fused_module`);
+        lazy namespace."""
         self.fused = fused
         self.program = fused.program
         self.source = source
         self._namespace = None
-        return self
 
     def _module_name(self) -> str:
         return f"<repro:{self.program.name}:pooled-fused>"
@@ -330,11 +260,3 @@ class CompiledPooledFused(_PooledRunMixin, _CompiledModule):
         self, heap: Heap, root: Node, globals_map=None
     ) -> RuntimeContext:
         return self._run("run_fused", heap, root, globals_map)
-
-
-def compile_pooled_program(program: Program) -> CompiledPooledProgram:
-    return CompiledPooledProgram(program)
-
-
-def compile_pooled_fused(fused: FusedProgram) -> CompiledPooledFused:
-    return CompiledPooledFused(fused)

@@ -26,6 +26,13 @@ Member truncation (``return;`` under ``active_flags``) compiles to a
 member's bit — truncations are rare, so the exception cost is paid only
 when the paper's semantics actually need it.
 
+Modules are built one way, from pieces: :func:`emit_method_source` and
+:func:`emit_unit_source` emit one function each, an assembler
+(:func:`assemble_module`, :func:`assemble_fused_module`) stitches them,
+and the module class wraps the text. The layout table
+(:data:`repro.layout.base.LAYOUTS`) names this module's expression
+compiler, assemblers and classes as the ``"object"`` backend.
+
 A module's source is compiled to bytecode once per store, not once per
 process: the first build looks up the module's ``("bytecode", key)``
 unit (:func:`bytecode_key`) in the store that resolved it, and on a
@@ -132,7 +139,7 @@ class RuntimeContext:
 # ===========================================================================
 
 
-class _ExprCompiler:
+class ExprCompiler:
     #: leading parameter/argument text before ``this``/the receiver in
     #: generated signatures and dispatch calls — the pooled backend's
     #: functions close over their runtime instead of threading it
@@ -269,7 +276,7 @@ class _StmtCompiler:
     def __init__(
         self,
         program: Program,
-        exprc: _ExprCompiler,
+        exprc: ExprCompiler,
         call_line,
         return_line: str,
     ):
@@ -353,15 +360,16 @@ def module_methods(program: Program) -> dict[str, TraversalMethod]:
 
 
 def emit_method_source(
-    program: Program, method: TraversalMethod, exprc_factory=None
+    program: Program, method: TraversalMethod, exprc_factory
 ) -> str:
     """Python source of one unfused method function — the unfused
-    module's per-method compilation unit."""
+    module's per-method compilation unit — under the layout whose
+    expression compiler is *exprc_factory*."""
     return "\n".join(_emit_method(program, method, exprc_factory))
 
 
 def _module_body(
-    program: Program, method_sources: dict[str, str], exprc: _ExprCompiler
+    program: Program, method_sources: dict[str, str], exprc: ExprCompiler
 ) -> list[str]:
     """The unfused module's body lines at zero indent: method sources,
     dispatch dictionaries, ``run_entry``. Shared between the flat object
@@ -402,27 +410,14 @@ def assemble_module(
     program: Program, method_sources: dict[str, str]
 ) -> str:
     """Stitch per-method sources (:func:`emit_method_source`, keyed by
-    qualified name) into the full unfused module. The incremental emit
-    pass calls this with a mix of cached and fresh pieces; the result is
-    byte-identical to a monolithic :func:`emit_module`."""
+    qualified name) into the full unfused module. The emit pass calls
+    this with a mix of stored and fresh pieces."""
     program.finalize()
     lines = [f'"""Generated from program {program.name!r} (unfused)."""']
     lines.append(_PRELUDE)
-    lines.extend(_module_body(program, method_sources, _ExprCompiler(program)))
+    lines.extend(_module_body(program, method_sources, ExprCompiler(program)))
     lines.append("")
     return "\n".join(lines)
-
-
-def emit_module(program: Program) -> str:
-    """Python source for the original (unfused) program."""
-    program.finalize()
-    return assemble_module(
-        program,
-        {
-            qualified: emit_method_source(program, method)
-            for qualified, method in module_methods(program).items()
-        },
-    )
 
 
 def _compiled_args(program, method_owner, method_name, args, exprc) -> str:
@@ -438,9 +433,9 @@ def _compiled_args(program, method_owner, method_name, args, exprc) -> str:
 
 
 def _emit_method(
-    program: Program, method: TraversalMethod, exprc_factory=None
+    program: Program, method: TraversalMethod, exprc_factory
 ) -> list[str]:
-    exprc = (exprc_factory or _ExprCompiler)(program)
+    exprc = exprc_factory(program)
     params = "".join(
         f", {_Namer.local(p.name)}" for p in method.params
     )
@@ -475,7 +470,7 @@ def _emit_method(
 
 
 def emit_unit_source(
-    program: Program, unit: FusedUnit, exprc_factory=None
+    program: Program, unit: FusedUnit, exprc_factory
 ) -> tuple[str, list[str]]:
     """(function source, dispatch-table lines) of one fused unit — the
     fused module's per-unit compilation unit. The table lines are
@@ -490,7 +485,7 @@ def emit_unit_source(
 def _fused_body(
     fused: FusedProgram,
     unit_sources: dict[tuple[str, ...], tuple[str, list[str]]],
-    exprc: _ExprCompiler,
+    exprc: ExprCompiler,
 ) -> list[str]:
     """The fused module's body lines at zero indent: unit sources, the
     hoisted group dispatch tables, ``run_fused``. Shared between the
@@ -528,28 +523,21 @@ def _fused_body(
 
 
 def assemble_fused_module(
-    fused: FusedProgram, unit_sources: dict[tuple[str, ...], tuple[str, list[str]]]
+    fused: FusedProgram,
+    method_sources: dict[str, str],
+    unit_sources: dict[tuple[str, ...], tuple[str, list[str]]],
 ) -> str:
-    """Stitch per-unit sources (:func:`emit_unit_source`, keyed by the
-    unit's sequence key) into the full fused module — byte-identical to
-    a monolithic :func:`emit_fused_module`."""
+    """Stitch per-method and per-unit sources (:func:`emit_unit_source`,
+    keyed by the unit's sequence key) into the full fused module: the
+    whole unfused module first, since fused units fall back to its
+    dispatch tables for leftover conditional calls, then the units."""
     program = fused.program
-    lines = [f'"""Generated from program {program.name!r} (fused)."""']
+    lines = [assemble_module(program, method_sources)]
+    lines.append(f'"""Generated from program {program.name!r} (fused)."""')
     lines.append(_PRELUDE)
-    lines.extend(_fused_body(fused, unit_sources, _ExprCompiler(program)))
+    lines.extend(_fused_body(fused, unit_sources, ExprCompiler(program)))
     lines.append("")
     return "\n".join(lines)
-
-
-def emit_fused_module(fused: FusedProgram) -> str:
-    """Python source for a fused program (units + stub dispatch)."""
-    return assemble_fused_module(
-        fused,
-        {
-            key: emit_unit_source(fused.program, fused.units[key])
-            for key in fused.units
-        },
-    )
 
 
 def _unit_param_names(unit: FusedUnit) -> list[str]:
@@ -566,23 +554,25 @@ def _emit_unit(
     program: Program,
     unit: FusedUnit,
     group_tables: list[str],
-    exprc_factory=None,
+    exprc_factory,
 ) -> list[str]:
-    factory = exprc_factory or _ExprCompiler
     name = _Namer.unit(unit)
     params = "".join(f", {p}=0" for p in _unit_param_names(unit))
-    lines = [
-        f"def {name}({factory(program).rt_prefix}this, flags{params}):"
-    ]
+    lines = [f"def {name}({exprc_factory.rt_prefix}this, flags{params}):"]
     body_lines: list[str] = []
     group_index = 0
     for item in unit.body:
         if isinstance(item, GuardedStmt):
-            body_lines.extend(_emit_guarded(program, item, factory))
+            body_lines.extend(_emit_guarded(program, item, exprc_factory))
         elif isinstance(item, GroupCall):
             body_lines.extend(
                 _emit_group_call(
-                    program, unit, item, group_index, group_tables, factory
+                    program,
+                    unit,
+                    item,
+                    group_index,
+                    group_tables,
+                    exprc_factory,
                 )
             )
             group_index += 1
@@ -593,10 +583,10 @@ def _emit_unit(
 
 
 def _emit_guarded(
-    program: Program, item: GuardedStmt, exprc_factory=None
+    program: Program, item: GuardedStmt, exprc_factory
 ) -> list[str]:
     prefix = f"m{item.member}_"
-    exprc = (exprc_factory or _ExprCompiler)(program, local_prefix=prefix)
+    exprc = exprc_factory(program, local_prefix=prefix)
 
     def call_line(stmt: TraverseStmt, pad: str) -> list[str]:
         # unfusable leftover calls fall back to the unfused dispatch —
@@ -647,11 +637,10 @@ def _emit_group_call(
     group: GroupCall,
     group_index: int,
     group_tables: list[str],
-    exprc_factory=None,
+    exprc_factory,
 ) -> list[str]:
-    factory = exprc_factory or _ExprCompiler
     table_name = f"_G_{_Namer.unit(unit)}_{group_index}"
-    table_exprc = factory(program)
+    table_exprc = exprc_factory(program)
     entries = ", ".join(
         f"{table_exprc.table_key(t)}: {_Namer.unit(u)}"
         for t, u in sorted(group.dispatch.items())
@@ -667,7 +656,7 @@ def _emit_group_call(
     cursor = 0
     for slot, call in enumerate(group.calls):
         prefix = f"m{call.member}_"
-        exprc = factory(program, local_prefix=prefix)
+        exprc = exprc_factory(program, local_prefix=prefix)
         target = target_unit.members[slot]
         slot_locals = [
             f"_ga{cursor + offset}" for offset in range(len(target.params))
@@ -740,13 +729,14 @@ def bytecode_key(module_name: str, source: str) -> str:
 
 
 class _CompiledModule:
-    """Shared exec machinery for the two compiled-module classes.
+    """Shared exec machinery for the compiled-module classes of both
+    layouts.
 
-    The exec'd namespace is excluded from pickling (functions defined by
-    ``exec`` cannot be pickled) and rebuilt lazily on first use after an
-    unpickle — a disk-restored artifact pays the module exec only when
-    it is actually run, which keeps warm-store compiles to the cost of a
-    file read plus an unpickle.
+    The exec'd namespace is built lazily on first use and excluded from
+    pickling (functions defined by ``exec`` cannot be pickled) — a fresh
+    or disk-restored module pays the module exec only when it is
+    actually run, which keeps warm-store compiles to the cost of a file
+    read plus an unpickle.
 
     The store that resolved the module (:meth:`attach_store`) serves and
     keeps its bytecode; like the namespace it is never pickled.
@@ -810,23 +800,13 @@ class _CompiledModule:
 
 
 class CompiledProgram(_CompiledModule):
-    def __init__(self, program: Program):
-        self.program = program
-        self.source = emit_module(program)
-        self._namespace = None
-        self.namespace  # eager exec: surface bad codegen at compile time
-
-    @classmethod
-    def from_source(cls, program: Program, source: str) -> "CompiledProgram":
-        """Wrap already-assembled module source (the incremental emit
-        pass stitches cached per-method pieces). The namespace is built
-        lazily on first run, like a disk-restored artifact — a warm
-        recompile does not pay the module exec."""
-        self = cls.__new__(cls)
+    def __init__(self, program: Program, source: str):
+        """Wrap assembled module source (:func:`assemble_module`). The
+        namespace is built lazily on first run, like a disk-restored
+        artifact — a warm recompile does not pay the module exec."""
         self.program = program
         self.source = source
         self._namespace = None
-        return self
 
     def _module_name(self) -> str:
         return f"<repro:{self.program.name}>"
@@ -838,27 +818,13 @@ class CompiledProgram(_CompiledModule):
 
 
 class CompiledFused(_CompiledModule):
-    def __init__(self, fused: FusedProgram):
-        self.fused = fused
-        self.program = fused.program
-        # fused modules may fall back to unfused dispatch for leftover
-        # conditional calls, so include the plain tables too
-        self.source = (
-            emit_module(self.program) + "\n" + emit_fused_module(fused)
-        )
-        self._namespace = None
-        self.namespace  # eager exec: surface bad codegen at compile time
-
-    @classmethod
-    def from_source(cls, fused: FusedProgram, source: str) -> "CompiledFused":
-        """Wrap already-assembled module source (unfused tables + fused
-        units); lazy namespace, see :meth:`CompiledProgram.from_source`."""
-        self = cls.__new__(cls)
+    def __init__(self, fused: FusedProgram, source: str):
+        """Wrap assembled module source (:func:`assemble_fused_module`);
+        lazy namespace, like :class:`CompiledProgram`."""
         self.fused = fused
         self.program = fused.program
         self.source = source
         self._namespace = None
-        return self
 
     def _module_name(self) -> str:
         return f"<repro:{self.program.name}:fused>"
@@ -867,11 +833,3 @@ class CompiledFused(_CompiledModule):
         context = RuntimeContext(self.program, heap, globals_map)
         self.namespace["run_fused"](context, root)
         return context
-
-
-def compile_program(program: Program) -> CompiledProgram:
-    return CompiledProgram(program)
-
-
-def compile_fused(fused: FusedProgram) -> CompiledFused:
-    return CompiledFused(fused)

@@ -13,14 +13,16 @@ label                      executor
 ``interp/pooled``          same, through a ``ForestPool`` view
 ``interp-fused/object``    the interpreter running the fused program
 ``interp-fused/pooled``    same, through a ``ForestPool`` view
-``unfused/object``         ``compile_program`` → generated Python
-``fused/object``           ``plan_and_synthesize`` + ``compile_fused``
-``unfused/pooled``         ``compile_pooled_program`` (SoA columns)
-``fused/pooled``           ``compile_pooled_fused``
+``unfused/object``         the object backend's generated Python
+``fused/object``           same, for the fused program
+``unfused/pooled``         the pooled backend's (SoA columns)
+``fused/pooled``           same, for the fused program
 =========================  ==========================================
 
 and diffs every execution against the interpreter/object baseline on
-snapshot + globals + write-set (:func:`repro.interp.diff_report`). The
+snapshot + globals + write-set (:func:`repro.interp.diff_report`). Each
+label's layout names its backend in :data:`repro.layout.base.LAYOUTS`,
+which builds the generated modules with no store. The
 interpreter running the original program is the semantics; everything
 else is an optimization that must be observationally invisible. The
 fused program is synthesized once per case and shared by the three
@@ -52,6 +54,7 @@ from repro.interp import (
     diff_report,
     make_record,
 )
+from repro.layout.base import layout_backend
 from repro.runtime.heap import Heap
 
 BASELINE = "interp/object"
@@ -154,24 +157,10 @@ def _execute(
         module = InterpretedModule(program, layout=layout, fused=fused())
         context = module.run_fused(heap, root, globals_map)
     elif mode == "unfused":
-        if layout == "object":
-            from repro.codegen import compile_program
-
-            module = compile_program(program)
-        else:
-            from repro.codegen.pooled_backend import compile_pooled_program
-
-            module = compile_pooled_program(program)
+        module = layout_backend(layout).unfused_module(program)
         context = module.run_entry(heap, root, globals_map)
     else:  # fused
-        if layout == "object":
-            from repro.codegen import compile_fused
-
-            module = compile_fused(fused())
-        else:
-            from repro.codegen.pooled_backend import compile_pooled_fused
-
-            module = compile_pooled_fused(fused())
+        module = layout_backend(layout).fused_module(fused())
         context = module.run_fused(heap, root, globals_map)
     return make_record(
         label,

@@ -28,11 +28,7 @@ from repro.interp.module import (
     interpret_workload,
     resolve_program,
 )
-from repro.interp.views import (
-    ObjectTreeView,
-    PooledTreeView,
-    view_for,
-)
+from repro.interp.views import ObjectTreeView, PooledTreeView
 
 __all__ = [
     "Divergence",
@@ -47,6 +43,5 @@ __all__ = [
     "interpret_workload",
     "make_record",
     "resolve_program",
-    "view_for",
     "write_set",
 ]

@@ -23,7 +23,6 @@ from repro.codegen.python_backend import RuntimeContext
 from repro.errors import RuntimeFailure
 from repro.fusion.fused_ir import FusedProgram
 from repro.interp.machine import Interpreter
-from repro.interp.views import view_for
 from repro.ir.program import Program
 from repro.ir.validate import LanguageMode
 from repro.runtime.heap import Heap
@@ -85,11 +84,14 @@ class InterpretedModule:
         layout: str = "object",
         fused: Optional[FusedProgram] = None,
     ):
+        # lazy import: the layout table imports this package's views
+        from repro.layout.base import layout_backend
+
         self.program = program.finalize()
         self.layout = layout
         self.fused = fused
         # fail on unknown layout names at construction, not first run
-        view_for(layout, program, None)
+        self._view = layout_backend(layout, RuntimeFailure).view
         self.last_stats: Optional[dict] = None
 
     def run_entry(
@@ -114,7 +116,7 @@ class InterpretedModule:
             program=self.program.name,
             layout=self.layout,
         ) as span:
-            view = view_for(self.layout, self.program, heap)
+            view = self._view(self.program, heap)
             ref = view.ingest(root)
             machine = Interpreter(self.program, view, context.globals)
             if fused is None:

@@ -15,6 +15,8 @@ Both views share the compiled backends' external contract: ``ingest`` a
 root ``Node``, run, ``finish`` — after which the original ``Node``
 objects hold the final tree state (the pooled view writes its columns
 back, exactly like :class:`repro.codegen.pooled_backend._PooledRunMixin`).
+Each layout name's view class is the ``view`` of its entry in
+:data:`repro.layout.base.LAYOUTS`.
 
 Globals live in the view too (``read_global``/``write_global``), so
 every access that has an address in the paper's memory model goes
@@ -28,7 +30,6 @@ from __future__ import annotations
 from repro.errors import RuntimeFailure
 from repro.ir.access import AccessPath
 from repro.ir.program import Program
-from repro.layout.base import LAYOUT_NAMES
 from repro.layout.pool import ForestPool
 from repro.runtime.heap import Heap
 from repro.runtime.node import Node
@@ -182,14 +183,3 @@ class MeteredObjectView(ObjectTreeView):
     def write_global(self, values: dict, path: AccessPath, value) -> None:
         self.stats.write(self._global_slot(path))
         super().write_global(values, path, value)
-
-
-def view_for(layout: str, program: Program, heap: Heap):
-    """The view implementing one layout name ('object' | 'pooled')."""
-    if layout == "object":
-        return ObjectTreeView(program, heap)
-    if layout == "pooled":
-        return PooledTreeView(program, heap)
-    raise RuntimeFailure(
-        f"unknown tree layout {layout!r}; have {LAYOUT_NAMES}"
-    )

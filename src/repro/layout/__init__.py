@@ -1,11 +1,12 @@
-"""Tree layouts: object graphs and structure-of-arrays forest pools."""
+"""Tree layouts: object graphs and structure-of-arrays forest pools.
 
-from repro.layout.base import LAYOUT_NAMES, check_layout
+The table of layouts and their backends is :mod:`repro.layout.base`
+(``LAYOUTS``, ``layout_backend``); import it by that name.
+"""
+
 from repro.layout.pool import ForestPool, column_names
 
 __all__ = [
-    "LAYOUT_NAMES",
     "ForestPool",
-    "check_layout",
     "column_names",
 ]

@@ -11,8 +11,8 @@ One import serves every layer (``from repro import obs``):
   thread/process pools via ``obs.current_context()`` /
   ``obs.span_from(ctx, ...)``. Disabled (the default) it costs one
   function call per site; enable with ``obs.enable()``, the
-  ``REPRO_TRACE`` environment variable, ``CompileOptions(trace=True)``,
-  or the service/CLI tracing flags. See :mod:`repro.obs.trace`.
+  ``REPRO_TRACE`` environment variable, a forced root span
+  (``obs.span(name, force=True)``), or the service/CLI tracing flags. See :mod:`repro.obs.trace`.
 * **metrics** — ``obs.REGISTRY``: typed counters/gauges/histograms the
   pipeline, storage tiers, and executor register into, plus
   compatibility views over the legacy ``stats()`` dicts; exported as a

@@ -20,8 +20,9 @@ The recording decision is made once, at the root:
   recorded, even across threads and processes: :func:`current_context`
   serializes the active span to a picklable ``(trace_id, span_id)``
   pair and :func:`span_from` reparents under it on the far side.
-* ``force=True`` records one root regardless of the switch — the
-  ``CompileOptions(trace=True)`` knob.
+* ``force=True`` records one root regardless of the switch, and with it
+  everything under that root: ``repro exec --trace-out`` and ``repro
+  trace`` record one invocation this way.
 
 Finished spans land in the tracer's ring buffer (capacity
 ``REPRO_TRACE_BUFFER``, default 8192) as plain dicts — picklable and

@@ -25,9 +25,8 @@ and every unit's artifact is content-addressed in the compile's
 Whole results stay memoized under ``(source hash, options hash)``:
 warm compiles are dictionary lookups, and when the whole-result key
 misses — a first-ever compile or an edited workload — unchanged units
-reload instead of recomputing (``pipeline.compile(...,
-incremental=True)``, the default; ``CompileResult.unit_report()`` shows
-the per-pass reuse). See :mod:`repro.pipeline.stages` for the pass
+reload instead of recomputing whenever the compile has a store
+(``CompileResult.unit_report()`` shows the per-pass reuse). See :mod:`repro.pipeline.stages` for the pass
 implementations (the former monolithic fusion engine, decomposed).
 """
 

@@ -19,6 +19,7 @@ from typing import Optional, Union
 
 from repro import obs
 from repro.ir.program import Program
+from repro.layout.base import layout_backend
 from repro.pipeline.manager import PassContext, PassManager
 from repro.pipeline.options import (
     CompileOptions,
@@ -43,7 +44,6 @@ def compile(
     options: Optional[CompileOptions] = None,
     name: str = "program",
     cache: Optional[MemoryTier] = GLOBAL_CACHE,
-    incremental: bool = True,
     reuse_result: bool = True,
 ) -> CompileResult:
     """Compile a Workload, Grafter source, or Program through the
@@ -72,8 +72,8 @@ def compile(
     the same store: the first run of each loads its stored bytecode, or
     compiles its source and publishes the bytecode.
 
-    ``incremental`` (default on) keys every pass's work on *compilation
-    units* (methods, fused sequences, emitted module functions — see
+    Every pass keys its work on *compilation units* (methods, fused
+    sequences, emitted module functions — see
     :mod:`repro.pipeline.units`): when the whole-result key misses —
     a first-ever compile, or a workload edited since the last one —
     unchanged units load from the unit layer of the same tiers and
@@ -81,7 +81,7 @@ def compile(
     timing details (``CompileResult.unit_report``). The unit layer obeys
     the same gates as results: ``use_cache=False`` disables it, the
     memory side lives in *cache*, the durable sides in ``cache_dir``
-    and ``peers``.
+    and ``peers``; a compile with no store runs without it.
 
     ``reuse_result=False`` skips the whole-result lookup (every tier)
     while keeping the unit layer — the pipeline demonstrably re-runs
@@ -106,18 +106,13 @@ def compile(
     # fail a typo'd layout before any hashing or tier traffic — the
     # knob participates in every cache key, so an unknown name would
     # otherwise pollute the stores before the emit pass rejects it
-    from repro.layout import check_layout
-
-    check_layout(options.layout)
+    layout_backend(options.layout)
     # one span per compile: the trace root when this is the outermost
     # recorded operation (a bare pipeline.compile() call), otherwise a
-    # child of session.compile / exec.group. options.trace=True forces
-    # recording for this compile even with the process tracer off.
+    # child of session.compile / exec.group or of a caller's forced
+    # root span
     with obs.span(
-        "pipeline.compile",
-        force=bool(options.trace),
-        workload=name,
-        layout=options.layout,
+        "pipeline.compile", workload=name, layout=options.layout
     ) as span:
         start = time.perf_counter()
         if isinstance(source, Program):
@@ -164,7 +159,7 @@ def compile(
                 )
 
         units = None
-        if incremental and store is not None:
+        if store is not None:
             from repro.pipeline.units import UnitArtifacts
 
             units = UnitArtifacts(tiers=store)

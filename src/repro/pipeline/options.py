@@ -4,7 +4,10 @@
 what the pipeline produces — it hashes to a stable string so the
 storage tiers (:mod:`repro.storage`) can key results on
 ``(source hash, options hash)``. Anything cosmetic (the module name, the
-cache instance) deliberately stays out of it.
+cache instance) deliberately stays out of it, and so does tracing: a
+caller records a compile's spans by opening a forced root span around it
+(``obs.span(name, force=True)``), so a traced compile shares every key
+and cached result with an untraced one.
 """
 
 from __future__ import annotations
@@ -128,7 +131,8 @@ class CompileOptions:
       disk (:class:`repro.storage.PeerTier`): each is a second store
       root or the base URL of a running ``repro serve``; hits are
       promoted into the local tiers. Order is lookup order.
-    * ``layout`` — the tree representation generated code runs against:
+    * ``layout`` — the tree representation generated code runs against,
+      a key of :data:`repro.layout.base.LAYOUTS`:
       ``"object"`` (default) walks the ``Node`` object graph,
       ``"pooled"`` compiles index-based traversals over a
       :class:`~repro.layout.ForestPool` (structure-of-arrays columns,
@@ -137,12 +141,6 @@ class CompileOptions:
       object-graph artifacts content-address separately in every
       storage tier — switching layouts can never cross-hit a cached
       artifact.
-    * ``trace`` — span-recording knob for this compile: ``None``
-      (default) follows the process tracer (``repro.obs.enable()`` /
-      ``REPRO_TRACE``); ``True`` force-records this compile's spans
-      even with the tracer off. Pure observability — it never changes
-      what the pipeline produces, so like the storage knobs it stays
-      out of the on-disk/output key.
     * ``memory_budget`` / ``disk_budget`` — byte budgets for the tiers
       a compile under these options administers: ``memory_budget``
       resizes a *privately owned* memory tier (``Session`` builds one;
@@ -168,7 +166,6 @@ class CompileOptions:
     memory_budget: Optional[int] = None
     disk_budget: Optional[int] = None
     layout: str = "object"
-    trace: Optional[bool] = None
 
     @property
     def language_mode(self) -> LanguageMode:
@@ -192,7 +189,6 @@ class CompileOptions:
             "peers",
             "memory_budget",
             "disk_budget",
-            "trace",
         }
     )
 

@@ -41,6 +41,7 @@ from repro.analysis.dependence import (
     build_vertices,
     graph_from_edges,
 )
+from repro.codegen.python_backend import module_methods
 from repro.errors import FusionError
 from repro.frontend.parser import parse_program
 from repro.fusion.fused_ir import (
@@ -50,6 +51,7 @@ from repro.fusion.fused_ir import (
     GroupCall,
     GuardedStmt,
     MemberCall,
+    print_fused_program,
 )
 from repro.fusion.grouping import (
     FusionLimits,
@@ -63,8 +65,9 @@ from repro.ir.exprs import BinOp
 from repro.ir.method import TraversalMethod
 from repro.ir.program import Program
 from repro.ir.validate import validate_program
+from repro.layout.base import layout_backend
 from repro.pipeline.manager import PassContext, Unit
-from repro.pipeline.options import hash_text
+from repro.pipeline.options import hash_program, hash_text
 
 SequenceKey = tuple[str, ...]
 
@@ -974,18 +977,20 @@ class EmitPass:
     only the dirtied functions re-emit — the rest come from the unit
     store byte-identical.
 
-    ``CompileOptions(layout='pooled')`` swaps in the pooled backend:
-    its pieces cache under an ``emit:pooled`` salt and its modules under
-    ``pooled-*`` artifact keys, so the two layouts never alias in any
-    storage tier (the unit index's schema hash does not see the layout
-    knob — the salt carries it)."""
+    ``CompileOptions(layout=...)`` picks the backend from
+    :data:`repro.layout.base.LAYOUTS`: its emitters, assemblers and
+    module classes, the salt its pieces cache under (``emit`` /
+    ``emit:pooled``) and the prefix of its module keys (``""`` /
+    ``pooled-``), so the two layouts never alias in any storage tier
+    (the unit index's schema hash does not see the layout knob — the
+    salt carries it)."""
 
     name = "emit"
     persist_units = True
 
     def __init__(self):
         self.skipped = False
-        self.pooled = False
+        self.backend = None
         self.method_sources: dict[str, str] = {}
         self.unit_sources: dict[SequenceKey, tuple[str, list[str]]] = {}
         self.fresh_units = 0
@@ -994,13 +999,8 @@ class EmitPass:
         if not pctx.options.emit:
             self.skipped = True
             return []
-        # lazy import: codegen's package __init__ imports the pipeline
-        # for its cached wrappers, so importing it at module scope here
-        # would be circular
-        from repro.codegen.python_backend import module_methods
-
-        self.pooled = pctx.options.layout == "pooled"
-        salt = "emit:pooled" if self.pooled else "emit"
+        self.backend = layout_backend(pctx.options.layout)
+        salt = self.backend.emit_salt
         units = []
         for qualified, method in module_methods(pctx.program).items():
             key = (
@@ -1029,21 +1029,10 @@ class EmitPass:
         return units
 
     def compute(self, pctx: PassContext, unit: Unit):
-        if self.pooled:
-            from repro.codegen.pooled_backend import (
-                emit_pooled_method_source as emit_method_source,
-                emit_pooled_unit_source as emit_unit_source,
-            )
-        else:
-            from repro.codegen.python_backend import (
-                emit_method_source,
-                emit_unit_source,
-            )
-
         self.fresh_units += 1
         if unit.kind == "method":
-            return emit_method_source(pctx.program, unit.payload)
-        return emit_unit_source(pctx.program, unit.payload)
+            return self.backend.emit_method(pctx.program, unit.payload)
+        return self.backend.emit_unit(pctx.program, unit.payload)
 
     def install(self, pctx: PassContext, unit: Unit, artifact) -> None:
         if unit.kind == "method":
@@ -1054,100 +1043,62 @@ class EmitPass:
     def finish(self, pctx: PassContext) -> dict[str, int]:
         if self.skipped:
             return {"skipped": 1}
-        from repro.fusion.fused_ir import print_fused_program
-        from repro.pipeline.options import hash_program
-
-        if self.pooled:
-            from repro.codegen.pooled_backend import (
-                CompiledPooledFused as fused_class,
-                CompiledPooledProgram as unfused_class,
-                assemble_pooled_fused_module,
-                assemble_pooled_module,
-            )
-
-            unfused_source = assemble_pooled_module(
-                pctx.program, self.method_sources
-            )
-            # the pooled fused module is self-contained (fallback
-            # dispatch tables live in the same bind closure), so no
-            # module concatenation happens below
-            fused_source = assemble_pooled_fused_module(
-                pctx.fused, self.method_sources, self.unit_sources
-            )
-            full_fused_source = fused_source
-            module_prefix = "pooled-"
-        else:
-            from repro.codegen.python_backend import (
-                CompiledFused as fused_class,
-                CompiledProgram as unfused_class,
-                assemble_fused_module,
-                assemble_module,
-            )
-
-            unfused_source = assemble_module(
-                pctx.program, self.method_sources
-            )
-            fused_source = assemble_fused_module(
-                pctx.fused, self.unit_sources
-            )
-            full_fused_source = unfused_source + "\n" + fused_source
-            module_prefix = ""
-
-        cache = pctx.cache
+        backend = self.backend
         # module artifacts are keyed on the *program* hash (not the
-        # source-text hash) so text-sourced pipeline compiles and the
-        # Program-keyed codegen helpers share one exec'd module per
-        # content; unlike unit keys, the program hash includes the
-        # pure-impl signature — a module object binds its program (and
-        # through it the impls), so impl rebindings must not share one.
-        # A Program handed in and not lowered is the one the source
-        # hash already printed.
+        # source-text hash) so text-sourced and Program-sourced compiles
+        # share one exec'd module per content; unlike unit keys, the
+        # program hash includes the pure-impl signature — a module
+        # object binds its program (and through it the impls), so impl
+        # rebindings must not share one. A Program handed in and not
+        # lowered is the one the source hash already printed.
         if pctx.trusted_program and pctx.lowered is None:
             program_hash = pctx.source_hash
         else:
             program_hash = hash_program(pctx.program)
-        unfused_key = (f"{module_prefix}unfused-module", program_hash)
-        # `is not None`: an empty-looking tier (no results) may still
-        # hold modules
-        hit = cache.fetch("module", unfused_key) if cache is not None else None
-        compiled = hit[0] if hit else None
-        if compiled is None:
-            compiled = unfused_class.from_source(
-                pctx.program, unfused_source
-            )
-            if pctx.units is None:
-                # plain compiles keep the eager exec (surface bad
-                # codegen immediately); unit-assembled modules build
-                # their namespace lazily on first run, like an artifact
-                # restored from the disk store
-                compiled.namespace
-            if cache is not None:
-                cache.store("module", unfused_key, compiled)
-        pctx.compiled_unfused = compiled
-        pctx.unfused_source = compiled.source
-
-        fused_key = (
-            f"{module_prefix}fused-module",
-            program_hash,
-            hash_text(print_fused_program(pctx.fused)),
+        pctx.compiled_unfused = self._module(
+            pctx,
+            (f"{backend.module_prefix}unfused-module", program_hash),
+            lambda: backend.unfused_module(pctx.program, self.method_sources),
         )
-        hit = cache.fetch("module", fused_key) if cache is not None else None
-        compiled_fused = hit[0] if hit else None
-        if compiled_fused is None:
-            compiled_fused = fused_class.from_source(
-                pctx.fused, full_fused_source
-            )
-            if pctx.units is None:
-                compiled_fused.namespace
-            if cache is not None:
-                cache.store("module", fused_key, compiled_fused)
-        pctx.compiled_fused = compiled_fused
-        pctx.fused_source = compiled_fused.source
+        pctx.unfused_source = pctx.compiled_unfused.source
+        pctx.compiled_fused = self._module(
+            pctx,
+            (
+                f"{backend.module_prefix}fused-module",
+                program_hash,
+                hash_text(print_fused_program(pctx.fused)),
+            ),
+            lambda: backend.fused_module(
+                pctx.fused, self.method_sources, self.unit_sources
+            ),
+        )
+        pctx.fused_source = pctx.compiled_fused.source
         return {
             "unfused_lines": len(pctx.unfused_source.splitlines()),
             "fused_lines": len(pctx.fused_source.splitlines()),
             "fresh_functions": self.fresh_units,
         }
+
+    @staticmethod
+    def _module(pctx: PassContext, key: tuple, build):
+        """The memory tier's module under *key*, else ``build()``'s,
+        stored there."""
+        cache = pctx.cache
+        # `is not None`: an empty-looking tier (no results) may still
+        # hold modules
+        hit = cache.fetch("module", key) if cache is not None else None
+        if hit:
+            return hit[0]
+        module = build()
+        if pctx.units is None:
+            # plain compiles keep the eager exec (surface bad codegen
+            # immediately); unit-assembled modules build their namespace
+            # lazily on first run, like an artifact restored from the
+            # disk store
+            module.namespace
+        if cache is not None:
+            cache.store("module", key, module)
+        return module
 
 
 def default_passes() -> list:

@@ -5,14 +5,16 @@ import random
 
 import pytest
 
-from repro.codegen import compile_fused, compile_program
 from repro.frontend import parse_program
+from repro.layout.base import layout_backend
 from repro.pipeline.stages import plan_and_synthesize
 from repro.runtime import Heap
 from repro.treefuser import lower_program, lower_tree
 from tests.fixtures import metered
 
 from tests.generators import random_program_source, random_tree
+
+OBJECT = layout_backend("object")
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -34,14 +36,14 @@ def test_lowered_triple_differential(seed):
     snap = root_a.snapshot(lowered.program)
 
     # compiled unfused
-    compiled = compile_program(lowered.program)
+    compiled = OBJECT.unfused_module(lowered.program)
     heap_b, root_b = lowered_tree()
     ctx_b = compiled.run_entry(heap_b, root_b)
     assert snap == root_b.snapshot(lowered.program)
 
     # compiled fused (guard-merged slots + possible fallback calls)
     fused = plan_and_synthesize(lowered.program)
-    compiled_fused = compile_fused(fused)
+    compiled_fused = OBJECT.fused_module(fused)
     heap_c, root_c = lowered_tree()
     ctx_c = compiled_fused.run_fused(heap_c, root_c)
     assert snap == root_c.snapshot(lowered.program)
@@ -72,7 +74,7 @@ def test_render_lowered_codegen_matches():
     snap = root_a.snapshot(lowered.program)
 
     fused = plan_and_synthesize(lowered.program)
-    compiled = compile_fused(fused)
+    compiled = OBJECT.fused_module(fused)
     heap_b, root_b = lowered_tree()
     compiled.run_fused(heap_b, root_b, DEFAULT_GLOBALS)
     assert snap == root_b.snapshot(lowered.program)

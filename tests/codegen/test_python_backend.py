@@ -6,13 +6,15 @@ import random
 
 import pytest
 
-from repro.codegen import compile_fused, compile_program, emit_module
+from repro.layout.base import layout_backend
 from repro.pipeline.stages import plan_and_synthesize
 from repro.runtime import Heap, Node
 from repro.runtime.values import ObjectValue
 
 from tests.fixtures import fig1_program, fig2_program, metered
 from tests.generators import random_program_source, random_tree
+
+OBJECT = layout_backend("object")
 
 
 def triple_run(program, build_tree, globals_map=None):
@@ -24,13 +26,13 @@ def triple_run(program, build_tree, globals_map=None):
         interp.globals[name] = value
     interp.run_entry(root_a)
 
-    compiled = compile_program(program)
+    compiled = OBJECT.unfused_module(program)
     heap_b = Heap(program)
     root_b = build_tree(program, heap_b)
     ctx_b = compiled.run_entry(heap_b, root_b, globals_map)
 
     fused = plan_and_synthesize(program)
-    compiled_fused = compile_fused(fused)
+    compiled_fused = OBJECT.fused_module(fused)
     heap_c = Heap(program)
     root_c = build_tree(program, heap_c)
     ctx_c = compiled_fused.run_fused(heap_c, root_c, globals_map)
@@ -136,23 +138,21 @@ class TestRandomPrograms:
 
 class TestEmission:
     def test_emitted_source_is_valid_python(self):
-        source = emit_module(fig2_program())
+        source = OBJECT.unfused_module(fig2_program()).source
         compile(source, "<test>", "exec")  # no SyntaxError
         assert "def m_TextBox_computeWidth(RT, this):" in source
         assert "_D_computeWidth" in source
 
     def test_dispatch_tables_cover_concrete_types(self):
         program = fig2_program()
-        source = emit_module(program)
+        source = OBJECT.unfused_module(program).source
         for type_name in ("TextBox", "Group", "End"):
             assert f"'{type_name}': " in source
 
     def test_truncation_compiles_to_exception_only_when_needed(self):
         program = fig1_program()
         fused = plan_and_synthesize(program)
-        from repro.codegen import emit_fused_module
-
-        source = emit_fused_module(fused)
+        source = OBJECT.fused_module(fused).source
         # fig1 has no returns -> no try/except blocks in units
         assert "except _Trunc" not in source
 
@@ -164,7 +164,8 @@ class TestEmission:
         from repro.workloads.astlang.programs import replicated_functions
 
         program = ast_program()
-        compiled = compile_program(program)
+        compiled = OBJECT.unfused_module(program)
+        compiled.namespace  # built before the timed run
 
         heap_a = Heap(program)
         root_a = replicated_functions(program, heap_a, 30)

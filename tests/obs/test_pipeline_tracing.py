@@ -1,6 +1,7 @@
 """Tracing through the compile pipeline: one trace per compile with
-pass, unit, and storage-tier spans, forced by ``CompileOptions(trace=
-True)`` without flipping the process tracer on."""
+pass, unit, and storage-tier spans, recorded under a forced root span
+(``obs.span(name, force=True)``) without flipping the process tracer
+on."""
 
 from repro import obs
 from repro.pipeline import (
@@ -18,9 +19,16 @@ def spans_of_last_trace():
     return tracer.spans(trace_id)
 
 
+def traced_compile(source, **kwargs):
+    """``pipeline.compile`` under a forced root span: the process
+    tracer stays off, and everything under the root records."""
+    with obs.span("test.compile", force=True):
+        return pipeline_compile(source, **kwargs)
+
+
 def test_traced_compile_records_pass_and_unit_spans():
-    options = CompileOptions(trace=True, use_cache=False)
-    result = pipeline_compile(FIG2_SOURCE, options=options, cache=None)
+    options = CompileOptions(use_cache=False)
+    result = traced_compile(FIG2_SOURCE, options=options, cache=None)
     assert not result.cache_hit
     spans = spans_of_last_trace()
     names = {record["name"] for record in spans}
@@ -37,20 +45,22 @@ def test_traced_compile_records_pass_and_unit_spans():
         if record["parent_id"] is not None:
             assert record["parent_id"] in ids
     roots = [r for r in spans if r["parent_id"] is None]
-    assert [r["name"] for r in roots] == ["pipeline.compile"]
+    assert [r["name"] for r in roots] == ["test.compile"]
+    compiles = [r for r in spans if r["name"] == "pipeline.compile"]
+    assert [r["parent_id"] for r in compiles] == [roots[0]["span_id"]]
 
 
 def test_compile_root_span_carries_cache_outcome():
     cache = MemoryTier()
-    options = CompileOptions(trace=True)
-    pipeline_compile(FIG2_SOURCE, options=options, cache=cache)
+    options = CompileOptions()
+    traced_compile(FIG2_SOURCE, options=options, cache=cache)
     cold_root = next(
         r for r in spans_of_last_trace()
         if r["name"] == "pipeline.compile"
     )
     assert cold_root["attrs"]["cache_hit"] is False
     assert cold_root["attrs"]["passes"] > 0
-    warm = pipeline_compile(FIG2_SOURCE, options=options, cache=cache)
+    warm = traced_compile(FIG2_SOURCE, options=options, cache=cache)
     assert warm.cache_hit
     warm_spans = spans_of_last_trace()
     warm_root = next(
@@ -67,9 +77,7 @@ def test_compile_root_span_carries_cache_outcome():
 
 def test_storage_miss_span_on_cold_compile():
     cache = MemoryTier()
-    pipeline_compile(
-        FIG2_SOURCE, options=CompileOptions(trace=True), cache=cache
-    )
+    traced_compile(FIG2_SOURCE, options=CompileOptions(), cache=cache)
     spans = spans_of_last_trace()
     lookups = [r for r in spans if r["name"] == "storage.result"]
     assert lookups and all(

@@ -2,8 +2,8 @@
 
 from pathlib import Path
 
-from repro.codegen import compile_fused, compile_program
 from repro.frontend import parse_program
+from repro.layout.base import layout_backend
 from repro.pipeline import (
     CompileOptions,
     compile as pipeline_compile,
@@ -152,33 +152,29 @@ class TestContentAddressing:
 
 
 class TestCodegenArtifactSharing:
-    def test_compile_program_memoizes_by_content(self):
-        program = parse_program(FIG2_SOURCE, name="fig2")
-        first = compile_program(program)
-        second = compile_program(program)
-        assert first is second
-        assert "def run_entry(" in first.source
-
-    def test_compile_fused_memoizes_by_content(self):
-        from repro.pipeline.stages import plan_and_synthesize
-
-        program = parse_program(FIG2_SOURCE, name="fig2")
-        fused = plan_and_synthesize(program)
-        first = compile_fused(fused)
-        second = compile_fused(fused)
-        assert first is second
-        assert "def run_fused(" in first.source
+    def test_program_compiles_share_modules_by_content(self):
+        # the emit pass finds both modules in the memory tier even when
+        # every pass re-runs
+        first = pipeline_compile(parse_program(FIG2_SOURCE, name="fig2"))
+        second = pipeline_compile(
+            parse_program(FIG2_SOURCE, name="fig2"), reuse_result=False
+        )
+        assert not second.cache_hit
+        assert second.compiled_unfused is first.compiled_unfused
+        assert second.compiled_fused is first.compiled_fused
+        assert "def run_entry(" in first.compiled_unfused.source
+        assert "def run_fused(" in first.compiled_fused.source
 
     def test_text_and_program_entry_points_share_modules(self):
-        # a text-sourced pipeline compile and the Program-keyed codegen
-        # helpers must land on the same exec'd module artifacts
+        # a text-sourced and a Program-sourced compile must land on the
+        # same exec'd module artifacts
         from repro.pipeline import GLOBAL_CACHE
-        from repro.pipeline.stages import plan_and_synthesize
 
         result = pipeline_compile(FIG2_SOURCE, name="fig2")
         program = parse_program(FIG2_SOURCE, name="fig2")
-        assert compile_program(program) is result.compiled_unfused
-        assert compile_fused(plan_and_synthesize(program)) is result.compiled_fused
+        from_program = pipeline_compile(program)
+        assert from_program.compiled_unfused is result.compiled_unfused
+        assert from_program.compiled_fused is result.compiled_fused
         assert GLOBAL_CACHE.stats()["artifacts"] >= 2
 
     def test_modules_reused_from_a_tier_holding_no_result(self):
@@ -208,6 +204,8 @@ class TestCodegenArtifactSharing:
         };
         """
         program = parse_program(source, name="entryless")
-        compiled = compile_program(program)
-        assert compiled is compile_program(program)
+        # nothing to fuse, so no pipeline compile: the layout's backend
+        # builds the module directly
+        compiled = layout_backend("object").unfused_module(program)
         assert "def run_entry(" in compiled.source
+        assert "run_entry" in compiled.namespace

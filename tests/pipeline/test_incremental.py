@@ -205,15 +205,6 @@ class TestRecompileSurface:
         for timing in result.timings:
             assert "unit_hits" not in timing.detail
 
-    def test_incremental_false_skips_the_unit_layer(self):
-        cache = MemoryTier()
-        _compile(SOURCE_V1, cache)
-        again = _compile(
-            SOURCE_V1, cache, incremental=False, reuse_result=False
-        )
-        assert not again.cache_hit
-        assert "no keyed units" in again.unit_report()
-
 
 class TestDiskUnits:
     def test_units_persist_and_serve_a_fresh_memory_cache(self, tmp_path):
