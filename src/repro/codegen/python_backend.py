@@ -375,20 +375,25 @@ def _module_body(
     dispatch dictionaries, ``run_entry``. Shared between the flat object
     module and the pooled module (which wraps it in a bind function)."""
     lines: list[str] = []
-    for qualified in module_methods(program):
+    function_names: dict[str, str] = {}
+    for qualified, method in module_methods(program).items():
         lines.append(method_sources[qualified])
         lines.append("")
-    # dispatch dictionaries per traversal name
-    by_name: dict[str, dict[str, TraversalMethod]] = {}
+        function_names[qualified] = _Namer.method(method)
+    # dispatch dictionaries per traversal name: type -> function name
+    names = {m.name for m in program.all_methods()}
+    by_name: dict[str, dict[str, str]] = {}
     for type_name in program.concrete_subtypes_all():
-        for name in {m.name for m in program.all_methods()}:
+        for name in names:
             if program.has_method(type_name, name):
                 target = program.resolve_method(type_name, name)
-                by_name.setdefault(name, {})[type_name] = target
+                by_name.setdefault(name, {})[type_name] = function_names[
+                    target.qualified_name
+                ]
     for name, table in sorted(by_name.items()):
         entries = ", ".join(
-            f"{exprc.table_key(t)}: {_Namer.method(m)}"
-            for t, m in sorted(table.items())
+            f"{exprc.table_key(t)}: {function}"
+            for t, function in sorted(table.items())
         )
         lines.append(f"_D_{_sanitize(name)} = {{{entries}}}")
     lines.append("")

@@ -25,7 +25,7 @@ label's layout names its backend in :data:`repro.layout.base.LAYOUTS`,
 which builds the generated modules with no store. The
 interpreter running the original program is the semantics; everything
 else is an optimization that must be observationally invisible. The
-fused program is synthesized once per case and shared by the three
+fused program is synthesized once per case and shared by the four
 executions that run it.
 
 On divergence, :func:`minimize_case` shrinks the tree (subtree →
