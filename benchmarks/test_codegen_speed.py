@@ -14,7 +14,7 @@ import time
 from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
 from repro.runtime import Heap
-from repro.storage import MemoryTier
+from repro.storage import MemoryTier, TieredStore
 from repro.workloads.render import (
     RENDER_SOURCE,
     build_document,
@@ -131,12 +131,12 @@ def test_compile_cold_vs_warm(perf_results_dir):
     cold_series: list[float] = []
     warm_series: list[float] = []
     for _ in range(COMPILE_ROUNDS):
-        cache = MemoryTier()
+        store = TieredStore([MemoryTier()])
         start = time.perf_counter()
-        cold = pipeline_compile(RENDER_SOURCE, options=options, cache=cache)
+        cold = pipeline_compile(RENDER_SOURCE, options=options, store=store)
         cold_series.append(time.perf_counter() - start)
         start = time.perf_counter()
-        warm = pipeline_compile(RENDER_SOURCE, options=options, cache=cache)
+        warm = pipeline_compile(RENDER_SOURCE, options=options, store=store)
         warm_series.append(time.perf_counter() - start)
         assert not cold.cache_hit
         assert warm.cache_hit

@@ -18,9 +18,8 @@ import pkgutil
 import time
 
 import repro
-from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
-from repro.storage import MemoryTier
+from repro.storage import MemoryTier, TieredStore
 from repro.workloads.render.schema import RENDER_SOURCE
 
 # pre-import every repro module before any timer runs: on this
@@ -50,9 +49,9 @@ def _variant(round_index: int) -> str:
 
 
 def test_incremental_recompile_speedup(perf_results_dir):
-    cache = MemoryTier()
+    store = TieredStore([MemoryTier()])
     # populate the unit layer once with the pristine source
-    pipeline_compile(RENDER_SOURCE, cache=cache)
+    pipeline_compile(RENDER_SOURCE, store=store)
 
     cold_series: list[float] = []
     recompile_series: list[float] = []
@@ -62,19 +61,17 @@ def test_incremental_recompile_speedup(perf_results_dir):
         source = _variant(round_index)
         # single-edit recompile: warm units, missed result key
         start = time.perf_counter()
-        edited = pipeline_compile(source, cache=cache)
+        edited = pipeline_compile(source, store=store)
         recompile_series.append(time.perf_counter() - start)
         assert not edited.cache_hit
         # warm: the identical source again is a whole-result hit
         start = time.perf_counter()
-        warm = pipeline_compile(source, cache=cache)
+        warm = pipeline_compile(source, store=store)
         warm_series.append(time.perf_counter() - start)
         assert warm.cache_hit
-        # cold: every cache layer off, full parse -> fuse -> emit
+        # cold: no store, full parse -> fuse -> emit
         start = time.perf_counter()
-        cold = pipeline_compile(
-            source, options=CompileOptions(use_cache=False)
-        )
+        cold = pipeline_compile(source, store=None)
         cold_series.append(time.perf_counter() - start)
         # the acceptance bar: byte-identical generated Python
         assert edited.fused_source == cold.fused_source

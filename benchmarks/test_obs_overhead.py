@@ -31,7 +31,7 @@ from repro.obs import metrics as obs_metrics
 from repro.pipeline import compile as pipeline_compile
 from repro.service.api import WORKLOADS
 from repro.service.executor import BatchExecutor
-from repro.storage import MemoryTier
+from repro.storage import MemoryTier, TieredStore
 from repro.workloads.render.schema import RENDER_SOURCE
 
 ROUNDS = 300
@@ -112,14 +112,14 @@ VARIANTS = [
 
 
 def test_disabled_tracing_overhead_under_two_percent(perf_results_dir):
-    cache = MemoryTier()
-    pipeline_compile(RENDER_SOURCE, cache=cache)  # warm the result key
+    store = TieredStore([MemoryTier()])
+    pipeline_compile(RENDER_SOURCE, store=store)  # warm the result key
     workload = WORKLOADS["render"].workload()
 
     with BatchExecutor(workers=1, backend="inline") as executor:
 
         def step():
-            result = pipeline_compile(RENDER_SOURCE, cache=cache)
+            result = pipeline_compile(RENDER_SOURCE, store=store)
             assert result.cache_hit
             outcome = executor.run([workload.request(4, pages=2)])
             assert outcome[0].ok

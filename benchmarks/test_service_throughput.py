@@ -134,9 +134,8 @@ _CHILD = textwrap.dedent(
         if _m.name.endswith("__main__"):
             continue  # the CLI entry point execs main() on import
         importlib.import_module(_m.name)
-    from repro.pipeline import CompileOptions
     from repro.pipeline import compile as pipeline_compile
-    from repro.storage import MemoryTier
+    from repro.storage import MemoryTier, TieredStore, disk_tier_for
     from repro.workloads.render import (
         DEFAULT_GLOBALS, render_workload, build_document,
         replicated_pages_spec,
@@ -144,11 +143,9 @@ _CHILD = textwrap.dedent(
     from repro.runtime import Heap
 
     workload = render_workload()
-    options = CompileOptions(cache_dir=sys.argv[1])
+    store = TieredStore([MemoryTier(), disk_tier_for(sys.argv[1])])
     start = time.perf_counter()
-    result = pipeline_compile(
-        workload, options=options, cache=MemoryTier(),
-    )
+    result = pipeline_compile(workload, store=store)
     seconds = time.perf_counter() - start
     # prove the artifact actually runs in this process
     heap = Heap(result.program)

@@ -11,9 +11,9 @@ storage topology:
   parse→fuse→emit pipeline.
 * **warm disk** — a pre-populated local ``cache_dir``: one file read
   plus an unpickle.
-* **peer** — a fresh, empty local ``cache_dir`` plus ``peers=[seeded
-  store]``: the peer read, then read-through *promotion* into the local
-  disk and memory tiers (so the next process is locally warm).
+* **peer** — a fresh, empty local ``cache_dir`` with the seeded store
+  as its peer: the peer read, then read-through *promotion* into the
+  local disk and memory tiers (so the next process is locally warm).
 
 Every child pre-imports all of ``repro`` before its timer starts
 (single-CPU host: first-import noise would otherwise pollute the cold
@@ -47,9 +47,10 @@ _CHILD = textwrap.dedent(
         if _m.name.endswith("__main__"):
             continue  # the CLI entry point execs main() on import
         importlib.import_module(_m.name)
-    from repro.pipeline import CompileOptions
     from repro.pipeline import compile as pipeline_compile
-    from repro.storage import MemoryTier
+    from repro.storage import (
+        MemoryTier, TieredStore, disk_tier_for, peer_tier_for,
+    )
     from repro.workloads.render import (
         DEFAULT_GLOBALS, render_workload, build_document,
         replicated_pages_spec,
@@ -59,11 +60,11 @@ _CHILD = textwrap.dedent(
     cache_dir = sys.argv[1]
     peers = tuple(sys.argv[2:])
     workload = render_workload()
-    options = CompileOptions(cache_dir=cache_dir, peers=peers)
-    start = time.perf_counter()
-    result = pipeline_compile(
-        workload, options=options, cache=MemoryTier(),
+    store = TieredStore(
+        [MemoryTier(), disk_tier_for(cache_dir), *map(peer_tier_for, peers)]
     )
+    start = time.perf_counter()
+    result = pipeline_compile(workload, store=store)
     seconds = time.perf_counter() - start
     # prove the artifact actually runs in this process
     heap = Heap(result.program)

@@ -39,19 +39,20 @@ SOURCE = os.path.join("examples", "fig2.grafter")
 _PARITY_CHILD = textwrap.dedent(
     """
     import json, sys
-    from repro.pipeline import CompileOptions
+    from repro.pipeline import GLOBAL_CACHE, CompileOptions
     from repro.pipeline import compile as pipeline_compile
     from repro.runtime import Heap
     from repro.service.api import workload_spec
     from repro.service.batching import default_collect
+    from repro.storage import TieredStore, disk_tier_for
 
     layout, cache_dir = sys.argv[1], sys.argv[2]
+    store = TieredStore([GLOBAL_CACHE, disk_tier_for(cache_dir)])
     summaries = {}
     for name in sys.argv[3:]:
         workload = workload_spec(name).make_workload()
         result = pipeline_compile(
-            workload,
-            options=CompileOptions(cache_dir=cache_dir, layout=layout),
+            workload, options=CompileOptions(layout=layout), store=store
         )
         program = result.program
         heap = Heap(program)

@@ -15,7 +15,7 @@ metered for the paper's cost model) or :mod:`repro.codegen` (generated
 Python); serve with :mod:`repro.service`.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 # the public API surface re-exported from repro.api, resolved lazily so
 # `from repro import __version__` (used by low-level modules like the

@@ -12,11 +12,12 @@ reachable from here::
         print(outcome.summaries[0], session.stats()["executor"]["waves"])
 
 ``Session`` owns a :class:`~repro.pipeline.options.CompileOptions`
-template (one ``cache_dir``, one ``peers`` list of read-only warm
-stores — local roots or remote ``repro serve`` URLs — and one tree
-``layout``), a memory tier, and a lazily created
+template (what to build: mode, limits, tree ``layout``), one
+:class:`~repro.storage.TieredStore` (where it lives: a memory tier, the
+``cache_dir`` disk store, and the ``peers`` — read-only warm stores,
+local roots or remote ``repro serve`` URLs), and a lazily created
 :class:`~repro.service.executor.BatchExecutor` (so sessions that only
-compile never spin up a pool) resolving through that same tier. The
+compile never spin up a pool) resolving through that same store. The
 session is the only place a request's options are filled in: every
 compile and every executor request it issues carries complete options,
 and the executor runs each request under exactly those. The HTTP
@@ -33,7 +34,12 @@ from repro import obs
 from repro.api.workload import Workload
 from repro.pipeline import GLOBAL_CACHE, CompileOptions, CompileResult
 from repro.pipeline import compile as pipeline_compile
-from repro.storage import MemoryTier, disk_tier_for
+from repro.storage import (
+    MemoryTier,
+    TieredStore,
+    disk_tier_for,
+    peer_tier_for,
+)
 
 
 @dataclass
@@ -101,11 +107,13 @@ class Session:
     rule (:meth:`options_for`) picks the options a call runs under, the
     same for :meth:`compile`, :meth:`recompile`, :meth:`run` and
     :meth:`submit`: an explicit ``options=`` is taken verbatim — the
-    template's ``cache_dir``, ``peers`` and ``layout`` are *not* merged
-    into it — and without one the template applies. Keyword overrides
+    template's ``layout`` (or any other field) is *not* merged into it
+    — and without one the template applies. Keyword overrides
     (``compile(w, emit=False)``) patch whichever of the two applies;
     ``replace(session.options, ...)`` is the way to patch the template
-    for a run.
+    for a run. Options only say what to build: every call goes through
+    the session's one store (:attr:`tiers`), whichever options it runs
+    under.
     """
 
     def __init__(
@@ -121,23 +129,10 @@ class Session:
         layout: Optional[str] = None,
     ):
         base = options if options is not None else CompileOptions()
-        patches = {}
-        if cache_dir is not None and base.cache_dir is None:
-            patches["cache_dir"] = cache_dir
-        if peers and not base.peers:
-            # read-only warm sources: second store roots or running
-            # `repro serve` base URLs, consulted after memory and disk
-            patches["peers"] = tuple(peers)
-        if memory_budget is not None:
-            patches["memory_budget"] = memory_budget
-        if disk_budget is not None:
-            patches["disk_budget"] = disk_budget
         if layout is not None:
             # tree layout for every compile/run this session issues
             # ('object' | 'pooled'); participates in all cache keys
-            patches["layout"] = layout
-        if patches:
-            base = replace(base, **patches)
+            base = replace(base, layout=layout)
         self.options = base
         self.workers = workers
         self.backend = backend
@@ -146,16 +141,23 @@ class Session:
         # its compiles and its executor alike: the process-shared
         # GLOBAL_CACHE must never be resized by one session's budget (it
         # would evict every other caller's results)
-        if self.options.memory_budget is not None:
-            self.memory = MemoryTier(max_bytes=self.options.memory_budget)
+        if memory_budget is not None:
+            self.memory = MemoryTier(max_bytes=memory_budget)
         else:
             self.memory = GLOBAL_CACHE
-        # the template's on-disk store, if any: what stats() reports,
-        # compact() maintains, and a service exposes to peers
+        # the on-disk store, if any: what stats() reports, compact()
+        # maintains, and a service exposes to peers. Its budget is a
+        # setting of the directory (one shared instance per directory,
+        # so the most recent setting wins)
         self.store = (
-            disk_tier_for(self.options.cache_dir)
-            if self.options.cache_dir is not None
-            else None
+            disk_tier_for(cache_dir) if cache_dir is not None else None
+        )
+        if self.store is not None and disk_budget is not None:
+            self.store.max_bytes = disk_budget
+        # memory → disk → peers: the one store every compile, run, gc
+        # and stats of this session goes through
+        self.tiers = TieredStore(
+            [self.memory, self.store, *map(peer_tier_for, peers)]
         )
 
     def options_for(
@@ -194,7 +196,7 @@ class Session:
             result = pipeline_compile(
                 workload,
                 options=effective,
-                cache=self.memory,
+                store=self.tiers,
                 reuse_result=reuse_result,
             )
             span.set(
@@ -261,7 +263,7 @@ class Session:
             self._executor = BatchExecutor(
                 workers=self.workers,
                 backend=self.backend,
-                cache=self.memory,
+                store=self.tiers,
             )
         return self._executor
 
@@ -338,35 +340,25 @@ class Session:
         the core of the service's ``/stats``. ``store`` is the disk
         tier's record lifted out of ``storage`` (``None`` without a
         store), so one call walks the store directory once."""
-        tiers = self._tiers()
-        storage = tiers.stats() if tiers is not None else []
-        store = None
-        if self.store is not None:
-            store = next(
-                (
-                    {
-                        key: value
-                        for key, value in record.items()
-                        if key not in ("label", "kind")
-                    }
-                    for record in storage
-                    if record["label"] == self.store.label
-                ),
-                None,
-            ) or self.store.stats()
+        storage = self.tiers.stats()
+        store = next(
+            (
+                {
+                    key: value
+                    for key, value in record.items()
+                    if key not in ("label", "kind")
+                }
+                for record in storage
+                if record["kind"] == "disk"
+            ),
+            None,
+        )
         return {
             "compile_cache": self.memory.stats(),
             "executor": self.executor.stats(),
             "store": store,
             "storage": storage,
         }
-
-    def _tiers(self):
-        """The session's storage stack (memory → disk → peers), shared
-        with every compile run under its options."""
-        from repro.pipeline.driver import _tiers_for
-
-        return _tiers_for(self.memory, self.options)
 
     def gc(
         self,
@@ -377,10 +369,7 @@ class Session:
         """Run one GC policy over the session's writable tiers — e.g.
         ``session.gc("fusion", max_age_seconds=7 * 86400)`` drops week-old
         fusion plans while leaving every other pass's units intact."""
-        tiers = self._tiers()
-        if tiers is None:
-            return {"total": {"removed": 0, "reclaimed_bytes": 0}}
-        return tiers.gc(
+        return self.tiers.gc(
             pass_name=pass_name,
             max_age_seconds=max_age_seconds,
             max_bytes=max_bytes,

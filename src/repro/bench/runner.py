@@ -56,9 +56,10 @@ def compare_workload(
     default spec, or an explicit one), unfused then fused — the
     Workload-native face of :func:`compare_fused_unfused`.
 
-    Pass a session's ``options`` so the compile shares its caches (in
-    particular an on-disk ``cache_dir`` — a warm store then serves the
-    fusion instead of a cold pipeline run)."""
+    Pass a session's ``options`` so the fusion matches what the session
+    builds (its mode, cutoffs and layout). The compile goes through the
+    process-wide memory tier, so a workload a session without a memory
+    budget has compiled is a cache hit, not a cold pipeline run."""
     from dataclasses import replace
 
     from repro.api.workload import Workload as _W  # narrow import

@@ -57,8 +57,14 @@ from repro.fusion.fused_ir import print_fused_program
 from repro.ir.printer import print_program
 from repro.ir.validate import LanguageMode
 from repro.layout.base import LAYOUT_NAMES
-from repro.pipeline import CompileOptions
+from repro.pipeline import GLOBAL_CACHE, CompileOptions
 from repro.pipeline import compile as pipeline_compile
+from repro.storage import (
+    FORMAT_VERSION,
+    TieredStore,
+    disk_tier_for,
+    peer_tier_for,
+)
 
 
 def _read(path: str) -> str:
@@ -94,14 +100,25 @@ def _load(path: str, mode: str):
     return parse_program(_read(path), name=path, mode=language_mode)
 
 
+def _store(args) -> TieredStore:
+    """The one store a command compiles through: the process-wide
+    memory tier, then ``--cache-dir``, then each ``--peer``."""
+    cache_dir = getattr(args, "cache_dir", None)
+    return TieredStore(
+        [
+            GLOBAL_CACHE,
+            disk_tier_for(cache_dir) if cache_dir is not None else None,
+            *map(peer_tier_for, getattr(args, "peer", None) or ()),
+        ]
+    )
+
+
 def _compile(args, emit: bool):
     """Run the staged pipeline on the source named by *args* (a file
     path for every command; also ``-``/inline text for ``compile``)."""
     options = CompileOptions(
         mode=args.mode,
         emit=emit,
-        cache_dir=getattr(args, "cache_dir", None),
-        peers=tuple(getattr(args, "peer", None) or ()),
         layout=getattr(args, "layout", None) or "object",
     )
     if getattr(args, "flexible_source", False):
@@ -117,6 +134,7 @@ def _compile(args, emit: bool):
         source,
         options=options,
         name=name,
+        store=_store(args),
         reuse_result=not getattr(args, "explain", False),
     )
 
@@ -437,9 +455,14 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_store(args) -> int:
-    """Maintenance operations on an on-disk artifact store."""
-    from repro.storage import disk_tier_for
+    """Maintenance operations on an on-disk artifact store. A directory
+    with no store is an error: maintenance never creates one."""
+    import os
 
+    if not os.path.isdir(
+        os.path.join(args.cache_dir, f"v{FORMAT_VERSION}")
+    ):
+        raise ReproError(f"no artifact store at {args.cache_dir}")
     store = disk_tier_for(args.cache_dir)
     if args.store_command == "stats":
         for key, value in store.stats().items():

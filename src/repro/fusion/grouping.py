@@ -31,6 +31,15 @@ class FusionLimits:
     max_sequence: int = 12
     max_repeat: int = 4
 
+    def __post_init__(self):
+        # a fused sequence holds at least one call: below that the
+        # planner fuses nothing (or fails deep inside planning)
+        if self.max_sequence < 1:
+            raise ValueError(
+                f"FusionLimits.max_sequence must be at least 1, "
+                f"got {self.max_sequence!r}"
+            )
+
 
 @dataclass
 class Group:

@@ -18,10 +18,11 @@ Stages (each wall-timed, each reporting IR-size stats)::
 Passes are *unit-granular* (see :mod:`repro.pipeline.manager`): each
 declares per-unit inputs/outputs — methods for access analysis and
 unfused emission, fused member sequences for dependence/fusion/emit —
-and every unit's artifact is content-addressed in the compile's
-:class:`~repro.storage.TieredStore` (the in-process memory tier; with
-``cache_dir`` the on-disk :class:`~repro.storage.DiskTier`; with
-``peers`` read-only :class:`~repro.storage.PeerTier` warm sources).
+and every unit's artifact is content-addressed in the
+:class:`~repro.storage.TieredStore` the compile is given (by default
+the in-process memory tier alone; a ``Session`` adds its on-disk
+:class:`~repro.storage.DiskTier` and read-only
+:class:`~repro.storage.PeerTier` warm sources).
 Whole results stay memoized under ``(source hash, options hash)``:
 warm compiles are dictionary lookups, and when the whole-result key
 misses — a first-ever compile or an edited workload — unchanged units
@@ -30,7 +31,13 @@ reload instead of recomputing whenever the compile has a store
 implementations (the former monolithic fusion engine, decomposed).
 """
 
-from repro.pipeline.driver import GLOBAL_CACHE, compile, hash_program, hash_source
+from repro.pipeline.driver import (
+    GLOBAL_CACHE,
+    GLOBAL_STORE,
+    compile,
+    hash_program,
+    hash_source,
+)
 from repro.pipeline.manager import Pass, PassContext, PassManager, Unit
 from repro.pipeline.options import (
     CompileOptions,
@@ -49,6 +56,7 @@ __all__ = [
     "CompileOptions",
     "CompileResult",
     "GLOBAL_CACHE",
+    "GLOBAL_STORE",
     "Pass",
     "PassContext",
     "PassManager",

@@ -2,13 +2,13 @@
 
 Accepts either Grafter source text or an already-built
 :class:`~repro.ir.program.Program` (workload modules hand those out),
-hashes the content plus the options, consults the compile's
-:class:`~repro.storage.TieredStore` — memory tier, then the
-``options.cache_dir`` disk store, then any ``options.peers`` — and on
-a miss runs the staged pass pipeline. The result carries the fused
-program, the generated Python modules (when ``options.emit``), and
-per-pass wall-time / IR-size instrumentation for the ``--timings``
-report.
+hashes the content plus the options, consults the
+:class:`~repro.storage.TieredStore` the caller passes — by default a
+memory-only store over :data:`GLOBAL_CACHE`; a ``Session`` passes its
+memory → disk → peers store — and on a miss runs the staged pass
+pipeline. The result carries the fused program, the generated Python
+modules (when ``options.emit``), and per-pass wall-time / IR-size
+instrumentation for the ``--timings`` report.
 """
 
 from __future__ import annotations
@@ -32,10 +32,14 @@ from repro.pipeline.stages import default_passes
 from repro.storage import MemoryTier, ResultKey, TieredStore
 
 #: The process-wide memory tier every in-process compile shares unless
-#: the caller passes its own (``Session(memory_budget=...)`` does). Keys
-#: are pure content hashes, so compiling the same text through two
+#: the caller's store has its own (``Session(memory_budget=...)`` does).
+#: Keys are pure content hashes, so compiling the same text through two
 #: different ``Program`` objects hits the same entry.
 GLOBAL_CACHE = MemoryTier()
+
+#: What a compile goes through when its caller passes no store: the
+#: process-wide memory tier alone.
+GLOBAL_STORE = TieredStore([GLOBAL_CACHE])
 
 
 def compile(
@@ -43,31 +47,28 @@ def compile(
     *,
     options: Optional[CompileOptions] = None,
     name: str = "program",
-    cache: Optional[MemoryTier] = GLOBAL_CACHE,
+    store: Optional[TieredStore] = GLOBAL_STORE,
     reuse_result: bool = True,
 ) -> CompileResult:
     """Compile a Workload, Grafter source, or Program through the
     staged pipeline.
 
     A second call with the same content and options is served from the
-    cache: the returned result is the cached record with ``cache_hit``
+    store: the returned result is the stored record with ``cache_hit``
     set, ``timings`` reduced to the lookup cost, and the cold per-pass
     timings preserved under ``cold_timings``. An ``emit=False`` request
-    is also served from a cached ``emit=True`` result of the same source
-    (a strict superset — the extra emitted fields just come along). To
-    force a cold compile use ``options.use_cache=False`` (disables every
-    storage tier); ``cache=None`` alone skips only the memory layer — a
-    configured ``options.cache_dir`` store or peer can still serve the
-    result.
+    is also served from a stored ``emit=True`` result of the same source
+    (a strict superset — the extra emitted fields just come along).
+    ``store=None`` forces a fully cold compile: no tier is consulted or
+    written, and the passes run without a unit layer.
 
-    Storage is tiered (:mod:`repro.storage`): with ``options.cache_dir``
-    set, a memory miss falls through to the on-disk
-    :class:`~repro.storage.DiskTier` rooted there, and with
-    ``options.peers`` set, a disk miss falls through to each read-only
-    peer (a second store root or a remote ``repro serve``). Hits are
-    promoted upward — a disk hit into memory, a peer hit onto the local
-    disk *and* into memory — and cold results are published to every
-    writable tier (unless ``options.persist`` is off) so *other
+    Storage is tiered (:mod:`repro.storage`): with a disk tier in
+    *store*, a memory miss falls through to the on-disk store, and
+    with peers, a disk miss falls through to each read-only peer (a
+    second store root or a remote ``repro serve``). Hits are promoted
+    upward — a disk hit into memory, a peer hit onto the local disk
+    *and* into memory — and cold results are published to every
+    writable tier (disk only when the store persists) so *other
     processes and hosts* start warm. The returned modules build through
     the same store: the first run of each loads its stored bytecode, or
     compiles its source and publishes the bytecode.
@@ -78,10 +79,7 @@ def compile(
     a first-ever compile, or a workload edited since the last one —
     unchanged units load from the unit layer of the same tiers and
     only dirtied units recompute, with per-pass hit/miss counts in the
-    timing details (``CompileResult.unit_report``). The unit layer obeys
-    the same gates as results: ``use_cache=False`` disables it, the
-    memory side lives in *cache*, the durable sides in ``cache_dir``
-    and ``peers``; a compile with no store runs without it.
+    timing details (``CompileResult.unit_report``).
 
     ``reuse_result=False`` skips the whole-result lookup (every tier)
     while keeping the unit layer — the pipeline demonstrably re-runs
@@ -133,7 +131,6 @@ def compile(
         key = ResultKey.of(source_hash, options)
         span.set(source_hash=source_hash[:12])
 
-        store = _tiers_for(cache, options)
         if store is not None and reuse_result:
             hit = store.get_result(key)
             if hit is None and not options.emit:
@@ -158,11 +155,6 @@ def compile(
                     cold_timings=hit.timings,
                 )
 
-        units = None
-        if store is not None:
-            from repro.pipeline.units import UnitArtifacts
-
-            units = UnitArtifacts(tiers=store)
         pctx = PassContext(
             options,
             source_text=source_text,
@@ -170,17 +162,14 @@ def compile(
             name=name,
             pure_impls=pure_impls,
             source_hash=source_hash,
-            cache=cache
-            if (cache is not None and options.use_cache)
-            else None,
-            units=units,
+            store=store,
         )
         manager = PassManager(default_passes())
         timings = manager.run(pctx)
         span.set(cache_hit=False, passes=len(timings))
         result = CompileResult(
             source_hash=source_hash,
-            options_hash=options.options_hash(),
+            options_hash=key.options_hash,
             options=options,
             program=pctx.program,
             fused=pctx.fused,
@@ -206,45 +195,3 @@ def _attach_store(result: CompileResult, store: TieredStore) -> None:
     for module in (result.compiled_unfused, result.compiled_fused):
         if module is not None:
             module.attach_store(store)
-
-
-def _tiers_for(
-    cache: Optional[MemoryTier], options: CompileOptions
-) -> Optional[TieredStore]:
-    """The storage stack for one compile, in lookup order: the memory
-    tier (*cache*), the ``cache_dir`` disk store, then each peer.
-    ``use_cache=False`` disables everything. Budget knobs resize only
-    tiers the caller plausibly administers: ``memory_budget`` applies
-    to a *privately passed* cache, never the process-shared
-    :data:`GLOBAL_CACHE` (one caller's small budget must not evict
-    everyone else's results — ``Session(memory_budget=...)`` builds
-    its own tier for exactly this reason); ``disk_budget`` is a
-    per-store setting on the directory the same options name (the
-    registry shares one instance per directory, so the most recent
-    setting wins — administering a store means administering its
-    budget). Returns ``None`` when no tier is configured."""
-    if not options.use_cache:
-        return None
-    tiers = []
-    if cache is not None:
-        if (
-            options.memory_budget is not None
-            and cache is not GLOBAL_CACHE
-        ):
-            cache.max_bytes = options.memory_budget
-        tiers.append(cache)
-    if options.cache_dir is not None:
-        # lazy imports keep pipeline imports light for cache-only use
-        from repro.storage.disk import disk_tier_for
-
-        disk = disk_tier_for(options.cache_dir)
-        if options.disk_budget is not None:
-            disk.max_bytes = options.disk_budget
-        tiers.append(disk)
-    for target in options.peers:
-        from repro.storage.peer import peer_tier_for
-
-        tiers.append(peer_tier_for(target))
-    if not tiers:
-        return None
-    return TieredStore(tiers, persist=options.persist)

@@ -36,6 +36,7 @@ from typing import Iterable, Optional, Protocol, runtime_checkable
 
 from repro import obs
 from repro.pipeline.options import CompileOptions, PassTiming
+from repro.pipeline.units import UnitArtifacts
 
 # one queryable namespace for what PassTiming.detail has always
 # recorded per compile: wall time per pass, unit reuse by outcome
@@ -102,19 +103,18 @@ class PassContext:
         name: str = "program",
         pure_impls: Optional[dict] = None,
         source_hash: str = "",
-        cache=None,
-        units=None,
+        store=None,
     ):
         self.options = options
         self.source_text = source_text
         self.name = name
         self.pure_impls = pure_impls or {}
         self.source_hash = source_hash
-        self.cache = cache
-        # the per-unit artifact layer (UnitArtifacts), or None when the
-        # compile runs with unit caching disabled — passes key their
-        # units only when this is set
-        self.units = units
+        # the compile's TieredStore, or None for a compile with no store
+        self.store = store
+        # the per-unit artifact layer over the store, or None without
+        # one — passes key their units only when this is set
+        self.units = UnitArtifacts(store) if store is not None else None
         # a Program handed in directly is trusted: its creator already
         # validated it (workloads, treefuser lowering), so the frontend
         # stages no-op instead of re-running mode checks it may not meet

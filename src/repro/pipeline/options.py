@@ -1,19 +1,20 @@
 """Compile options, per-pass timings, and the compile result record.
 
 :class:`CompileOptions` is the *complete* set of knobs that can change
-what the pipeline produces — it hashes to a stable string so the
-storage tiers (:mod:`repro.storage`) can key results on
-``(source hash, options hash)``. Anything cosmetic (the module name, the
-cache instance) deliberately stays out of it, and so does tracing: a
-caller records a compile's spans by opening a forced root span around it
-(``obs.span(name, force=True)``), so a traced compile shares every key
-and cached result with an untraced one.
+what the pipeline produces, and nothing else — it hashes to a stable
+string so every storage tier (:mod:`repro.storage`) keys results on
+``(source hash, options hash)``. Anything that does not change the
+output stays out of it: the module name, the store a compile goes
+through (its directory, peers, budgets and ``persist`` flag belong to
+the :class:`~repro.storage.TieredStore` the caller passes), and tracing
+— a caller records a compile's spans by opening a forced root span
+around it (``obs.span(name, force=True)``), so a traced compile shares
+every key and cached result with an untraced one.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import sys
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -107,7 +108,7 @@ def hash_source(source: str, pure_impls: Optional[dict] = None) -> str:
 
 @dataclass(frozen=True)
 class CompileOptions:
-    """Everything that affects compilation output.
+    """What to build: every field changes what the pipeline produces.
 
     * ``mode`` — language mode: ``"grafter"`` (default) rejects
       conditional traversal calls, ``"treefuser"`` allows them.
@@ -119,124 +120,61 @@ class CompileOptions:
     * ``emit`` — also emit + exec the generated Python modules; with
       ``False`` the pipeline stops after fusion (cheaper when only the
       :class:`FusedProgram` is needed, e.g. for the interpreter).
-    * ``use_cache`` — consult/populate the compile cache (every storage
-      tier; ``False`` forces a fully cold compile).
-    * ``cache_dir`` — root of an on-disk artifact store
-      (:class:`repro.storage.DiskTier`): a memory-cache miss falls
-      through to disk, and cold compiles spill their results so a
-      later process skips the whole pipeline.
-    * ``persist`` — allow spilling results to the disk store; with
-      ``False`` an attached ``cache_dir`` is read-only.
-    * ``peers`` — read-only warm sources consulted after memory and
-      disk (:class:`repro.storage.PeerTier`): each is a second store
-      root or the base URL of a running ``repro serve``; hits are
-      promoted into the local tiers. Order is lookup order.
     * ``layout`` — the tree representation generated code runs against,
       a key of :data:`repro.layout.base.LAYOUTS`:
       ``"object"`` (default) walks the ``Node`` object graph,
       ``"pooled"`` compiles index-based traversals over a
       :class:`~repro.layout.ForestPool` (structure-of-arrays columns,
       children as integer indices). The two backends emit different
-      module text, so the knob is output-affecting: pooled and
-      object-graph artifacts content-address separately in every
-      storage tier — switching layouts can never cross-hit a cached
-      artifact.
-    * ``memory_budget`` / ``disk_budget`` — byte budgets for the tiers
-      a compile under these options administers: ``memory_budget``
-      resizes a *privately owned* memory tier (``Session`` builds one;
-      the process-shared ``GLOBAL_CACHE`` is never resized by it) and
-      ``disk_budget`` is a per-store setting on the ``cache_dir``
-      directory (one shared instance per directory — the most recent
-      setting wins). ``None`` keeps each tier's default.
+      module text, so pooled and object-graph artifacts
+      content-address separately in every storage tier.
 
-    ``peers`` and the budgets are storage topology, not semantics: like
-    the other caching knobs they participate in ``canonical()`` (so no
-    field can silently alias) but stay out of the on-disk/output key —
-    two hosts with different peer lists must share one store key space.
+    Where results are stored is not an option: a compile's caller
+    passes the :class:`~repro.storage.TieredStore` it owns (see
+    :func:`repro.pipeline.compile`), so a store directory, a peer or a
+    byte budget never changes a key.
     """
 
     mode: str = "grafter"
     limits: FusionLimits = field(default_factory=FusionLimits)
     lower: bool = False
     emit: bool = True
-    use_cache: bool = True
-    cache_dir: Optional[str] = None
-    persist: bool = True
-    peers: tuple[str, ...] = ()
-    memory_budget: Optional[int] = None
-    disk_budget: Optional[int] = None
     layout: str = "object"
+
+    def __post_init__(self):
+        modes = [mode.value for mode in LanguageMode]
+        if self.mode not in modes:
+            raise ValueError(
+                f"CompileOptions.mode must be one of {modes}, "
+                f"got {self.mode!r}"
+            )
 
     @property
     def language_mode(self) -> LanguageMode:
-        return (
-            LanguageMode.TREEFUSER
-            if self.mode == "treefuser"
-            else LanguageMode.GRAFTER
-        )
-
-    # fields that do not change what the pipeline *produces* — only how
-    # results are cached/persisted. They participate in canonical() (so
-    # no field can ever silently alias) but are excluded from the
-    # on-disk store key: a persist=False reader must hit entries a
-    # persist=True writer left, and a store directory must survive
-    # being moved/renamed/mounted elsewhere.
-    NON_OUTPUT_FIELDS = frozenset(
-        {
-            "use_cache",
-            "cache_dir",
-            "persist",
-            "peers",
-            "memory_budget",
-            "disk_budget",
-        }
-    )
+        return LanguageMode(self.mode)
 
     def canonical(self) -> str:
-        """Stable text form of *every* field, derived by reflection so a
-        new knob participates in the cache key the moment it is added —
+        """Stable text form of every field, derived by reflection so a
+        new knob participates in the key the moment it is added —
         forgetting would silently alias entries compiled under different
         settings (tests/pipeline/test_options_reflection.py re-asserts
-        the invariant). ``cache_dir`` canonicalizes via ``abspath`` so
-        relative and absolute spellings of one directory agree."""
-        return ";".join(self._parts(fields(self)))
-
-    def output_canonical(self) -> str:
-        """Canonical text of the output-affecting fields only — the
-        on-disk store's key space (see ``NON_OUTPUT_FIELDS``)."""
-        return ";".join(
-            self._parts(
-                spec
-                for spec in fields(self)
-                if spec.name not in self.NON_OUTPUT_FIELDS
-            )
-        )
-
-    def _parts(self, specs) -> list[str]:
+        the invariant). The limits expand to one part per cutoff."""
         parts = []
-        for spec in specs:
+        for spec in fields(self):
             value = getattr(self, spec.name)
             if spec.name == "limits":
-                for limit in fields(value):
-                    parts.append(
-                        f"{limit.name}={getattr(value, limit.name)}"
-                    )
-            elif spec.name == "cache_dir" and value is not None:
-                parts.append(f"cache_dir={os.path.abspath(value)}")
-            elif spec.name == "peers":
-                # canonicalize the container shape (a caller passing a
-                # list must hash like one passing a tuple)
-                parts.append(f"peers=({','.join(value)})")
+                parts.extend(
+                    f"{limit.name}={getattr(value, limit.name)}"
+                    for limit in fields(value)
+                )
             else:
                 parts.append(f"{spec.name}={value}")
-        return parts
+        return ";".join(parts)
 
     def options_hash(self) -> str:
+        """Hash of :meth:`canonical` — the second half of every result
+        key, in memory and on disk."""
         return hash_text(self.canonical())
-
-    def output_hash(self) -> str:
-        """Hash of :meth:`output_canonical` — the disk-store key half."""
-        return hash_text(self.output_canonical())
 
 
 @dataclass
@@ -310,8 +248,8 @@ class CompileResult:
     def unit_report(self) -> str:
         """The ``--explain`` report: per-pass compilation-unit reuse —
         how many units each pass loaded from the unit store versus
-        recomputed (plus disk/peer loads when a ``cache_dir`` or a
-        configured peer served them)."""
+        recomputed (plus disk/peer loads when the store's disk tier or
+        one of its peers served them)."""
         name = getattr(self.program, "name", "program")
         if self.cache_hit:
             return (

@@ -1081,12 +1081,12 @@ class EmitPass:
 
     @staticmethod
     def _module(pctx: PassContext, key: tuple, build):
-        """The memory tier's module under *key*, else ``build()``'s,
-        stored there."""
-        cache = pctx.cache
+        """The store's memory tier's module under *key*, else
+        ``build()``'s, stored there."""
+        memory = pctx.store.memory if pctx.store is not None else None
         # `is not None`: an empty-looking tier (no results) may still
         # hold modules
-        hit = cache.fetch("module", key) if cache is not None else None
+        hit = memory.fetch("module", key) if memory is not None else None
         if hit:
             return hit[0]
         module = build()
@@ -1096,8 +1096,8 @@ class EmitPass:
             # lazily on first run, like an artifact restored from the
             # disk store
             module.namespace
-        if cache is not None:
-            cache.store("module", key, module)
+        if memory is not None:
+            memory.store("module", key, module)
         return module
 
 

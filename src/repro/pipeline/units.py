@@ -27,7 +27,7 @@ Two pieces live here:
 
 * :class:`UnitArtifacts` — one compilation's window onto the unit
   layer of its :class:`~repro.storage.TieredStore` (memory tier, the
-  ``cache_dir`` disk store, any read-only peers), with per-pass
+  disk store, any read-only peers), with per-pass
   hit/miss/disk/peer counters that land in the pass timing details
   (and from there in ``repro compile --explain``).
 """
@@ -296,7 +296,7 @@ class UnitArtifacts:
     view attributes each hit to the tier that served it — the
     ``unit_disk_hits`` / ``unit_peer_hits`` numbers in the pass timing
     details. Publishing lands in memory always and spills to disk only
-    for passes that opt in (``persist_units``) on persisting compiles.
+    for passes that opt in (``persist_units``) on persisting stores.
     """
 
     def __init__(self, tiers):

@@ -33,7 +33,7 @@ __all__ = list(_EXPORTS)
 
 def __getattr__(name: str):
     # lazy exports (PEP 562): the pipeline consults the store on every
-    # cache_dir compile, and importing the whole executor/api stack
+    # compile, and importing the whole executor/api stack
     # (concurrent.futures, http.server) there would charge ~50 ms of
     # module imports to a warm-store load that otherwise costs ~2 ms
     if name in _EXPORTS:

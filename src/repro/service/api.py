@@ -2,8 +2,8 @@
 
 :class:`TraversalService` is HTTP bookkeeping over one
 :class:`~repro.api.session.Session`: the session compiles, runs,
-stores and reports (its options template holds the server's
-``cache_dir``, ``peers`` and default layout), and the service adds
+stores and reports (its store holds the server's ``cache_dir`` and
+``peers``, its options template the default layout), and the service adds
 tickets, trace ids, per-layout and per-mode counters, and raw artifact
 bytes for peers. The workload registry maps names (``"render"``) to
 workload bundles so callers (CLI, HTTP, tests) can say *what* to run
@@ -592,9 +592,11 @@ class _Handler(BaseHTTPRequestHandler):
                 name = payload.pop("workload")
                 if payload:
                     # option overrides stay a programmatic-API affair:
-                    # letting HTTP clients patch CompileOptions would
-                    # hand them cache_dir (write anywhere) and peers
-                    # (server-side requests to arbitrary URLs)
+                    # a recompile over HTTP rebuilds what /submit
+                    # serves, and letting clients pick the mode or the
+                    # fusion cutoffs would fill the server's store with
+                    # variants no request runs (or a compile with
+                    # cutoffs large enough to stall the server)
                     raise ValueError(
                         f"unsupported fields {sorted(payload)} — the "
                         f"recompile body takes only 'workload'"

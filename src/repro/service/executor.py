@@ -25,10 +25,11 @@ Backends:
   group's resolved artifact directly.
 * ``"process"`` — a ``ProcessPoolExecutor``; shards must pickle (see
   :mod:`repro.service.batching`). Each worker resolves the shard's
-  workload itself, in its own memory tier (shipping exec'd modules
-  would cost more than resolving them): forked workers inherit the
-  parent's warm process-wide tier, spawned ones fall back to the
-  on-disk store when the requests' options name a ``cache_dir``.
+  workload itself (shipping exec'd modules would cost more than
+  resolving them), through the executor's store as it pickles: the
+  same disk roots, peers and ``persist`` flag over the worker's own
+  process-wide memory tier. Forked workers inherit the parent's warm
+  tier; spawned ones fall back to the store's disk and peers.
 * ``"inline"`` — no pool, shards run in the caller's thread: the
   sequential baseline and the zero-dependency debugging mode.
 
@@ -54,7 +55,7 @@ from typing import Optional, Sequence
 
 from repro import obs
 from repro.ir.program import Program
-from repro.pipeline import GLOBAL_CACHE
+from repro.pipeline import GLOBAL_STORE
 from repro.pipeline import compile as pipeline_compile
 from repro.runtime import Heap
 from repro.runtime.stats import LatencySeries
@@ -67,7 +68,7 @@ from repro.service.batching import (
     group_requests,
     shard_group,
 )
-from repro.storage import MemoryTier
+from repro.storage import TieredStore
 
 _BACKENDS = ("thread", "process", "inline")
 
@@ -128,12 +129,12 @@ class Artifact:
 
 
 def resolve_artifact(
-    request: ExecRequest, cache: Optional[MemoryTier] = GLOBAL_CACHE
+    request: ExecRequest, store: Optional[TieredStore] = GLOBAL_STORE
 ) -> Artifact:
-    """Resolve *request*'s workload once: through the pipeline (memory
-    tier *cache*, then the options' disk store and peers, else a cold
-    compile), or for interpret mode by parsing the program and wrapping
-    it in an interpreter module."""
+    """Resolve *request*'s workload once: through the pipeline (a hit
+    in one of *store*'s tiers, else a cold compile), or for interpret
+    mode by parsing the program and wrapping it in an interpreter
+    module."""
     workload, options = request.workload, request.options
     if request.mode == "interpret":
         # looked up at call time, so a caller can wrap it
@@ -148,7 +149,7 @@ def resolve_artifact(
         return Artifact(
             program, InterpretedModule(program, layout=options.layout)
         )
-    result = pipeline_compile(workload, options=options, cache=cache)
+    result = pipeline_compile(workload, options=options, store=store)
     module = (
         result.compiled_fused if request.fused else result.compiled_unfused
     )
@@ -173,11 +174,12 @@ def _execute_shard(
     indexes: list[int],
     trace_ctx: Optional[tuple] = None,
     artifact: Optional[Artifact] = None,
+    store: Optional[TieredStore] = GLOBAL_STORE,
 ) -> ShardRun:
     """Run one shard: build, traverse and collect each tree on the
     group's resolved *artifact*. Module-level so the process backend
     can pickle it; there *artifact* is ``None`` and the worker resolves
-    the request's workload itself.
+    the request's workload itself, through *store*.
 
     ``trace_ctx`` is the dispatching group span's serialized context;
     when set, the shard records a reparented ``exec.shard`` span (and
@@ -193,7 +195,7 @@ def _execute_shard(
             mode=request.mode,
         ):
             if artifact is None:
-                artifact = resolve_artifact(request)
+                artifact = resolve_artifact(request, store)
             program = artifact.program
             run = artifact.runner(request)
             workload = request.workload
@@ -274,7 +276,7 @@ class BatchExecutor:
         backend: str = "thread",
         shards_per_worker: int = 2,
         linger_seconds: float = 0.005,
-        cache: Optional[MemoryTier] = GLOBAL_CACHE,
+        store: Optional[TieredStore] = GLOBAL_STORE,
     ):
         if backend not in _BACKENDS:
             raise ValueError(
@@ -282,9 +284,9 @@ class BatchExecutor:
             )
         self.workers = max(1, workers)
         self.backend = backend
-        # the memory tier groups resolve through (process-pool workers
-        # use their own process-wide tier)
-        self.cache = cache
+        # the store groups resolve through (process-pool workers
+        # reopen it over their own process-wide memory tier)
+        self.store = store
         self.shards_per_worker = shards_per_worker
         self.linger_seconds = linger_seconds
         self._pool = None
@@ -397,7 +399,7 @@ class BatchExecutor:
             # their whole point is that nothing waits on the pipeline
             try:
                 compile_start = time.perf_counter()
-                artifact = resolve_artifact(first, self.cache)
+                artifact = resolve_artifact(first, self.store)
                 metrics.compile_seconds = (
                     time.perf_counter() - compile_start
                 )
@@ -425,6 +427,12 @@ class BatchExecutor:
                     for shard in shards
                 ]
             else:
+                if self.backend == "thread":
+                    resolved = {"artifact": artifact}
+                else:
+                    # process workers resolve the workload themselves,
+                    # through this executor's store as it pickles
+                    resolved = {"store": self.store}
                 futures = [
                     pool.submit(
                         _execute_shard,
@@ -433,8 +441,7 @@ class BatchExecutor:
                         # multi-request groups: each shard reparents to
                         # its own request's trace when it has one
                         shard.request.trace_context or gspan.context,
-                        # process workers resolve the workload themselves
-                        artifact if self.backend == "thread" else None,
+                        **resolved,
                     )
                     for shard in shards
                 ]

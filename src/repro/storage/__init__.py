@@ -16,8 +16,11 @@ compile cache, the on-disk artifact store, and remote warm sources:
   warm-compile path.
 * :class:`TieredStore` — composes them: one lookup-and-promote loop
   and one publish loop for both artifact kinds, plus stats and GC
-  policies; built per compile by the pipeline driver from
-  ``CompileOptions(cache_dir=..., peers=...)``.
+  policies; built once by its owner (``Session(cache_dir=...,
+  peers=...)``, the CLI from ``--cache-dir``/``--peer``) and passed to
+  every compile as ``pipeline.compile(..., store=...)``. Compile
+  options never name a tier: they say what to build, the store says
+  where it lives.
 
 Every tier has one read and one write, keyed by artifact kind
 (``"result"`` or ``"unit"``): ``fetch(kind, key)`` returns

@@ -6,11 +6,10 @@ or a remote ``repro serve``) — implements one small protocol,
 :class:`Tier`, whose one read and one write take an artifact *kind*:
 
 * ``"result"`` — whole :class:`~repro.pipeline.options.CompileResult`
-  records, keyed by :class:`ResultKey`. The memory tier keys on the
-  *full* options hash (every knob participates, so nothing can alias);
-  durable tiers key on the *output* options hash (caching knobs must
-  not fragment a store shared across processes or hosts — see
-  ``CompileOptions.output_hash``).
+  records, keyed by :class:`ResultKey`: the source's content hash and
+  ``CompileOptions.options_hash()``. Options hold only what shapes the
+  output, so every tier, in memory or shared across processes and
+  hosts, keys a result the same way.
 * ``"unit"`` — one pass's artifact for one compilation unit (a fusion
   plan, an emitted module function — see :mod:`repro.pipeline.units`),
   keyed by ``(pass name, content key)``. The same namespace holds each
@@ -39,8 +38,8 @@ entry is a clean miss, never an attribute-drift surprise at run time.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, replace
-from typing import Optional, Protocol, runtime_checkable
+from dataclasses import replace
+from typing import NamedTuple, Optional, Protocol, runtime_checkable
 
 from repro import __version__
 
@@ -74,31 +73,16 @@ def is_safe_pass_name(name: str) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class ResultKey:
-    """Both halves of a compile result's address.
-
-    ``options_hash`` covers every option field (the memory tier's key);
-    ``output_hash`` covers only the output-affecting fields (the
-    durable tiers' key). A tier picks the half that matches its sharing
-    scope.
-    """
+class ResultKey(NamedTuple):
+    """A compile result's address in every tier: ``(source hash,
+    options hash)``."""
 
     source_hash: str
     options_hash: str
-    output_hash: str
 
     @classmethod
     def of(cls, source_hash: str, options) -> "ResultKey":
-        return cls(
-            source_hash=source_hash,
-            options_hash=options.options_hash(),
-            output_hash=options.output_hash(),
-        )
-
-    @property
-    def memory_key(self) -> tuple[str, str]:
-        return (self.source_hash, self.options_hash)
+        return cls(source_hash, options.options_hash())
 
 
 @runtime_checkable
@@ -158,15 +142,6 @@ def counter_name(kind: str, name: str) -> str:
 # ===========================================================================
 
 
-def _pair(key) -> tuple[str, str]:
-    """A durable address's two parts: a result's ``(source hash, output
-    hash)`` — a :class:`ResultKey` contributes its output half — or a
-    unit's ``(pass name, content key)``."""
-    if isinstance(key, ResultKey):
-        return key.source_hash, key.output_hash
-    return key
-
-
 def _addressable(kind: str, first: str, second: str) -> bool:
     if kind == RESULT:
         return is_content_hash(first) and is_content_hash(second)
@@ -178,13 +153,13 @@ def _addressable(kind: str, first: str, second: str) -> bool:
 def artifact_path(kind: str, key) -> str:
     """Where one artifact lives under a store's ``v1/`` directory::
 
-        result  <source_hash[:2]>/<source_hash>-<output_hash>.pkl
+        result  <source_hash[:2]>/<source_hash>-<options_hash>.pkl
         unit    units/<pass>/<unit_key[:2]>/<unit_key>.pkl
 
     Glob wildcards pass through (``("*", "*")`` is every artifact of a
     kind), which is how the disk tier's eviction and GC sweeps find
     them."""
-    first, second = _pair(key)
+    first, second = key
     if kind == RESULT:
         return f"{first[:2]}/{first}-{second}.pkl"
     if kind == UNIT:
@@ -197,7 +172,7 @@ def artifact_route(kind: str, key) -> Optional[str]:
     artifact with its payload bytes, or ``None`` when the key is not one
     the pipeline makes (anything else must never reach a URL or a
     filesystem path)."""
-    first, second = _pair(key)
+    first, second = key
     if not _addressable(kind, first, second):
         return None
     return f"/artifact/{kind}/{first}/{second}"

@@ -10,16 +10,16 @@ with the memory LRU above it and read-only peers below.
 Layout (versioned so future formats never misread old files; see
 :func:`~repro.storage.base.artifact_path`)::
 
-    <root>/v1/<source_hash[:2]>/<source_hash>-<output_hash>.pkl
+    <root>/v1/<source_hash[:2]>/<source_hash>-<options_hash>.pkl
     <root>/v1/units/<pass>/<unit_key[:2]>/<unit_key>.pkl
 
 The first shape is a full :class:`CompileResult` keyed on ``(source
-hash, output-options hash)`` — the *output-affecting* options only
-(``CompileOptions.output_hash``), so caching knobs don't fragment the
-key space: a ``persist=False`` reader hits entries a ``persist=True``
-writer left, and a store directory keeps working after being moved,
-mounted elsewhere, or exported to another host. The second is one
-pass's artifact for one *compilation unit* (see
+hash, options hash)`` (``CompileOptions.options_hash``). Options hold
+only what shapes the output — where a result is stored is the store's
+business, never a key's — so a ``persist=False`` reader hits entries a
+``persist=True`` writer left, and a store directory keeps working after
+being moved, mounted elsewhere, or exported to another host. The second
+is one pass's artifact for one *compilation unit* (see
 :mod:`repro.pipeline.units`), which is how an edited workload's
 recompile reuses the unchanged units other processes compiled.
 
@@ -451,8 +451,8 @@ _TIERS_LOCK = threading.Lock()
 
 def disk_tier_for(root: str) -> DiskTier:
     """Process-wide disk-tier registry, one instance per resolved
-    directory (so every compile naming the same ``cache_dir`` shares
-    counters and the eviction lock)."""
+    directory (so every store over the same directory shares counters
+    and the eviction lock)."""
     resolved = os.path.abspath(root)
     with _TIERS_LOCK:
         tier = _TIERS.get(resolved)

@@ -156,17 +156,16 @@ class MemoryTier:
 
     def fetch(self, kind: str, key):
         """``(artifact, None)`` or ``None``: memory holds objects, not
-        payloads. Results are keyed by ``ResultKey.memory_key``."""
-        address = key.memory_key if kind == RESULT else key
+        payloads."""
         with self._lock:
             section = self._sections[kind]
-            entry = section.get(address)
+            entry = section.get(key)
             if kind != "module":  # module lookups are not counted
                 outcome = "misses" if entry is None else "hits"
                 self.counts[counter_name(kind, outcome)] += 1
             if entry is None:
                 return None
-            self._touch(section, address)
+            self._touch(section, key)
             return entry.value, None
 
     def store(
@@ -178,9 +177,8 @@ class MemoryTier:
         lower tier, which converts this lookup's recorded miss into a
         hit so the stats stay honest: a result's into a ``disk_hits``
         (served-from-below) hit, a unit's into a ``unit_hits`` one."""
-        address = key.memory_key if kind == RESULT else key
         with self._lock:
-            self._insert(kind, address, artifact)
+            self._insert(kind, key, artifact)
             if promoted:
                 if kind == RESULT:
                     self.counts["disk_hits"] += 1

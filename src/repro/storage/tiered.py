@@ -1,27 +1,37 @@
 """Tier composition: one read-through store over memory → disk → peers.
 
-A :class:`TieredStore` is what the compile driver (and the service)
-actually talk to. It walks its tiers in order for every lookup, of
-either artifact kind, and on a hit **promotes** the artifact into every
-writable tier above the one that served it — a disk hit lands in memory for the rest of the
+A :class:`TieredStore` is what the compile driver, the executor and the
+service actually talk to. Its owner builds it once — a
+:class:`~repro.api.session.Session` from its ``cache_dir``, ``peers`` and
+budgets, the CLI from ``--cache-dir`` and ``--peer`` — and passes it to
+every compile (:func:`repro.pipeline.compile` takes ``store=``). It
+walks its tiers in order for every lookup, of either artifact kind, and
+on a hit **promotes** the artifact into every writable tier above the
+one that served it — a disk hit lands in memory for the rest of the
 process, a peer hit lands on the local disk *and* in memory, so the
 peer is asked once per artifact per store, not once per compile. Writes
 ("publication") go to every writable tier, with disk writes further
-gated by the compile's ``persist`` option (a ``persist=False`` reader
-must never dirty a shared store) — which is also why promotion and
+gated by the store's ``persist`` flag (a ``persist=False`` reader must
+never dirty a shared store) — which is also why promotion and
 publication share one writability test.
 
-The usual stack, built by the driver from one ``CompileOptions``::
+The usual stack::
 
     MemoryTier (the compile cache)      — always first
-    DiskTier   (options.cache_dir)      — when a store is configured
-    PeerTier*  (options.peers, in order) — read-only warm sources
+    DiskTier   (the store directory)    — when a store is configured
+    PeerTier*  (in order)               — read-only warm sources
 
 Any prefix/subset works: a memory-only store is the classic in-process
-cache; a peers-only store is a diskless read-through client. ``gc``
-and ``stats`` fan out per tier, labelled, which is what the ``repro
-store gc`` CLI and the service's ``POST /gc`` / tier-labelled
-``/stats`` surface.
+cache (what a bare ``pipeline.compile`` runs against); a peers-only
+store is a diskless read-through client. ``gc`` and ``stats`` fan out
+per tier, labelled, which is what the ``repro store gc`` CLI and the
+service's ``POST /gc`` / tier-labelled ``/stats`` surface.
+
+A store pickles as where its tiers live — memory, each disk root, each
+peer target, in order — and its ``persist`` flag, and loads over the
+loading process's own tiers: its ``repro.pipeline.GLOBAL_CACHE`` and
+its registry instance for each root and target. That is how a
+process-pool worker resolves through its executor's store.
 """
 
 from __future__ import annotations
@@ -36,6 +46,16 @@ from repro.storage.base import (
     Tier,
     is_safe_pass_name,
 )
+from repro.storage.disk import disk_tier_for
+from repro.storage.peer import peer_tier_for
+
+# where a tier of each kind lives, which is all a pickled store keeps
+# of it (see the module docstring)
+_PLACES = {
+    "memory": lambda tier: None,
+    "disk": lambda tier: str(tier.root),
+    "peer": lambda tier: tier.target,
+}
 
 # lookup outcomes by kind (result|unit) and outcome (a tier label on a
 # hit, "miss" otherwise) — the registry face of the tiers' own stats()
@@ -52,13 +72,21 @@ class TieredStore:
     def __init__(self, tiers: Sequence[Tier], persist: bool = True):
         self.tiers = [tier for tier in tiers if tier is not None]
         self.persist = persist
+        # the in-process tier, if any: the only one that also holds
+        # exec'd modules (the emit pass looks them up here)
+        self.memory = next(
+            (tier for tier in self.tiers if tier.kind == "memory"), None
+        )
 
-    def __bool__(self) -> bool:
-        return bool(self.tiers)
+    def __reduce__(self):
+        places = tuple(
+            (tier.kind, _PLACES[tier.kind](tier)) for tier in self.tiers
+        )
+        return _reopen, (places, self.persist)
 
     def writable(self, tier: Tier) -> bool:
         """Publication/promotion target? Peers never are; disk only
-        when this compile may persist."""
+        when this store persists."""
         return tier.writable and (tier.kind != "disk" or self.persist)
 
     # -- the two loops --------------------------------------------------
@@ -167,3 +195,18 @@ class TieredStore:
             {"label": tier.label, "kind": tier.kind, **tier.stats()}
             for tier in self.tiers
         ]
+
+
+def _reopen(places, persist: bool) -> TieredStore:
+    """A pickled :class:`TieredStore` in the loading process (see the
+    module docstring)."""
+    from repro.pipeline.driver import GLOBAL_CACHE
+
+    openers = {
+        "memory": lambda _: GLOBAL_CACHE,
+        "disk": disk_tier_for,
+        "peer": peer_tier_for,
+    }
+    return TieredStore(
+        [openers[kind](where) for kind, where in places], persist=persist
+    )

@@ -307,7 +307,8 @@ class TestMemoSoundness:
         # distinct (origin, origin, same member) key of the compile
         result = pipeline_compile(
             astlang_workload(),
-            options=CompileOptions(use_cache=False, emit=False),
+            options=CompileOptions(emit=False),
+            store=None,
         )
         detail = {t.name: t.detail for t in result.timings}
         tests = sum(

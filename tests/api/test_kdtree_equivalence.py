@@ -12,7 +12,7 @@ schedule, since each splices a different entry sequence.
 import pytest
 
 from repro.ir.printer import print_program
-from repro.pipeline import CompileOptions, hash_program
+from repro.pipeline import hash_program
 from repro.pipeline import compile as pipeline_compile
 from repro.workloads.kdtree import (
     EQ1_SCHEDULE,
@@ -62,14 +62,13 @@ class TestKdtreeEquivalence:
         # two genuinely independent pipeline runs (the cache is
         # bypassed), so equality cannot come from one serving the other
         schedule = SCHEDULES[label]
-        options = CompileOptions(use_cache=False)
         from_embedded = pipeline_compile(
             kd_embedded_program(schedule, name=f"kdtree-{label}"),
-            options=options,
+            store=None,
         )
         from_string = pipeline_compile(
             equation_program(schedule, name=f"kdtree-{label}"),
-            options=options,
+            store=None,
         )
         assert from_embedded.source_hash == from_string.source_hash
         assert from_embedded.fused_source == from_string.fused_source

@@ -8,7 +8,7 @@ byte-identical generated Python from two independent cold compiles.
 """
 
 from repro.ir.printer import print_program
-from repro.pipeline import CompileOptions, hash_program
+from repro.pipeline import hash_program
 from repro.pipeline import compile as pipeline_compile
 from repro.workloads.render import (
     DEFAULT_GLOBALS,
@@ -46,11 +46,10 @@ class TestRenderEquivalence:
     def test_cold_compiles_emit_identical_modules(self):
         # two genuinely independent pipeline runs (the cache is
         # bypassed), so equality cannot come from one serving the other
-        options = CompileOptions(use_cache=False)
         from_embedded = pipeline_compile(
-            render_embedded_program(), options=options
+            render_embedded_program(), store=None
         )
-        from_string = pipeline_compile(render_program(), options=options)
+        from_string = pipeline_compile(render_program(), store=None)
         assert from_embedded.source_hash == from_string.source_hash
         assert from_embedded.fused_source == from_string.fused_source
         assert from_embedded.unfused_source == from_string.unfused_source

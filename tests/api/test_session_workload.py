@@ -95,7 +95,9 @@ class TestSession:
                 assert len(outcome) == 1
 
     def test_cache_dir_reaches_the_store(self, tmp_path):
-        with repro.Session(cache_dir=str(tmp_path)) as session:
+        # a memory tier of its own: the process-wide one may already
+        # hold render's result, which would serve it before the store
+        with _private_session(cache_dir=str(tmp_path)) as session:
             session.run(render_workload(), 1, pages=1)
             stats = session.stats()
         assert stats["store"]["spills"] >= 1
@@ -144,19 +146,6 @@ class TestCacheDirFlows:
             session.run(render_workload(), 1, pages=1)
         assert len(disk_tier_for(str(tmp_path))) == 1
 
-    def test_request_cache_dir_wins_over_the_session(self, tmp_path):
-        mine = str(tmp_path / "mine")
-        other = str(tmp_path / "other")
-        with _private_session(cache_dir=other) as session:
-            session.run(
-                render_workload(),
-                1,
-                options=CompileOptions(cache_dir=mine),
-                pages=1,
-            )
-        assert len(disk_tier_for(mine)) == 1
-        assert len(disk_tier_for(other)) == 0
-
 
 CALLS = ["compile", "recompile", "run", "submit"]
 
@@ -167,11 +156,14 @@ class TestOptionsRule:
 
     @pytest.mark.parametrize("call", CALLS)
     def test_explicit_options_are_taken_verbatim(self, tmp_path, call):
-        store = str(tmp_path / "session-store")
-        with _private_session(cache_dir=store) as session:
+        with _private_session(
+            cache_dir=str(tmp_path), layout="pooled"
+        ) as session:
             _call(session, call, options=CompileOptions())
-        # the template's cache_dir was not merged into the options
-        assert len(disk_tier_for(store)) == 0
+        # the template's layout was not merged into the options: the
+        # one result in the session's store is keyed on the object layout
+        [stored] = tmp_path.glob("v1/??/*.pkl")
+        assert stored.stem.endswith(f"-{CompileOptions().options_hash()}")
 
     @pytest.mark.parametrize("call", CALLS)
     def test_template_applies_without_options(self, tmp_path, call):

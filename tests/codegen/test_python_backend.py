@@ -228,8 +228,7 @@ class TestTruncationLeak:
         from repro.pipeline import compile as pipeline_compile
 
         result = pipeline_compile(
-            self.SOURCE,
-            options=CompileOptions(use_cache=False, layout=layout),
+            self.SOURCE, options=CompileOptions(layout=layout), store=None
         )
         program = result.program
         assert "except _Trunc" in result.fused_source

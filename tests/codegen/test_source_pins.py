@@ -14,7 +14,7 @@ import hashlib
 import pytest
 
 from repro.pipeline import CompileOptions, compile as pipeline_compile
-from repro.storage import MemoryTier
+from repro.storage import MemoryTier, TieredStore
 from repro.workloads.astlang import astlang_workload
 from repro.workloads.fmm import fmm_workload
 from repro.workloads.kdtree import kdtree_workload
@@ -73,7 +73,7 @@ def test_generated_sources_are_pinned(workload, layout):
     result = pipeline_compile(
         FACTORIES[workload](),
         options=CompileOptions(layout=layout),
-        cache=MemoryTier(),
+        store=TieredStore([MemoryTier()]),
     )
     assert not result.cache_hit
     assert (_sha(result.unfused_source), _sha(result.fused_source)) == (

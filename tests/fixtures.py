@@ -143,3 +143,24 @@ def source_workload(source, pure_impls=None, name="program"):
     return Workload(
         name=name, source=source, build_tree=None, pure_impls=pure_impls
     )
+
+
+def fresh_store(cache_dir=None, peers=(), persist=True):
+    """A :class:`~repro.storage.TieredStore` over a fresh memory tier,
+    so no result an earlier test compiled in this process can serve it,
+    then the disk store at *cache_dir* and each of *peers*."""
+    from repro.storage import (
+        MemoryTier,
+        TieredStore,
+        disk_tier_for,
+        peer_tier_for,
+    )
+
+    return TieredStore(
+        [
+            MemoryTier(),
+            disk_tier_for(str(cache_dir)) if cache_dir is not None else None,
+            *(peer_tier_for(str(peer)) for peer in peers),
+        ],
+        persist=persist,
+    )

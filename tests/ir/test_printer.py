@@ -168,16 +168,16 @@ class TestDataDefaults:
     def test_default_only_variants_get_distinct_keys(self):
         from repro.pipeline import CompileOptions, hash_program
         from repro.pipeline import compile as pipeline_compile
-        from repro.storage import MemoryTier
+        from repro.storage import MemoryTier, TieredStore
 
         one, seven = (
             parse_program(DEFAULTS_SOURCE.replace("VALUE", value))
             for value in ("1", "7")
         )
         assert hash_program(one) != hash_program(seven)
-        cache = MemoryTier()
+        store = TieredStore([MemoryTier()])
         options = CompileOptions(emit=False)
-        pipeline_compile(one, options=options, cache=cache)
-        result = pipeline_compile(seven, options=options, cache=cache)
+        pipeline_compile(one, options=options, store=store)
+        result = pipeline_compile(seven, options=options, store=store)
         assert not result.cache_hit
         assert result.program.tree_types["Node_"].data_defaults["Value"] == 7

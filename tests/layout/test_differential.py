@@ -22,6 +22,7 @@ from repro.workloads.astlang import astlang_workload
 from repro.workloads.fmm import fmm_workload
 from repro.workloads.kdtree import kdtree_workload
 from repro.workloads.render import render_workload
+from tests.fixtures import fresh_store
 
 CASES = [
     ("render", render_workload, {"pages": 2}),
@@ -92,11 +93,13 @@ class TestLayoutsAgree:
 class TestArtifactsNeverCollide:
     def test_layouts_use_disjoint_cache_keys(self, tmp_path):
         workload = render_workload()
-        base = CompileOptions(cache_dir=str(tmp_path))
-        object_cold = pipeline_compile(workload, options=base)
+        store = fresh_store(tmp_path)
+        base = CompileOptions()
+        object_cold = pipeline_compile(workload, options=base, store=store)
         pooled_cold = pipeline_compile(
             workload,
             options=dataclasses.replace(base, layout="pooled"),
+            store=store,
         )
         # a warm object store must not satisfy the pooled compile
         assert not pooled_cold.cache_hit
@@ -104,10 +107,11 @@ class TestArtifactsNeverCollide:
         assert "bind_fused" in pooled_cold.fused_source
         assert "bind_fused" not in object_cold.fused_source
         # warm recompiles hit per layout and stay byte-stable
-        object_warm = pipeline_compile(workload, options=base)
+        object_warm = pipeline_compile(workload, options=base, store=store)
         pooled_warm = pipeline_compile(
             workload,
             options=dataclasses.replace(base, layout="pooled"),
+            store=store,
         )
         assert object_warm.cache_hit
         assert pooled_warm.cache_hit

@@ -71,7 +71,7 @@ class TestRecompileLayout:
         disk = disk_tier_for(store)
 
         def stored(layout):
-            options = CompileOptions(cache_dir=store, layout=layout)
+            options = CompileOptions(layout=layout)
             key = ResultKey.of(source_hash, options)
             return (disk.dir / artifact_path("result", key)).exists()
 

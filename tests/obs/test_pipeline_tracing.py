@@ -8,7 +8,7 @@ from repro.pipeline import (
     CompileOptions,
     compile as pipeline_compile,
 )
-from repro.storage import MemoryTier
+from repro.storage import MemoryTier, TieredStore
 
 from tests.fixtures import FIG2_SOURCE
 
@@ -27,8 +27,7 @@ def traced_compile(source, **kwargs):
 
 
 def test_traced_compile_records_pass_and_unit_spans():
-    options = CompileOptions(use_cache=False)
-    result = traced_compile(FIG2_SOURCE, options=options, cache=None)
+    result = traced_compile(FIG2_SOURCE, store=None)
     assert not result.cache_hit
     spans = spans_of_last_trace()
     names = {record["name"] for record in spans}
@@ -51,16 +50,16 @@ def test_traced_compile_records_pass_and_unit_spans():
 
 
 def test_compile_root_span_carries_cache_outcome():
-    cache = MemoryTier()
+    store = TieredStore([MemoryTier()])
     options = CompileOptions()
-    traced_compile(FIG2_SOURCE, options=options, cache=cache)
+    traced_compile(FIG2_SOURCE, options=options, store=store)
     cold_root = next(
         r for r in spans_of_last_trace()
         if r["name"] == "pipeline.compile"
     )
     assert cold_root["attrs"]["cache_hit"] is False
     assert cold_root["attrs"]["passes"] > 0
-    warm = traced_compile(FIG2_SOURCE, options=options, cache=cache)
+    warm = traced_compile(FIG2_SOURCE, options=options, store=store)
     assert warm.cache_hit
     warm_spans = spans_of_last_trace()
     warm_root = next(
@@ -76,8 +75,8 @@ def test_compile_root_span_carries_cache_outcome():
 
 
 def test_storage_miss_span_on_cold_compile():
-    cache = MemoryTier()
-    traced_compile(FIG2_SOURCE, options=CompileOptions(), cache=cache)
+    store = TieredStore([MemoryTier()])
+    traced_compile(FIG2_SOURCE, options=CompileOptions(), store=store)
     spans = spans_of_last_trace()
     lookups = [r for r in spans if r["name"] == "storage.result"]
     assert lookups and all(
@@ -92,7 +91,5 @@ def test_storage_miss_span_on_cold_compile():
 def test_untraced_compile_records_nothing_new():
     tracer = obs.get_tracer()
     before = len(tracer.spans())
-    pipeline_compile(
-        FIG2_SOURCE, options=CompileOptions(use_cache=False), cache=None
-    )
+    pipeline_compile(FIG2_SOURCE, store=None)
     assert len(tracer.spans()) == before

@@ -11,7 +11,7 @@ from repro.pipeline import (
     hash_source,
 )
 from repro.fusion.grouping import FusionLimits
-from repro.storage import MemoryTier
+from repro.storage import MemoryTier, TieredStore
 
 from tests.fixtures import FIG1_SOURCE, FIG2_SOURCE, source_workload
 
@@ -19,8 +19,9 @@ from tests.fixtures import FIG1_SOURCE, FIG2_SOURCE, source_workload
 class TestResultCache:
     def test_same_source_same_options_hits(self):
         cache = MemoryTier()
-        cold = pipeline_compile(FIG2_SOURCE, cache=cache)
-        warm = pipeline_compile(FIG2_SOURCE, cache=cache)
+        store = TieredStore([cache])
+        cold = pipeline_compile(FIG2_SOURCE, store=store)
+        warm = pipeline_compile(FIG2_SOURCE, store=store)
         assert not cold.cache_hit
         assert warm.cache_hit
         # the memoized artifacts are shared, not re-synthesized
@@ -31,8 +32,9 @@ class TestResultCache:
 
     def test_warm_timings_are_lookup_only_with_cold_preserved(self):
         cache = MemoryTier()
-        cold = pipeline_compile(FIG2_SOURCE, cache=cache)
-        warm = pipeline_compile(FIG2_SOURCE, cache=cache)
+        store = TieredStore([cache])
+        cold = pipeline_compile(FIG2_SOURCE, store=store)
+        warm = pipeline_compile(FIG2_SOURCE, store=store)
         assert [t.name for t in warm.timings] == ["cache-lookup"]
         assert warm.cold_timings is not None
         assert [t.name for t in warm.cold_timings] == [
@@ -42,60 +44,58 @@ class TestResultCache:
         assert not cold.cache_hit
 
     def test_changed_options_miss(self):
-        cache = MemoryTier()
-        pipeline_compile(FIG2_SOURCE, cache=cache)
+        store = TieredStore([MemoryTier()])
+        pipeline_compile(FIG2_SOURCE, store=store)
         for options in [
             CompileOptions(limits=FusionLimits(max_sequence=3)),
             CompileOptions(limits=FusionLimits(max_repeat=2)),
             CompileOptions(mode="treefuser"),
         ]:
-            result = pipeline_compile(FIG2_SOURCE, cache=cache, options=options)
+            result = pipeline_compile(FIG2_SOURCE, store=store, options=options)
             assert not result.cache_hit, options
 
     def test_changed_source_miss(self):
-        cache = MemoryTier()
-        pipeline_compile(FIG2_SOURCE, cache=cache)
-        result = pipeline_compile(FIG1_SOURCE, cache=cache)
+        store = TieredStore([MemoryTier()])
+        pipeline_compile(FIG2_SOURCE, store=store)
+        result = pipeline_compile(FIG1_SOURCE, store=store)
         assert not result.cache_hit
 
     def test_emit_false_served_from_emit_true_entry(self):
-        cache = MemoryTier()
-        emitted = pipeline_compile(FIG2_SOURCE, cache=cache)
+        store = TieredStore([MemoryTier()])
+        emitted = pipeline_compile(FIG2_SOURCE, store=store)
         fused_only = pipeline_compile(
-            FIG2_SOURCE, cache=cache, options=CompileOptions(emit=False)
+            FIG2_SOURCE, store=store, options=CompileOptions(emit=False)
         )
         assert fused_only.cache_hit
         assert fused_only.fused is emitted.fused
         # the reverse direction must stay a miss: an emit=False entry
         # lacks the compiled modules an emit=True caller needs
-        cache2 = MemoryTier()
+        store2 = TieredStore([MemoryTier()])
         pipeline_compile(
-            FIG2_SOURCE, cache=cache2, options=CompileOptions(emit=False)
+            FIG2_SOURCE, store=store2, options=CompileOptions(emit=False)
         )
-        full = pipeline_compile(FIG2_SOURCE, cache=cache2)
+        full = pipeline_compile(FIG2_SOURCE, store=store2)
         assert not full.cache_hit
         assert full.compiled_fused is not None
 
-    def test_use_cache_false_bypasses(self):
-        cache = MemoryTier()
-        pipeline_compile(FIG2_SOURCE, cache=cache)
-        result = pipeline_compile(
-            FIG2_SOURCE, cache=cache, options=CompileOptions(use_cache=False)
-        )
+    def test_no_store_bypasses(self):
+        pipeline_compile(FIG2_SOURCE, store=TieredStore([MemoryTier()]))
+        result = pipeline_compile(FIG2_SOURCE, store=None)
         assert not result.cache_hit
 
     def test_clear_forgets_everything(self):
         cache = MemoryTier()
-        pipeline_compile(FIG2_SOURCE, cache=cache)
+        store = TieredStore([cache])
+        pipeline_compile(FIG2_SOURCE, store=store)
         cache.clear()
         assert len(cache) == 0
-        assert not pipeline_compile(FIG2_SOURCE, cache=cache).cache_hit
+        assert not pipeline_compile(FIG2_SOURCE, store=store).cache_hit
 
     def test_lru_evicts_oldest(self):
-        cache = MemoryTier(max_entries=1)
-        pipeline_compile(FIG2_SOURCE, cache=cache)
-        pipeline_compile(FIG1_SOURCE, cache=cache)  # evicts fig2
-        assert not pipeline_compile(FIG2_SOURCE, cache=cache).cache_hit
+        store = TieredStore([MemoryTier(max_entries=1)])
+        pipeline_compile(FIG2_SOURCE, store=store)
+        pipeline_compile(FIG1_SOURCE, store=store)  # evicts fig2
+        assert not pipeline_compile(FIG2_SOURCE, store=store).cache_hit
 
 
 class TestContentAddressing:
@@ -106,9 +106,9 @@ class TestContentAddressing:
         assert hash_program(a) == hash_program(b)
 
     def test_equivalent_program_objects_share_cache_entry(self):
-        cache = MemoryTier()
-        cold = pipeline_compile(parse_program(FIG2_SOURCE), cache=cache)
-        warm = pipeline_compile(parse_program(FIG2_SOURCE), cache=cache)
+        store = TieredStore([MemoryTier()])
+        cold = pipeline_compile(parse_program(FIG2_SOURCE), store=store)
+        warm = pipeline_compile(parse_program(FIG2_SOURCE), store=store)
         assert warm.cache_hit
         assert warm.fused is cold.fused
 
@@ -133,20 +133,20 @@ class TestContentAddressing:
         _tree_ class L : public N { };
         int main() { N* root = ...; root->go(); }
         """
-        cache = MemoryTier()
+        store = TieredStore([MemoryTier()])
         plus_one = pipeline_compile(
-            source_workload(source, {"f": lambda x: x + 1}), cache=cache
+            source_workload(source, {"f": lambda x: x + 1}), store=store
         )
         plus_hundred = pipeline_compile(
-            source_workload(source, {"f": lambda x: x + 100}), cache=cache
+            source_workload(source, {"f": lambda x: x + 100}), store=store
         )
         assert not plus_hundred.cache_hit
         assert plus_one.program.pure_functions["f"].impl(1) == 2
         assert plus_hundred.program.pure_functions["f"].impl(1) == 101
         # the *same* impl objects do share
         impls = {"f": lambda x: x * 2}
-        first = pipeline_compile(source_workload(source, impls), cache=cache)
-        second = pipeline_compile(source_workload(source, impls), cache=cache)
+        first = pipeline_compile(source_workload(source, impls), store=store)
+        second = pipeline_compile(source_workload(source, impls), store=store)
         assert second.cache_hit
         assert second.fused is first.fused
 
@@ -184,13 +184,14 @@ class TestCodegenArtifactSharing:
             Path(__file__).resolve().parents[2] / "examples" / "fig2.grafter"
         ).read_text()
         cache = MemoryTier()
-        first = pipeline_compile(source, name="fig2", cache=cache)
+        store = TieredStore([cache])
+        first = pipeline_compile(source, name="fig2", store=store)
         # no public call drops results alone; clear that section
         cache._sections["result"].clear()
         assert len(cache) == 0
         assert cache.stats()["artifacts"] >= 2
         second = pipeline_compile(
-            source, name="fig2", cache=cache, reuse_result=False
+            source, name="fig2", store=store, reuse_result=False
         )
         assert second.compiled_unfused is first.compiled_unfused
         assert second.compiled_fused is first.compiled_fused

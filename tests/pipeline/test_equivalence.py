@@ -9,12 +9,12 @@ from repro.fusion.fused_ir import print_fused_program
 from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
 from repro.pipeline.stages import plan_and_synthesize
-from repro.storage import MemoryTier
 from repro.treefuser import lower_program
 from repro.workloads.astlang import ast_program
 from repro.workloads.fmm import fmm_program
 from repro.workloads.kdtree import EQ1_SCHEDULE, equation_program
 from repro.workloads.render import render_program
+from tests.fixtures import fresh_store
 
 WORKLOADS = {
     "render": render_program,
@@ -29,7 +29,7 @@ def test_uncached_fusion_matches_pipeline(name):
     program = WORKLOADS[name]()
     uncached = plan_and_synthesize(program)
     via_pipeline = pipeline_compile(
-        program, cache=MemoryTier(), options=CompileOptions(emit=False)
+        program, store=fresh_store(), options=CompileOptions(emit=False)
     ).fused
     assert set(uncached.units) == set(via_pipeline.units)
     assert uncached.stats() == via_pipeline.stats()
@@ -50,7 +50,7 @@ def test_uncached_fusion_matches_pipeline_treefuser_lowered():
     uncached = plan_and_synthesize(lowered.program)
     via_pipeline = pipeline_compile(
         lowered.program,
-        cache=MemoryTier(),
+        store=fresh_store(),
         options=CompileOptions(emit=False),
     ).fused
     assert set(uncached.units) == set(via_pipeline.units)

@@ -13,8 +13,7 @@ import pytest
 from repro.fusion.grouping import FusionLimits
 from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
-from repro.storage import MemoryTier
-from tests.fixtures import source_workload
+from tests.fixtures import fresh_store, source_workload
 
 # two traversals with disjoint recursion (f walks a, g walks b), so the
 # per-type singleton sequences give several independent fused units
@@ -48,8 +47,8 @@ SOURCE_V2_ACCESS = SOURCE_V1.replace(
 )
 
 
-def _compile(source, cache, **kwargs):
-    return pipeline_compile(source, cache=cache, **kwargs)
+def _compile(source, store, **kwargs):
+    return pipeline_compile(source, store=store, **kwargs)
 
 
 def _counters(result, pass_name):
@@ -61,16 +60,14 @@ def _counters(result, pass_name):
 
 
 def _cold(source, **kwargs):
-    return pipeline_compile(
-        source, options=CompileOptions(use_cache=False), **kwargs
-    )
+    return pipeline_compile(source, store=None, **kwargs)
 
 
 class TestSingleEdit:
     def test_constant_edit_reuses_every_plan_and_reemits_only_dirty(self):
-        cache = MemoryTier()
-        _compile(SOURCE_V1, cache)
-        edited = _compile(SOURCE_V2_CONST, cache)
+        store = fresh_store()
+        _compile(SOURCE_V1, store)
+        edited = _compile(SOURCE_V2_CONST, store)
         assert not edited.cache_hit
 
         # analysis: only the edited method recollects
@@ -92,9 +89,9 @@ class TestSingleEdit:
         assert misses == len(dirty) + 1
 
     def test_constant_edit_is_byte_identical_to_cold_compile(self):
-        cache = MemoryTier()
-        _compile(SOURCE_V1, cache)
-        edited = _compile(SOURCE_V2_CONST, cache)
+        store = fresh_store()
+        _compile(SOURCE_V1, store)
+        edited = _compile(SOURCE_V2_CONST, store)
         cold = _cold(SOURCE_V2_CONST)
         assert edited.fused_source == cold.fused_source
         assert edited.unfused_source == cold.unfused_source
@@ -102,9 +99,9 @@ class TestSingleEdit:
         assert "+ 3" in edited.fused_source
 
     def test_access_edit_dirties_reaching_plans_only(self):
-        cache = MemoryTier()
-        _compile(SOURCE_V1, cache)
-        edited = _compile(SOURCE_V2_ACCESS, cache)
+        store = fresh_store()
+        _compile(SOURCE_V1, store)
+        edited = _compile(SOURCE_V2_ACCESS, store)
         _, fusion_misses = _counters(edited, "fusion")
         fusion_hits, _ = _counters(edited, "fusion")
         reaching = {
@@ -120,9 +117,9 @@ class TestSingleEdit:
         # recompiled module and check the new constant took effect
         from repro.runtime import Heap, Node
 
-        cache = MemoryTier()
-        _compile(SOURCE_V1, cache)
-        edited = _compile(SOURCE_V2_CONST, cache)
+        store = fresh_store()
+        _compile(SOURCE_V1, store)
+        edited = _compile(SOURCE_V2_CONST, store)
         program = edited.program
         heap = Heap(program)
         leaf = Node.new(program, heap, "L")
@@ -134,11 +131,11 @@ class TestSingleEdit:
 
 class TestOptionAndImplInvalidation:
     def test_limits_change_dirties_plans_but_not_graphs_or_methods(self):
-        cache = MemoryTier()
-        _compile(SOURCE_V1, cache)
+        store = fresh_store()
+        _compile(SOURCE_V1, store)
         swept = _compile(
             SOURCE_V1,
-            cache,
+            store,
             options=CompileOptions(limits=FusionLimits(max_repeat=3)),
         )
         assert not swept.cache_hit
@@ -167,12 +164,12 @@ class TestOptionAndImplInvalidation:
         _tree_ class L : public N { };
         int main() { N* root = ...; root->f(); }
         """
-        cache = MemoryTier()
+        store = fresh_store()
         first = _compile(
-            source_workload(source, {"boost": lambda a: a + 1}), cache
+            source_workload(source, {"boost": lambda a: a + 1}), store
         )
         second = _compile(
-            source_workload(source, {"boost": lambda a: a * 2}), cache
+            source_workload(source, {"boost": lambda a: a * 2}), store
         )
         assert first.source_hash != second.source_hash
         assert not second.cache_hit
@@ -200,7 +197,7 @@ class TestRecompileSurface:
             assert pass_name in report
 
     def test_unit_layer_disabled_without_caches(self):
-        result = pipeline_compile(SOURCE_V1, cache=None)
+        result = pipeline_compile(SOURCE_V1, store=None)
         assert "no keyed units" in result.unit_report()
         for timing in result.timings:
             assert "unit_hits" not in timing.detail
@@ -208,16 +205,12 @@ class TestRecompileSurface:
 
 class TestDiskUnits:
     def test_units_persist_and_serve_a_fresh_memory_cache(self, tmp_path):
-        options = CompileOptions(cache_dir=str(tmp_path))
-        first = _compile(SOURCE_V1, MemoryTier(), options=options)
+        first = _compile(SOURCE_V1, fresh_store(tmp_path))
         assert not first.cache_hit
         # a brand-new memory cache, result lookup bypassed: every
         # fusion/emit unit must come back from disk
         again = _compile(
-            SOURCE_V1,
-            MemoryTier(),
-            options=options,
-            reuse_result=False,
+            SOURCE_V1, fresh_store(tmp_path), reuse_result=False
         )
         fusion = next(t for t in again.timings if t.name == "fusion")
         emit = next(t for t in again.timings if t.name == "emit")
@@ -229,8 +222,7 @@ class TestDiskUnits:
     def test_store_counts_unit_entries(self, tmp_path):
         from repro.storage import disk_tier_for
 
-        options = CompileOptions(cache_dir=str(tmp_path))
-        _compile(SOURCE_V1, MemoryTier(), options=options)
+        _compile(SOURCE_V1, fresh_store(tmp_path))
         stats = disk_tier_for(str(tmp_path)).stats()
         assert stats["unit_entries"] > 0
         assert stats["unit_spills"] > 0
@@ -238,22 +230,22 @@ class TestDiskUnits:
 
 class TestLowerPassUnits:
     def test_lowering_is_a_cached_pre_pass(self):
-        cache = MemoryTier()
+        store = fresh_store()
         options = CompileOptions(lower=True, emit=False)
-        first = _compile(SOURCE_V1, cache, options=options)
+        first = _compile(SOURCE_V1, store, options=options)
         assert first.lowered is not None
         assert first.program.name.endswith("_treefuser")
         lower = next(t for t in first.timings if t.name == "lower")
         assert lower.detail["unit_misses"] == 1
         again = _compile(
-            SOURCE_V1, cache, options=options, reuse_result=False
+            SOURCE_V1, store, options=options, reuse_result=False
         )
         lower = next(t for t in again.timings if t.name == "lower")
         assert lower.detail["unit_hits"] == 1
         assert again.lowered.tags == first.lowered.tags
 
     def test_lower_pass_skipped_by_default(self):
-        result = pipeline_compile(SOURCE_V1, cache=MemoryTier())
+        result = pipeline_compile(SOURCE_V1, store=fresh_store())
         lower = next(t for t in result.timings if t.name == "lower")
         assert lower.detail == {"skipped": 1}
         assert result.lowered is None

@@ -11,7 +11,6 @@ from repro.pipeline import (
     default_passes,
 )
 from repro.fusion.grouping import FusionLimits
-from repro.storage import MemoryTier
 
 from tests.fixtures import FIG2_SOURCE
 
@@ -32,12 +31,12 @@ class TestPassOrdering:
         assert PassManager(default_passes()).pass_names == EXPECTED_ORDER
 
     def test_timings_follow_pass_order(self):
-        result = pipeline_compile(FIG2_SOURCE, cache=None)
+        result = pipeline_compile(FIG2_SOURCE, store=None)
         assert [t.name for t in result.timings] == EXPECTED_ORDER
         assert all(t.seconds >= 0 for t in result.timings)
 
     def test_each_pass_reports_ir_size_detail(self):
-        result = pipeline_compile(FIG2_SOURCE, cache=None)
+        result = pipeline_compile(FIG2_SOURCE, store=None)
         detail = {t.name: t.detail for t in result.timings}
         assert detail["parse"]["tree_types"] == 4
         assert detail["access-analysis"]["statements"] > 0
@@ -49,7 +48,7 @@ class TestPassOrdering:
 
 class TestCompileResult:
     def test_source_compile_produces_everything(self):
-        result = pipeline_compile(FIG2_SOURCE, cache=None, name="fig2")
+        result = pipeline_compile(FIG2_SOURCE, store=None, name="fig2")
         assert result.program.name == "fig2"
         assert result.fused.stats()["units"] == 3
         assert "def run_fused(" in result.fused_source
@@ -60,7 +59,7 @@ class TestCompileResult:
 
     def test_emit_false_stops_after_fusion(self):
         result = pipeline_compile(
-            FIG2_SOURCE, cache=None, options=CompileOptions(emit=False)
+            FIG2_SOURCE, store=None, options=CompileOptions(emit=False)
         )
         assert result.fused is not None
         assert result.fused_source is None
@@ -70,7 +69,7 @@ class TestCompileResult:
 
     def test_program_input_skips_frontend_stages(self):
         program = parse_program(FIG2_SOURCE, name="fig2")
-        result = pipeline_compile(program, cache=None)
+        result = pipeline_compile(program, store=None)
         detail = {t.name: t.detail for t in result.timings}
         assert detail["parse"] == {"skipped": 1}
         assert detail["validate"] == {"skipped": 1}
@@ -78,7 +77,7 @@ class TestCompileResult:
         assert result.fused.stats()["units"] == 3
 
     def test_timings_report_format(self):
-        result = pipeline_compile(FIG2_SOURCE, cache=None, name="fig2")
+        result = pipeline_compile(FIG2_SOURCE, store=None, name="fig2")
         report = result.timings_report()
         assert "pipeline timings for 'fig2' (cache miss" in report
         for name in EXPECTED_ORDER + ["total"]:
@@ -103,10 +102,10 @@ class TestPipelineErrors:
         int main() { N* root = ...; root->go(); }
         """
         with pytest.raises(ValidationError):
-            pipeline_compile(bad, cache=None)
+            pipeline_compile(bad, store=None)
         # the same source is legal in treefuser mode
         result = pipeline_compile(
-            bad, cache=None, options=CompileOptions(mode="treefuser")
+            bad, store=None, options=CompileOptions(mode="treefuser")
         )
         assert result.fused is not None
 
@@ -118,7 +117,7 @@ class TestPipelineErrors:
         };
         """
         with pytest.raises(FusionError):
-            pipeline_compile(source, cache=None)
+            pipeline_compile(source, store=None)
 
 
 class TestFusionLimitsThroughPipeline:
@@ -138,10 +137,30 @@ class TestFusionLimitsThroughPipeline:
             root->f(); root->f(); root->f(); root->f(); root->f();
         }
         """
-        cache = MemoryTier()
         options = CompileOptions(
             limits=FusionLimits(max_sequence=2), emit=False
         )
-        result = pipeline_compile(source, cache=cache, options=options)
+        result = pipeline_compile(source, store=None, options=options)
         assert len(result.fused.entry_groups) == 3  # 2 + 2 + 1
         assert all(u.width <= 2 for u in result.fused.units.values())
+
+
+class TestOptionValues:
+    """Values that come from outside the program are checked when the
+    options are built, so none of them can miscompile silently."""
+
+    def test_unknown_mode_is_rejected(self):
+        # unchecked, a misspelt mode compiles under Grafter rules
+        with pytest.raises(ValueError, match="CompileOptions.mode"):
+            CompileOptions(mode="TreeFuser")
+
+    def test_negative_max_sequence_is_rejected(self):
+        # unchecked, it fuses nothing: no entry groups, and a fused run
+        # that leaves the tree untouched
+        with pytest.raises(ValueError, match="max_sequence"):
+            FusionLimits(max_sequence=-1)
+
+    def test_zero_max_sequence_is_rejected(self):
+        # unchecked, it fails deep in planning on a zero range() step
+        with pytest.raises(ValueError, match="max_sequence"):
+            FusionLimits(max_sequence=0)

@@ -21,7 +21,7 @@ from repro.errors import RuntimeFailure
 from repro.layout import ForestPool
 from repro.pipeline import compile as pipeline_compile
 from repro.runtime import Heap, Node, ObjectValue
-from repro.storage import MemoryTier
+from repro.storage import MemoryTier, TieredStore
 from repro.storage.base import encode
 from repro.workloads.astlang import astlang_spec, astlang_workload
 from repro.workloads.fmm import fmm_spec, fmm_workload
@@ -160,7 +160,7 @@ def test_stored_result_bytes_do_not_change_when_trees_are_built():
     # published after trees were built from its program (cold-start
     # interprets, then compiles the same Program object) pickles the same
     workload = render_workload()
-    result = pipeline_compile(workload, cache=MemoryTier())
+    result = pipeline_compile(workload, store=TieredStore([MemoryTier()]))
     assert result.program is workload.source
     before = encode("result", result)
     for spec in SPEC_POOLS["render"]:

@@ -38,7 +38,16 @@ class TestFacade:
             with pytest.raises(KeyError):
                 service.result(999)
 
-    def test_stats_include_store_when_persistent(self, tmp_path):
+    def test_stats_include_store_when_persistent(
+        self, tmp_path, monkeypatch
+    ):
+        # the service's session over an empty memory tier of its own: a
+        # render result already in the process-wide tier would serve
+        # the request before it reached the store
+        from repro.api import session
+        from repro.storage import MemoryTier
+
+        monkeypatch.setattr(session, "GLOBAL_CACHE", MemoryTier())
         with TraversalService(
             workers=1, backend="thread", cache_dir=str(tmp_path)
         ) as service:

@@ -16,25 +16,21 @@ import sys
 import textwrap
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
-from repro.storage import MemoryTier, ResultKey, disk_tier_for
+from repro.storage import ResultKey, disk_tier_for
 from repro.workloads.render import RENDER_PURE_IMPLS, RENDER_SOURCE
 
-from tests.fixtures import FIG2_SOURCE, source_workload
+from tests.fixtures import FIG2_SOURCE, fresh_store, source_workload
 
 
 class TestThreadedAccess:
     def test_racing_compiles_share_the_store_without_corruption(
         self, tmp_path
     ):
-        cache = MemoryTier()
-        options = CompileOptions(cache_dir=str(tmp_path))
+        store = fresh_store(tmp_path)
 
         def compile_once(_):
-            return pipeline_compile(
-                FIG2_SOURCE, options=options, cache=cache
-            )
+            return pipeline_compile(FIG2_SOURCE, store=store)
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(compile_once, range(16)))
@@ -54,12 +50,7 @@ class TestThreadedAccess:
         assert reloaded[0].fused_source == results[0].fused_source
 
     def test_racing_spills_of_one_result_are_atomic(self, tmp_path):
-        cache = MemoryTier()
-        result = pipeline_compile(
-            FIG2_SOURCE,
-            options=CompileOptions(cache_dir=str(tmp_path)),
-            cache=cache,
-        )
+        result = pipeline_compile(FIG2_SOURCE, store=fresh_store(tmp_path))
         store = disk_tier_for(str(tmp_path))
         key = ResultKey.of(result.source_hash, result.options)
 
@@ -82,9 +73,8 @@ _CHILD = textwrap.dedent(
     """
     import sys
     from repro.api import Workload
-    from repro.pipeline import CompileOptions
     from repro.pipeline import compile as pipeline_compile
-    from repro.storage import MemoryTier
+    from repro.storage import MemoryTier, TieredStore, disk_tier_for
     from repro.workloads.render import (
         DEFAULT_GLOBALS, RENDER_PURE_IMPLS, RENDER_SOURCE,
         build_document, replicated_pages_spec,
@@ -96,8 +86,7 @@ _CHILD = textwrap.dedent(
             "render", RENDER_SOURCE, build_document,
             pure_impls=RENDER_PURE_IMPLS,
         ),
-        options=CompileOptions(cache_dir=sys.argv[1]),
-        cache=MemoryTier(),
+        store=TieredStore([MemoryTier(), disk_tier_for(sys.argv[1])]),
     )
     heap = Heap(result.program)
     root = build_document(result.program, heap, replicated_pages_spec(2))
@@ -133,7 +122,6 @@ class TestCrossProcessAccess:
         assert len(store) == 1
         result = pipeline_compile(
             source_workload(RENDER_SOURCE, RENDER_PURE_IMPLS),
-            options=CompileOptions(cache_dir=str(tmp_path)),
-            cache=MemoryTier(),
+            store=fresh_store(tmp_path),
         )
         assert result.cache_hit

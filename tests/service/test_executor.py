@@ -187,14 +187,12 @@ class TestLifecycleAndOptions:
     def test_emit_false_request_fails_with_clear_message(self):
         from repro.pipeline import CompileOptions
 
-        with BatchExecutor(workers=1, backend="inline") as executor:
+        # no store: a stored emit=True result would serve the request
+        with BatchExecutor(
+            workers=1, backend="inline", store=None
+        ) as executor:
             [result] = executor.run(
-                [
-                    render_request(
-                        trees=1,
-                        options=CompileOptions(emit=False, use_cache=False),
-                    )
-                ]
+                [render_request(trees=1, options=CompileOptions(emit=False))]
             )
         assert not result.ok
         assert "emit=True" in result.error

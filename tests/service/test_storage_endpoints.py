@@ -13,13 +13,12 @@ import urllib.request
 
 import pytest
 
-from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
 from repro.service.api import TraversalService, make_server
 from repro.storage import disk_tier_for
-from repro.storage import MemoryTier, PeerTier, ResultKey, artifact_path
+from repro.storage import PeerTier, ResultKey, artifact_path
 
-from tests.fixtures import FIG2_SOURCE
+from tests.fixtures import FIG2_SOURCE, fresh_store
 
 
 @pytest.fixture()
@@ -27,11 +26,7 @@ def persistent_service(tmp_path):
     """A live HTTP service over a store pre-populated with one FIG2
     compile; yields (client base url, seeded result, store)."""
     cache_dir = str(tmp_path / "store")
-    seeded = pipeline_compile(
-        FIG2_SOURCE,
-        options=CompileOptions(cache_dir=cache_dir),
-        cache=MemoryTier(),
-    )
+    seeded = pipeline_compile(FIG2_SOURCE, store=fresh_store(cache_dir))
     service = TraversalService(
         workers=1, backend="thread", cache_dir=cache_dir
     )
@@ -75,9 +70,9 @@ class TestArtifactEndpoint:
         self, persistent_service
     ):
         base, seeded, store = persistent_service
-        output_hash = seeded.options.output_hash()
+        options_hash = seeded.options.options_hash()
         status, body = _get(
-            f"{base}/artifact/result/{seeded.source_hash}/{output_hash}"
+            f"{base}/artifact/result/{seeded.source_hash}/{options_hash}"
         )
         assert status == 200
         assert body == (
@@ -123,10 +118,7 @@ class TestArtifactEndpoint:
         # server as its only peer
         warm = pipeline_compile(
             FIG2_SOURCE,
-            options=CompileOptions(
-                cache_dir=str(tmp_path / "other-host"), peers=(base,)
-            ),
-            cache=MemoryTier(),
+            store=fresh_store(tmp_path / "other-host", peers=(base,)),
         )
         assert warm.cache_hit
         assert warm.fused_source == seeded.fused_source
@@ -198,17 +190,17 @@ class TestRecompileEndpoint:
     def test_option_overrides_are_rejected_over_http(
         self, persistent_service, tmp_path
     ):
-        # CompileOptions patches (cache_dir: write anywhere; peers:
-        # server-side fetches of arbitrary URLs) must not be reachable
+        # the body names a workload and nothing else: neither a store
+        # (write anywhere) nor an option (mode, cutoffs) is reachable
         # from the network
         base, _, _ = persistent_service
         target = str(tmp_path / "attacker-chosen")
-        status, body = _post(
-            f"{base}/recompile",
-            {"workload": "render", "cache_dir": target},
-        )
-        assert status == 400
-        assert "unsupported fields" in body["error"]
+        for extra in ({"cache_dir": target}, {"mode": "treefuser"}):
+            status, body = _post(
+                f"{base}/recompile", {"workload": "render", **extra}
+            )
+            assert status == 400
+            assert "unsupported fields" in body["error"]
         import os
 
         assert not os.path.exists(target)

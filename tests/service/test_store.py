@@ -3,23 +3,29 @@
 import os
 import pickle
 
-from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
 from repro.storage import (
     FORMAT_VERSION,
     DiskTier,
-    MemoryTier,
     ResultKey,
     artifact_path,
     disk_tier_for,
 )
 
-from tests.fixtures import FIG1_SOURCE, FIG2_SOURCE, source_workload
+from tests.fixtures import (
+    FIG1_SOURCE,
+    FIG2_SOURCE,
+    fresh_store,
+    source_workload,
+)
 
 
-def _compile_into(tmp_path, source=FIG2_SOURCE, **options_kw):
-    options = CompileOptions(cache_dir=str(tmp_path), **options_kw)
-    return pipeline_compile(source, options=options, cache=MemoryTier())
+def _compile_into(tmp_path, source=FIG2_SOURCE, persist=True):
+    """*source* through a fresh memory tier over the store at
+    *tmp_path* (a new process, as far as that store can tell)."""
+    return pipeline_compile(
+        source, store=fresh_store(tmp_path, persist=persist)
+    )
 
 
 def _key(result) -> ResultKey:
@@ -77,7 +83,7 @@ class TestRoundTrip:
         assert path.exists()
         assert path.parent.parent.name == f"v{FORMAT_VERSION}"
         assert path.parent.name == result.source_hash[:2]
-        assert path.name.endswith(f"-{result.options.output_hash()}.pkl")
+        assert path.name.endswith(f"-{result.options.options_hash()}.pkl")
 
     def test_persist_false_is_read_only(self, tmp_path):
         result = _compile_into(tmp_path, persist=False)
@@ -95,12 +101,10 @@ class TestRoundTrip:
         _tree_ class L : public N { };
         int main() { N* root = ...; root->go(); }
         """
-        options = CompileOptions(cache_dir=str(tmp_path))
         result = pipeline_compile(
             # id()-keyed impls: not portable
             source_workload(source, {"f": lambda x: x + 1}),
-            options=options,
-            cache=MemoryTier(),
+            store=fresh_store(tmp_path),
         )
         assert not result.cache_hit
         store = disk_tier_for(str(tmp_path))
@@ -130,7 +134,7 @@ class TestDamageTolerance:
 
     def test_missing_entry_is_a_miss(self, tmp_path):
         store = DiskTier(str(tmp_path))
-        missing = ResultKey("0" * 64, "2" * 64, "1" * 64)
+        missing = ResultKey("0" * 64, "1" * 64)
         assert store.fetch("result", missing) is None
         assert store.counts["load_misses"] == 1
 
@@ -185,7 +189,8 @@ class TestRegistry:
 
 
 class TestKeySpace:
-    """The disk key excludes caching knobs (CompileOptions.output_hash)."""
+    """A result's disk key is its source and output options alone: no
+    storage setting (persist, the store's own directory) enters it."""
 
     def test_persist_false_reader_hits_persist_true_writers_entry(
         self, tmp_path
@@ -202,17 +207,10 @@ class TestKeySpace:
 
         original = tmp_path / "original"
         moved = tmp_path / "moved"
-        options = CompileOptions(cache_dir=str(original))
-        cold = pipeline_compile(
-            FIG2_SOURCE, options=options, cache=MemoryTier()
-        )
+        cold = _compile_into(original)
         assert not cold.cache_hit
         shutil.move(str(original), str(moved))
-        warm = pipeline_compile(
-            FIG2_SOURCE,
-            options=CompileOptions(cache_dir=str(moved)),
-            cache=MemoryTier(),
-        )
+        warm = _compile_into(moved)
         assert warm.cache_hit, "a relocated store must keep its entries"
 
     def test_foreign_repro_version_is_a_clean_miss(self, tmp_path):
@@ -252,3 +250,19 @@ class TestReopenedStore:
         result = _compile_into(tmp_path / "elsewhere")  # any result
         assert reopened.store("result", _key(result), result)
         assert not path_a.exists(), "pre-existing LRU entry must go"
+
+    def test_an_older_release_entry_is_recompiled_and_replaced(
+        self, tmp_path
+    ):
+        # what a store written by an earlier release looks like to this
+        # one: the same path, another version in the payload
+        result = _compile_into(tmp_path)
+        store = disk_tier_for(str(tmp_path))
+        path = _path(store, result)
+        payload = pickle.loads(path.read_bytes())
+        payload["repro"] = "0.8.0"
+        path.write_bytes(pickle.dumps(payload))
+        again = _compile_into(tmp_path)
+        assert not again.cache_hit
+        assert pickle.loads(path.read_bytes())["repro"] != "0.8.0"
+        assert _compile_into(tmp_path).cache_hit

@@ -3,8 +3,9 @@
 import pickle
 
 from repro.storage import DiskTier
-from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
+
+from tests.fixtures import fresh_store
 
 SOURCE = """
 _tree_ class N {
@@ -17,10 +18,9 @@ int main() { N* root = ...; root->go(); }
 
 
 def spill_one(store_dir):
-    # use_cache must stay on: disabling it bypasses the disk layer too
-    return pipeline_compile(
-        SOURCE, options=CompileOptions(cache_dir=str(store_dir))
-    )
+    # a fresh memory tier: one an earlier test filled would serve the
+    # compile before it reached the store
+    return pipeline_compile(SOURCE, store=fresh_store(store_dir))
 
 
 class TestCompact:

@@ -1,12 +1,9 @@
 """Budget knobs must never resize the process-shared memory tier."""
 
 import repro
-from repro.pipeline import CompileOptions
-from repro.pipeline import compile as pipeline_compile
 from repro.pipeline import GLOBAL_CACHE
 from repro.runtime import Node
 from repro.runtime.values import ObjectValue
-from repro.storage import MemoryTier
 
 from tests.fixtures import FIG2_SOURCE
 
@@ -19,17 +16,6 @@ def _text_chain(program, heap, lengths):
             Text=ObjectValue("String", {"Length": length}), Next=node,
         )
     return node
-
-
-def test_memory_budget_never_resizes_global_cache():
-    before = GLOBAL_CACHE.max_bytes
-    pipeline_compile(
-        FIG2_SOURCE, options=CompileOptions(memory_budget=1000)
-    )
-    assert GLOBAL_CACHE.max_bytes == before, (
-        "one caller's budget must not evict every other caller's "
-        "results"
-    )
 
 
 def test_session_memory_budget_gets_a_private_tier():
@@ -64,23 +50,15 @@ def test_budgeted_session_runs_on_its_own_tier():
 
 
 def test_privately_owned_cache_honors_the_budget():
-    mine = MemoryTier()
-    pipeline_compile(
-        FIG2_SOURCE,
-        cache=mine,
-        options=CompileOptions(memory_budget=12345),
-    )
-    assert mine.max_bytes == 12345
+    with repro.Session(memory_budget=12345) as session:
+        # the budgeted tier is the one every compile's store goes through
+        assert session.tiers.memory is session.memory
+        assert session.memory.max_bytes == 12345
 
 
 def test_disk_budget_is_a_per_store_setting(tmp_path):
     from repro.storage import disk_tier_for
 
-    pipeline_compile(
-        FIG2_SOURCE,
-        cache=MemoryTier(),
-        options=CompileOptions(
-            cache_dir=str(tmp_path), disk_budget=7 * 1024 * 1024
-        ),
-    )
+    with repro.Session(str(tmp_path), disk_budget=7 * 1024 * 1024) as session:
+        session.compile(FIG2_SOURCE)
     assert disk_tier_for(str(tmp_path)).max_bytes == 7 * 1024 * 1024

@@ -29,14 +29,15 @@ from repro.codegen import python_backend
 from repro.codegen.python_backend import BYTECODE_PASS, bytecode_key
 from repro.frontend import parse_program
 from repro.ir.printer import print_program
-from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
 from repro.runtime import Heap
+from repro.service.executor import BatchExecutor
 from repro.storage import MemoryTier, TieredStore, disk_tier_for
 from repro.workloads.astlang import astlang_spec, astlang_workload
 from repro.workloads.fmm import fmm_spec, fmm_workload
 from repro.workloads.kdtree import kdtree_spec, kdtree_workload
 from repro.workloads.render import render_spec, render_workload
+from tests.fixtures import fresh_store
 
 WORKLOADS = {
     "render": (render_workload, [render_spec(pages=2, seed=1),
@@ -152,17 +153,24 @@ class TestPublication:
                 each.recompile(workload, exec_ahead=True)
         assert len(stored_units(tmp_path)) == 4
 
-    @pytest.mark.parametrize("off", ["persist", "use_cache"])
+    @pytest.mark.parametrize("off", ["persist", "store"])
     def test_runs_that_may_not_persist_write_no_bytecode(self, tmp_path, off):
         workload = fmm_workload()
-        options = CompileOptions(cache_dir=str(tmp_path), **{off: False})
-        with repro.Session(
-            options=options, memory_budget=BUDGET, workers=1
-        ) as first:
-            compiled = first.recompile(workload, exec_ahead=True)
-            first.run(workload, FMM_SPECS)
-            key = unit_key(compiled.result.compiled_fused)
-            kept = first.memory.fetch("unit", (BYTECODE_PASS, key))
+        memory = MemoryTier(max_bytes=BUDGET)
+        store = (
+            TieredStore(
+                [memory, disk_tier_for(str(tmp_path))], persist=False
+            )
+            if off == "persist"
+            else None
+        )
+        compiled = pipeline_compile(workload, store=store, reuse_result=False)
+        compiled.compiled_fused.namespace
+        with BatchExecutor(workers=1, backend="inline", store=store) as ex:
+            [ran] = ex.run([workload.request(FMM_SPECS)])
+        assert ran.ok
+        key = unit_key(compiled.compiled_fused)
+        kept = memory.fetch("unit", (BYTECODE_PASS, key))
         assert stored_units(tmp_path) == set()
         # a persist=False run still keeps the bytecode in its own memory
         assert (kept is not None) == (off == "persist")
@@ -320,14 +328,13 @@ def test_threads_racing_on_a_first_run_build_the_module_once(
     tmp_path, compiles, lookups, warm
 ):
     workload = render_workload()
-    options = CompileOptions(cache_dir=str(tmp_path))
     if warm:
         pipeline_compile(
-            workload, options=options, cache=MemoryTier()
+            workload, store=fresh_store(tmp_path)
         ).compiled_fused.namespace
         compiles.clear()
         lookups.clear()
-    result = pipeline_compile(workload, options=options, cache=MemoryTier())
+    result = pipeline_compile(workload, store=fresh_store(tmp_path))
     module = result.compiled_fused
     program = result.program
     barrier = threading.Barrier(8)
@@ -386,11 +393,7 @@ class _SlowStore:
 def _blocked_first_build(tmp_path):
     """A render result whose fused module's first build is blocked in
     its store lookup on another thread: ``(result, slow, thread)``."""
-    result = pipeline_compile(
-        render_workload(),
-        options=CompileOptions(cache_dir=str(tmp_path)),
-        cache=MemoryTier(),
-    )
+    result = pipeline_compile(render_workload(), store=fresh_store(tmp_path))
     module = result.compiled_fused
     slow = _SlowStore(module._store)
     module.attach_store(slow)
@@ -464,11 +467,7 @@ def test_a_forked_child_builds_a_module_a_parent_thread_is_building(
 def test_pickled_modules_carry_no_store(tmp_path):
     import pickle
 
-    result = pipeline_compile(
-        fmm_workload(),
-        options=CompileOptions(cache_dir=str(tmp_path)),
-        cache=MemoryTier(),
-    )
+    result = pipeline_compile(fmm_workload(), store=fresh_store(tmp_path))
     module = result.compiled_fused
     assert module._store is not None
     restored = pickle.loads(pickle.dumps(module))

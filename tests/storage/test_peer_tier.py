@@ -10,29 +10,23 @@ import pickle
 
 import pytest
 
-from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
 from repro.storage import (
     FORMAT_VERSION,
     DiskTier,
-    MemoryTier,
     PeerTier,
     ResultKey,
     artifact_path,
     peer_tier_for,
 )
 
-from tests.fixtures import FIG2_SOURCE
+from tests.fixtures import FIG2_SOURCE, fresh_store
 
 
 def _seed(tmp_path):
     """Compile FIG2 into a store rooted at *tmp_path*; return the
     result and the store."""
-    result = pipeline_compile(
-        FIG2_SOURCE,
-        options=CompileOptions(cache_dir=str(tmp_path)),
-        cache=MemoryTier(),
-    )
+    result = pipeline_compile(FIG2_SOURCE, store=fresh_store(tmp_path))
     return result, DiskTier(str(tmp_path))
 
 
@@ -115,9 +109,7 @@ class TestDirectoryPeer:
         for path in store.dir.rglob("*.pkl"):
             path.write_bytes(b"garbage")
         compiled = pipeline_compile(
-            FIG2_SOURCE,
-            options=CompileOptions(peers=(str(tmp_path / "peer"),)),
-            cache=MemoryTier(),
+            FIG2_SOURCE, store=fresh_store(peers=(tmp_path / "peer",))
         )
         assert not compiled.cache_hit
         assert compiled.fused_source == result.fused_source
@@ -133,9 +125,7 @@ class TestHTTPPeerFailure:
 
     def test_compile_survives_an_unreachable_peer(self):
         compiled = pipeline_compile(
-            FIG2_SOURCE,
-            options=CompileOptions(peers=("http://127.0.0.1:1",)),
-            cache=MemoryTier(),
+            FIG2_SOURCE, store=fresh_store(peers=("http://127.0.0.1:1",))
         )
         assert not compiled.cache_hit
         assert compiled.fused is not None
@@ -163,8 +153,5 @@ class TestRegistry:
 
 
 def _seed_key(tmp_path):
-    options = CompileOptions(cache_dir=str(tmp_path))
-    result = pipeline_compile(
-        FIG2_SOURCE, options=options, cache=MemoryTier()
-    )
-    return ResultKey.of(result.source_hash, options), result
+    result = pipeline_compile(FIG2_SOURCE, store=fresh_store(tmp_path))
+    return ResultKey.of(result.source_hash, result.options), result

@@ -16,7 +16,6 @@ import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
 from repro.storage import (
     DiskTier,
@@ -27,7 +26,7 @@ from repro.storage import (
     disk_tier_for,
 )
 
-from tests.fixtures import FIG2_SOURCE
+from tests.fixtures import FIG2_SOURCE, fresh_store
 
 MEMORY_KEYS = {
     "entries", "artifacts", "units", "bytes", "max_bytes", "hits",
@@ -94,12 +93,10 @@ class TestScriptedCounters:
     def test_counters_after_one_scripted_sequence(self, tmp_path):
         # 1. a cold compile through memory and disk
         memory = MemoryTier()
-        result = pipeline_compile(
-            FIG2_SOURCE,
-            options=CompileOptions(cache_dir=str(tmp_path / "a")),
-            cache=memory,
-        )
         disk = disk_tier_for(str(tmp_path / "a"))
+        result = pipeline_compile(
+            FIG2_SOURCE, store=TieredStore([memory, disk])
+        )
         assert _counters(memory.stats()) == {
             "entries": 1, "artifacts": 2, "units": 21, "hits": 0,
             "misses": 1, "disk_hits": 0, "unit_hits": 0,
@@ -171,7 +168,7 @@ class TestScriptedCounters:
         unit_path.write_bytes(b"not a pickle")
         assert TieredStore([local]).get_unit("fusion", unit) is None
         assert not unit_path.exists()
-        missing = ResultKey("0" * 64, "2" * 64, "1" * 64)
+        missing = ResultKey("0" * 64, "1" * 64)
         assert through_peer.get_result(missing) is None
         assert _counters(local.stats()) == {
             **local_counts, "unit_entries": 0, "load_misses": 2,
@@ -190,17 +187,13 @@ class TestScriptedCounters:
 
 class TestAddresses:
     def test_v1_relative_paths(self, tmp_path):
-        result = pipeline_compile(
-            FIG2_SOURCE,
-            options=CompileOptions(cache_dir=str(tmp_path)),
-            cache=MemoryTier(),
-        )
+        result = pipeline_compile(FIG2_SOURCE, store=fresh_store(tmp_path))
         v1 = tmp_path / "v1"
-        source, output = result.source_hash, result.options.output_hash()
+        source, options = result.source_hash, result.options.options_hash()
         paths = sorted(
             str(path.relative_to(v1)) for path in v1.rglob("*.pkl")
         )
-        assert f"{source[:2]}/{source}-{output}.pkl" in paths
+        assert f"{source[:2]}/{source}-{options}.pkl" in paths
         unit_shape = re.compile(
             r"units/(access-analysis|dependence|fusion|emit)/"
             r"([0-9a-f]{2})/\2[0-9a-f]{62}\.pkl"
@@ -233,14 +226,13 @@ class TestAddresses:
         try:
             peer = PeerTier(f"http://127.0.0.1:{server.server_address[1]}/")
             store = TieredStore([peer])
-            key = ResultKey("ab" * 32, "cd" * 32, "ef" * 32)
+            key = ResultKey("ab" * 32, "ef" * 32)
             assert store.get_result(key) is None
             assert store.get_unit("fusion", "12" * 32) is None
             # keys that could escape a path or URL are never sent
             assert store.get_unit("../fusion", "12" * 32) is None
             assert store.get_unit("fusion", "../" + "1" * 61) is None
-            assert store.get_result(ResultKey("x", "cd" * 32, "ef" * 32)) \
-                is None
+            assert store.get_result(ResultKey("x", "ef" * 32)) is None
         finally:
             server.shutdown()
             server.server_close()

@@ -1,8 +1,15 @@
-"""Tier composition: promotion, persist gating, and per-pass disk GC."""
+"""Tier composition: promotion, persist gating, per-pass disk GC, and
+pickling a store to another process."""
+
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.pipeline import CompileOptions
+from repro.pipeline import GLOBAL_CACHE
 from repro.pipeline import compile as pipeline_compile
 from repro.storage import (
     DiskTier,
@@ -10,16 +17,20 @@ from repro.storage import (
     PeerTier,
     ResultKey,
     TieredStore,
+    disk_tier_for,
+    peer_tier_for,
 )
 
-from tests.fixtures import FIG2_SOURCE
+from tests.fixtures import FIG2_SOURCE, fresh_store
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-def _compile(source=FIG2_SOURCE, cache=None, **options_kw):
+def _compile(cache_dir=None, peers=(), **kwargs):
+    """Fig. 2 through a fresh memory tier, the disk store at
+    *cache_dir*, then *peers*."""
     return pipeline_compile(
-        source,
-        options=CompileOptions(**options_kw),
-        cache=cache if cache is not None else MemoryTier(),
+        FIG2_SOURCE, store=fresh_store(cache_dir, peers), **kwargs
     )
 
 
@@ -31,10 +42,15 @@ class TestPromotion:
         assert not seeded.cache_hit
 
         memory = MemoryTier()
-        warm = _compile(
-            cache=memory,
-            cache_dir=str(local_root),
-            peers=(str(peer_root),),
+        warm = pipeline_compile(
+            FIG2_SOURCE,
+            store=TieredStore(
+                [
+                    memory,
+                    disk_tier_for(str(local_root)),
+                    peer_tier_for(str(peer_root)),
+                ]
+            ),
         )
         assert warm.cache_hit
         # the peer's artifact now lives in the local store...
@@ -57,12 +73,9 @@ class TestPromotion:
         peer_root = tmp_path / "peer"
         local_root = tmp_path / "local"
         _compile(cache_dir=str(peer_root))
-        pipeline_compile(
-            FIG2_SOURCE,
-            options=CompileOptions(
-                cache_dir=str(local_root), peers=(str(peer_root),)
-            ),
-            cache=MemoryTier(),
+        _compile(
+            cache_dir=str(local_root),
+            peers=(str(peer_root),),
             reuse_result=kind == "result",
         )
         pattern = (
@@ -155,12 +168,7 @@ class TestDiskGC:
         DiskTier(str(tmp_path)).gc(pass_name="fusion")
         # fresh memory tier + result lookup bypassed: fusion recomputes
         # (its disk units are gone) but the output must not change
-        again = pipeline_compile(
-            FIG2_SOURCE,
-            options=CompileOptions(cache_dir=str(tmp_path)),
-            cache=MemoryTier(),
-            reuse_result=False,
-        )
+        again = _compile(cache_dir=str(tmp_path), reuse_result=False)
         assert again.fused_source == first.fused_source
         assert again.unfused_source == first.unfused_source
 
@@ -203,3 +211,55 @@ class TestDiskGC:
         summary = store.gc(max_bytes=total // 2)
         assert summary["removed"] > 0
         assert store.total_bytes() <= total // 2
+
+
+def _places(store) -> list:
+    return [(tier.kind, tier.label) for tier in store.tiers]
+
+
+class TestPickling:
+    """A store pickles as where its tiers live, and loads over the
+    loading process's own tiers: what a process-pool worker gets."""
+
+    def _store(self, tmp_path):
+        return TieredStore(
+            [
+                MemoryTier(),
+                disk_tier_for(str(tmp_path / "local")),
+                peer_tier_for(str(tmp_path / "peer")),
+                peer_tier_for("http://127.0.0.1:1"),
+            ],
+            persist=False,
+        )
+
+    def test_loads_over_this_process_tiers(self, tmp_path):
+        store = self._store(tmp_path)
+        loaded = pickle.loads(pickle.dumps(store))
+        assert loaded.memory is GLOBAL_CACHE
+        assert loaded.tiers[1:] == store.tiers[1:]  # registry instances
+        assert loaded.persist is False
+
+    def test_loads_in_another_process(self, tmp_path):
+        store = self._store(tmp_path)
+        child = (
+            "import pickle, sys\n"
+            "from repro.pipeline import GLOBAL_CACHE\n"
+            "store = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(store.memory is GLOBAL_CACHE, store.persist)\n"
+            "for tier in store.tiers:\n"
+            "    print(tier.kind, tier.label)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC)
+        out = subprocess.run(
+            [sys.executable, "-c", child],
+            input=pickle.dumps(store),
+            capture_output=True,
+            env=env,
+            check=True,
+        ).stdout.decode()
+        lines = out.splitlines()
+        assert lines[0] == "True False"
+        assert [tuple(line.split(" ", 1)) for line in lines[1:]] == (
+            _places(store)
+        )

@@ -23,6 +23,20 @@ int main() { N* root = ...; root->go(); }
 
 
 @pytest.fixture
+def fresh_memory(monkeypatch):
+    """An empty process-wide memory tier, which a new ``repro`` process
+    starts with: one an earlier test filled would serve the command's
+    compile before it reached the command's store."""
+    from repro import cli
+    from repro.api import session
+    from repro.storage import MemoryTier
+
+    memory = MemoryTier()
+    monkeypatch.setattr(cli, "GLOBAL_CACHE", memory)
+    monkeypatch.setattr(session, "GLOBAL_CACHE", memory)
+
+
+@pytest.fixture
 def fig2_file(tmp_path):
     path = tmp_path / "fig2.grafter"
     path.write_text(FIG2_SOURCE)
@@ -174,7 +188,9 @@ class TestServiceCli:
         ]) == 0
         assert "(sequential, 1 workers, inline backend)" in capsys.readouterr().out
 
-    def test_exec_with_cache_dir_reports_store(self, capsys, tmp_path):
+    def test_exec_with_cache_dir_reports_store(
+        self, capsys, tmp_path, fresh_memory
+    ):
         assert main([
             "exec", "--trees", "2", "--size", "2", "--backend", "inline",
             "--workers", "1", "--cache-dir", str(tmp_path / "store"),
@@ -200,11 +216,42 @@ class TestServiceCli:
         for name in ("cli.trace", "session.run", "exec.group", "exec.shard"):
             assert name in out
 
-    def test_compile_cache_dir_spills(self, fig2_file, capsys, tmp_path):
+    def test_compile_cache_dir_spills(
+        self, fig2_file, capsys, tmp_path, fresh_memory
+    ):
         store = tmp_path / "artifacts"
         assert main(["compile", fig2_file, "--cache-dir", str(store)]) == 0
         assert "compiled (cold)" in capsys.readouterr().out
         assert list(store.glob("v*/*/*.pkl"))
+
+
+class TestStoreCli:
+    @pytest.mark.parametrize(
+        "command", [["stats"], ["compact"], ["gc", "--pass", "fusion"]]
+    )
+    def test_a_directory_without_a_store_is_an_error(
+        self, capsys, tmp_path, command
+    ):
+        missing = tmp_path / "typo-dir"
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        for where in (missing, empty):
+            args = ["store", *command, "--cache-dir", str(where)]
+            assert main(args) == 1
+            assert (
+                f"error: no artifact store at {where}"
+                in capsys.readouterr().err
+            )
+        # maintenance created nothing
+        assert not missing.exists()
+        assert list(empty.iterdir()) == []
+
+    def test_stats_of_a_populated_store(self, fig2_file, capsys, tmp_path):
+        store = tmp_path / "artifacts"
+        assert main(["compile", fig2_file, "--cache-dir", str(store)]) == 0
+        capsys.readouterr()
+        assert main(["store", "stats", "--cache-dir", str(store)]) == 0
+        assert "unit_entries:" in capsys.readouterr().out
 
 
 class TestFlexibleCompileSource:
