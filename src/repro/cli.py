@@ -94,10 +94,7 @@ def _read_source(arg: str) -> tuple[str, str]:
 
 
 def _load(path: str, mode: str):
-    language_mode = (
-        LanguageMode.TREEFUSER if mode == "treefuser" else LanguageMode.GRAFTER
-    )
-    return parse_program(_read(path), name=path, mode=language_mode)
+    return parse_program(_read(path), name=path, mode=LanguageMode(mode))
 
 
 def _store(args) -> TieredStore:
