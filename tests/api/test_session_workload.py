@@ -146,6 +146,25 @@ class TestCacheDirFlows:
             session.run(render_workload(), 1, pages=1)
         assert len(disk_tier_for(str(tmp_path))) == 1
 
+    def test_cache_dir_spelling_is_normalized(self, tmp_path, monkeypatch):
+        absolute = repro.Session(cache_dir=str(tmp_path))
+        monkeypatch.chdir(tmp_path.parent)
+        relative = repro.Session(cache_dir=tmp_path.name)
+        assert relative.store is absolute.store, (
+            "relative and absolute spellings of one dir must agree"
+        )
+        # a loaded store (what a process worker gets) names the same
+        # directory wherever the loading process stands
+        monkeypatch.chdir(tmp_path)
+        loaded = pickle.loads(pickle.dumps(relative.tiers))
+        assert loaded.tiers[1] is absolute.store
+
+    def test_the_executor_runs_on_the_session_store(self, tmp_path):
+        with _private_session(cache_dir=str(tmp_path)) as session:
+            assert session.executor.store is session.tiers
+            session.run(render_workload(), 1, pages=1)
+            assert session.stats()["store"]["spills"] >= 1
+
 
 CALLS = ["compile", "recompile", "run", "submit"]
 

@@ -16,6 +16,9 @@ import pytest
 
 from repro.fusion.grouping import FusionLimits
 from repro.pipeline import CompileOptions
+from repro.pipeline import compile as pipeline_compile
+
+from tests.fixtures import FIG2_SOURCE, fresh_store
 
 
 def _variant(name: str, value):
@@ -83,6 +86,24 @@ class TestLayoutSeparation:
         base = CompileOptions()
         pooled = dataclasses.replace(base, layout="pooled")
         assert pooled.options_hash() != base.options_hash()
+
+    def test_layout_is_an_output_field(self, tmp_path):
+        # one store, both layouts: the pooled compile must not be served
+        # the object result, and each lands under its own options hash
+        store = fresh_store(tmp_path)
+        base = CompileOptions()
+        pooled = dataclasses.replace(base, layout="pooled")
+        pipeline_compile(FIG2_SOURCE, options=base, store=store)
+        second = pipeline_compile(FIG2_SOURCE, options=pooled, store=store)
+        assert not second.cache_hit
+        assert second.options.layout == "pooled"
+        written = sorted(
+            path.stem.rsplit("-", 1)[1]
+            for path in tmp_path.glob("v1/??/*.pkl")
+        )
+        assert written == sorted(
+            [base.options_hash(), pooled.options_hash()]
+        )
 
 
 class TestCanonicalStability:

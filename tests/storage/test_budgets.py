@@ -2,6 +2,7 @@
 
 import repro
 from repro.pipeline import GLOBAL_CACHE
+from repro.pipeline import compile as pipeline_compile
 from repro.runtime import Node
 from repro.runtime.values import ObjectValue
 
@@ -16,6 +17,18 @@ def _text_chain(program, heap, lengths):
             Text=ObjectValue("String", {"Length": length}), Next=node,
         )
     return node
+
+
+def test_memory_budget_never_resizes_global_cache():
+    before = GLOBAL_CACHE.max_bytes
+    pipeline_compile(FIG2_SOURCE)
+    with repro.Session(memory_budget=1000) as session:
+        session.compile(FIG2_SOURCE)
+    assert GLOBAL_CACHE.max_bytes == before, (
+        "one caller's budget must not evict every other caller's "
+        "results"
+    )
+    assert pipeline_compile(FIG2_SOURCE).cache_hit
 
 
 def test_session_memory_budget_gets_a_private_tier():

@@ -213,6 +213,20 @@ class TestDiskGC:
         assert store.total_bytes() <= total // 2
 
 
+class TestMemoryKeys:
+    def test_a_memory_hit_serves_any_disk_store(self, tmp_path):
+        # the memory tier keys a result on content and options alone,
+        # not on the tiers below it: a second store over the same memory
+        # tier is served from memory and its disk tier sees nothing
+        memory = MemoryTier()
+        first = TieredStore([memory, disk_tier_for(str(tmp_path / "a"))])
+        second = TieredStore([memory, disk_tier_for(str(tmp_path / "b"))])
+        assert not pipeline_compile(FIG2_SOURCE, store=first).cache_hit
+        assert pipeline_compile(FIG2_SOURCE, store=second).cache_hit
+        assert len(disk_tier_for(str(tmp_path / "a"))) == 1
+        assert len(disk_tier_for(str(tmp_path / "b"))) == 0
+
+
 def _places(store) -> list:
     return [(tier.kind, tier.label) for tier in store.tiers]
 
