@@ -10,13 +10,19 @@ an automaton over the labeled call graph:
   becomes a loop, which is what makes unbounded trees finite here);
 * an edge of the call graph labeled with child field ``c`` becomes a
   ``c``-transition between method states (epsilon for calls on ``this``);
-* the (un-rooted) access automata of each method's simple statements are
-  attached at the method's state, so the regular language of a statement
-  becomes the suffix of the path that reaches its function (Fig. 5b).
+* the (un-rooted) access paths of each method's simple statements are
+  inserted in place at the method's state, so the regular language of a
+  statement becomes the suffix of the path that reaches its function
+  (Fig. 5b) without a copy of a per-statement automaton.
 
 Read machines mark method states accepting — traversing into a child reads
-the child pointer. Write machines accept only within attached statement
-write automata.
+the child pointer. Write machines accept only within inserted statement
+write paths.
+
+Each call shape's summary is built once per compile, and only when a
+verdict first needs a vertex that contains the call. Its four automata
+are the parts that every such vertex's summary shares by reference (see
+:mod:`repro.analysis.summaries`); nothing copies them afterwards.
 
 Environment (off-tree) accesses of reachable methods are not parameterized
 by the receiver (paper: "regardless of when and where the function gets
@@ -31,14 +37,19 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.automata import EPSILON, Automaton, from_path
+from repro.automata import EPSILON, Automaton
 from repro.analysis.accesses import (
     AccessInfo,
     StatementAccesses,
     collect_method_accesses,
 )
 from repro.analysis.callgraph import call_targets
-from repro.analysis.summaries import ROOT_LABEL, StatementSummary, env_automaton
+from repro.analysis.summaries import (
+    ROOT_LABEL,
+    StatementSummary,
+    env_language,
+    language,
+)
 from repro.ir.method import TraversalMethod
 from repro.ir.program import Program
 from repro.ir.stmts import TraverseStmt, nested_traversals
@@ -55,7 +66,8 @@ class AnalysisContext:
         self.program = program
         self._method_accesses: dict[str, list[StatementAccesses]] = {}
         self._call_summaries: dict[tuple, StatementSummary] = {}
-        # (method, statement position, member slot) -> (site, full)
+        # (method, statement position, member slot) -> (site, full),
+        # filled as verdicts first read each vertex's summaries
         self.vertex_summaries: dict[
             tuple[str, int, int], tuple[StatementSummary, StatementSummary]
         ] = {}
@@ -149,22 +161,18 @@ class _Builder:
         self, accesses: StatementAccesses, read_state: int, write_state: int
     ) -> None:
         for info in accesses.tree_reads:
-            self.reads.attach(
-                from_path(
-                    list(info.labels),
-                    accept_prefixes=True,
-                    any_suffix=info.any_suffix,
-                ),
+            self.reads.add_path(
                 read_state,
+                info.labels,
+                accept_prefixes=True,
+                any_suffix=info.any_suffix,
             )
         for info in accesses.tree_writes:
-            self.writes.attach(
-                from_path(
-                    list(info.labels),
-                    accept_prefixes=False,
-                    any_suffix=info.any_suffix,
-                ),
+            self.writes.add_path(
                 write_state,
+                info.labels,
+                accept_prefixes=False,
+                any_suffix=info.any_suffix,
             )
         self.env_reads.extend(_globals_only(accesses.env_reads))
         self.env_writes.extend(_globals_only(accesses.env_writes))
@@ -191,7 +199,8 @@ def build_call_summary(
     ctx: AnalysisContext, caller: TraversalMethod, stmt: TraverseStmt
 ) -> StatementSummary:
     """The access summary of everything a traversing call may do,
-    relative to the caller's traversed node (Algorithm 1).
+    relative to the caller's traversed node (Algorithm 1): one automaton
+    per language, which vertex summaries share as parts.
 
     Note: the call statement's *own* argument reads and receiver-pointer
     read are site-specific (they involve caller locals) and are added by
@@ -215,8 +224,8 @@ def build_call_summary(
     )
     builder._attach_call(caller, stmt, read_hub, write_hub)
     return StatementSummary(
-        tree_reads=reads,
-        tree_writes=writes,
-        env_reads=env_automaton(builder.env_reads, is_write=False),
-        env_writes=env_automaton(builder.env_writes, is_write=True),
+        tree_reads=language([reads]),
+        tree_writes=language([writes]),
+        env_reads=env_language(builder.env_reads, is_write=False),
+        env_writes=env_language(builder.env_writes, is_write=True),
     )

@@ -18,16 +18,18 @@ while intra-copy flow through locals is preserved.
 
 The fusion pass builds one graph per fused sequence it discovers, and
 the same statements meet again and again across those sequences. The
-compile's :class:`AnalysisContext` therefore builds each vertex's
-summaries once per (method, statement position, member slot) and runs
-each interference test once per pair of statement origins plus whether
-the two share a member slot (see :meth:`AnalysisContext.verdict`).
+compile's :class:`AnalysisContext` therefore runs each interference
+test once per pair of statement origins plus whether the two share a
+member slot (see :meth:`AnalysisContext.verdict`), and builds a
+vertex's summaries only when such a test first reads them, once per
+(method, statement position, member slot).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from repro.analysis.accesses import AccessInfo, StatementAccesses
 from repro.analysis.call_automata import AnalysisContext
@@ -51,10 +53,6 @@ class Vertex:
     # identity across sequences, half of every memoized verdict's key
     origin: tuple[str, int]
     stmt: Stmt
-    # None when the vertices were built summary-free to replay a cached
-    # structure (see build_vertices) — nothing downstream of grouping
-    # reads the automata
-    summary: Optional[StatementSummary]
     has_return: bool
     # call-vertex info (None for simple statements). A vertex is a *call
     # vertex* when the whole statement is a traverse call; in TreeFuser
@@ -62,13 +60,27 @@ class Vertex:
     # never groupable with plain calls (guards must match — see grouping).
     call: Optional[TraverseStmt] = None
     nested_calls: list[TraverseStmt] = field(default_factory=list)
-    # the statement's *own* accesses (arguments, guards, receiver
-    # pointer) without the transitive callee summary — what a fused call
-    # site evaluates in the caller's frame. Grouping hoists these above
-    # earlier group members, so it must check them separately (see
-    # grouping._argument_hazard). Same object as ``summary`` for
-    # non-call vertices.
-    site_summary: Optional[StatementSummary] = None
+    # returns (site summary, full summary), built on the first call and
+    # kept in the compile's AnalysisContext (see build_vertices)
+    summaries: Optional[
+        Callable[[], tuple[StatementSummary, StatementSummary]]
+    ] = field(default=None, repr=False, compare=False)
+
+    @property
+    def summary(self) -> Optional[StatementSummary]:
+        """Everything the statement may access, its callees' Algorithm-1
+        summaries included; None for a vertex built without a context."""
+        return self.summaries()[1] if self.summaries else None
+
+    @property
+    def site_summary(self) -> Optional[StatementSummary]:
+        """The statement's *own* accesses (arguments, guards, receiver
+        pointer) without the transitive callee summary — what a fused
+        call site evaluates in the caller's frame. Grouping hoists these
+        above earlier group members, so it must check them separately
+        (see grouping._argument_hazard). Same object as ``summary`` for
+        non-call vertices."""
+        return self.summaries()[0] if self.summaries else None
 
     @property
     def is_call(self) -> bool:
@@ -145,46 +157,58 @@ def _member_summary(
     return stmt_summary, merge_summaries(parts)
 
 
-def build_vertices(
+def _vertex_summaries(
     ctx: AnalysisContext,
-    members: list[TraversalMethod],
-    with_summaries: bool = True,
+    method: TraversalMethod,
+    position: int,
+    accesses: StatementAccesses,
+    member: int,
+) -> tuple[StatementSummary, StatementSummary]:
+    key = (method.qualified_name, position, member)
+    summaries = ctx.vertex_summaries.get(key)
+    if summaries is None:
+        summaries = ctx.vertex_summaries[key] = _member_summary(
+            ctx, method, accesses, member
+        )
+    return summaries
+
+
+def build_vertices(
+    ctx: AnalysisContext, members: list[TraversalMethod]
 ) -> list[Vertex]:
     """The vertex list of the inlined sequence *members*, one per
     top-level statement in member order — the positional layout every
     cached dependence/grouping *structure* refers to.
 
-    Summaries come from ``ctx``, which builds them once per (method,
-    statement position, member slot): the member slot fixes the
-    ``local:`` renaming, so the same statement in the same slot of any
-    other sequence gets the very same automata. ``with_summaries=False``
-    skips the automata altogether; a caller replaying a cached
-    edge/group structure only needs the statements and call shapes.
+    No automaton is built here. A vertex's summaries are built the
+    first time a verdict that misses the memo reads them, and ``ctx``
+    keeps them per (method, statement position, member slot): the
+    member slot fixes the ``local:`` renaming, so the same statement in
+    the same slot of any other sequence gets the very same parts. A
+    caller replaying a cached edge/group structure reads none of them,
+    so it builds none.
     """
     vertices: list[Vertex] = []
     for member_index, method in enumerate(members):
         name = method.qualified_name
         for position, accesses in enumerate(ctx.method_accesses(method)):
             stmt = accesses.stmt
-            site = full = None
-            if with_summaries:
-                key = (name, position, member_index)
-                summaries = ctx.vertex_summaries.get(key)
-                if summaries is None:
-                    summaries = ctx.vertex_summaries[key] = _member_summary(
-                        ctx, method, accesses, member_index
-                    )
-                site, full = summaries
             vertex = Vertex(
                 index=len(vertices),
                 member=member_index,
                 origin=(name, position),
                 stmt=stmt,
-                summary=full,
                 has_return=contains_return(stmt),
                 call=stmt if isinstance(stmt, TraverseStmt) else None,
                 nested_calls=nested_traversals(stmt),
-                site_summary=site,
+                summaries=partial(
+                    _vertex_summaries,
+                    ctx,
+                    method,
+                    position,
+                    accesses,
+                    member_index,
+                ),
             )
             vertices.append(vertex)
     return vertices
@@ -207,7 +231,7 @@ def build_dependence_graph(
     """Dependence graph for the inlined sequence *members* (paper §3.3:
     the graph :math:`G_L` for a sequence label L). Interference verdicts
     are memoized in ``ctx`` across every graph of the compile."""
-    vertices = build_vertices(ctx, members, with_summaries=True)
+    vertices = build_vertices(ctx, members)
     graph = DependenceGraph(vertices)
     for j, vj in enumerate(vertices):
         for i in range(j):

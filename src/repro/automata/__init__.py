@@ -10,11 +10,16 @@ exactly the operations Grafter needs:
   labels, with two special labels: :data:`EPSILON` (silent transition) and
   :data:`ANY` (wildcard that matches every concrete label, used for
   whole-object and whole-subtree accesses, paper §3.2.1).
-* :func:`union` — language union (used to combine primitive access-path
-  automata into statement summaries).
+* :meth:`Automaton.add_path` — a primitive access path inserted in place,
+  which is how statement and call summaries are built.
 * :func:`intersect` / :func:`intersects` — product construction respecting
   the ``ANY`` wildcard; :func:`intersects` is the emptiness test that
-  implements the paper's dependence check.
+  implements the paper's dependence check, on automata that cache their
+  own subset construction.
+* :func:`union` / :func:`prune` — language union and dead-state removal.
+  Summaries never build a union (they keep shared parts, see
+  :mod:`repro.analysis.summaries`); these and :func:`intersect` are the
+  materialized reference the tests compare against.
 * :func:`enumerate_paths` — bounded language enumeration, used by the test
   suite to cross-check automaton algebra against brute force.
 """

@@ -9,6 +9,14 @@ treatment by the algebra in :mod:`repro.automata.ops`:
   member label. The paper introduces it for accesses that may touch any
   field below a location: whole-object reads of opaque C++ values, and the
   ``new``/``delete`` statements that (de)allocate entire subtrees.
+
+Summaries share automata by reference, so one automaton meets many
+others in the dependence test. Each automaton therefore determinizes
+itself once, lazily: it caches every state's ε-closure and, per
+ε-closed subset it has been stepped from, the subset's successor on
+each label (:meth:`Automaton.subset_steps`). Both caches follow from
+the transitions alone, and a new transition drops them, so a changed
+automaton never answers from stale ones.
 """
 
 from __future__ import annotations
@@ -49,6 +57,10 @@ class Automaton:
         self.accepting: set[int] = set()
         # transitions[state] -> {label -> set(successor states)}
         self._transitions: list[dict[str, set[int]]] = [{}]
+        # (state -> ε-closure, ε-closed subset -> its steps), built on
+        # first use; both follow from the transitions alone, so each new
+        # transition resets it to None
+        self._cache: tuple[dict, dict] | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -63,6 +75,7 @@ class Automaton:
         return state
 
     def add_transition(self, src: int, label: str, dst: int) -> None:
+        self._cache = None
         self._transitions[src].setdefault(label, set()).add(dst)
 
     def set_accepting(self, state: int, accepting: bool = True) -> None:
@@ -70,6 +83,36 @@ class Automaton:
             self.accepting.add(state)
         else:
             self.accepting.discard(state)
+
+    def add_path(
+        self,
+        at: int,
+        labels: Iterable[str],
+        accept_prefixes: bool,
+        any_suffix: bool = False,
+    ) -> None:
+        """Insert a primitive access path at state *at*, in place.
+
+        The language from *at* gains exactly what gluing
+        ``from_path(labels, accept_prefixes, any_suffix)`` there with
+        :meth:`attach` adds, without the copy and the ε edge: a fresh
+        chain of states from *at*, or, for an empty path, *at* itself
+        accepting (with the ``ANY`` self-loop of an ``any_suffix``
+        path; from an accepting state with that loop every word is
+        accepted, so the loop admits nothing the glued copy would
+        not).
+        """
+        current = at
+        labels = tuple(labels)
+        last = len(labels) - 1
+        for index, label in enumerate(labels):
+            nxt = self.add_state(accepting=accept_prefixes or index == last)
+            self.add_transition(current, label, nxt)
+            current = nxt
+        if not labels:
+            self.set_accepting(current)
+        if any_suffix:
+            self.add_transition(current, ANY, current)
 
     # ------------------------------------------------------------------
     # inspection
@@ -104,16 +147,66 @@ class Automaton:
     # simulation
     # ------------------------------------------------------------------
 
+    def _tables(self) -> tuple[dict, dict]:
+        cache = self._cache
+        if cache is None:
+            cache = self._cache = ({}, {})
+        return cache
+
+    def _state_closure(self, state: int) -> frozenset[int]:
+        closures = self._tables()[0]
+        closure = closures.get(state)
+        if closure is None:
+            stack = [state]
+            seen = {state}
+            while stack:
+                for dst in self._transitions[stack.pop()].get(EPSILON, ()):
+                    if dst not in seen:
+                        seen.add(dst)
+                        stack.append(dst)
+            closure = closures[state] = frozenset(seen)
+        return closure
+
     def epsilon_closure(self, states: Iterable[int]) -> frozenset[int]:
-        stack = list(states)
-        seen = set(stack)
-        while stack:
-            state = stack.pop()
-            for dst in self._transitions[state].get(EPSILON, ()):
-                if dst not in seen:
-                    seen.add(dst)
-                    stack.append(dst)
-        return frozenset(seen)
+        """The states reachable from *states* by ε edges alone: the
+        union of the cached per-state closures."""
+        result: set[int] = set()
+        for state in states:
+            # a state already in the result lies in the closure of one
+            # taken before it, and so does its own closure
+            if state not in result:
+                result.update(self._state_closure(state))
+        return frozenset(result)
+
+    def subset_steps(
+        self, subset: frozenset[int]
+    ) -> tuple[dict[str, frozenset[int]], frozenset[int]]:
+        """The deterministic moves of an ε-closed *subset*.
+
+        Returns ``(moves, other)``: ``moves`` maps each concrete label
+        some state of the subset names to its ε-closed successor
+        (``ANY`` edges fire on it too), and ``other`` is the ε-closed
+        successor on every label the subset does not name, which only
+        ``ANY`` edges read (empty when there are none). Computed once
+        per subset and cached until the automaton changes, so every
+        dependence test on a shared automaton reuses the subset
+        construction earlier tests built.
+        """
+        steps = self._tables()[1]
+        entry = steps.get(subset)
+        if entry is None:
+            targets: dict[str, set[int]] = {}
+            for state in subset:
+                for label, dsts in self._transitions[state].items():
+                    if label != EPSILON:
+                        targets.setdefault(label, set()).update(dsts)
+            wildcard = targets.pop(ANY, set())
+            moves = {
+                label: self.epsilon_closure(dsts | wildcard)
+                for label, dsts in targets.items()
+            }
+            entry = steps[subset] = (moves, self.epsilon_closure(wildcard))
+        return entry
 
     def step(self, states: Iterable[int], symbol: str) -> frozenset[int]:
         """One subset-construction step on a *concrete* input symbol.

@@ -4,10 +4,18 @@ The dependence test of the paper (§3.2.1, "Finding dependences between
 statements") is: intersect the write automaton of one statement with the
 read/write automata of another and check emptiness. :func:`intersects`
 implements that check on the product of the two subset constructions,
-determinized on the fly and never materialized; :func:`intersect`
-materializes the state-pair product instead (used by tests as the
-independent reference, and by diagnostics that want to show a witness
-access path).
+determinized on the fly and never materialized. Each side's subset
+steps come from the automaton's own cache
+(:meth:`~repro.automata.fsa.Automaton.subset_steps`), so an automaton
+shared by many tests is determinized once, as far as the tests reach.
+
+The compile never builds a union: intersection distributes over union,
+so a summary language stays a tuple of shared parts and the dependence
+test runs :func:`intersects` on part pairs
+(:mod:`repro.analysis.summaries`). :func:`union`, :func:`intersect` and
+:func:`prune` materialize languages instead; they are the independent
+reference the tests compare the part-wise test against, and
+:func:`intersect` also gives diagnostics a witness access path.
 """
 
 from __future__ import annotations
@@ -56,18 +64,6 @@ def _product_moves(
                     yield merged, dst_a, dst_b
 
 
-def _subset_moves(
-    automaton: Automaton, subset: frozenset[int]
-) -> dict[str, set[int]]:
-    """Label -> successor states of a subset, ε excluded."""
-    moves: dict[str, set[int]] = {}
-    for state in subset:
-        for label, dsts in automaton.transitions_from(state).items():
-            if label != EPSILON:
-                moves.setdefault(label, set()).update(dsts)
-    return moves
-
-
 def _joint_steps(
     a: Automaton, b: Automaton, sa: frozenset[int], sb: frozenset[int]
 ) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
@@ -76,15 +72,18 @@ def _joint_steps(
     and one for the labels neither side names, which only ``ANY`` edges
     read. This is exactly the label compatibility of
     :func:`_product_moves`."""
-    moves_a, moves_b = _subset_moves(a, sa), _subset_moves(b, sb)
-    any_a, any_b = moves_a.pop(ANY, set()), moves_b.pop(ANY, set())
-    for label in moves_a.keys() | moves_b.keys():
-        next_a = moves_a.get(label, set()) | any_a
-        next_b = moves_b.get(label, set()) | any_b
-        if next_a and next_b:
-            yield a.epsilon_closure(next_a), b.epsilon_closure(next_b)
-    if any_a and any_b:
-        yield a.epsilon_closure(any_a), b.epsilon_closure(any_b)
+    moves_a, other_a = a.subset_steps(sa)
+    moves_b, other_b = b.subset_steps(sb)
+    for label, next_a in moves_a.items():
+        next_b = moves_b.get(label, other_b)
+        if next_b:
+            yield next_a, next_b
+    if other_a:
+        for label, next_b in moves_b.items():
+            if label not in moves_a:
+                yield other_a, next_b
+        if other_b:
+            yield other_a, other_b
 
 
 def intersects(a: Automaton, b: Automaton) -> bool:
@@ -95,11 +94,12 @@ def intersects(a: Automaton, b: Automaton) -> bool:
     soon as both subsets of a pair hold an accepting state. Subsets
     merge the many state pairs that the same word reaches, so a pair of
     automata full of ε-glued unions is explored once per word class
-    rather than once per state pair.
+    rather than once per state pair. The subsets and their steps are
+    each automaton's cached ones, shared with every other test it is in.
     """
     if a.is_trivially_empty() or b.is_trivially_empty():
         return False
-    start = (a.epsilon_closure([a.start]), b.epsilon_closure([b.start]))
+    start = (a.epsilon_closure((a.start,)), b.epsilon_closure((b.start,)))
     seen = {start}
     queue: deque[tuple[frozenset[int], frozenset[int]]] = deque([start])
     while queue:

@@ -45,6 +45,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import sys
 
 from repro import __version__, obs
@@ -845,6 +847,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        # the reader of our output went away (`repro print f | head
+        # -1`): stop quietly, with the status of a process SIGPIPE
+        # ended, as other command-line tools do. stdout goes to the
+        # null device first, or the interpreter's own flush of what is
+        # left fails again on the way out.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 128 + signal.SIGPIPE
     except (ReproError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

@@ -42,10 +42,12 @@ object for the next process.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import keyword
 import marshal
 import os
+import re
 import sys
 import threading
 import weakref
@@ -111,8 +113,16 @@ class _Namer:
         return base
 
 
+# a character that is neither alphanumeric (str.isalnum) nor "_"
+_NON_IDENTIFIER = re.compile(r"\W")
+
+
+@functools.lru_cache(maxsize=4096)
 def _sanitize(text: str) -> str:
-    return "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in text)
+    """*text* with every character an identifier cannot hold made
+    ``_``. A compile names the same methods and units thousands of
+    times, so the results are cached."""
+    return _NON_IDENTIFIER.sub("_", text)
 
 
 class RuntimeContext:

@@ -97,8 +97,17 @@ def _argument_hazard(earlier: Vertex, candidate: Vertex) -> bool:
     site = candidate.site_summary
     if site is None:  # pragma: no cover - graphs always attach sites
         return True
-    return intersects(earlier.summary.env_writes, site.env_reads) or intersects(
-        earlier.summary.tree_writes, site.tree_reads
+    full = earlier.summary
+    # part pairs through this module's intersects: intersection
+    # distributes over each language's union of parts
+    return any(
+        intersects(write, read)
+        for writes, reads in (
+            (full.env_writes, site.env_reads),
+            (full.tree_writes, site.tree_reads),
+        )
+        for write in writes
+        for read in reads
     )
 
 

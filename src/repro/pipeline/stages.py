@@ -104,8 +104,9 @@ class DepStructure:
 class PlanStructure:
     """A unit plan minus everything body-bound: the dependence edges
     plus greedy grouping's decisions. Replaying it needs no access
-    automata at all — vertices are rebuilt summary-free and the group
-    plans (slot merging, dispatch) recompute from current statements."""
+    automata at all — vertices are rebuilt, their summaries are never
+    read and so never built, and the group plans (slot merging,
+    dispatch) recompute from current statements."""
 
     dep: DepStructure
     groups: list[tuple[str, list[int]]]  # (receiver key, vertex indices)
@@ -159,6 +160,8 @@ class UnitPlan:
     child_sequences: list[tuple[TraversalMethod, ...]] = field(
         default_factory=list
     )
+    # the keys of child_sequences, which keep it deduplicated
+    child_keys: set[SequenceKey] = field(default_factory=set)
 
 
 @dataclass
@@ -204,9 +207,9 @@ class FusionPlanner:
         if key not in self.graphs:
             structure = self.structures.get(key)
             if structure is not None:
-                vertices = build_vertices(
-                    self.ctx, list(members), with_summaries=True
-                )
+                # summaries stay unbuilt until grouping's first hazard
+                # verdict that misses the memo reads them
+                vertices = build_vertices(self.ctx, list(members))
                 # defensive: a structure whose layout disagrees with the
                 # current statements (an aliased or corrupt cache entry)
                 # must never be replayed — rebuild from scratch instead
@@ -328,16 +331,15 @@ class FusionPlanner:
         structure: PlanStructure,
     ) -> UnitPlan:
         """Replay a cached :class:`PlanStructure` over the *current*
-        program: vertices are rebuilt summary-free from today's method
-        bodies (so nothing stale is ever emitted or executed), the
+        program: vertices are rebuilt from today's method bodies (so
+        nothing stale is ever emitted or executed; their summaries are
+        never read, so none is built), the
         cached edges/groups/assignment substitute for interference
         testing and greedy grouping, and the group plans (slot merging,
         dispatch resolution) recompute cheaply from the fresh
         statements."""
         key = tuple(m.qualified_name for m in members)
-        vertices = build_vertices(
-            self.ctx, list(members), with_summaries=False
-        )
+        vertices = build_vertices(self.ctx, list(members))
         if structure.dep.vertex_count != len(vertices):
             # defensive: layout disagreement means the cache entry does
             # not describe these statements — plan from scratch
@@ -428,10 +430,6 @@ class FusionPlanner:
             receiver=receiver,
             calls=calls,
         )
-        seen_children = {
-            tuple(m.qualified_name for m in child)
-            for child in plan.child_sequences
-        }
         for type_name in self.program.concrete_subtypes(static_type):
             target = tuple(
                 self.program.resolve_method(type_name, call.method_name)
@@ -439,8 +437,8 @@ class FusionPlanner:
             )
             child_key = tuple(m.qualified_name for m in target)
             group_plan.dispatch_keys[type_name] = child_key
-            if child_key not in seen_children:
-                seen_children.add(child_key)
+            if child_key not in plan.child_keys:
+                plan.child_keys.add(child_key)
                 plan.child_sequences.append(target)
         return group_plan
 
@@ -821,7 +819,14 @@ class FusionPass:
     (a constant, an operator) keeps hitting — the ROADMAP's
     dependence-summary memoization. Within one compile, the detail's
     ``interference_*`` and ``hazard_*`` (grouping's argument hazards)
-    counts split each kind of verdict into tests run and memo hits."""
+    counts split each kind of verdict into tests run and memo hits.
+
+    A freshly planned sequence's :class:`DepStructure` is published to
+    the memory tier only, for a later compile in the same process that
+    changes the limits alone: the plan unit already stores the same
+    edges on disk, so the structure gets no file of its own. Vertex
+    summaries are built only by the verdicts that miss the memo, a
+    replayed structure included (see ``build_vertices``)."""
 
     name = "fusion"
     persist_units = True
@@ -895,12 +900,12 @@ class FusionPass:
         if pctx.units is not None and not had_structure:
             # a freshly built graph doubles as a dependence structure
             # for exactly those future sweeps (known structures came
-            # *from* the store — don't rewrite their pickles)
+            # *from* the store — don't rewrite their pickles). Memory
+            # only: the plan unit this compute publishes embeds the same
+            # edges, and a file per structure would double the pass's
+            # store writes
             pctx.units.publish(
-                "dependence",
-                deps_key,
-                DepStructure.of(plan.graph),
-                spill=True,
+                "dependence", deps_key, DepStructure.of(plan.graph)
             )
         return PlanStructure.of(plan)
 

@@ -76,6 +76,17 @@ class TestInterference:
         deep = summary(tree_reads=[(("c", "q", "z"), False)])
         assert interferes(delete, deep)
 
+    def test_whole_object_read_conflicts_with_member_write(self):
+        # only the read's ANY suffix holds the written path: no prefix
+        # of either side is shared without it
+        whole = summary(tree_reads=[(("o",), True)])
+        member = summary(tree_writes=[(("o", "f"), False)])
+        assert interferes(member, whole)
+        assert interferes(whole, member)
+        env_whole = summary(env_reads=[(("::g",), True)])
+        env_member = summary(env_writes=[(("::g", "Pair.a"), False)])
+        assert interferes(env_member, env_whole)
+
     def test_env_and_tree_namespaces_are_separate(self):
         # a global named like a field never collides with the field
         a = summary(tree_writes=[(("x",), False)])

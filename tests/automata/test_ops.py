@@ -2,13 +2,16 @@
 
 Includes hypothesis property tests cross-checking `intersects` against
 the materialized product (`intersect`) and a brute-force enumeration of
-both languages.
+both languages, and the shared-part path the compile takes: part-wise
+tests on reused automata against the materialized union, the caches
+each automaton keeps, and in-place path insertion against `attach`.
 """
 
 import itertools
 
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.summaries import Language, languages_meet
 from repro.automata import (
     ANY,
     EPSILON,
@@ -227,3 +230,124 @@ def test_prune_preserves_language(automaton):
     assert enumerate_paths(automaton, _ALPHABET, max_length=4) == enumerate_paths(
         pruned, _ALPHABET, max_length=4
     )
+
+
+# ---------------------------------------------------------------------------
+# The shared-part path: summary languages are tuples of automata, tested
+# part pair by part pair, and each automaton caches its ε-closures and
+# subset steps across every test it is in.
+# ---------------------------------------------------------------------------
+
+
+def _reference_meet(parts_a, parts_b) -> bool:
+    """The materialized reference: intersect the two unions and prune."""
+    return not prune(intersect(union(parts_a), union(parts_b))).is_trivially_empty()
+
+
+@given(
+    st.lists(random_automaton(), min_size=1, max_size=6),
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 5), max_size=3),
+            st.lists(st.integers(0, 5), max_size=3),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_part_wise_test_equals_the_union_reference(pool, selections):
+    # the same automata meet again and again, in either role, so later
+    # calls answer from the closures and steps earlier calls cached
+    for picks_a, picks_b in selections:
+        parts_a = [pool[i % len(pool)] for i in picks_a]
+        parts_b = [pool[i % len(pool)] for i in picks_b]
+        expected = _reference_meet(parts_a, parts_b)
+        assert languages_meet(Language(parts_a), Language(parts_b)) == expected
+        assert languages_meet(Language(parts_b), Language(parts_a)) == expected
+
+
+def _warm(automaton: Automaton) -> None:
+    """Step the automaton's whole subset construction once, against a
+    machine that reads every word and accepts none, so the steps of
+    every subset it can reach are cached."""
+    reader = Automaton()
+    reader.add_transition(reader.start, ANY, reader.start)
+    reader.add_state(accepting=True)  # unreachable: accepts no word
+    assert not intersects(automaton, reader)
+
+
+@given(random_automaton(), random_automaton(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_mutation_after_first_use_drops_the_caches(a, b, data):
+    _warm(a)
+    assert intersects(a, b) == _reference_meet([a], [b])
+    states = list(range(a.num_states))
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.booleans()):
+            a.add_transition(
+                data.draw(st.sampled_from(states)),
+                data.draw(st.sampled_from(_ALPHABET + [ANY, EPSILON])),
+                data.draw(st.sampled_from(states)),
+            )
+        else:
+            a.set_accepting(data.draw(st.sampled_from(states)))
+        fresh = a.copy()  # a copy starts with no caches: the reference
+        for subset in ({a.start}, set(states)):
+            closed = fresh.epsilon_closure(subset)
+            assert a.epsilon_closure(subset) == closed
+            moves, other = a.subset_steps(closed)
+            for symbol in _ALPHABET + ["unnamed"]:
+                assert moves.get(symbol, other) == fresh.step(closed, symbol)
+        assert intersects(a, b) == _reference_meet([a], [b])
+        assert intersects(b, a) == _reference_meet([a], [b])
+
+
+def test_mutation_after_first_use_changes_the_verdict():
+    a = from_path(["x"], accept_prefixes=False)
+    b = from_path(["y"], accept_prefixes=False)
+    assert not intersects(a, b)
+    assert a.subset_steps(a.epsilon_closure([a.start]))[0].keys() == {"x"}
+    a.add_transition(a.start, "y", a.add_state(accepting=True))
+    assert intersects(a, b)
+    assert a.subset_steps(a.epsilon_closure([a.start]))[0].keys() == {"x", "y"}
+
+
+@given(random_automaton())
+@settings(max_examples=80, deadline=None)
+def test_cached_steps_match_the_uncached_step(automaton):
+    start = automaton.epsilon_closure([automaton.start])
+    for subset in (start, start, frozenset(range(automaton.num_states))):
+        subset = automaton.epsilon_closure(subset)
+        moves, other = automaton.subset_steps(subset)
+        for symbol in _ALPHABET + ["unnamed"]:
+            expected = automaton.step(subset, symbol)
+            assert moves.get(symbol, other) == expected
+
+
+@given(
+    random_automaton(),
+    st.lists(st.sampled_from(_ALPHABET), max_size=3),
+    st.booleans(),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_add_path_in_place_equals_attaching_from_path(
+    base, labels, accept_prefixes, any_suffix, data
+):
+    at = data.draw(st.sampled_from(range(base.num_states)))
+    glued = base.copy()
+    glued.attach(
+        from_path(labels, accept_prefixes=accept_prefixes, any_suffix=any_suffix),
+        at,
+    )
+    in_place = base.copy()
+    in_place.add_path(at, labels, accept_prefixes, any_suffix=any_suffix)
+    # "d" stands for the labels neither automaton names
+    alphabet = _ALPHABET + ["d"]
+    assert enumerate_paths(in_place, alphabet, max_length=4) == enumerate_paths(
+        glued, alphabet, max_length=4
+    )
+    probe = data.draw(random_automaton())
+    assert intersects(in_place, probe) == intersects(glued, probe)

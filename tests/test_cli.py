@@ -1,5 +1,11 @@
 """CLI tests (`python -m repro ...`)."""
 
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -63,6 +69,26 @@ class TestCli:
         reprinted = tmp_path / "reprinted.grafter"
         reprinted.write_text(printed)
         assert main(["parse", str(reprinted)]) == 0
+
+    def test_closed_stdout_stops_quietly(self, fig2_file):
+        # `repro print f | head -1`, with the reader gone before the
+        # first write: no error message, and the status of a process
+        # SIGPIPE ended, not the status of a failed command
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "print", fig2_file],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(src)},
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.stderr == b""
+        assert done.returncode == 128 + signal.SIGPIPE
 
     def test_fuse_prints_units(self, fig2_file, capsys):
         assert main(["fuse", fig2_file]) == 0
