@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator
 
-from repro.automata.fsa import ANY, EPSILON, Automaton, labels_compatible, _merged_label
+from repro.automata.fsa import EPSILON, Automaton, labels_compatible, _merged_label
 
 
 def union(automata: Iterable[Automaton], name: str = "") -> Automaton:

@@ -241,7 +241,8 @@ def test_prune_preserves_language(automaton):
 
 def _reference_meet(parts_a, parts_b) -> bool:
     """The materialized reference: intersect the two unions and prune."""
-    return not prune(intersect(union(parts_a), union(parts_b))).is_trivially_empty()
+    product = intersect(union(parts_a), union(parts_b))
+    return not prune(product).is_trivially_empty()
 
 
 @given(
@@ -311,18 +312,6 @@ def test_mutation_after_first_use_changes_the_verdict():
     a.add_transition(a.start, "y", a.add_state(accepting=True))
     assert intersects(a, b)
     assert a.subset_steps(a.epsilon_closure([a.start]))[0].keys() == {"x", "y"}
-
-
-@given(random_automaton())
-@settings(max_examples=80, deadline=None)
-def test_cached_steps_match_the_uncached_step(automaton):
-    start = automaton.epsilon_closure([automaton.start])
-    for subset in (start, start, frozenset(range(automaton.num_states))):
-        subset = automaton.epsilon_closure(subset)
-        moves, other = automaton.subset_steps(subset)
-        for symbol in _ALPHABET + ["unnamed"]:
-            expected = automaton.step(subset, symbol)
-            assert moves.get(symbol, other) == expected
 
 
 @given(
