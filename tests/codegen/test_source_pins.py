@@ -1,5 +1,6 @@
 """Pins of the generated Python: the SHA-256 of every unfused and fused
-module the four case studies compile to, under both tree layouts.
+module the four case studies compile to, under both tree layouts, and
+of render's TreeFuser-lowered modules.
 
 Generated source is part of more than one contract: a module's bytecode
 unit is keyed on its text (``repro.codegen.python_backend.bytecode_key``),
@@ -20,14 +21,19 @@ from repro.workloads.fmm import fmm_workload
 from repro.workloads.kdtree import kdtree_workload
 from repro.workloads.render import render_workload
 
-FACTORIES = {
-    "render": render_workload,
-    "astlang": astlang_workload,
-    "kdtree": kdtree_workload,
-    "fmm": fmm_workload,
+# case -> (workload factory, CompileOptions fields besides the layout)
+CASES = {
+    "render": (render_workload, {}),
+    "astlang": (astlang_workload, {}),
+    "kdtree": (kdtree_workload, {}),
+    "fmm": (fmm_workload, {}),
+    "render-treefuser": (
+        render_workload,
+        {"mode": "treefuser", "lower": True},
+    ),
 }
 
-# (workload, layout) -> (unfused_source sha256, fused_source sha256)
+# (case, layout) -> (unfused_source sha256, fused_source sha256)
 PINS = {
     ("render", "object"): (
         "8efb5eab9955c969d7c85d5420c934e8bb2628dea9ecb8a189a079a0170c80db",
@@ -61,6 +67,10 @@ PINS = {
         "3f3d9bacd31c5315552b4e5a8125139d768a95f91196aa0f78f75a18126eb3f8",
         "1447cc49c857fbfc62c28665f9a1437cc04ece8c3100f3c8761e546a1abcbae1",
     ),
+    ("render-treefuser", "object"): (
+        "22c8d213f0f51fc8a1c0fae6d99b3998aa8bc9a9b129e286e02531b7d535d3d0",
+        "6a3f5469f338e7460a6f713d33a11a7ccb92a87758ce23152a5da19201f3f919",
+    ),
 }
 
 
@@ -70,9 +80,10 @@ def _sha(text: str) -> str:
 
 @pytest.mark.parametrize("workload, layout", sorted(PINS))
 def test_generated_sources_are_pinned(workload, layout):
+    factory, fields = CASES[workload]
     result = pipeline_compile(
-        FACTORIES[workload](),
-        options=CompileOptions(layout=layout),
+        factory(),
+        options=CompileOptions(layout=layout, **fields),
         store=TieredStore([MemoryTier()]),
     )
     assert not result.cache_hit
