@@ -42,7 +42,6 @@ from repro.analysis.dependence import (
     graph_from_edges,
 )
 from repro.codegen.python_backend import module_methods
-from repro.errors import FusionError
 from repro.frontend.parser import parse_program
 from repro.fusion.fused_ir import (
     EntryGroup,
@@ -230,10 +229,12 @@ class FusionPlanner:
         with its per-concrete-root-subtype member resolution: a list of
         ``(chunk, [(type_name, members), ...])``. Both the dependence
         pass (graph prewarming) and the fusion pass (entry planning)
-        iterate this single resolution."""
+        iterate this single resolution. A program with no entry (no
+        ``main``, or no root type) has no chunks: it compiles to its
+        unfused module and a fused program with no units."""
         program = self.program
         if program.root_type_name is None or not program.entry:
-            raise FusionError("program has no entry sequence to fuse")
+            return []
         chunks = []
         calls = program.entry
         chunk_size = self.limits.max_sequence

@@ -3,7 +3,6 @@
 from pathlib import Path
 
 from repro.frontend import parse_program
-from repro.layout.base import layout_backend
 from repro.pipeline import (
     CompileOptions,
     compile as pipeline_compile,
@@ -204,9 +203,12 @@ class TestCodegenArtifactSharing:
             _traversal_ virtual void go() { this->v = 1; }
         };
         """
-        program = parse_program(source, name="entryless")
-        # nothing to fuse, so no pipeline compile: the layout's backend
-        # builds the module directly
-        compiled = layout_backend("object").unfused_module(program)
-        assert "def run_entry(" in compiled.source
-        assert "run_entry" in compiled.namespace
+        store = TieredStore([MemoryTier()])
+        result = pipeline_compile(source, name="entryless", store=store)
+        # nothing to fuse: the fused program has no units, and the
+        # unfused module is the usual one
+        assert result.fused.unit_count == 0
+        assert "def run_entry(" in result.unfused_source
+        assert "run_entry" in result.compiled_unfused.namespace
+        again = pipeline_compile(source, name="entryless", store=store)
+        assert again.cache_hit

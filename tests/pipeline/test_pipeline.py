@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import FusionError, ValidationError
+from repro.errors import ValidationError
 from repro.frontend import parse_program
 from repro.pipeline import (
     CompileOptions,
@@ -109,15 +109,18 @@ class TestPipelineErrors:
         )
         assert result.fused is not None
 
-    def test_entryless_program_raises_fusion_error(self):
+    def test_entryless_program_compiles_to_no_fused_units(self):
         source = """
         _tree_ class N {
             _child_ N* kid;
             _traversal_ virtual void go() {}
         };
         """
-        with pytest.raises(FusionError):
-            pipeline_compile(source, store=None)
+        result = pipeline_compile(source, store=None)
+        assert result.fused.units == {}
+        assert result.fused.entry_groups == []
+        assert "def run_entry(" in result.unfused_source
+        assert "def run_fused(" in result.fused_source
 
 
 class TestFusionLimitsThroughPipeline:

@@ -196,6 +196,15 @@ class TestCompileCommand:
         assert main(["compile", "/nonexistent.grafter"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_compile_program_without_main(self, tmp_path, capsys):
+        # no entry sequence: nothing to fuse, but still a program
+        path = tmp_path / "entryless.grafter"
+        path.write_text(FIG2_SOURCE.split("int main()")[0])
+        assert main(["compile", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "fused units: 0," in out
+        assert "generated python:" in out
+
 
 class TestServiceCli:
     def test_exec_batched(self, capsys):
