@@ -10,9 +10,10 @@ cutoff exceeds what the dependences allow anyway.
 from repro.bench.metrics import measure_run
 from repro.bench.tables import format_series
 from repro.fusion import FusionLimits
-from repro.pipeline.stages import plan_and_synthesize
 from repro.workloads.render import build_document, render_program, replicated_pages_spec
 from repro.workloads.render.schema import DEFAULT_GLOBALS
+
+from tests.fixtures import compiled
 
 CUTOFFS = (1, 2, 3, 6, 12)
 
@@ -28,7 +29,7 @@ def test_cutoff_ablation(report, benchmark):
     ratios = []
     units = []
     for cutoff in CUTOFFS:
-        fused = plan_and_synthesize(program, limits=FusionLimits(max_sequence=cutoff))
+        fused = compiled(program, limits=FusionLimits(max_sequence=cutoff)).fused
         run = measure_run(program, build, DEFAULT_GLOBALS, fused=fused)
         ratios.append(run.node_visits / baseline.node_visits)
         units.append(fused.unit_count)
@@ -48,7 +49,7 @@ def test_cutoff_ablation(report, benchmark):
     assert ratios[0] >= 0.95
     # the default cutoff reaches the dependence-limited optimum
     assert ratios[-1] == min(ratios)
-    fused = plan_and_synthesize(program, limits=FusionLimits(max_sequence=12))
+    fused = compiled(program, limits=FusionLimits(max_sequence=12)).fused
     benchmark.pedantic(
         lambda: measure_run(program, build, DEFAULT_GLOBALS, fused=fused),
         rounds=3, iterations=1,

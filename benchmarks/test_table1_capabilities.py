@@ -1,9 +1,8 @@
 """Table 1 — capability matrix, plus fusion (compile-time) cost timing."""
 
 from repro.bench.experiments import table1_capabilities
-from repro.pipeline.stages import plan_and_synthesize
 
-from tests.fixtures import fig2_program
+from tests.fixtures import compiled, fig2_program
 
 
 def test_table1(report, benchmark):
@@ -15,4 +14,6 @@ def test_table1(report, benchmark):
     assert treefuser_row[1] == "no"  # no heterogeneous trees
     # time the fusion engine itself on the paper's running example
     program = fig2_program()
-    benchmark.pedantic(lambda: plan_and_synthesize(program), rounds=3, iterations=1)
+    benchmark.pedantic(
+        lambda: compiled(program, emit=False), rounds=3, iterations=1
+    )

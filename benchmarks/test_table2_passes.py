@@ -1,8 +1,9 @@
 """Table 2 — the render-tree and AST pass inventories."""
 
 from repro.bench.experiments import table2_passes
-from repro.pipeline.stages import plan_and_synthesize
 from repro.workloads.astlang import ast_program
+
+from tests.fixtures import compiled
 
 
 def test_table2(report, benchmark):
@@ -15,4 +16,6 @@ def test_table2(report, benchmark):
     assert "replaceVarRefs" in ast_passes
     # time AST fusion (the biggest synthesis job in the suite)
     program = ast_program()
-    benchmark.pedantic(lambda: plan_and_synthesize(program), rounds=1, iterations=1)
+    benchmark.pedantic(
+        lambda: compiled(program, emit=False), rounds=1, iterations=1
+    )

@@ -20,11 +20,9 @@ Each tree layout has one backend module here
 :mod:`~repro.codegen.pooled_backend` for ``"pooled"``), and every
 generated module is built one way: per-method and per-unit pieces, an
 assembler, a module class. :data:`repro.layout.base.LAYOUTS` maps each
-layout name to those parts. Compile through :func:`repro.pipeline.compile`
-(the emit pass stores each piece as a compilation unit and each module in
-the memory tier); :meth:`repro.layout.base.LayoutBackend.unfused_module`
-and :meth:`~repro.layout.base.LayoutBackend.fused_module` build a module
-directly, with no store.
+layout name to those parts. Modules come only from
+:func:`repro.pipeline.compile`: its emit pass stores each piece as a
+compilation unit and each module in the memory tier.
 """
 
 from repro.codegen.python_backend import CompiledFused, CompiledProgram

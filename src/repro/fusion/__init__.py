@@ -10,8 +10,9 @@
 
 The fixpoint driver (outline/inline, reorder, recurse on new sequences,
 memoize by sequence label, stop at the termination cutoffs) is the
-pipeline's fusion and schedule passes, :mod:`repro.pipeline.stages`;
-``plan_and_synthesize`` there is its uncached one-call form.
+pipeline's fusion and schedule passes, :mod:`repro.pipeline.stages`.
+Fuse a program with :func:`repro.pipeline.compile`; there is no other
+driver.
 """
 
 from repro.fusion.fused_ir import (

@@ -20,13 +20,17 @@ label                      executor
 =========================  ==========================================
 
 and diffs every execution against the interpreter/object baseline on
-snapshot + globals + write-set (:func:`repro.interp.diff_report`). Each
-label's layout names its backend in :data:`repro.layout.base.LAYOUTS`,
-which builds the generated modules with no store. The
+snapshot + globals + write-set (:func:`repro.interp.diff_report`). The
 interpreter running the original program is the semantics; everything
-else is an optimization that must be observationally invisible. The
-fused program is synthesized once per case and shared by the four
-executions that run it.
+else is an optimization that must be observationally invisible.
+
+A case parses its program once and compiles it through
+:func:`repro.pipeline.compile` — the path every served request takes —
+once per layout, into a store of its own (``TieredStore([MemoryTier()])``,
+on :attr:`CaseResult.store`). A label runs its layout's compile: the
+generated modules, or the fused program under the interpreter. The
+pooled compile finds the object compile's plans in the store and
+replays them, so both ways a plan is made are fuzzed.
 
 On divergence, :func:`minimize_case` shrinks the tree (subtree →
 ``Leaf``) and then the program (dropping body statements) while the
@@ -35,7 +39,6 @@ divergence persists, so the committed repro is small enough to read.
 
 from __future__ import annotations
 
-import functools
 import json
 import random
 import re
@@ -54,8 +57,10 @@ from repro.interp import (
     diff_report,
     make_record,
 )
-from repro.layout.base import layout_backend
+from repro.pipeline import CompileOptions, CompileResult
+from repro.pipeline import compile as pipeline_compile
 from repro.runtime.heap import Heap
+from repro.storage import MemoryTier, TieredStore
 
 BASELINE = "interp/object"
 LABELS = (
@@ -124,6 +129,9 @@ class CaseResult:
     records: dict = field(default_factory=dict)  # label -> ExecutionRecord
     errors: dict = field(default_factory=dict)  # label -> error text
     divergences: list = field(default_factory=list)  # (label, report)
+    # the case's own store, and the compile each layout's labels ran
+    store: Optional[TieredStore] = None
+    compiles: dict = field(default_factory=dict)  # layout -> CompileResult
 
     @property
     def ok(self) -> bool:
@@ -140,11 +148,14 @@ class CaseResult:
 
 
 def _execute(
-    program, fused, case: FuzzCase, label: str
+    program,
+    compiled: Callable[[str], CompileResult],
+    case: FuzzCase,
+    label: str,
 ) -> ExecutionRecord:
     """One execution of *case* under *label*'s executor; records
-    snapshot + final globals + derived write-set. *fused* is a callable
-    returning the case's fused program."""
+    snapshot + final globals + derived write-set. *compiled* returns
+    the case's compile under a layout."""
     heap = Heap(program)
     root = build_tree_from_dict(program, heap, case.tree)
     before = root.snapshot(program)
@@ -154,13 +165,15 @@ def _execute(
         module = InterpretedModule(program, layout=layout)
         context = module.run_entry(heap, root, globals_map)
     elif mode == "interp-fused":
-        module = InterpretedModule(program, layout=layout, fused=fused())
+        module = InterpretedModule(
+            program, layout=layout, fused=compiled(layout).fused
+        )
         context = module.run_fused(heap, root, globals_map)
     elif mode == "unfused":
-        module = layout_backend(layout).unfused_module(program)
+        module = compiled(layout).compiled_unfused
         context = module.run_entry(heap, root, globals_map)
     else:  # fused
-        module = layout_backend(layout).fused_module(fused())
+        module = compiled(layout).compiled_fused
         context = module.run_fused(heap, root, globals_map)
     return make_record(
         label,
@@ -177,16 +190,24 @@ def run_case(case: FuzzCase) -> CaseResult:
     divergence (unless the baseline fails identically — then the case
     is reported as a baseline error and nothing is compared)."""
     from repro.frontend import parse_program
-    from repro.pipeline.stages import plan_and_synthesize
 
-    result = CaseResult(case)
+    result = CaseResult(case, store=TieredStore([MemoryTier()]))
     program = parse_program(case.source, name=f"fuzz-{case.seed}")
-    # fused on first use, so a fusion failure is reported by each label
-    # that needed it; later labels reuse the one fused program
-    fused = functools.cache(lambda: plan_and_synthesize(program))
+
+    def compiled(layout: str) -> CompileResult:
+        # compiled on first use, so a compile failure is reported by
+        # each label that needed it; later labels reuse the result
+        if layout not in result.compiles:
+            result.compiles[layout] = pipeline_compile(
+                program,
+                options=CompileOptions(layout=layout),
+                store=result.store,
+            )
+        return result.compiles[layout]
+
     for label in LABELS:
         try:
-            result.records[label] = _execute(program, fused, case, label)
+            result.records[label] = _execute(program, compiled, case, label)
         except Exception as exc:  # noqa: BLE001 - report, don't crash
             result.errors[label] = f"{type(exc).__name__}: {exc}"
     baseline = result.records.get(BASELINE)

@@ -17,10 +17,11 @@ name maps to a :class:`LayoutBackend` holding its code generator
 (:mod:`repro.codegen.python_backend`, :mod:`repro.codegen.pooled_backend`),
 the storage names that keep its artifacts apart, and its interpreter
 view (:mod:`repro.interp.views`). The emit pass, ``pipeline.compile``'s
-layout check, :class:`~repro.interp.InterpretedModule` and the fuzz
-harness all look names up here. The knob participates in the options
-hash, so pooled and object artifacts content-address separately in
-every storage tier.
+layout check and :class:`~repro.interp.InterpretedModule` look names up
+here; the emit pass is the only code that builds a generated module,
+from pieces it emitted or reloaded from the unit store. The knob
+participates in the options hash, so pooled and object artifacts
+content-address separately in every storage tier.
 
 The package ``__init__`` does not re-export this module: the backends
 import :mod:`repro.layout.pool`, so the table is imported by its full
@@ -30,14 +31,10 @@ name once they exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.codegen import pooled_backend, python_backend
-from repro.codegen.python_backend import (
-    emit_method_source,
-    emit_unit_source,
-    module_methods,
-)
+from repro.codegen.python_backend import emit_method_source, emit_unit_source
 from repro.errors import ReproError
 from repro.fusion.fused_ir import FusedProgram, FusedUnit
 from repro.interp.views import ObjectTreeView, PooledTreeView
@@ -81,44 +78,22 @@ class LayoutBackend:
         """(function source, dispatch-table lines) of one fused unit."""
         return emit_unit_source(program, unit, self.exprc)
 
-    def unfused_module(
-        self, program: Program, method_sources: Optional[dict] = None
-    ):
-        """The unfused module: pieces (emitted here unless given, keyed
-        by qualified method name) → assembler → class. The namespace is
+    def unfused_module(self, program: Program, method_sources: dict):
+        """The unfused module: the emit pass's pieces (keyed by
+        qualified method name) → assembler → class. The namespace is
         built on first use."""
-        if method_sources is None:
-            method_sources = self._method_sources(program)
         return self.unfused_class(
             program, self.assemble_unfused(program, method_sources)
         )
 
     def fused_module(
-        self,
-        fused: FusedProgram,
-        method_sources: Optional[dict] = None,
-        unit_sources: Optional[dict] = None,
+        self, fused: FusedProgram, method_sources: dict, unit_sources: dict
     ):
         """The fused module, built like :meth:`unfused_module`; unit
         pieces are keyed by the unit's sequence key."""
-        program = fused.program
-        if method_sources is None:
-            method_sources = self._method_sources(program)
-        if unit_sources is None:
-            unit_sources = {
-                key: self.emit_unit(program, unit)
-                for key, unit in fused.units.items()
-            }
         return self.fused_class(
             fused, self.assemble_fused(fused, method_sources, unit_sources)
         )
-
-    def _method_sources(self, program: Program) -> dict[str, str]:
-        program.finalize()
-        return {
-            qualified: self.emit_method(program, method)
-            for qualified, method in module_methods(program).items()
-        }
 
 
 #: Every layout, by name: the CLI's ``--layout`` choices are its keys.

@@ -21,11 +21,16 @@ into named, separately-timed passes:
 * **emit** — generated Python modules (the reproduction's analogue of
   Grafter's C++ output), exec'd and ready to run.
 
-Planning (fusion) and body synthesis (schedule) are split: the planner
-discovers units and their groups, the scheduler orders bodies. The split
-is faithful to the original engine because both greedy grouping and the
-scheduler keep group members in program order, so planning a group
-before knowing its scheduled position cannot change its member slots.
+Planning (fusion) and body synthesis (schedule) are split: the fusion
+pass's worklist discovers units and the planner groups each one, the
+scheduler orders bodies. The split is faithful to the original engine
+because both greedy grouping and the scheduler keep group members in
+program order, so planning a group before knowing its scheduled
+position cannot change its member slots.
+
+These passes are the only code that plans, synthesizes and emits: the
+CLI, sessions, benchmarks, tests and the differential fuzzer all fuse
+through ``repro.pipeline.compile``.
 """
 
 from __future__ import annotations
@@ -173,10 +178,14 @@ class EntryPlan:
 
 
 class FusionPlanner:
-    """Worklist discovery of every reachable fused sequence.
+    """Planning state of one compile: dependence graphs (shared with the
+    dependence pass), structures replayed from the unit store, and the
+    plan of every sequence planned so far.
 
-    A sequence is registered under its key *before* its groups are
-    planned, so self-referential sequences terminate as recursive
+    It plans one sequence at a time (:meth:`plan_one`,
+    :meth:`plan_from_structure`); the fusion pass's worklist discovers
+    the sequences. The pass registers a sequence under its key *before*
+    planning it, so self-referential sequences terminate as recursive
     references, and memoization on the key keeps the label space finite
     under the cutoffs (paper §4).
     """
@@ -266,50 +275,12 @@ class FusionPlanner:
 
     # -- planning -------------------------------------------------------
 
-    def plan_entry(self) -> list[EntryPlan]:
-        entry_plans: list[EntryPlan] = []
-        for chunk, resolved in self.entry_chunks():
-            entry = EntryPlan(
-                method_names=[c.method_name for c in chunk],
-                args_per_member=[c.args for c in chunk],
-            )
-            for type_name, members in resolved:
-                entry.dispatch_keys[type_name] = self.plan_sequence(members)
-            entry_plans.append(entry)
-        return entry_plans
-
-    def plan_sequence(
-        self, members: tuple[TraversalMethod, ...]
-    ) -> SequenceKey:
-        """Plan a sequence and everything it transitively dispatches to.
-
-        Worklist-driven: :meth:`plan_one` plans one sequence *shallowly*
-        (children recorded, not recursed into), so the fusion pass can
-        run the same discovery unit by unit through the cache; this
-        method is the one-call spelling :func:`plan_and_synthesize`
-        uses. A sequence is registered under
-        its key before its children are planned, so self-referential
-        sequences terminate as recursive references, and memoization on
-        the key keeps the label space finite under the cutoffs (§4).
-        """
-        key = tuple(m.qualified_name for m in members)
-        worklist = [members]
-        while worklist:
-            pending = worklist.pop()
-            pending_key = tuple(m.qualified_name for m in pending)
-            if pending_key in self.plans:
-                continue
-            plan = self.plan_one(pending)
-            self.plans[pending_key] = plan
-            worklist.extend(plan.child_sequences)
-        return key
-
     def plan_one(
         self, members: tuple[TraversalMethod, ...]
     ) -> UnitPlan:
         """Plan exactly one sequence: groups, slot merging, and the
         *keys* of the child sequences its groups dispatch to — without
-        planning the children (the caller's worklist owns that)."""
+        planning the children (the fusion pass's worklist owns that)."""
         plan = UnitPlan(
             key=tuple(m.qualified_name for m in members),
             label=_label_for(tuple(m.qualified_name for m in members)),
@@ -448,15 +419,12 @@ def synthesize_fused(
     program: Program,
     planner: FusionPlanner,
     entry_plans: list[EntryPlan],
-    orders: dict[SequenceKey, list[list[int]]] | None = None,
+    orders: dict[SequenceKey, list[list[int]]],
 ) -> FusedProgram:
-    """Schedule every planned unit and assemble the FusedProgram: each
-    body is a topological order of the contracted dependence graph, with
-    group leaders replaced by their fused calls (paper §3.4).
-
-    *orders* lets the schedule pass hand in per-unit topological orders
-    it already computed (and counted) unit by unit.
-    """
+    """Assemble the FusedProgram from every planned unit and its
+    topological order of the contracted dependence graph (*orders*, one
+    per plan key, computed unit by unit by the schedule pass): group
+    leaders are replaced by their fused calls (paper §3.4)."""
     units: dict[SequenceKey, FusedUnit] = {}
     for key, plan in planner.plans.items():
         units[key] = FusedUnit(
@@ -466,14 +434,9 @@ def synthesize_fused(
             this_type=plan.this_type,
         )
     for key, plan in planner.plans.items():
-        order = (
-            orders[key]
-            if orders is not None and key in orders
-            else schedule(plan.graph, plan.groups, plan.assignment)
-        )
         vertex_by_index = {v.index: v for v in plan.graph.vertices}
         body = []
-        for unit_indices in order:
+        for unit_indices in orders[key]:
             leader = unit_indices[0]
             group_plan = plan.group_plans.get(leader)
             if group_plan is None:
@@ -502,21 +465,6 @@ def synthesize_fused(
         entry_groups=entry_groups,
         units=units,
     )
-
-
-def plan_and_synthesize(
-    program: Program,
-    limits: FusionLimits | None = None,
-    ctx: AnalysisContext | None = None,
-) -> FusedProgram:
-    """Uncached one-call fusion: program → fused program, without the
-    pipeline's storage tiers or per-pass instrumentation."""
-    program.finalize()
-    limits = limits if limits is not None else FusionLimits()
-    ctx = ctx if ctx is not None else AnalysisContext(program)
-    planner = FusionPlanner(program, limits, ctx)
-    entry_plans = planner.plan_entry()
-    return synthesize_fused(program, planner, entry_plans)
 
 
 # ===========================================================================

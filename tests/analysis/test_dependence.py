@@ -13,11 +13,12 @@ from repro.analysis import (
     build_dependence_graph,
 )
 from repro.frontend import parse_program
-from repro.fusion.grouping import FusionLimits, greedy_group
+from repro.fusion.grouping import greedy_group
 from repro.fuzz import generate_case
 from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
-from repro.pipeline.stages import DepStructure, FusionPlanner
+from repro.pipeline.manager import PassContext, PassManager
+from repro.pipeline.stages import DepStructure, default_passes
 from repro.workloads.astlang import astlang_workload
 from repro.workloads.fmm import fmm_workload
 from repro.workloads.kdtree import kdtree_workload
@@ -262,12 +263,14 @@ class TestMemoSoundness:
         else:
             case = generate_case(arg, max_depth=FUZZ_CORPUS["max_depth"])
             program = parse_program(case.source, name=f"fuzz-{arg}")
-        program.finalize()
-        limits = FusionLimits()
-        planner = FusionPlanner(program, limits, AnalysisContext(program))
-        planner.plan_entry()
-        assert planner.plans
-        for plan in planner.plans.values():
+        # the pipeline's own planner, run with no store up to fusion
+        pctx = PassContext(
+            CompileOptions(emit=False), program=program, store=None
+        )
+        PassManager(default_passes()).run(pctx)
+        limits = pctx.options.limits
+        assert pctx.planner.plans
+        for plan in pctx.planner.plans.values():
             # a fresh context per sequence: nothing memoized across graphs
             fresh_ctx = AnalysisContext(program)
             fresh = build_dependence_graph(fresh_ctx, plan.members)

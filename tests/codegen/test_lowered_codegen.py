@@ -6,16 +6,11 @@ import random
 import pytest
 
 from repro.frontend import parse_program
-from repro.layout.base import layout_backend
-from repro.pipeline.stages import plan_and_synthesize
 from repro.runtime import Heap
 from repro.treefuser import lower_program, lower_tree
-from tests.fixtures import metered
+from tests.fixtures import compiled, metered
 
 from tests.generators import random_program_source, random_tree
-
-OBJECT = layout_backend("object")
-
 
 @pytest.mark.parametrize("seed", range(6))
 def test_lowered_triple_differential(seed):
@@ -36,16 +31,14 @@ def test_lowered_triple_differential(seed):
     snap = root_a.snapshot(lowered.program)
 
     # compiled unfused
-    compiled = OBJECT.unfused_module(lowered.program)
+    result = compiled(lowered.program)
     heap_b, root_b = lowered_tree()
-    ctx_b = compiled.run_entry(heap_b, root_b)
+    ctx_b = result.compiled_unfused.run_entry(heap_b, root_b)
     assert snap == root_b.snapshot(lowered.program)
 
     # compiled fused (guard-merged slots + possible fallback calls)
-    fused = plan_and_synthesize(lowered.program)
-    compiled_fused = OBJECT.fused_module(fused)
     heap_c, root_c = lowered_tree()
-    ctx_c = compiled_fused.run_fused(heap_c, root_c)
+    ctx_c = result.compiled_fused.run_fused(heap_c, root_c)
     assert snap == root_c.snapshot(lowered.program)
     assert interp.globals == ctx_b.globals == ctx_c.globals
 
@@ -73,8 +66,7 @@ def test_render_lowered_codegen_matches():
     interp.run_entry(root_a)
     snap = root_a.snapshot(lowered.program)
 
-    fused = plan_and_synthesize(lowered.program)
-    compiled = OBJECT.fused_module(fused)
+    module = compiled(lowered.program).compiled_fused
     heap_b, root_b = lowered_tree()
-    compiled.run_fused(heap_b, root_b, DEFAULT_GLOBALS)
+    module.run_fused(heap_b, root_b, DEFAULT_GLOBALS)
     assert snap == root_b.snapshot(lowered.program)

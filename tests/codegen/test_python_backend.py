@@ -6,16 +6,11 @@ import random
 
 import pytest
 
-from repro.layout.base import layout_backend
-from repro.pipeline.stages import plan_and_synthesize
 from repro.runtime import Heap, Node
 from repro.runtime.values import ObjectValue
 
-from tests.fixtures import fig1_program, fig2_program, metered
+from tests.fixtures import compiled, fig1_program, fig2_program, metered
 from tests.generators import random_program_source, random_tree
-
-OBJECT = layout_backend("object")
-
 
 def triple_run(program, build_tree, globals_map=None):
     """Interpreter vs compiled-unfused vs compiled-fused snapshots."""
@@ -26,16 +21,14 @@ def triple_run(program, build_tree, globals_map=None):
         interp.globals[name] = value
     interp.run_entry(root_a)
 
-    compiled = OBJECT.unfused_module(program)
+    result = compiled(program)
     heap_b = Heap(program)
     root_b = build_tree(program, heap_b)
-    ctx_b = compiled.run_entry(heap_b, root_b, globals_map)
+    ctx_b = result.compiled_unfused.run_entry(heap_b, root_b, globals_map)
 
-    fused = plan_and_synthesize(program)
-    compiled_fused = OBJECT.fused_module(fused)
     heap_c = Heap(program)
     root_c = build_tree(program, heap_c)
-    ctx_c = compiled_fused.run_fused(heap_c, root_c, globals_map)
+    ctx_c = result.compiled_fused.run_fused(heap_c, root_c, globals_map)
 
     snap = root_a.snapshot(program)
     assert snap == root_b.snapshot(program), "compiled unfused diverged"
@@ -138,21 +131,20 @@ class TestRandomPrograms:
 
 class TestEmission:
     def test_emitted_source_is_valid_python(self):
-        source = OBJECT.unfused_module(fig2_program()).source
+        source = compiled(fig2_program()).unfused_source
         compile(source, "<test>", "exec")  # no SyntaxError
         assert "def m_TextBox_computeWidth(RT, this):" in source
         assert "_D_computeWidth" in source
 
     def test_dispatch_tables_cover_concrete_types(self):
         program = fig2_program()
-        source = OBJECT.unfused_module(program).source
+        source = compiled(program).unfused_source
         for type_name in ("TextBox", "Group", "End"):
             assert f"'{type_name}': " in source
 
     def test_truncation_compiles_to_exception_only_when_needed(self):
         program = fig1_program()
-        fused = plan_and_synthesize(program)
-        source = OBJECT.fused_module(fused).source
+        source = compiled(program).fused_source
         # fig1 has no returns -> no try/except blocks in units
         assert "except _Trunc" not in source
 
@@ -164,8 +156,8 @@ class TestEmission:
         from repro.workloads.astlang.programs import replicated_functions
 
         program = ast_program()
-        compiled = OBJECT.unfused_module(program)
-        compiled.namespace  # built before the timed run
+        module = compiled(program).compiled_unfused
+        module.namespace  # built before the timed run
 
         heap_a = Heap(program)
         root_a = replicated_functions(program, heap_a, 30)
@@ -177,7 +169,7 @@ class TestEmission:
         heap_b = Heap(program)
         root_b = replicated_functions(program, heap_b, 30)
         start = time.perf_counter()
-        compiled.run_entry(heap_b, root_b)
+        module.run_entry(heap_b, root_b)
         compiled_time = time.perf_counter() - start
 
         assert root_a.snapshot(program) == root_b.snapshot(program)

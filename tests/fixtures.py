@@ -164,3 +164,17 @@ def fresh_store(cache_dir=None, peers=(), persist=True):
         ],
         persist=persist,
     )
+
+
+def compiled(program, **fields):
+    """``pipeline.compile`` of *program* (a ``Program``, Grafter text or
+    a ``Workload``) into a :func:`fresh_store`, under
+    ``CompileOptions(**fields)``: the one way tests fuse a program
+    (``.fused``) or build its generated modules (``.compiled_unfused``,
+    ``.compiled_fused``)."""
+    from repro.pipeline import CompileOptions
+    from repro.pipeline import compile as pipeline_compile
+
+    return pipeline_compile(
+        program, options=CompileOptions(**fields), store=fresh_store()
+    )

@@ -10,9 +10,8 @@ from repro.ir.validate import LanguageMode
 from repro.pipeline.stages import (
     _guards_exclusive,
     _tag_test_atoms,
-    plan_and_synthesize,
 )
-from tests.fixtures import metered
+from tests.fixtures import compiled, metered
 
 
 def _tag_access():
@@ -83,7 +82,7 @@ class TestSlotMergingEndToEnd:
 
     def test_exclusive_variants_share_one_slot(self):
         program = parse_program(self.SOURCE, mode=LanguageMode.TREEFUSER)
-        fused = plan_and_synthesize(program)
+        fused = compiled(program).fused
         unit = fused.units[("TN::p1", "TN::p2")]
         groups = [i for i in unit.body if isinstance(i, GroupCall)]
         assert len(groups) == 1
@@ -101,7 +100,7 @@ class TestSlotMergingEndToEnd:
         from repro.runtime import Heap, Node
 
         program = parse_program(self.SOURCE, mode=LanguageMode.TREEFUSER)
-        fused = plan_and_synthesize(program)
+        fused = compiled(program).fused
 
         def build(p, heap):
             leaf = Node.new(p, heap, "TN", tag=0)

@@ -12,11 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.frontend import parse_program
-from repro.pipeline.stages import plan_and_synthesize
 from repro.runtime import Heap, Node
 from repro.runtime.values import ObjectValue
 
-from tests.fixtures import fig1_program, fig2_program, metered
+from tests.fixtures import compiled, fig1_program, fig2_program, metered
 from tests.generators import random_program_source, random_tree
 
 
@@ -29,7 +28,7 @@ def run_both(program, build_tree, globals_init=None):
         interp_a.globals[name] = value
     interp_a.run_entry(root_a)
 
-    fused = plan_and_synthesize(program)
+    fused = compiled(program).fused
     heap_b = Heap(program)
     root_b = build_tree(program, heap_b)
     interp_b = metered(program, heap_b)

@@ -7,9 +7,8 @@ from repro.frontend import parse_program
 from repro.fusion.transforms import push_conditions
 from repro.ir.stmts import contains_traverse, If, TraverseStmt, walk_stmts
 from repro.ir.validate import LanguageMode, validate_program
-from repro.pipeline.stages import plan_and_synthesize
 from repro.runtime import Heap, Node
-from tests.fixtures import metered
+from tests.fixtures import compiled, metered
 
 SOURCE = """
 _tree_ class N {
@@ -90,7 +89,7 @@ class TestPushConditions:
         )
         program = parse_program(source, mode=LanguageMode.TREEFUSER)
         push_conditions(program)
-        fused = plan_and_synthesize(program)
+        fused = compiled(program).fused
         flags = [1, 1, 1, 0, 1]
         root_a, stats_a = _run(program, lambda p, h: _chain(p, h, flags))
         root_b, stats_b = _run(

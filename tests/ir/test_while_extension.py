@@ -6,10 +6,9 @@ from repro.errors import ValidationError
 from repro.frontend import parse_program
 from repro.ir.printer import print_program
 from repro.ir.stmts import While
-from repro.pipeline.stages import plan_and_synthesize
 from repro.runtime import Heap, Node
 from repro.treefuser import lower_program, lower_tree
-from tests.fixtures import metered
+from tests.fixtures import compiled, metered
 
 LOOP_SOURCE = """
 _tree_ class N {
@@ -104,7 +103,7 @@ class TestWhileExtension:
         """The loop's accesses are summarized like a branch's, so the two
         traversals still fuse — and results agree with unfused."""
         program = parse_program(LOOP_SOURCE)
-        fused = plan_and_synthesize(program)
+        fused = compiled(program).fused
         values = [12, 305, 7]
         heap_a = Heap(program)
         root_a = _chain(program, heap_a, values)
@@ -121,7 +120,7 @@ class TestWhileExtension:
         """scale writes `value` which sumDigits' loop reads: fusion must
         keep sumDigits' loop before scale's write at each node."""
         program = parse_program(LOOP_SOURCE)
-        fused = plan_and_synthesize(program)
+        fused = compiled(program).fused
         unit = fused.units[("I::sumDigits", "I::scale")]
         from repro.fusion.fused_ir import GuardedStmt
 

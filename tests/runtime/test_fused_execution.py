@@ -3,9 +3,8 @@ truncation isolation, guarded slots, argument passing for truncated
 members (the paper's §3.4 runtime behaviour)."""
 
 from repro.frontend import parse_program
-from repro.pipeline.stages import plan_and_synthesize
 from repro.runtime import Heap, Node
-from tests.fixtures import metered
+from tests.fixtures import compiled, metered
 
 TRUNCATING = """
 _tree_ class N {
@@ -41,7 +40,7 @@ def _chain(program, heap, stops):
 
 def _run_fused(stops):
     program = parse_program(TRUNCATING)
-    fused = plan_and_synthesize(program)
+    fused = compiled(program).fused
     heap = Heap(program)
     root = _chain(program, heap, stops)
     interp = metered(program, heap)
@@ -73,7 +72,7 @@ class TestActiveFlags:
                                     "if (this->stopA == 1) return;\n"
                                     "        this->sawB = d;")
         program = parse_program(source)
-        fused = plan_and_synthesize(program)
+        fused = compiled(program).fused
         heap = Heap(program)
         root = _chain(program, heap, [0, 1, 0, 0, 0])
         interp = metered(program, heap)
@@ -90,7 +89,7 @@ class TestActiveFlags:
         passed — the fused call still carries passA's argument slot, and
         the instruction cost model charges for it."""
         program = parse_program(TRUNCATING)
-        fused = plan_and_synthesize(program)
+        fused = compiled(program).fused
         unit = fused.units[("I::passA", "I::passB")]
         from repro.fusion.fused_ir import GroupCall
 
@@ -102,7 +101,7 @@ class TestActiveFlags:
 class TestVisitAccounting:
     def test_fused_visit_counts_once_per_node(self):
         program = parse_program(TRUNCATING)
-        fused = plan_and_synthesize(program)
+        fused = compiled(program).fused
         heap = Heap(program)
         root = _chain(program, heap, [0, 0, 0])
         interp = metered(program, heap)

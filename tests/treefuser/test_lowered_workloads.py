@@ -2,10 +2,9 @@
 for variant-local renaming: variants of one traversal share a flat scope
 after lowering, so their locals must not collide)."""
 
-from repro.pipeline.stages import plan_and_synthesize
 from repro.runtime import Heap
 from repro.treefuser import lower_program, lower_tree
-from tests.fixtures import metered
+from tests.fixtures import compiled, metered
 
 
 class TestLoweredAst:
@@ -54,7 +53,7 @@ class TestLoweredAst:
         heap_a, root_a = build()
         interp_a = metered(lowered.program, heap_a)
         interp_a.run_entry(root_a)
-        fused = plan_and_synthesize(lowered.program)
+        fused = compiled(lowered.program).fused
         heap_b, root_b = build()
         interp_b = metered(lowered.program, heap_b)
         interp_b.run_fused(fused, root_b)
@@ -86,7 +85,7 @@ class TestLoweredKdTree:
         interp_a = metered(lowered.program, heap_a)
         interp_a.globals.update(KD_DEFAULT_GLOBALS)
         interp_a.run_entry(root_a)
-        fused = plan_and_synthesize(lowered.program)
+        fused = compiled(lowered.program).fused
         heap_b, root_b = build()
         interp_b = metered(lowered.program, heap_b)
         interp_b.globals.update(KD_DEFAULT_GLOBALS)
@@ -119,7 +118,7 @@ class TestLoweredFmm:
         interp_a = metered(lowered.program, heap_a)
         interp_a.globals.update(FMM_DEFAULT_GLOBALS)
         interp_a.run_entry(root_a)
-        fused = plan_and_synthesize(lowered.program)
+        fused = compiled(lowered.program).fused
         heap_b, root_b = build()
         interp_b = metered(lowered.program, heap_b)
         interp_b.globals.update(FMM_DEFAULT_GLOBALS)

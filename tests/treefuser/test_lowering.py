@@ -6,12 +6,11 @@ import pytest
 
 from repro.frontend import parse_program
 from repro.fusion.fused_ir import GroupCall
-from repro.pipeline.stages import plan_and_synthesize
 from repro.runtime import Heap, Node
 from repro.runtime.values import ObjectValue
 from repro.treefuser import lower_program, lower_tree
 
-from tests.fixtures import fig2_program, metered
+from tests.fixtures import compiled, fig2_program, metered
 from tests.generators import random_program_source, random_tree
 
 
@@ -102,7 +101,7 @@ class TestLoweredSemantics:
     def test_lowered_fused_matches_lowered_unfused(self):
         program = fig2_program()
         lowered = lower_program(program)
-        fused = plan_and_synthesize(lowered.program)
+        fused = compiled(lowered.program).fused
         heap_a = Heap(lowered.program)
         root_a = lower_tree(program, lowered, heap_a, _fig2_tree(program, Heap(program)))
         interp_a = metered(lowered.program, heap_a)
@@ -122,7 +121,7 @@ class TestLoweredSemantics:
         baseline, whose branch-unioned dependences block some groups."""
         program = fig2_program()
         # Grafter
-        fused_het = plan_and_synthesize(program)
+        fused_het = compiled(program).fused
         heap_g = Heap(program)
         root_g = _fig2_tree(program, heap_g)
         interp_g = metered(program, heap_g)
@@ -130,7 +129,7 @@ class TestLoweredSemantics:
         interp_g.run_fused(fused_het, root_g)
         # TreeFuser
         lowered = lower_program(program)
-        fused_low = plan_and_synthesize(lowered.program)
+        fused_low = compiled(lowered.program).fused
         heap_t = Heap(lowered.program)
         root_t = lower_tree(program, lowered, heap_t, _fig2_tree(program, Heap(program)))
         interp_t = metered(lowered.program, heap_t)
@@ -199,7 +198,7 @@ class TestRandomLoweredPrograms:
         heap_b = Heap(lowered.program)
         root_b = lower_tree(program, lowered, heap_b, het_root_b)
         interp_b = metered(lowered.program, heap_b)
-        fused = plan_and_synthesize(lowered.program)
+        fused = compiled(lowered.program).fused
         interp_b.run_fused(fused, root_b)
         assert root_a.snapshot(lowered.program) == root_b.snapshot(
             lowered.program

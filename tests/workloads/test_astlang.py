@@ -3,7 +3,6 @@ preservation, fusion behaviour with dynamic truncation."""
 
 import pytest
 
-from repro.pipeline.stages import plan_and_synthesize
 from repro.runtime import Heap
 from repro.workloads.astlang import (
     AstBuilder,
@@ -17,14 +16,14 @@ from repro.workloads.astlang import (
     prog3_spec,
     replicated_functions,
 )
-from tests.fixtures import metered
+from tests.fixtures import compiled, metered
 
 _FUSED_CACHE = {}
 
 
 def fused_ast_program():
     if "fused" not in _FUSED_CACHE:
-        _FUSED_CACHE["fused"] = plan_and_synthesize(ast_program())
+        _FUSED_CACHE["fused"] = compiled(ast_program()).fused
     return _FUSED_CACHE["fused"]
 
 

@@ -2,7 +2,6 @@
 oracle and the "two traversals fully fuse" structure."""
 
 from repro.fusion.fused_ir import GroupCall
-from repro.pipeline.stages import plan_and_synthesize
 from repro.runtime import Heap
 from repro.workloads.fmm import (
     FMM_DEFAULT_GLOBALS,
@@ -11,7 +10,7 @@ from repro.workloads.fmm import (
     fmm_program,
     random_particles,
 )
-from tests.fixtures import metered
+from tests.fixtures import compiled, metered
 
 
 def run(count=256, fused=False, seed=31):
@@ -21,7 +20,7 @@ def run(count=256, fused=False, seed=31):
     interp = metered(program, heap)
     interp.globals.update(FMM_DEFAULT_GLOBALS)
     if fused:
-        interp.run_fused(plan_and_synthesize(program), root)
+        interp.run_fused(compiled(program).fused, root)
     else:
         interp.run_entry(root)
     return program, root, interp
@@ -60,7 +59,7 @@ class TestFusion:
     def test_downward_passes_fully_fuse(self):
         """Paper: 'Grafter was able to fully fuse the two passes' — the
         locals+potentials unit recurses into itself on both children."""
-        fused = plan_and_synthesize(fmm_program())
+        fused = compiled(fmm_program()).fused
         key = ("FmmCell::computeLocals", "FmmCell::evaluatePotentials")
         assert key in fused.units
         unit = fused.units[key]
@@ -73,7 +72,7 @@ class TestFusion:
         """computeLocals at a node needs the multipole that
         computeMultipoles finishes *after* recursing — a genuine
         upward/downward conflict, so the passes stay separate."""
-        fused = plan_and_synthesize(fmm_program())
+        fused = compiled(fmm_program()).fused
         top = fused.entry_groups[0].dispatch["FmmCell"]
         groups = [i for i in top.body if isinstance(i, GroupCall)]
         for group in groups:

@@ -3,7 +3,6 @@ piecewise oracle, splitting, truncation, and fusion shape."""
 
 import pytest
 
-from repro.pipeline.stages import plan_and_synthesize
 from repro.runtime import Heap
 from repro.workloads.kdtree import (
     EQ1_SCHEDULE,
@@ -15,7 +14,7 @@ from repro.workloads.kdtree import (
     equation_program,
     leaf_segments,
 )
-from tests.fixtures import metered
+from tests.fixtures import compiled, metered
 
 _SCHEDULES = {
     "eq1": EQ1_SCHEDULE,
@@ -33,7 +32,7 @@ def run_schedule(name, depth=5, fused=False):
     interp = metered(program, heap)
     interp.globals.update(KD_DEFAULT_GLOBALS)
     if fused:
-        interp.run_fused(plan_and_synthesize(program), function)
+        interp.run_fused(compiled(program).fused, function)
     else:
         interp.run_entry(function)
     return program, function, interp, before
@@ -133,6 +132,6 @@ class TestFusion:
         units = {}
         for name in ("eq1", "eq2", "eq3"):
             program = equation_program(_SCHEDULES[name], name)
-            units[name] = set(plan_and_synthesize(program).units)
+            units[name] = set(compiled(program).fused.units)
         assert units["eq1"] != units["eq2"]
         assert units["eq2"] != units["eq3"]

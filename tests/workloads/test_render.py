@@ -3,7 +3,6 @@ effectiveness, and TreeFuser comparison (paper §5.1)."""
 
 import pytest
 
-from repro.pipeline.stages import plan_and_synthesize
 from repro.runtime import ExecStats, Heap
 from repro.treefuser import lower_program, lower_tree
 from repro.workloads.render import (
@@ -16,7 +15,7 @@ from repro.workloads.render import (
     replicated_pages_spec,
 )
 from repro.workloads.render.schema import DEFAULT_GLOBALS
-from tests.fixtures import metered
+from tests.fixtures import compiled, metered
 
 PASSES = [
     "resolveFlexWidths",
@@ -39,7 +38,7 @@ def run_unfused(spec):
 
 def run_fused(spec):
     program = render_program()
-    fused = plan_and_synthesize(program)
+    fused = compiled(program).fused
     heap = Heap(program)
     doc = build_document(program, heap, spec)
     interp = metered(program, heap)
@@ -146,7 +145,7 @@ class TestFusionEffectiveness:
         interp.run_entry(doc)
         unfused_l2 = stats.miss_counts()["L2"]
 
-        fused = plan_and_synthesize(program)
+        fused = compiled(program).fused
         heap2 = Heap(program)
         doc2 = build_document(program, heap2, spec)
         stats2 = ExecStats(cache=paper_hierarchy(scale=64))
@@ -194,7 +193,7 @@ class TestTreeFuserComparison:
         spec = replicated_pages_spec(3)
         program = render_program()
         lowered = lower_program(program)
-        fused_low = plan_and_synthesize(lowered.program)
+        fused_low = compiled(lowered.program).fused
 
         def run(fused_mode):
             heap = Heap(lowered.program)
