@@ -213,3 +213,55 @@ def test_seed_765_global_argument_interleaving():
     snap_a, snap_b, interp_a, interp_b = run_both(program, build)
     assert snap_a == snap_b
     assert interp_a.globals == interp_b.globals
+
+
+def test_any_suffix_read_keeps_child_calls_apart():
+    """An end-to-end guard on the ANY suffix of a whole-object read.
+    ``weigh(this->kid.box)`` reads all of ``kid.box``, and the child's
+    ``put`` writes ``kid.box.x``: only the ANY suffix of the read path
+    makes the two intersect. That edge (put call → the ``weigh``
+    statement → measure call) keeps the two child calls apart. Without
+    it, fusion groups them, the statement runs before the child's
+    ``put``, and the leaf's ``w`` reads ``10*0 + 2`` instead of
+    ``10*1 + 2``."""
+    source = """
+    class Box { int x; int y; };
+    _pure_ int weigh(Box b);
+    _tree_ class N {
+        _child_ N* kid;
+        Box box;
+        int v = 0;
+        int w = 0;
+        _traversal_ virtual void put() {}
+        _traversal_ virtual void measure() {}
+    };
+    _tree_ class I : public N {
+        _traversal_ void put() {
+            this->kid->put();
+            this->box.x = 1;
+        }
+        _traversal_ void measure() {
+            this->v = this->w;
+            this->kid.w = weigh(this->kid.box);
+            this->kid->measure();
+        }
+    };
+    _tree_ class L : public N {
+        _traversal_ void put() { this->box.x = 1; }
+        _traversal_ void measure() { this->v = this->w; }
+    };
+    int main() { N* root = ...; root->put(); root->measure(); }
+    """
+    program = parse_program(
+        source,
+        pure_impls={"weigh": lambda b: 10 * b.get("x") + b.get("y")},
+    )
+
+    def build(p, heap):
+        box = ObjectValue("Box", {"x": 0, "y": 2})
+        leaf = Node.new(p, heap, "L", box=box)
+        return Node.new(p, heap, "I", kid=Node.new(p, heap, "I", kid=leaf))
+
+    snap_a, snap_b, _, _ = run_both(program, build)
+    assert snap_a == snap_b
+    assert snap_b["kid"]["kid"]["w"] == 12
