@@ -94,23 +94,12 @@ def compare_workload(
 
 
 def lowered_for(program: Program) -> LoweredProgram:
-    """The TreeFuser lowering alone — the ``lower`` pipeline pass's
-    unit artifact, addressed through the *same* key space a full
-    ``CompileOptions(lower=True)`` compile uses, so the two entry
-    points share one lowering per program content. Computed directly
-    when cold: callers that only need the tagged-union twin (LoC
-    reports, tree converters) never pay for analysis and fusion."""
-    from repro.pipeline import GLOBAL_CACHE, hash_program
-    from repro.pipeline.options import hash_text
-    from repro.treefuser.lowering import lower_program
-
-    key = ("lower", hash_text(f"lower\x00{hash_program(program)}"))
-    hit = GLOBAL_CACHE.fetch("unit", key)
-    if hit is not None:
-        return hit[0]
-    lowered = lower_program(program)
-    GLOBAL_CACHE.store("unit", key, lowered)
-    return lowered
+    """The TreeFuser lowering of *program*: the ``lower`` pass's artifact
+    from the same compile :func:`lowered_fused_for` runs, so the two
+    share one lowering per program content and the lower pass alone
+    keys it."""
+    options = CompileOptions(lower=True, emit=False)
+    return pipeline_compile(program, options=options).lowered
 
 
 def lowered_fused_for(program: Program) -> FusedProgram:
