@@ -12,10 +12,21 @@ the SHA-256 of ``repr(root.snapshot(program))``. That summary must
 also survive a pooled round trip with no run in between
 (``ForestPool.from_tree``, then ``write_back``).
 
+The harness compiles each case through ``repro.pipeline.compile``, once
+per layout, into a store of its own. Each case is then compiled again
+per layout with ``reuse_result=False`` through that store under a fresh
+memory tier, as a new process over the same store would: every unit
+must be served from the store (``plan_from_structure`` replays the
+plans, the emitted pieces are reused and assembled anew), and the
+printed fused program and both module sources must be byte-identical to
+the first compile's. The case's own memory tier is left out of the top
+because it also holds the built modules, which would come back as the
+same objects instead of being assembled from the pieces.
+
 Any divergence fails the job and prints the minimized replayable repro
 (also written to ``fuzz-repro-<seed>.json`` for download), which is the
-artifact a fix should commit as a named regression test. A digest or
-round-trip mismatch fails the job too, naming its seed.
+artifact a fix should commit as a named regression test. A digest,
+round-trip or replay mismatch fails the job too, naming its seed.
 
 Usage: python scripts/fuzz_smoke.py [cases] [start_seed]
 """
@@ -29,6 +40,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.frontend import parse_program  # noqa: E402
+from repro.fusion.fused_ir import print_fused_program  # noqa: E402
 from repro.fuzz import (  # noqa: E402
     LABELS,
     generate_case,
@@ -39,8 +51,10 @@ from repro.fuzz import (  # noqa: E402
 from repro.fuzz.generators import build_tree_from_dict  # noqa: E402
 from repro.interp import InterpretedModule  # noqa: E402
 from repro.layout import ForestPool  # noqa: E402
+from repro.pipeline import compile as pipeline_compile  # noqa: E402
 from repro.runtime import Heap  # noqa: E402
 from repro.service.batching import default_collect  # noqa: E402
+from repro.storage import MemoryTier, TieredStore  # noqa: E402
 
 
 def baseline_summaries(case) -> tuple[dict, str, dict]:
@@ -61,6 +75,40 @@ def baseline_summaries(case) -> tuple[dict, str, dict]:
     summary = default_collect(program, heap, root)
     ForestPool.from_tree(program, root).write_back(heap)
     return summary, nested.hexdigest(), default_collect(program, heap, root)
+
+
+def replay_mismatches(result) -> list[str]:
+    """Recompile each of the case's compiles from its store alone (see
+    the module docstring); what differs from the first compile, or how
+    many units the replay had to recompute, per layout."""
+    store = TieredStore([MemoryTier(), *result.store.tiers])
+    problems = []
+    for layout, first in result.compiles.items():
+        try:
+            again = pipeline_compile(
+                first.program,
+                options=first.options,
+                store=store,
+                reuse_result=False,
+            )
+        except Exception as exc:  # noqa: BLE001 - report, don't crash
+            problems.append(f"{layout}: {type(exc).__name__}: {exc}")
+            continue
+        misses = sum(t.detail.get("unit_misses", 0) for t in again.timings)
+        if misses:
+            problems.append(f"{layout}: {misses} unit(s) recomputed")
+        for what, old, new in (
+            (
+                "fused program",
+                print_fused_program(first.fused),
+                print_fused_program(again.fused),
+            ),
+            ("unfused source", first.unfused_source, again.unfused_source),
+            ("fused source", first.fused_source, again.fused_source),
+        ):
+            if old != new:
+                problems.append(f"{layout}: {what} differs")
+    return problems
 
 
 def main() -> int:
@@ -86,6 +134,7 @@ def main() -> int:
     failures = 0
     digest_failures = []
     round_trip_failures = []
+    replay_failures = []
     for count, seed in enumerate(seeds, 1):
         case = generate_case(seed, max_depth=corpus["max_depth"])
         summary, nested, round_tripped = baseline_summaries(case)
@@ -97,6 +146,10 @@ def main() -> int:
             print(f"seed {seed}: summary changed by a pooled round trip "
                   f"with no run: {summary} -> {round_tripped}")
         result = run_case(case)
+        replay = replay_mismatches(result)
+        if replay:
+            replay_failures.append(seed)
+            print(f"seed {seed}: replay from the store: {'; '.join(replay)}")
         if not result.ok:
             failures += 1
             small = minimize_case(result.case)
@@ -116,7 +169,8 @@ def main() -> int:
         f"fuzz smoke: {len(seeds)} cases in {time.time() - began:.1f}s, "
         f"{failures} divergence(s), "
         f"{len(digest_failures)} digest mismatch(es), "
-        f"{len(round_trip_failures)} round-trip mismatch(es)"
+        f"{len(round_trip_failures)} round-trip mismatch(es), "
+        f"{len(replay_failures)} replay mismatch(es)"
     )
     if failures:
         print("FAIL: executions diverged — commit the repro as a "
@@ -127,11 +181,15 @@ def main() -> int:
     if round_trip_failures:
         print(f"FAIL: a pooled round trip with no run changed the "
               f"summary for seeds {round_trip_failures}")
-    if failures or digest_failures or round_trip_failures:
+    if replay_failures:
+        print(f"FAIL: a recompile from the store differs from the first "
+              f"compile for seeds {replay_failures}")
+    if failures or digest_failures or round_trip_failures or replay_failures:
         return 1
     print("OK: interpreter, fused, and unfused agree under both layouts, "
-          "every served digest is the nested-repr digest, and a pooled "
-          "round trip keeps every summary")
+          "every served digest is the nested-repr digest, a pooled "
+          "round trip keeps every summary, and a recompile from the "
+          "store rebuilds every compile byte for byte")
     return 0
 
 
