@@ -11,8 +11,8 @@
 The fixpoint driver (outline/inline, reorder, recurse on new sequences,
 memoize by sequence label, stop at the termination cutoffs) is the
 pipeline's fusion and schedule passes, :mod:`repro.pipeline.stages`.
-Fuse a program with :func:`repro.pipeline.compile`; there is no other
-driver.
+Fuse a program with :func:`repro.pipeline.compile`; nothing else runs
+these passes.
 """
 
 from repro.fusion.fused_ir import (
