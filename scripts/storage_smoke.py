@@ -7,6 +7,8 @@ workload:
 
 1. **Process A** populates a store (``repro compile --cache-dir A``)
    and exports the emitted fused module as the byte-identity baseline.
+   The cold compile must have written one file per persisting pass
+   that computed units (a pack of them) plus the one result file.
 2. **Process B** compiles *warm through A as a PeerTier*: its own
    empty store plus ``--peer A``, with ``--explain`` so every pass
    demonstrably re-runs unit by unit. The fusion row of the unit
@@ -81,6 +83,38 @@ def serve(store: str) -> tuple[subprocess.Popen, str]:
     return server, f"http://127.0.0.1:{match.group(1)}"
 
 
+def stored(store: str) -> dict[str, set[str]]:
+    """The unit keys each pass holds in *store*, read through the
+    store's pack index (not by globbing its layout)."""
+    from repro.storage import FORMAT_VERSION
+    from repro.storage.disk import PackIndex
+
+    return PackIndex(pathlib.Path(store, f"v{FORMAT_VERSION}")).units()
+
+
+def check_cold_writes(store: str) -> None:
+    """One pack per persisting pass plus the one result: the files a
+    cold compile into an empty store writes."""
+    root = pathlib.Path(store)
+    files = [path for path in root.rglob("*") if path.is_file()]
+    packs = sorted(
+        path.parent.name for path in files if path.suffix == ".pack"
+    )
+    results = [path for path in files if path.suffix == ".pkl"]
+    passes = sorted(stored(store))
+    if (
+        packs != ["dependence", "emit", "fusion"]
+        or passes != packs
+        or len(results) != 1
+        or len(files) != len(packs) + 1
+    ):
+        raise SystemExit(
+            f"FAIL: the cold compile wrote {len(files)} files (packs of "
+            f"{packs}, {len(results)} results; units of {passes}), "
+            "expected one pack per persisting pass plus one result"
+        )
+
+
 def check_peer_compile(output: str, module: str, baseline: str,
                        via: str) -> tuple[int, int]:
     """Zero fusion recomputation, a nonzero peer column, and a module
@@ -128,11 +162,10 @@ def check_bytecode_reuse(store: str) -> None:
     """Process E stores the fused module's bytecode; process F, over
     E's store, loads it from disk and writes nothing."""
     exec_render(store)
-    units = pathlib.Path(store, "v1", "units", "bytecode")
-    stored = sorted(units.rglob("*.pkl"))
-    if len(stored) != 1:
+    bytecode = stored(store).get("bytecode", set())
+    if len(bytecode) != 1:
         raise SystemExit(
-            f"FAIL: E stored {len(stored)} bytecode units, expected the "
+            f"FAIL: E stored {len(bytecode)} bytecode units, expected the "
             "fused module's one"
         )
     counts = exec_render(store)["store"]
@@ -143,10 +176,10 @@ def check_bytecode_reuse(store: str) -> None:
     seen = {key: counts[key] for key in expected}
     if seen != expected:
         raise SystemExit(f"FAIL: F's store stats {seen} != {expected}")
-    if sorted(units.rglob("*.pkl")) != stored:
+    if stored(store).get("bytecode") != bytecode:
         raise SystemExit("FAIL: F changed E's bytecode units")
     print("storage_smoke: F ran E's stored bytecode "
-          f"({stored[0].stem[:12]}), compiled and wrote nothing")
+          f"({min(bytecode)[:12]}), compiled and wrote nothing")
 
 
 def main(argv: list[str]) -> int:
@@ -166,7 +199,9 @@ def main(argv: list[str]) -> int:
     # 1. process A populates its store and exports the baseline module
     run("compile", SOURCE, "--cache-dir", store_a,
         "--emit-python", module_a)
-    print(f"storage_smoke: store A populated at {store_a}")
+    check_cold_writes(store_a)
+    print(f"storage_smoke: store A populated at {store_a} (one pack per "
+          "persisting pass, one result)")
 
     # 2. process B: empty local store, A as a read-only peer. --explain
     # bypasses the whole-result cache so the per-pass reuse is visible.
@@ -206,12 +241,10 @@ def main(argv: list[str]) -> int:
     # 4. per-pass GC on A: fusion units go, everything else stays
     print(run("store", "gc", "--cache-dir", store_a, "--pass", "fusion"),
           end="")
-    remaining = [
-        str(path) for path in pathlib.Path(store_a).rglob("*.pkl")
-    ]
-    if any("/units/fusion/" in path for path in remaining):
+    remaining = stored(store_a)
+    if remaining.get("fusion"):
         raise SystemExit("FAIL: gc left fusion units behind")
-    if not any("/units/emit/" in path for path in remaining):
+    if not remaining.get("emit"):
         raise SystemExit("FAIL: gc was not pass-scoped (emit units gone)")
 
     # 5. process C compiles against the gc'd store: fusion recomputes,

@@ -111,38 +111,53 @@ def _argument_hazard(earlier: Vertex, candidate: Vertex) -> bool:
     )
 
 
-def _contracted_has_cycle(
-    graph: DependenceGraph, assignment: dict[int, int]
-) -> bool:
-    """Cycle check on the graph with vertices merged per *assignment*
-    (vertex index -> group id; ungrouped vertices map to themselves)."""
-    successors: dict[int, set[int]] = {}
-    for src, dsts in graph.succ.items():
-        src_group = assignment[src]
-        for dst in dsts:
-            dst_group = assignment[dst]
-            if src_group != dst_group:
-                successors.setdefault(src_group, set()).add(dst_group)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
+class Contraction:
+    """The dependence graph with each group contracted to one node,
+    kept across the candidates of one :func:`greedy_group` call.
 
-    def visit(node: int) -> bool:
-        color[node] = GRAY
-        for nxt in successors.get(node, ()):
-            state = color.get(nxt, WHITE)
-            if state == GRAY:
-                return True
-            if state == WHITE and visit(nxt):
-                return True
-        color[node] = BLACK
+    Nodes are named by a vertex index: a group by its leader's. The
+    graph's edges run forward in program order, so it starts as a DAG,
+    and only merges that keep it one are made. Merging two nodes of a
+    DAG closes a cycle exactly when a path of length two or more joins
+    them, in either direction (a direct edge becomes internal to the
+    merged node), so each tentative grouping asks that one question
+    instead of recoloring the whole contracted graph.
+    """
+
+    def __init__(self, graph: DependenceGraph):
+        self.succ = {node: set(dsts) for node, dsts in graph.succ.items()}
+        self.pred = {node: set(srcs) for node, srcs in graph.pred.items()}
+
+    def would_cycle(self, first: int, second: int) -> bool:
+        """Whether merging the two nodes would close a cycle."""
+        return self._joined(first, second) or self._joined(second, first)
+
+    def _joined(self, src: int, dst: int) -> bool:
+        """Whether a path of two or more edges leads from *src* to
+        *dst*."""
+        stack = [node for node in self.succ[src] if node != dst]
+        seen = set(stack)
+        while stack:
+            for nxt in self.succ[stack.pop()]:
+                if nxt == dst:
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
         return False
 
-    all_nodes = set(assignment.values())
-    for node in all_nodes:
-        if color.get(node, WHITE) == WHITE:
-            if visit(node):
-                return True
-    return False
+    def merge(self, keep: int, gone: int) -> None:
+        """Contract node *gone* into node *keep*."""
+        for dst in self.succ.pop(gone):
+            self.pred[dst].discard(gone)
+            if dst != keep:
+                self.succ[keep].add(dst)
+                self.pred[dst].add(keep)
+        for src in self.pred.pop(gone):
+            self.succ[src].discard(gone)
+            if src != keep:
+                self.pred[keep].add(src)
+                self.succ[src].add(keep)
 
 
 def greedy_group(
@@ -157,6 +172,7 @@ def greedy_group(
     verdicts.
     """
     assignment = {v.index: v.index for v in graph.vertices}
+    contraction = Contraction(graph)
     keys = {v.index: group_key(v) for v in graph.vertices}
     grouped: set[int] = set()
     groups: list[Group] = []
@@ -195,11 +211,10 @@ def greedy_group(
                 for m in members
             ):
                 continue
-            # tentative contraction
-            assignment[cand_index] = index
-            if _contracted_has_cycle(graph, assignment):
-                assignment[cand_index] = cand_index
+            if contraction.would_cycle(index, cand_index):
                 continue
+            contraction.merge(index, cand_index)
+            assignment[cand_index] = index
             members.append(cand_index)
             grouped.add(cand_index)
             if cand_slot not in slots:

@@ -20,7 +20,10 @@ order. The contract:
 
 The manager runs each pass's worklist to exhaustion, consulting the
 per-unit artifact layer (:class:`~repro.pipeline.units.UnitArtifacts`)
-for every keyed unit; hit/miss/disk counters land in the pass's
+for every keyed unit. Each computed unit is published to memory at
+once; a pass that sets ``persist_units`` has its computed units written
+to disk as one pack when its worklist is empty. Hit/miss/disk counters
+land in the pass's
 :class:`~repro.pipeline.options.PassTiming` detail — the numbers
 ``CompileResult.unit_report`` and ``repro compile --explain`` print.
 Control flow across passes stays deliberately linear — the pipeline's
@@ -220,6 +223,8 @@ class PassManager:
                         )
                 stage.install(pctx, unit, artifact)
                 span.set(hit=cached)
+        if pctx.units is not None:
+            pctx.units.flush(stage.name)
         detail = dict(stage.finish(pctx) or {})
         if pctx.units is not None:
             detail.update(pctx.units.counters(stage.name))

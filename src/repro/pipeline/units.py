@@ -51,6 +51,7 @@ class UnitIndex:
         self._closure_hashes: dict[str, str] = {}
         self._analysis_closure_hashes: dict[str, str] = {}
         self._adjacency: Optional[dict[str, tuple[str, ...]]] = None
+        self._by_name = {m.qualified_name: m for m in program.all_methods()}
         self.schema_hash = self._schema_hash()
         self.plan_sig = self._plan_sig()
 
@@ -208,12 +209,9 @@ class UnitIndex:
         cached = self._closure_hashes.get(name)
         if cached is not None:
             return cached
-        by_name = {
-            m.qualified_name: m for m in self.program.all_methods()
-        }
         digest = hash_text(
             "\n".join(
-                f"{n}={self.method_hash(by_name[n])}"
+                f"{n}={self.method_hash(self._by_name[n])}"
                 for n in sorted(self._reachable(name))
             )
         )
@@ -229,12 +227,9 @@ class UnitIndex:
         cached = self._analysis_closure_hashes.get(name)
         if cached is not None:
             return cached
-        by_name = {
-            m.qualified_name: m for m in self.program.all_methods()
-        }
         digest = hash_text(
             "\n".join(
-                f"{n}={self.analysis_hash(by_name[n], analysis_ctx)}"
+                f"{n}={self.analysis_hash(self._by_name[n], analysis_ctx)}"
                 for n in sorted(self._reachable(name))
             )
         )
@@ -295,13 +290,16 @@ class UnitArtifacts:
     any peers); the store promotes lower-tier hits upward, and this
     view attributes each hit to the tier that served it — the
     ``unit_disk_hits`` / ``unit_peer_hits`` numbers in the pass timing
-    details. Publishing lands in memory always and spills to disk only
-    for passes that opt in (``persist_units``) on persisting stores.
+    details. Publishing lands in memory at once; the units of passes
+    that opt in (``persist_units``) wait for :meth:`flush`, which
+    writes them to disk, on persisting stores, as one pack per pass.
     """
 
     def __init__(self, tiers):
         self.tiers = tiers
         self.counts: dict[str, dict[str, int]] = {}
+        # pass name -> [(key, artifact)] published but not yet on disk
+        self._pending: dict[str, list] = {}
 
     def _count(self, pass_name: str) -> dict[str, int]:
         return self.counts.setdefault(
@@ -331,7 +329,15 @@ class UnitArtifacts:
     def publish(
         self, pass_name: str, key: str, artifact, spill: bool = False
     ) -> None:
-        self.tiers.put_unit(pass_name, key, artifact, spill=spill)
+        """One computed unit into memory now; with ``spill``, onto disk
+        at the pass's :meth:`flush`."""
+        self.tiers.put_unit(pass_name, key, artifact)
+        if spill:
+            self._pending.setdefault(pass_name, []).append((key, artifact))
+
+    def flush(self, pass_name: str) -> None:
+        """Write the pass's spilled units as one pack."""
+        self.tiers.put_units(pass_name, self._pending.pop(pass_name, ()))
 
     def counters(self, pass_name: str) -> dict[str, int]:
         """The pass's counters — hit/miss always, the per-tier

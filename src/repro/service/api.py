@@ -77,7 +77,7 @@ from repro import __version__, obs
 from repro.api.session import Session
 from repro.pipeline import CompileOptions
 from repro.service.executor import RequestResult
-from repro.storage import artifact_path, route_key
+from repro.storage import route_key
 
 
 # ===========================================================================
@@ -445,10 +445,7 @@ class TraversalService:
         store = self.session.store
         if store is None:
             return None
-        try:
-            return (store.dir / artifact_path(kind, key)).read_bytes()
-        except OSError:
-            return None
+        return store.payload(kind, key)
 
     def recompile_workload(
         self,

@@ -6,8 +6,9 @@ compile cache, the on-disk artifact store, and remote warm sources:
 * :class:`MemoryTier` — the in-process layer: a byte-budgeted LRU over
   compile results, exec'd module artifacts, and per-unit pass
   artifacts (``repro.pipeline.GLOBAL_CACHE`` is the shared one).
-* :class:`DiskTier` — the durable layer: the v1 content-addressed
-  artifact directory with atomic writes, LRU byte-budget eviction,
+* :class:`DiskTier` — the durable layer: the v2 content-addressed
+  artifact directory, one file per result and one pack file per pass
+  publication of units, with atomic writes, LRU byte-budget eviction,
   compaction, and per-pass GC (:func:`disk_tier_for` shares one
   instance per directory).
 * :class:`PeerTier` — a read-only warm source: a second store root or
@@ -27,8 +28,9 @@ Every tier has one read and one write, keyed by artifact kind
 ``(artifact, blob)`` — ``blob`` being the payload bytes a durable tier
 read, ``None`` from memory — or ``None``; ``store(kind, key, artifact,
 blob=None, promoted=False)`` adopts one. The durable address (the
-``v1/`` file layout and the ``/artifact`` routes) and the exchange
-format (versioned pickled payloads) live in :mod:`repro.storage.base`,
+``v2/`` layout of result files and unit packs, and the ``/artifact``
+routes) and the exchange format (versioned pickled payloads, and the
+pack that holds many of them) live in :mod:`repro.storage.base`,
 shared by disk files, peer fetches, and the service's ``/artifact``
 endpoint.
 """

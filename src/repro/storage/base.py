@@ -23,29 +23,38 @@ process-local kind, ``"module"``: exec'd module objects, which never
 leave the process.)
 
 Durable tiers share everything below the protocol: where an artifact
-lives under a store's ``v1/`` directory (:func:`artifact_path`), which
-``/artifact/...`` route serves it (:func:`artifact_route` and its
-inverse :func:`route_key`), and the versioned pickled payload it is
-stored as (:func:`encode` / :func:`decode`). The disk tier (files), the
-peer tier (files or HTTP bodies), and the service's ``/artifact``
-endpoint all go through them — which is what makes a store directory, a
-mounted copy of it, and a remote server's cache interchangeable warm
-sources. Both the format version *and* the repro version are checked on
-decode: pickled records mirror in-memory class layouts, so a foreign
-entry is a clean miss, never an attribute-drift surprise at run time.
+lives under a store's ``v2/`` directory, which ``/artifact/...`` route
+serves it (:func:`artifact_route` and its inverse :func:`route_key`),
+and the versioned pickled payload it is stored as (:func:`encode` /
+:func:`decode`). A result is one file (:func:`artifact_path`); units
+live in *packs*, one file per pass per publication
+(:func:`pack_path`): a header maps each unit key to the offset and
+length of its payload, and the payloads follow (:func:`encode_pack` /
+:func:`read_pack_header`). The disk tier (files), the peer tier (files
+or HTTP bodies), and the service's ``/artifact`` endpoint all go
+through them — which is what makes a store directory, a mounted copy of
+it, and a remote server's cache interchangeable warm sources. Both the
+format version *and* the repro version are checked on decode: pickled
+records mirror in-memory class layouts, so a foreign entry is a clean
+miss, never an attribute-drift surprise at run time.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
 import pickle
+import struct
 from dataclasses import replace
 from typing import NamedTuple, Optional, Protocol, runtime_checkable
 
 from repro import __version__
 
-#: Version prefix of the on-disk layout (``<root>/v1/...``). Bump it
-#: only with a new directory shape; existing v1 stores stay readable.
-FORMAT_VERSION = 1
+#: Version prefix of the on-disk layout (``<root>/v2/...``), also
+#: stamped into every payload and pack header. Bump it with a new
+#: directory shape: a store of another version is a clean miss, and
+#: ``DiskTier.compact`` reclaims its tree.
+FORMAT_VERSION = 2
 
 RESULT = "result"
 UNIT = "unit"
@@ -103,7 +112,9 @@ class Tier(Protocol):
     a :class:`TieredStore` promotes a peer hit onto the local disk as
     the peer's exact bytes (no re-pickle on the cross-process warm
     path); ``promoted`` tells the memory tier that a lookup it missed
-    was served from below.
+    was served from below. A writable durable tier also takes
+    ``store_pack(pass_name, units)``: one pass's ``(key, artifact, blob
+    or None)`` units written as one pack.
     """
 
     kind: str
@@ -151,20 +162,35 @@ def _addressable(kind: str, first: str, second: str) -> bool:
 
 
 def artifact_path(kind: str, key) -> str:
-    """Where one artifact lives under a store's ``v1/`` directory::
+    """Where one result lives under a store's ``v2/`` directory::
 
-        result  <source_hash[:2]>/<source_hash>-<options_hash>.pkl
-        unit    units/<pass>/<unit_key[:2]>/<unit_key>.pkl
+        <source_hash[:2]>/<source_hash>-<options_hash>.pkl
 
-    Glob wildcards pass through (``("*", "*")`` is every artifact of a
-    kind), which is how the disk tier's eviction and GC sweeps find
-    them."""
+    Glob wildcards pass through (``("*", "*")`` is every result), which
+    is how the disk tier's eviction and GC sweeps find them. Units have
+    no file of their own: see :func:`pack_path`."""
+    if kind != RESULT:
+        raise ValueError(f"{kind!r} artifacts have no file of their own")
     first, second = key
-    if kind == RESULT:
-        return f"{first[:2]}/{first}-{second}.pkl"
-    if kind == UNIT:
-        return f"units/{first}/{second[:2]}/{second}.pkl"
-    raise ValueError(f"{kind!r} artifacts have no durable address")
+    return f"{first[:2]}/{first}-{second}.pkl"
+
+
+def pack_dir(pass_name: str) -> str:
+    """The directory, under a store's ``v2/``, of one pass's packs."""
+    return f"units/{pass_name}"
+
+
+def pack_path(pass_name: str, keys) -> str:
+    """Where the pack of one pass's units *keys* lives::
+
+        units/<pass>/<sha256 of the pass and the sorted keys>.pack
+
+    The name depends on the keys alone, so two writers of the same
+    units publish the same file."""
+    digest = hashlib.sha256(
+        "\x00".join((pass_name, *sorted(keys))).encode()
+    ).hexdigest()
+    return f"{pack_dir(pass_name)}/{digest}.pack"
 
 
 def artifact_route(kind: str, key) -> Optional[str]:
@@ -228,3 +254,53 @@ def decode(kind: str, blob: bytes):
             f"repro {payload.get('repro')!r} != {__version__}"
         )
     return payload[kind]
+
+
+# ===========================================================================
+# packs (many units' payloads in one file)
+# ===========================================================================
+
+# magic, format version, unit count; then per unit its key's 32 digest
+# bytes, its payload's offset from the start of the file, and its length
+_PACK_HEAD = struct.Struct("<4sHI")
+_PACK_SLOT = struct.Struct("<32sII")
+_PACK_MAGIC = b"RPAK"
+
+
+def encode_pack(blobs: dict[str, bytes]) -> tuple[bytes, dict]:
+    """One pack of unit payloads (``{unit key: encode("unit", ...)}``):
+    its bytes and ``{unit key: (offset, length)}``. The payloads are
+    stored verbatim, in key order, after the header."""
+    keys = sorted(blobs)
+    offset = _PACK_HEAD.size + _PACK_SLOT.size * len(keys)
+    slots = {}
+    header = [_PACK_HEAD.pack(_PACK_MAGIC, FORMAT_VERSION, len(keys))]
+    for key in keys:
+        length = len(blobs[key])
+        slots[key] = (offset, length)
+        header.append(_PACK_SLOT.pack(bytes.fromhex(key), offset, length))
+        offset += length
+    return b"".join([*header, *(blobs[key] for key in keys)]), slots
+
+
+def read_pack_header(handle) -> dict[str, tuple[int, int]]:
+    """``{unit key: (offset, length)}`` from an open pack file. Raises
+    ``ValueError`` on a header that is not a current-format pack's or
+    that names bytes past the end of the file."""
+    size = os.fstat(handle.fileno()).st_size
+    head = handle.read(_PACK_HEAD.size)
+    if len(head) != _PACK_HEAD.size:
+        raise ValueError("truncated pack header")
+    magic, version, count = _PACK_HEAD.unpack(head)
+    if magic != _PACK_MAGIC or version != FORMAT_VERSION:
+        raise ValueError("not a current-format pack")
+    end = _PACK_HEAD.size + _PACK_SLOT.size * count
+    table = handle.read(end - _PACK_HEAD.size) if end <= size else b""
+    if len(table) != end - _PACK_HEAD.size:
+        raise ValueError("truncated pack header")
+    slots = {}
+    for digest, offset, length in _PACK_SLOT.iter_unpack(table):
+        if offset < end or offset + length > size:
+            raise ValueError("pack slot past the end of the file")
+        slots[digest.hex()] = (offset, length)
+    return slots

@@ -1,17 +1,18 @@
 """The durable tier: a persistent, content-addressed artifact directory.
 
-The v1 layout, atomic temp-file + ``os.replace`` publishes, LRU
+The v2 layout, atomic temp-file + ``os.replace`` publishes, LRU
 byte-budget eviction, and a compaction sweep, behind the
-:class:`~repro.storage.base.Tier` face (``fetch``/``store``) plus
-per-pass :meth:`gc` — which is how the
-:class:`~repro.storage.tiered.TieredStore` composes a disk directory
-with the memory LRU above it and read-only peers below.
+:class:`~repro.storage.base.Tier` face (``fetch``/``store``, plus
+``store_pack`` for a pass's units) and per-pass :meth:`gc` — which is
+how the :class:`~repro.storage.tiered.TieredStore` composes a disk
+directory with the memory LRU above it and read-only peers below.
 
 Layout (versioned so future formats never misread old files; see
-:func:`~repro.storage.base.artifact_path`)::
+:func:`~repro.storage.base.artifact_path` and
+:func:`~repro.storage.base.pack_path`)::
 
-    <root>/v1/<source_hash[:2]>/<source_hash>-<options_hash>.pkl
-    <root>/v1/units/<pass>/<unit_key[:2]>/<unit_key>.pkl
+    <root>/v2/<source_hash[:2]>/<source_hash>-<options_hash>.pkl
+    <root>/v2/units/<pass>/<pack name>.pack
 
 The first shape is a full :class:`CompileResult` keyed on ``(source
 hash, options hash)`` (``CompileOptions.options_hash``). Options hold
@@ -19,26 +20,33 @@ only what shapes the output — where a result is stored is the store's
 business, never a key's — so a ``persist=False`` reader hits entries a
 ``persist=True`` writer left, and a store directory keeps working after
 being moved, mounted elsewhere, or exported to another host. The second
-is one pass's artifact for one *compilation unit* (see
-:mod:`repro.pipeline.units`), which is how an edited workload's
-recompile reuses the unchanged units other processes compiled.
+is a *pack*: the artifacts one pass computed for its *compilation
+units* (see :mod:`repro.pipeline.units`) in one compile, which is how
+an edited workload's recompile reuses the unchanged units other
+processes compiled. A pack's header maps each unit key to its payload's
+offset and length; every other durable unit write (a module's bytecode
+at its first run, a peer hit promoted onto this disk) is a one-unit
+pack. A :class:`PackIndex` finds units: a lookup that misses lists the
+pass's pack directory and reads the headers of packs it has not seen.
 
-Each file is one payload from :mod:`repro.storage.base` — both the
-format and the repro version are checked on load, so an entry written
-by a different repro version is a clean miss (and deleted) rather than
-an attribute-drift surprise. Compiled modules travel as generated
-source (their exec'd namespaces rebuild lazily on first run — see
-``codegen.python_backend``), so a warm-store compile costs a file read
-plus an unpickle, not a module exec; that first run loads the module's
-bytecode from its ``units/bytecode/`` unit when the store holds one.
+Each result file and each unit payload is one payload from
+:mod:`repro.storage.base` — both the format and the repro version are
+checked on load, so an entry written by a different repro version is a
+clean miss (and deleted) rather than an attribute-drift surprise.
+Compiled modules travel as generated source (their exec'd namespaces
+rebuild lazily on first run — see ``codegen.python_backend``), so a
+warm-store compile costs a file read plus an unpickle, not a module
+exec; that first run loads the module's bytecode from its
+``units/bytecode/`` pack when the store holds one.
 
 Concurrency: writes go to a temp file in the destination directory and
 are published with ``os.replace`` (atomic on POSIX), so a reader never
-observes a half-written artifact and two processes racing to spill the
-same key both leave a complete file. Corrupt or unreadable entries are
-deleted and treated as misses. Eviction is LRU by file mtime under a
-total byte budget; ``fetch`` touches the file's mtime so recently
-served artifacts survive.
+observes a half-written file and two processes racing to publish the
+same result or the same units both leave a complete file. A pack that
+changed since its header was read is read again. Corrupt or unreadable
+files are deleted and treated as misses. Eviction is LRU by file mtime
+(a pack's, for its units) under a total byte budget; ``fetch`` touches
+the file it read so recently served artifacts survive.
 
 Results whose programs carry non-portable pure-function impls (lambdas,
 closures — anything keyed by ``id()``, see
@@ -54,7 +62,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.storage.base import (
     FORMAT_VERSION,
@@ -64,7 +72,12 @@ from repro.storage.base import (
     counter_name,
     decode,
     encode,
+    encode_pack,
+    is_content_hash,
     is_safe_pass_name,
+    pack_dir,
+    pack_path,
+    read_pack_header,
 )
 
 _DEFAULT_MAX_BYTES = 256 * 1024 * 1024
@@ -73,8 +86,11 @@ _DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 # be a concurrent writer between mkstemp and os.replace
 _TMP_GRACE_SECONDS = 60.0
 
-# every stored artifact of each kind, for the eviction and GC sweeps
-_GLOBS = {kind: artifact_path(kind, ("*", "*")) for kind in (RESULT, UNIT)}
+# every stored file of each kind, for the eviction and GC sweeps
+_GLOBS = {
+    RESULT: artifact_path(RESULT, ("*", "*")),
+    UNIT: f"{pack_dir('*')}/*.pack",
+}
 
 _COUNTERS = (
     "spills", "spill_skips", "spill_errors", "loads", "load_misses",
@@ -83,6 +99,220 @@ _COUNTERS = (
     "compacted_entries", "compacted_bytes", "gc_runs", "gc_removed",
     "gc_reclaimed_bytes",
 )
+
+
+class BadPack(Exception):
+    """The pack that the index names for a unit cannot be read."""
+
+
+def _identity(stat) -> tuple[int, int]:
+    """What tells one pack file from a rewrite of it under its name."""
+    return stat.st_ino, stat.st_size
+
+
+class PackIndex:
+    """Where each unit of one store directory lies: ``(pass, unit key)``
+    -> ``(pack path, offset, length)``, read from pack headers.
+
+    Built lazily, one pass at a time: a lookup that misses lists
+    ``units/<pass>/`` and reads the headers of the packs it has not
+    seen yet (and forgets the ones no longer listed), so a process that
+    only loads bytecode reads only the bytecode packs' headers. A pack
+    whose file changed since its header was read (a writer replaced it
+    under the same name) is read again before a payload is sliced out
+    of it; one that is gone is a miss.
+
+    A *bad* pack — a header that is not a current-format pack's, or a
+    payload cut short — is reported to *on_bad* once, outside the
+    index's lock. With *prune* (a writable store) its file is deleted;
+    without (a read-only peer's directory) it stays, and the index never
+    reads it again.
+    """
+
+    def __init__(
+        self,
+        root: Path,
+        on_bad: Callable[[], None] = lambda: None,
+        prune: bool = False,
+    ):
+        self.root = Path(root)
+        self._on_bad = on_bad
+        self.prune = prune
+        self._lock = threading.Lock()
+        # pass -> {pack path: its identity when its header was read};
+        # None marks a bad pack a read-only index keeps away from
+        self._seen: dict[str, dict[Path, Optional[tuple[int, int]]]] = {}
+        # pack path -> the units its header named
+        self._held: dict[Path, tuple[tuple[str, str], ...]] = {}
+        self._slots: dict[tuple[str, str], tuple[Path, int, int]] = {}
+        self._unreported = 0
+
+    # -- what a writer and the sweeps tell the index --------------------
+
+    def add(self, pack: Path, pass_name: str, slots: dict, identity):
+        """Index a pack this process just published."""
+        with self._lock:
+            self._install(pack, pass_name, slots, identity)
+
+    def forget(self, pack: Path) -> None:
+        """Drop a pack whose file was deleted."""
+        with self._lock:
+            self._drop(pack)
+
+    def discard(self, pack: Path) -> None:
+        """A pack whose payload failed to decode: dropped (and deleted
+        when pruning) without a report — its reader counts it."""
+        with self._lock:
+            self._bad(pack, report=False)
+
+    # -- lookups --------------------------------------------------------
+
+    def locate(self, pass_name: str, key: str):
+        """``(pack path, offset, length)`` of one unit, or ``None``."""
+        if not (is_safe_pass_name(pass_name) and is_content_hash(key)):
+            return None
+        with self._lock:
+            slot = self._slots.get((pass_name, key))
+            if slot is None and self._scan(pass_name):
+                slot = self._slots.get((pass_name, key))
+        self._report()
+        return slot
+
+    def read(self, pass_name: str, key: str):
+        """``(payload blob, pack path)`` of one unit, or ``None`` when no
+        pack holds it. Raises :class:`BadPack` when the pack the index
+        names for it is bad (reported, and pruned, already)."""
+        slot = self.locate(pass_name, key)
+        if slot is None:
+            return None
+        pack, offset, length = slot
+        try:
+            return self._slice(pack, pass_name, key, offset, length)
+        finally:
+            self._report()
+
+    def _slice(self, pack, pass_name, key, offset, length):
+        with self._lock:
+            try:
+                with open(pack, "rb") as handle:
+                    identity = _identity(os.fstat(handle.fileno()))
+                    if identity != self._seen.get(pass_name, {}).get(pack):
+                        # rewritten under its name: read it again
+                        self._drop(pack)
+                        slots = read_pack_header(handle)
+                        self._install(pack, pass_name, slots, identity)
+                        if key not in slots:
+                            return None
+                        offset, length = slots[key]
+                    handle.seek(offset)
+                    blob = handle.read(length)
+            except FileNotFoundError:
+                # deleted by another process's eviction or gc
+                self._drop(pack)
+                return None
+            except (OSError, ValueError):
+                self._bad(pack)
+                raise BadPack(pack) from None
+            if len(blob) != length:
+                self._bad(pack)
+                raise BadPack(pack)
+        return blob, pack
+
+    def units(self) -> dict[str, set[str]]:
+        """Every indexed unit key by pass, after reading every pack
+        header not read yet."""
+        with self._lock:
+            self._scan(None)
+            held: dict[str, set[str]] = {}
+            for pass_name, key in self._slots:
+                held.setdefault(pass_name, set()).add(key)
+        self._report()
+        return held
+
+    def _report(self) -> None:
+        """Hand the bad packs found under the lock to *on_bad*, which
+        may take its tier's own lock."""
+        if not self._unreported:
+            return
+        with self._lock:
+            count, self._unreported = self._unreported, 0
+        for _ in range(count):
+            self._on_bad()
+
+    # -- internals (lock held) ------------------------------------------
+
+    def _install(self, pack, pass_name, slots, identity) -> None:
+        self._drop(pack)
+        self._seen.setdefault(pass_name, {})[pack] = identity
+        self._held[pack] = tuple((pass_name, key) for key in slots)
+        for key, (offset, length) in slots.items():
+            self._slots[(pass_name, key)] = (pack, offset, length)
+
+    def _drop(self, pack) -> None:
+        self._seen.get(pack.parent.name, {}).pop(pack, None)
+        for unit in self._held.pop(pack, ()):
+            if self._slots.get(unit, (None,))[0] == pack:
+                del self._slots[unit]
+
+    def _bad(self, pack, report: bool = True) -> None:
+        self._drop(pack)
+        if report:
+            self._unreported += 1
+        if self.prune:
+            try:
+                pack.unlink()
+            except OSError:
+                pass
+        else:
+            self._seen.setdefault(pack.parent.name, {})[pack] = None
+
+    def _scan(self, pass_name: Optional[str]) -> bool:
+        """Read the headers of unseen packs — of one pass, or of every
+        pass — forget the packs no longer there, and say whether any
+        header was read."""
+        units = self.root / "units"
+        if pass_name is not None:
+            names = [pass_name]
+        else:
+            try:
+                names = [
+                    entry.name
+                    for entry in os.scandir(units)
+                    if entry.is_dir() and is_safe_pass_name(entry.name)
+                ]
+            except OSError:
+                names = []
+            # a pass whose directory went away forgets its packs too
+            names += [name for name in self._seen if name not in names]
+        found = False
+        for name in names:
+            try:
+                entries = [
+                    Path(entry.path)
+                    for entry in os.scandir(units / name)
+                    if entry.name.endswith(".pack")
+                ]
+            except OSError:
+                entries = []
+            known = self._seen.get(name, {})
+            listed = set(entries)
+            for gone in [pack for pack in known if pack not in listed]:
+                self._drop(gone)
+            for pack in entries:
+                if pack in known:
+                    continue
+                try:
+                    with open(pack, "rb") as handle:
+                        identity = _identity(os.fstat(handle.fileno()))
+                        slots = read_pack_header(handle)
+                except FileNotFoundError:
+                    continue
+                except (OSError, ValueError):
+                    self._bad(pack)
+                    continue
+                self._install(pack, name, slots, identity)
+                found = True
+        return found
 
 
 class DiskTier:
@@ -105,14 +335,19 @@ class DiskTier:
         self._bytes_since_scan = 0
         self._scanned = False
         self.counts = dict.fromkeys(_COUNTERS, 0)
+        self.packs = PackIndex(
+            self.dir,
+            on_bad=lambda: self._count(UNIT, "load_errors"),
+            prune=True,
+        )
 
     @property
     def label(self) -> str:
         return f"disk:{self.root}"
 
-    def _count(self, kind: str, name: str) -> None:
+    def _count(self, kind: str, name: str, by: int = 1) -> None:
         with self._lock:
-            self.counts[counter_name(kind, name)] += 1
+            self.counts[counter_name(kind, name)] += by
 
     # -- the Tier face --------------------------------------------------
 
@@ -120,25 +355,35 @@ class DiskTier:
         """``(artifact, payload blob)`` or ``None``. The blob is the
         exact bytes on disk, which a :class:`TieredStore` hands to
         another durable tier's ``store`` so promotion costs a file
-        write, not a re-pickle. Touches the entry's mtime (LRU
-        recency); removes entries that fail to deserialize or were
-        written by a different format/repro version."""
-        path = self.dir / artifact_path(kind, key)
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            self._count(kind, "load_misses")
-            return None
+        write, not a re-pickle. Touches the file it read (LRU recency);
+        removes files that fail to deserialize or were written by a
+        different format/repro version."""
+        if kind == UNIT:
+            try:
+                found = self.packs.read(*key)
+            except BadPack:
+                return None  # counted as a load error by the index
+            if found is None:
+                self._count(kind, "load_misses")
+                return None
+            blob, path = found
+        else:
+            path = self.dir / artifact_path(kind, key)
+            try:
+                blob = path.read_bytes()
+            except OSError:
+                self._count(kind, "load_misses")
+                return None
         try:
             artifact = decode(kind, blob)
         except Exception:
             # a corrupt/foreign file is a miss; drop it so it cannot
             # keep failing (and cannot count against the byte budget)
             self._count(kind, "load_errors")
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            if kind == UNIT:
+                self.packs.discard(path)
+            else:
+                self._unlink(path)
             return None
         try:
             os.utime(path)
@@ -146,6 +391,21 @@ class DiskTier:
             pass
         self._count(kind, "loads")
         return artifact, blob
+
+    def payload(self, kind: str, key) -> Optional[bytes]:
+        """The stored payload bytes of one artifact, or ``None`` — what
+        the service's ``GET /artifact/...`` answers. Counts and touches
+        nothing."""
+        if kind == UNIT:
+            try:
+                found = self.packs.read(*key)
+            except BadPack:
+                return None
+            return None if found is None else found[0]
+        try:
+            return (self.dir / artifact_path(kind, key)).read_bytes()
+        except OSError:
+            return None
 
     def store(
         self, kind: str, key, artifact, blob: Optional[bytes] = None,
@@ -158,7 +418,8 @@ class DiskTier:
         ``spill_skips``); unit artifacts (fusion plans, emitted module
         functions) never embed pure-function impls — generated code
         binds them at run time through ``RT.pure`` — so they are always
-        portable. Serialization/IO failures are counted in
+        portable, and one is written as a one-unit pack
+        (:meth:`store_pack`). Serialization/IO failures are counted in
         ``spill_errors``/``unit_spill_errors`` and never propagate —
         persistence is an optimization, not a correctness requirement.
         ``blob`` short-circuits serialization with an already-encoded
@@ -166,34 +427,70 @@ class DiskTier:
         or another store are republished verbatim). ``promoted`` makes
         no difference here.
         """
-        if kind == RESULT:
-            from repro.pipeline.options import impls_portable
+        if kind == UNIT:
+            pass_name, unit_key = key
+            return self.store_pack(
+                pass_name, [(unit_key, artifact, blob)]
+            ) == 1
+        from repro.pipeline.options import impls_portable
 
-            if artifact.program is None or not impls_portable(
-                artifact.program
-            ):
-                self._count(kind, "spill_skips")
-                return False
+        if artifact.program is None or not impls_portable(
+            artifact.program
+        ):
+            self._count(kind, "spill_skips")
+            return False
         if blob is None:
             try:
                 blob = encode(kind, artifact)
             except Exception:
                 self._count(kind, "spill_errors")
                 return False
-        if not self._publish(self.dir / artifact_path(kind, key), blob):
+        if self._publish(self.dir / artifact_path(kind, key), blob) is None:
             self._count(kind, "spill_errors")
             return False
-        with self._lock:
-            self.counts[counter_name(kind, "spills")] += 1
-            scan = self._account(len(blob))
-        if scan:
-            self.evict()
+        self._spilled(kind, 1, len(blob))
         return True
+
+    def store_pack(self, pass_name: str, units) -> int:
+        """Persist one pass's units as one pack (atomic publish;
+        best-effort): *units* are ``(unit key, artifact, blob or
+        None)`` triples, each blob an already-encoded payload. Returns
+        how many units the pack holds; a unit that fails to serialize
+        is left out and counted in ``unit_spill_errors``, as is every
+        unit of a pack that could not be written."""
+        blobs = {}
+        for unit_key, artifact, blob in units:
+            if not (is_safe_pass_name(pass_name) and is_content_hash(
+                unit_key
+            )):
+                # a pack names its units by their 32 digest bytes, and
+                # lands under a directory named after its pass
+                self._count(UNIT, "spill_errors")
+                continue
+            if blob is None:
+                try:
+                    blob = encode(UNIT, artifact)
+                except Exception:
+                    self._count(UNIT, "spill_errors")
+                    continue
+            blobs[unit_key] = blob
+        if not blobs:
+            return 0
+        data, slots = encode_pack(blobs)
+        path = self.dir / pack_path(pass_name, blobs)
+        identity = self._publish(path, data)
+        if identity is None:
+            self._count(UNIT, "spill_errors", len(blobs))
+            return 0
+        self.packs.add(path, pass_name, slots, identity)
+        self._spilled(UNIT, len(blobs), len(data))
+        return len(blobs)
 
     # -- write ----------------------------------------------------------
 
-    def _publish(self, path: Path, blob: bytes) -> bool:
-        """Atomic write (temp file + ``os.replace``); best-effort."""
+    def _publish(self, path: Path, data: bytes):
+        """Atomic write (temp file + ``os.replace``); best-effort. The
+        file's identity (see :class:`PackIndex`), or ``None``."""
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(
@@ -201,7 +498,9 @@ class DiskTier:
             )
             try:
                 with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
+                    handle.write(data)
+                    handle.flush()
+                    identity = _identity(os.fstat(handle.fileno()))
                 os.replace(tmp_name, path)
             except BaseException:
                 try:
@@ -210,8 +509,15 @@ class DiskTier:
                     pass
                 raise
         except OSError:
-            return False
-        return True
+            return None
+        return identity
+
+    def _spilled(self, kind: str, count: int, size: int) -> None:
+        with self._lock:
+            self.counts[counter_name(kind, "spills")] += count
+            scan = self._account(size)
+        if scan:
+            self.evict()
 
     def _account(self, size: int) -> bool:
         """Grow the running byte estimate; True when a scan is due.
@@ -221,14 +527,23 @@ class DiskTier:
         self._bytes_since_scan += size
         return not self._scanned or self._bytes_since_scan > self.max_bytes
 
+    def _unlink(self, path: Path) -> bool:
+        """Delete one stored file, and its units from the index."""
+        try:
+            path.unlink()
+        except OSError:
+            return False
+        if path.suffix == ".pack":
+            self.packs.forget(path)
+        return True
+
     # -- eviction -------------------------------------------------------
 
     def _entries(
         self, patterns: tuple[str, ...] = tuple(_GLOBS.values())
     ) -> list[tuple[float, int, Path]]:
-        """(mtime, size, path) for stored artifacts — by default both
-        full results and per-unit pass artifacts, which share one LRU
-        byte budget."""
+        """(mtime, size, path) for stored files — by default both full
+        results and unit packs, which share one LRU byte budget."""
         entries = []
         for pattern in patterns:
             for path in self.dir.glob(pattern):
@@ -240,7 +555,7 @@ class DiskTier:
         return entries
 
     def evict(self) -> int:
-        """Delete least-recently-used artifacts until the store fits the
+        """Delete least-recently-used files until the store fits the
         byte budget. Returns the number of files removed."""
         with self._lock:
             entries = self._entries()
@@ -249,9 +564,7 @@ class DiskTier:
             for _, size, path in sorted(entries):
                 if total <= self.max_bytes:
                     break
-                try:
-                    path.unlink()
-                except OSError:
+                if not self._unlink(path):
                     continue
                 total -= size
                 removed += 1
@@ -270,11 +583,11 @@ class DiskTier:
     ) -> dict:
         """Policy-driven reclamation the LRU sweep can't express.
 
-        ``pass_name`` scopes the sweep to one pass's unit artifacts
+        ``pass_name`` scopes the sweep to one pass's unit packs
         (``units/<pass>/``), leaving every other pass's units and all
         full results untouched; without it the scope is the whole store.
-        ``max_age_seconds`` drops scope entries whose mtime is older
-        than that (0 drops the whole scope); ``max_bytes`` LRU-trims the
+        ``max_age_seconds`` drops scope files whose mtime is older than
+        that (0 drops the whole scope); ``max_bytes`` LRU-trims the
         scope to a byte target. A pass-scoped call with no other policy
         drops that pass's units outright; a completely bare ``gc()``
         would silently mean "delete everything" and is refused.
@@ -298,7 +611,7 @@ class DiskTier:
         ):
             max_age_seconds = 0.0  # "drop the pass"
         patterns = (
-            (artifact_path(UNIT, (pass_name, "*")),)
+            (f"{pack_dir(pass_name)}/*.pack",)
             if pass_name is not None
             else tuple(_GLOBS.values())
         )
@@ -310,12 +623,7 @@ class DiskTier:
                 cutoff = time.time() - max_age_seconds
                 kept = []
                 for mtime, size, path in entries:
-                    if mtime > cutoff:
-                        kept.append((mtime, size, path))
-                        continue
-                    try:
-                        path.unlink()
-                    except OSError:
+                    if mtime > cutoff or not self._unlink(path):
                         kept.append((mtime, size, path))
                         continue
                     removed += 1
@@ -326,9 +634,7 @@ class DiskTier:
                 for mtime, size, path in entries:
                     if total <= max_bytes:
                         break
-                    try:
-                        path.unlink()
-                    except OSError:
+                    if not self._unlink(path):
                         continue
                     total -= size
                     removed += 1
@@ -346,18 +652,19 @@ class DiskTier:
     # -- compaction -----------------------------------------------------
 
     def compact(self) -> dict[str, int]:
-        """Drop every entry the current process could never serve.
+        """Drop every file the current process could never serve.
 
         A long-lived store accumulates dead weight that LRU eviction
         alone never reclaims promptly: whole directory trees left by
         other *format* versions (normal loads never look inside them),
         entries written by other *repro* versions (every load of one is
         a miss-and-delete, but only when its exact key is asked for),
-        corrupt files, and stale ``.spill-*.tmp`` droppings from
-        crashed writers (fresh ones are spared — they may be a live
+        corrupt files and packs, and stale ``.spill-*.tmp`` droppings
+        from crashed writers (fresh ones are spared — they may be a live
         writer mid-publish). Compaction scans once, deletes all of
-        them, and refreshes the byte estimate. Returns the per-run
-        summary; cumulative counters land in :meth:`stats` (and
+        them, and refreshes the byte estimate. A pack goes whole when
+        its header or any of its payloads fails to load. Returns the
+        per-run summary; cumulative counters land in :meth:`stats` (and
         therefore the service ``/stats`` endpoint).
         """
         import shutil
@@ -394,15 +701,10 @@ class DiskTier:
             removed += 1
             reclaimed += size
         for kind, pattern in _GLOBS.items():
-            for _, _, path in self._entries((pattern,)):
-                try:
-                    decode(kind, path.read_bytes())
-                except Exception:
-                    try:
-                        size = path.stat().st_size
-                        path.unlink()
-                    except OSError:
-                        continue
+            for _, size, path in self._entries((pattern,)):
+                if _servable(kind, path):
+                    continue
+                if self._unlink(path):
                     removed += 1
                     reclaimed += size
         with self._lock:
@@ -428,21 +730,35 @@ class DiskTier:
 
     def clear(self) -> None:
         for _, _, path in self._entries():
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            self._unlink(path)
 
     def stats(self) -> dict[str, int]:
         results = self._entries((_GLOBS[RESULT],))
-        units = self._entries((_GLOBS[UNIT],))
+        packs = self._entries((_GLOBS[UNIT],))
         return {
             "entries": len(results),
-            "unit_entries": len(units),
+            "unit_entries": sum(
+                len(keys) for keys in self.packs.units().values()
+            ),
             "bytes": sum(size for _, size, _ in results)
-            + sum(size for _, size, _ in units),
+            + sum(size for _, size, _ in packs),
             **self.counts,
         }
+
+
+def _servable(kind: str, path: Path) -> bool:
+    """Whether every payload of one stored file decodes."""
+    try:
+        with open(path, "rb") as handle:
+            if kind == RESULT:
+                decode(kind, handle.read())
+                return True
+            for offset, length in read_pack_header(handle).values():
+                handle.seek(offset)
+                decode(kind, handle.read(length))
+    except Exception:
+        return False
+    return True
 
 
 _TIERS: dict[str, DiskTier] = {}

@@ -7,14 +7,15 @@ peer shapes:
 
 * a **directory** — a second store root (an NFS mount, an rsync'd or
   CI-restored copy, another user's cache dir). Files are read through
-  the same v1 layout as :class:`~repro.storage.disk.DiskTier`
-  (:func:`~repro.storage.base.artifact_path`), but strictly read-only:
-  no recency touches, no corrupt-entry deletion — the peer's hygiene is
-  the peer's business.
+  the same v2 layout as :class:`~repro.storage.disk.DiskTier` — a
+  result file (:func:`~repro.storage.base.artifact_path`), a unit out
+  of a pack found by a :class:`~repro.storage.disk.PackIndex` — but
+  strictly read-only: no recency touches, no corrupt-entry deletion —
+  the peer's hygiene is the peer's business.
 * an **HTTP endpoint** — a running ``repro serve`` answering the
   ``GET /artifact/...`` routes (:func:`~repro.storage.base.
   artifact_route`) with the identical payload bytes the disk tier
-  stores. This is the multi-host warm path: one host compiles, every
+  stores (one unit's payload, never a whole pack). This is the multi-host warm path: one host compiles, every
   other host's first compile is a fetch plus an unpickle.
 
 Peers sit *below* disk in a :class:`~repro.storage.tiered.TieredStore`,
@@ -42,11 +43,13 @@ from typing import Optional
 
 from repro.storage.base import (
     FORMAT_VERSION,
+    UNIT,
     artifact_path,
     artifact_route,
     counter_name,
     decode,
 )
+from repro.storage.disk import BadPack, PackIndex
 
 _COUNTERS = (
     "hits", "misses", "errors", "unit_hits", "unit_misses", "unit_errors",
@@ -67,6 +70,12 @@ class PeerTier:
         )
         self._lock = threading.Lock()
         self.counts = dict.fromkeys(_COUNTERS, 0)
+        # a directory peer's store: a bad pack there is one unit error,
+        # and is left where it is
+        self.packs = None if self.is_http else PackIndex(
+            Path(self.target) / f"v{FORMAT_VERSION}",
+            on_bad=lambda: self._count("unit_errors"),
+        )
 
     @property
     def label(self) -> str:
@@ -86,12 +95,13 @@ class PeerTier:
         the local disk tier verbatim (promotion without re-pickling).
         A key that has no route is never looked up."""
         route = artifact_route(kind, key)
+        pack = None
         if route is None:
             blob = None
         elif self.is_http:
             blob = self._http_get(kind, route)
         else:
-            blob = self._read_file(kind, key)
+            blob, pack = self._read_file(kind, key)
         if blob is None:
             self._count(counter_name(kind, "misses"))
             return None
@@ -102,6 +112,8 @@ class PeerTier:
             self._count(
                 counter_name(kind, "errors"), counter_name(kind, "misses")
             )
+            if pack is not None:
+                self.packs.discard(pack)
             return None
         self._count(counter_name(kind, "hits"))
         return artifact, blob
@@ -115,16 +127,19 @@ class PeerTier:
 
     # -- transport ------------------------------------------------------
 
-    def _read_file(self, kind: str, key) -> Optional[bytes]:
-        path = (
-            Path(self.target)
-            / f"v{FORMAT_VERSION}"
-            / artifact_path(kind, key)
-        )
+    def _read_file(self, kind: str, key) -> tuple[Optional[bytes], object]:
+        """``(payload blob or None, the pack it came from or None)``."""
+        if kind == UNIT:
+            try:
+                found = self.packs.read(*key)
+            except BadPack:
+                return None, None  # counted as a unit error already
+            return (None, None) if found is None else found
         try:
-            return path.read_bytes()
+            path = self.packs.root / artifact_path(kind, key)
+            return path.read_bytes(), None
         except OSError:
-            return None
+            return None, None
 
     def _http_get(self, kind: str, route: str) -> Optional[bytes]:
         """The body at *route*, or ``None``. Transport failures count

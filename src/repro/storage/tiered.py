@@ -13,7 +13,10 @@ peer is asked once per artifact per store, not once per compile. Writes
 ("publication") go to every writable tier, with disk writes further
 gated by the store's ``persist`` flag (a ``persist=False`` reader must
 never dirty a shared store) — which is also why promotion and
-publication share one writability test.
+publication share one writability test. A pass publishes each unit to
+memory as it computes it (:meth:`TieredStore.put_unit`) and all of them
+to disk at once, as one pack, when its worklist is done
+(:meth:`TieredStore.put_units`).
 
 The usual stack::
 
@@ -143,9 +146,20 @@ class TieredStore:
     def put_unit(
         self, pass_name: str, key: str, artifact, spill: bool = False
     ) -> None:
-        """Publish one freshly computed unit: always to memory; to disk
-        only for passes that opted into spilling (``spill``)."""
+        """Publish one freshly computed unit: always to memory; to disk,
+        as a one-unit pack, only with ``spill``."""
         self._publish(UNIT, (pass_name, key), artifact, durable=spill)
+
+    def put_units(self, pass_name: str, units) -> None:
+        """Publish one pass's freshly computed ``(key, artifact)`` units
+        to every writable durable tier as one pack. Memory is not
+        written: each unit went there through :meth:`put_unit`."""
+        if not units:
+            return
+        triples = [(key, artifact, None) for key, artifact in units]
+        for tier in self.tiers:
+            if self.writable(tier) and tier.kind != "memory":
+                tier.store_pack(pass_name, triples)
 
     # -- maintenance ----------------------------------------------------
 

@@ -13,6 +13,8 @@ from repro.workloads.fmm import fmm_workload
 from repro.workloads.kdtree import kdtree_workload
 from repro.workloads.render import render_workload
 
+from tests.fixtures import stored
+
 
 class TestWorkload:
     def test_specs_from_count_and_sequence(self):
@@ -181,8 +183,8 @@ class TestOptionsRule:
             _call(session, call, options=CompileOptions())
         # the template's layout was not merged into the options: the
         # one result in the session's store is keyed on the object layout
-        [stored] = tmp_path.glob("v1/??/*.pkl")
-        assert stored.stem.endswith(f"-{CompileOptions().options_hash()}")
+        [key] = stored(tmp_path)["result"]
+        assert key.options_hash == CompileOptions().options_hash()
 
     @pytest.mark.parametrize("call", CALLS)
     def test_template_applies_without_options(self, tmp_path, call):

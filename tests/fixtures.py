@@ -178,3 +178,24 @@ def compiled(program, **fields):
     return pipeline_compile(
         program, options=CompileOptions(**fields), store=fresh_store()
     )
+
+
+def stored(cache_dir) -> dict[str, set]:
+    """What the disk store at *cache_dir* holds: ``"result"`` maps to
+    its results' ``ResultKey``s, and each pass name to the unit keys
+    its packs hold, read through a fresh, read-only pack index (so no
+    test globs the store's layout)."""
+    from pathlib import Path
+
+    from repro.storage import FORMAT_VERSION, ResultKey, artifact_path
+    from repro.storage.disk import PackIndex
+
+    root = Path(cache_dir) / f"v{FORMAT_VERSION}"
+    held: dict[str, set] = {
+        pass_name: keys for pass_name, keys in PackIndex(root).units().items()
+    }
+    held["result"] = {
+        ResultKey(*path.stem.split("-"))
+        for path in root.glob(artifact_path("result", ("*", "*")))
+    }
+    return held

@@ -1,16 +1,54 @@
 """Direct unit tests for grouping (contraction-acyclicity) and the
 topological scheduler."""
 
+from types import SimpleNamespace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.analysis import AnalysisContext, build_dependence_graph
 from repro.frontend import parse_program
 from repro.fusion.grouping import (
+    Contraction,
     FusionLimits,
     Group,
-    _contracted_has_cycle,
     greedy_group,
     group_key,
 )
 from repro.fusion.scheduling import schedule
+
+
+def _contracted_has_cycle(graph, assignment: dict[int, int]) -> bool:
+    """The brute-force reference for :class:`Contraction`: a cycle
+    check on the graph with vertices merged per *assignment* (vertex
+    index -> group id; ungrouped vertices map to themselves), rebuilt
+    from scratch."""
+    successors: dict[int, set[int]] = {}
+    for src, dsts in graph.succ.items():
+        src_group = assignment[src]
+        for dst in dsts:
+            dst_group = assignment[dst]
+            if src_group != dst_group:
+                successors.setdefault(src_group, set()).add(dst_group)
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color: dict[int, int] = {}
+
+    def visit(node: int) -> bool:
+        color[node] = GRAY
+        for nxt in successors.get(node, ()):
+            state = color.get(nxt, WHITE)
+            if state == GRAY:
+                return True
+            if state == WHITE and visit(nxt):
+                return True
+        color[node] = BLACK
+        return False
+
+    for node in set(assignment.values()):
+        if color.get(node, WHITE) == WHITE:
+            if visit(node):
+                return True
+    return False
 
 
 def _graph(source, seq):
@@ -60,6 +98,7 @@ class TestContraction:
         assignment = {v.index: v.index for v in graph.vertices}
         assignment[2] = 0
         assert _contracted_has_cycle(graph, assignment)
+        assert Contraction(graph).would_cycle(0, 2)
 
     def test_contracting_adjacent_dependents_is_fine(self):
         graph = _graph(INDEPENDENT, [("I", "p1"), ("I", "p2")])
@@ -67,6 +106,46 @@ class TestContraction:
         assignment = {v.index: v.index for v in graph.vertices}
         assignment[1] = 0  # direct edge inside the group: no cycle
         assert not _contracted_has_cycle(graph, assignment)
+        assert not Contraction(graph).would_cycle(0, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_incremental_check_matches_the_rebuild(self, data):
+        # a random DAG (edges forward in index order, as dependence
+        # edges run) and a random run of merges, each proposed merge
+        # checked both ways before it is made
+        size = data.draw(st.integers(2, 12), label="size")
+        pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+        edges = data.draw(
+            st.lists(st.sampled_from(pairs), unique=True), label="edges"
+        )
+        graph = SimpleNamespace(
+            succ={i: set() for i in range(size)},
+            pred={i: set() for i in range(size)},
+        )
+        for src, dst in edges:
+            graph.succ[src].add(dst)
+            graph.pred[dst].add(src)
+        contraction = Contraction(graph)
+        assignment = {i: i for i in range(size)}
+        proposals = data.draw(
+            st.lists(st.sampled_from(pairs), max_size=2 * size),
+            label="merges",
+        )
+        for first, second in proposals:
+            keep, gone = assignment[first], assignment[second]
+            if keep == gone:
+                continue
+            tentative = {
+                vertex: keep if node == gone else node
+                for vertex, node in assignment.items()
+            }
+            cycles = _contracted_has_cycle(graph, tentative)
+            assert contraction.would_cycle(keep, gone) == cycles
+            assert contraction.would_cycle(gone, keep) == cycles
+            if not cycles:
+                contraction.merge(keep, gone)
+                assignment = tentative
 
 
 class TestGreedyGroup:

@@ -18,7 +18,7 @@ from repro.fusion.grouping import FusionLimits
 from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
 
-from tests.fixtures import FIG2_SOURCE, fresh_store
+from tests.fixtures import FIG2_SOURCE, fresh_store, stored
 
 
 def _variant(name: str, value):
@@ -98,8 +98,7 @@ class TestLayoutSeparation:
         assert not second.cache_hit
         assert second.options.layout == "pooled"
         written = sorted(
-            path.stem.rsplit("-", 1)[1]
-            for path in tmp_path.glob("v1/??/*.pkl")
+            key.options_hash for key in stored(tmp_path)["result"]
         )
         assert written == sorted(
             [base.options_hash(), pooled.options_hash()]

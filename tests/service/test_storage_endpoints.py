@@ -18,7 +18,7 @@ from repro.service.api import TraversalService, make_server
 from repro.storage import disk_tier_for
 from repro.storage import PeerTier, ResultKey, artifact_path
 
-from tests.fixtures import FIG2_SOURCE, fresh_store
+from tests.fixtures import FIG2_SOURCE, fresh_store, stored
 
 
 @pytest.fixture()
@@ -84,12 +84,12 @@ class TestArtifactEndpoint:
 
     def test_unit_bytes_round_trip(self, persistent_service):
         base, seeded, store = persistent_service
-        unit_file = next(store.dir.glob("units/fusion/*/*.pkl"))
-        status, body = _get(
-            f"{base}/artifact/unit/fusion/{unit_file.stem}"
-        )
+        unit_key = sorted(stored(store.root)["fusion"])[0]
+        status, body = _get(f"{base}/artifact/unit/fusion/{unit_key}")
         assert status == 200
-        assert body == unit_file.read_bytes()
+        # the unit's own payload, sliced out of the pack that holds it
+        pack, offset, length = store.packs.locate("fusion", unit_key)
+        assert body == pack.read_bytes()[offset:offset + length]
 
     def test_missing_and_malformed_keys_are_404(self, persistent_service):
         base, _, _ = persistent_service
@@ -127,13 +127,13 @@ class TestArtifactEndpoint:
 class TestGCEndpoint:
     def test_pass_scoped_gc_over_http(self, persistent_service):
         base, _, store = persistent_service
-        assert list(store.dir.glob("units/fusion/*/*.pkl"))
+        assert stored(store.root).get("fusion")
         status, summary = _post(f"{base}/gc", {"pass": "fusion"})
         assert status == 200
         assert summary["total"]["removed"] > 0
-        assert not list(store.dir.glob("units/fusion/*/*.pkl"))
+        assert not stored(store.root).get("fusion")
         # other passes' units survived
-        assert list(store.dir.glob("units/emit/*/*.pkl"))
+        assert stored(store.root).get("emit")
 
     def test_bare_gc_is_400(self, persistent_service):
         base, _, _ = persistent_service

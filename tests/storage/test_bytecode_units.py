@@ -32,12 +32,12 @@ from repro.ir.printer import print_program
 from repro.pipeline import compile as pipeline_compile
 from repro.runtime import Heap
 from repro.service.executor import BatchExecutor
-from repro.storage import MemoryTier, TieredStore, disk_tier_for
+from repro.storage import DiskTier, MemoryTier, TieredStore, disk_tier_for
 from repro.workloads.astlang import astlang_spec, astlang_workload
 from repro.workloads.fmm import fmm_spec, fmm_workload
 from repro.workloads.kdtree import kdtree_spec, kdtree_workload
 from repro.workloads.render import render_spec, render_workload
-from tests.fixtures import fresh_store
+from tests.fixtures import fresh_store, stored
 
 WORKLOADS = {
     "render": (render_workload, [render_spec(pages=2, seed=1),
@@ -101,8 +101,7 @@ def session(store, **kwargs) -> repro.Session:
 
 def stored_units(store) -> set[str]:
     """The keys of every bytecode unit on *store*'s disk."""
-    root = pathlib.Path(store) / "v1" / "units" / BYTECODE_PASS
-    return {path.stem for path in root.glob("*/*.pkl")}
+    return stored(store).get(BYTECODE_PASS, set())
 
 
 def unit_key(module) -> str:
@@ -297,25 +296,25 @@ class TestLoading:
         assert compiles == []
         assert answer == built
         assert stored_units(tmp_path / "b") == {key}
-        relative = f"v1/units/{BYTECODE_PASS}/{key[:2]}/{key}.pkl"
-        assert (tmp_path / "b" / relative).read_bytes() == (
-            tmp_path / "a" / relative
-        ).read_bytes()
+        unit = (BYTECODE_PASS, key)
+        assert DiskTier(str(tmp_path / "b")).payload("unit", unit) == (
+            DiskTier(str(tmp_path / "a")).payload("unit", unit)
+        )
 
 
 def test_gc_of_the_bytecode_pass_removes_only_bytecode(tmp_path):
     workload = fmm_workload()
     with session(tmp_path) as first:
         first.recompile(workload, exec_ahead=True)
-        others = sorted(
-            path for path in tmp_path.rglob("*.pkl")
-            if f"/units/{BYTECODE_PASS}/" not in str(path)
-        )
+        others = {
+            kind: keys for kind, keys in stored(tmp_path).items()
+            if kind != BYTECODE_PASS
+        }
         units = first.memory.stats()["units"]
         assert len(stored_units(tmp_path)) == 2
         summary = first.gc(pass_name=BYTECODE_PASS)
         assert stored_units(tmp_path) == set()
-        assert sorted(tmp_path.rglob("*.pkl")) == others
+        assert stored(tmp_path) == others
         assert first.memory.stats()["units"] == units - 2
         assert summary["memory"]["removed"] == 2
         assert summary["total"]["removed"] == 4

@@ -1,12 +1,13 @@
-"""How many files a cold compile writes into an empty disk store.
+"""How many units and files a cold compile writes into an empty store.
 
-A count, not a timing gate: per case study, the unit files each
-persisting pass spills (dependence, fusion, emit) and the one result
+Counts, not a timing gate: per case study, the units each persisting
+pass spills (dependence, fusion, emit), read through the store's pack
+index, and the files on disk: one pack per pass plus the one result
 file. The dependence pass spills one structure per entry sequence; the
 structures the fusion pass builds for the other sequences stay in the
 memory tier, because the plan unit it writes for each of them already
-embeds the same edges. A new file per unit anywhere shows up here as a
-changed count.
+embeds the same edges. A new file per unit anywhere, or a pass that
+writes more than one pack, shows up here as a changed count.
 """
 
 import pytest
@@ -17,7 +18,7 @@ from repro.workloads.fmm import fmm_workload
 from repro.workloads.kdtree import kdtree_workload
 from repro.workloads.render import render_workload
 
-from tests.fixtures import fresh_store
+from tests.fixtures import fresh_store, stored
 
 FACTORIES = {
     "render": render_workload,
@@ -26,8 +27,8 @@ FACTORIES = {
     "fmm": fmm_workload,
 }
 
-# workload -> (dependence, fusion, emit) unit files
-UNIT_FILES = {
+# workload -> (dependence, fusion, emit) units
+UNITS = {
     "render": (1, 19, 81),
     "astlang": (1, 78, 134),
     "kdtree": (1, 5, 44),
@@ -41,12 +42,9 @@ def test_cold_compile_file_count(tmp_path, workload):
         FACTORIES[workload](), store=fresh_store(tmp_path)
     )
     assert not result.cache_hit
-    root = tmp_path / "v1"
+    held = stored(tmp_path)
     units = tuple(
-        len(list((root / "units" / name).glob("*/*.pkl")))
-        for name in ("dependence", "fusion", "emit")
+        len(held.get(name, ())) for name in ("dependence", "fusion", "emit")
     )
-    results = len(list(root.glob("??/*.pkl")))
     files = sum(1 for path in tmp_path.rglob("*") if path.is_file())
-    expected = UNIT_FILES[workload]
-    assert (units, results, files) == (expected, 1, sum(expected) + 1)
+    assert (units, len(held["result"]), files) == (UNITS[workload], 1, 4)

@@ -1,6 +1,6 @@
 """Pins of the durable key space: where a compile result lands in a store.
 
-A result file's ``v1/`` path is ``<source[:2]>/<source>-<options>.pkl``:
+A result file's ``v2/`` path is ``<source[:2]>/<source>-<options>.pkl``:
 the content hash of the source and the hash of the options that shape
 the output. Every store on disk, every peer and every ``/artifact``
 route is addressed this way, so a refactor of the options or of the
@@ -24,19 +24,19 @@ CASES = {
     "default": (
         {},
         {},
-        f"v1/28/{_SOURCE}-"
+        f"v2/28/{_SOURCE}-"
         "fc75f0111c9c4b346480a7e478f758420798882c62ca268a20ca3fab4de0b109.pkl",
     ),
     "pooled": (
         {"layout": "pooled"},
         {},
-        f"v1/28/{_SOURCE}-"
+        f"v2/28/{_SOURCE}-"
         "eb6b960185e6dec3c28d510ec2948e3f695f7a3e7457f659f2537a655019a2ea.pkl",
     ),
     "treefuser": (
         {},
         {"mode": "treefuser"},
-        f"v1/28/{_SOURCE}-"
+        f"v2/28/{_SOURCE}-"
         "e9cc81a4a7027375a831c2c3c42afd33ec81cdc7dd74efe26992f7772a7308a8.pkl",
     ),
 }
@@ -58,6 +58,6 @@ def test_result_path_is_pinned(tmp_path, case):
     assert not compiled.cache_hit
     written = [
         path.relative_to(tmp_path).as_posix()
-        for path in tmp_path.glob("v1/??/*.pkl")
+        for path in tmp_path.glob("v2/??/*.pkl")
     ]
     assert written == [expected]

@@ -20,7 +20,7 @@ from repro.storage import (
     peer_tier_for,
 )
 
-from tests.fixtures import FIG2_SOURCE, fresh_store
+from tests.fixtures import FIG2_SOURCE, fresh_store, stored
 
 
 def _seed(tmp_path):
@@ -37,8 +37,7 @@ class TestDirectoryPeer:
         key = ResultKey.of(result.source_hash, result.options)
         assert peer.fetch("result", key) is not None
         assert peer.counts["hits"] == 1
-        unit_file = next(store.dir.glob("units/fusion/*/*.pkl"))
-        unit_key = unit_file.stem
+        unit_key = next(iter(stored(tmp_path)["fusion"]))
         assert peer.fetch("unit", ("fusion", unit_key)) is not None
 
     def test_is_strictly_read_only(self, tmp_path):
@@ -106,8 +105,9 @@ class TestDirectoryPeer:
         # the whole point: a peer full of garbage must not break a
         # compile — it just stops helping
         result, store = _seed(tmp_path / "peer")
-        for path in store.dir.rglob("*.pkl"):
-            path.write_bytes(b"garbage")
+        for path in store.dir.rglob("*"):
+            if path.is_file():
+                path.write_bytes(b"garbage")
         compiled = pipeline_compile(
             FIG2_SOURCE, store=fresh_store(peers=(tmp_path / "peer",))
         )

@@ -8,11 +8,12 @@ existing stores, remote peers and dashboards depend on them:
 * the counter values one scripted sequence leaves behind — a cold
   compile, promotion from disk into a fresh memory tier, a peer hit
   promoted onto an empty local disk, a corrupt file and a missing key;
-* where artifacts live under ``v1/`` and which ``/artifact`` routes a
-  peer asks an HTTP server for.
+* where artifacts live under ``v2/`` — a file per result, a pack per
+  pass of each compile — and which ``/artifact`` routes a peer asks an
+  HTTP server for.
 """
 
-import re
+import hashlib
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -26,7 +27,7 @@ from repro.storage import (
     disk_tier_for,
 )
 
-from tests.fixtures import FIG2_SOURCE, fresh_store
+from tests.fixtures import FIG2_SOURCE, fresh_store, stored
 
 MEMORY_KEYS = {
     "entries", "artifacts", "units", "bytes", "max_bytes", "hits",
@@ -118,7 +119,7 @@ class TestScriptedCounters:
         # the same disk: a promoted result turns the memory miss into
         # a served-from-below hit, a promoted unit into a unit hit
         key = ResultKey.of(result.source_hash, result.options)
-        unit = sorted(disk.dir.glob("units/fusion/*/*.pkl"))[0].stem
+        unit = sorted(stored(tmp_path / "a")["fusion"])[0]
         fresh = MemoryTier()
         warm = TieredStore([fresh, disk])
         assert warm.get_result(key) is not None
@@ -164,7 +165,7 @@ class TestScriptedCounters:
 
         # 4. one corrupt file (a counted error, deleted) and one
         # missing key (a counted miss on every tier it reaches)
-        unit_path = next(local.dir.glob("units/fusion/*/*.pkl"))
+        unit_path, _, _ = local.packs.locate("fusion", unit)
         unit_path.write_bytes(b"not a pickle")
         assert TieredStore([local]).get_unit("fusion", unit) is None
         assert not unit_path.exists()
@@ -186,22 +187,31 @@ class TestScriptedCounters:
 
 
 class TestAddresses:
-    def test_v1_relative_paths(self, tmp_path):
+    def test_v2_relative_paths(self, tmp_path):
         result = pipeline_compile(FIG2_SOURCE, store=fresh_store(tmp_path))
-        v1 = tmp_path / "v1"
+        v2 = tmp_path / "v2"
         source, options = result.source_hash, result.options.options_hash()
         paths = sorted(
-            str(path.relative_to(v1)) for path in v1.rglob("*.pkl")
+            path.relative_to(v2).as_posix()
+            for path in v2.rglob("*")
+            if path.is_file()
         )
-        assert f"{source[:2]}/{source}-{options}.pkl" in paths
-        unit_shape = re.compile(
-            r"units/(access-analysis|dependence|fusion|emit)/"
-            r"([0-9a-f]{2})/\2[0-9a-f]{62}\.pkl"
+        # one result file, and one pack per persisting pass, named by
+        # the SHA-256 of its pass and the sorted unit keys it holds
+        held = stored(tmp_path)
+        assert held.pop("result") == {ResultKey(source, options)}
+        assert sorted(held) == ["dependence", "emit", "fusion"]
+        packs = [
+            f"units/{name}/"
+            + hashlib.sha256(
+                "\x00".join((name, *sorted(keys))).encode()
+            ).hexdigest()
+            + ".pack"
+            for name, keys in held.items()
+        ]
+        assert paths == sorted(
+            [f"{source[:2]}/{source}-{options}.pkl", *packs]
         )
-        units = [path for path in paths if path.startswith("units/")]
-        assert len(units) == len(paths) - 1
-        assert all(unit_shape.fullmatch(path) for path in units)
-        assert any(path.startswith("units/fusion/") for path in units)
 
     def test_http_peer_request_paths(self):
         requested = []

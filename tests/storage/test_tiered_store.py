@@ -21,7 +21,7 @@ from repro.storage import (
     peer_tier_for,
 )
 
-from tests.fixtures import FIG2_SOURCE, fresh_store
+from tests.fixtures import FIG2_SOURCE, fresh_store, stored
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -78,20 +78,20 @@ class TestPromotion:
             peers=(str(peer_root),),
             reuse_result=kind == "result",
         )
-        pattern = (
-            "v1/[0-9a-f][0-9a-f]/*.pkl"
-            if kind == "result"
-            else "v1/units/*/*/*.pkl"
-        )
-        promoted = sorted(
-            path.relative_to(local_root)
-            for path in local_root.glob(pattern)
-        )
+        held = stored(local_root)
+        if kind == "result":
+            promoted = [("result", key) for key in held["result"]]
+        else:
+            promoted = [
+                ("unit", (name, key))
+                for name, keys in held.items()
+                if name != "result"
+                for key in keys
+            ]
         assert promoted
-        for relative in promoted:
-            assert (local_root / relative).read_bytes() == (
-                peer_root / relative
-            ).read_bytes()
+        local, peer = DiskTier(str(local_root)), DiskTier(str(peer_root))
+        for address in promoted:
+            assert local.payload(*address) == peer.payload(*address)
 
     def test_repeat_access_no_longer_needs_the_peer(self, tmp_path):
         peer_root = tmp_path / "peer"
@@ -150,14 +150,17 @@ class TestDiskGC:
         store = DiskTier(str(tmp_path))
         before = store.stats()
         assert before["unit_entries"] > 0
-        fusion_files = list(store.dir.glob("units/fusion/*/*.pkl"))
-        emit_files = list(store.dir.glob("units/emit/*/*.pkl"))
-        assert fusion_files and emit_files
+        held = stored(tmp_path)
+        assert held["fusion"] and held["emit"]
+        fusion_packs = {
+            store.packs.locate("fusion", key)[0] for key in held["fusion"]
+        }
 
         summary = store.gc(pass_name="fusion")
-        assert summary["removed"] == len(fusion_files)
-        assert not list(store.dir.glob("units/fusion/*/*.pkl"))
-        assert list(store.dir.glob("units/emit/*/*.pkl")) == emit_files
+        assert summary["removed"] == len(fusion_packs)
+        after = stored(tmp_path)
+        assert "fusion" not in after
+        assert after["emit"] == held["emit"]
         # the full result is untouched
         assert store.fetch(
             "result", ResultKey.of(result.source_hash, result.options)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.cli import main
 
-from tests.fixtures import FIG2_SOURCE
+from tests.fixtures import FIG2_SOURCE, stored
 
 CONDITIONAL_SOURCE = """
 _tree_ class N {
@@ -257,7 +257,7 @@ class TestServiceCli:
         store = tmp_path / "artifacts"
         assert main(["compile", fig2_file, "--cache-dir", str(store)]) == 0
         assert "compiled (cold)" in capsys.readouterr().out
-        assert list(store.glob("v*/*/*.pkl"))
+        assert stored(store)["result"]
 
 
 class TestStoreCli:
