@@ -191,9 +191,7 @@ def stored(cache_dir) -> dict[str, set]:
     from repro.storage.disk import PackIndex
 
     root = Path(cache_dir) / f"v{FORMAT_VERSION}"
-    held: dict[str, set] = {
-        pass_name: keys for pass_name, keys in PackIndex(root).units().items()
-    }
+    held: dict[str, set] = PackIndex(root).units()
     held["result"] = {
         ResultKey(*path.stem.split("-"))
         for path in root.glob(artifact_path("result", ("*", "*")))

@@ -11,11 +11,12 @@ import pickle
 import sys
 import threading
 
+from repro.pipeline import compile as pipeline_compile
 from repro.storage import DiskTier, MemoryTier, PeerTier, TieredStore
 from repro.storage.base import encode, pack_path
 from repro.storage.disk import PackIndex
 
-from tests.fixtures import stored
+from tests.fixtures import FIG2_SOURCE, fresh_store, stored
 
 KEYS = [f"{index:02x}" * 32 for index in range(1, 6)]
 
@@ -183,10 +184,6 @@ class TestShape:
         )
 
     def test_a_compile_writes_one_pack_per_pass(self, tmp_path):
-        from repro.pipeline import compile as pipeline_compile
-
-        from tests.fixtures import FIG2_SOURCE, fresh_store
-
         pipeline_compile(FIG2_SOURCE, store=fresh_store(tmp_path))
         packs = sorted(
             path.parent.name for path in tmp_path.rglob("*.pack")
