@@ -26,8 +26,11 @@ an edited workload's recompile reuses the unchanged units other
 processes compiled. A pack's header maps each unit key to its payload's
 offset and length; every other durable unit write (a module's bytecode
 at its first run, a peer hit promoted onto this disk) is a one-unit
-pack. A :class:`PackIndex` finds units: a lookup that misses lists the
-pass's pack directory and reads the headers of packs it has not seen.
+pack. A :class:`PackIndex` finds units: a lookup that misses opens the
+unit's own one-unit pack, else lists the pass's pack directory and
+reads the headers of packs it has not seen — unless the directory's
+mtime says nothing changed since it last did, so a miss stays one
+``stat`` in a store of any size.
 
 Each result file and each unit payload is one payload from
 :mod:`repro.storage.base` — both the format and the repro version are
@@ -43,10 +46,12 @@ Concurrency: writes go to a temp file in the destination directory and
 are published with ``os.replace`` (atomic on POSIX), so a reader never
 observes a half-written file and two processes racing to publish the
 same result or the same units both leave a complete file. A pack that
-changed since its header was read is read again. Corrupt or unreadable
-files are deleted and treated as misses. Eviction is LRU by file mtime
-(a pack's, for its units) under a total byte budget; ``fetch`` touches
-the file it read so recently served artifacts survive.
+changed since its header was read is read again. Corrupt files are
+deleted and treated as misses; a file that cannot be read now (no
+permission, out of descriptors) is a plain miss and stays. Eviction is
+LRU by file mtime (a pack's, for its units) under a total byte budget;
+``fetch`` touches the file it read so recently served artifacts
+survive.
 
 Results whose programs carry non-portable pure-function impls (lambdas,
 closures — anything keyed by ``id()``, see
@@ -110,23 +115,39 @@ def _identity(stat) -> tuple[int, int]:
     return stat.st_ino, stat.st_size
 
 
+def _settled(mtime_ns: int) -> bool:
+    """Whether any later change to a directory must move its mtime off
+    *mtime_ns*. File systems stamp changes from a clock that lags by up
+    to a tick, and some keep whole (even) seconds only, so a change
+    right after a listing can carry the mtime the listing saw."""
+    tick = 2 * 10**9 if mtime_ns % 10**9 == 0 else 10**8
+    return time.time_ns() - mtime_ns >= tick
+
+
 class PackIndex:
     """Where each unit of one store directory lies: ``(pass, unit key)``
     -> ``(pack path, offset, length)``, read from pack headers.
 
-    Built lazily, one pass at a time: a lookup that misses lists
-    ``units/<pass>/`` and reads the headers of the packs it has not
-    seen yet (and forgets the ones no longer listed), so a process that
-    only loads bytecode reads only the bytecode packs' headers. A pack
-    whose file changed since its header was read (a writer replaced it
-    under the same name) is read again before a payload is sliced out
-    of it; one that is gone is a miss.
+    Built lazily, one pass at a time. A lookup that misses first opens
+    the unit's own one-unit pack (how a module's bytecode and a promoted
+    peer hit are stored), then lists ``units/<pass>/`` and reads the
+    headers of the packs it has not seen yet (forgetting the ones no
+    longer listed). It skips both when the pass directory's mtime is the
+    one a complete listing saw, so a miss costs one ``stat`` however
+    many packs the store holds, and a process that only loads bytecode
+    reads only the bytecode packs it needs. When two packs hold one
+    unit, the one read last serves it and the other takes over if it
+    goes. A pack whose file changed since its header was read (a writer
+    replaced it under the same name) is read again before a payload is
+    sliced out of it; one that is gone is a miss. File I/O runs outside
+    the index's lock, which guards only the maps.
 
     A *bad* pack — a header that is not a current-format pack's, or a
-    payload cut short — is reported to *on_bad* once, outside the
-    index's lock. With *prune* (a writable store) its file is deleted;
-    without (a read-only peer's directory) it stays, and the index never
-    reads it again.
+    payload cut short — is reported to *on_bad* once. With *prune* (a
+    writable store) its file is deleted; without (a read-only peer's
+    directory) it stays, and the index never reads it again. A file that
+    cannot be read now (no permission, out of descriptors, an I/O error)
+    is not bad: that lookup misses and the index keeps the pack.
     """
 
     def __init__(
@@ -139,20 +160,28 @@ class PackIndex:
         self._on_bad = on_bad
         self.prune = prune
         self._lock = threading.Lock()
-        # pass -> {pack path: its identity when its header was read};
-        # None marks a bad pack a read-only index keeps away from
-        self._seen: dict[str, dict[Path, Optional[tuple[int, int]]]] = {}
-        # pack path -> the units its header named
-        self._held: dict[Path, tuple[tuple[str, str], ...]] = {}
-        self._slots: dict[tuple[str, str], tuple[Path, int, int]] = {}
-        self._unreported = 0
+        # pass -> {pack file name: its identity when its header was
+        # read}; None marks a bad pack a read-only index keeps away from
+        self._seen: dict[str, dict[str, Optional[tuple[int, int]]]] = {}
+        # pass -> its directory's mtime when a listing read all of it
+        self._listed: dict[str, int] = {}
+        # pack path -> the unit keys its header named
+        self._held: dict[Path, tuple[str, ...]] = {}
+        # (pass, unit key) -> {pack path: (offset, length)} in the order
+        # the packs were read; the last one serves
+        self._slots: dict[tuple[str, str], dict[Path, tuple[int, int]]] = {}
 
     # -- what a writer and the sweeps tell the index --------------------
 
     def add(self, pack: Path, pass_name: str, slots: dict, identity):
-        """Index a pack this process just published."""
+        """Index one pack's header: one this process just published, or
+        one just read."""
         with self._lock:
-            self._install(pack, pass_name, slots, identity)
+            self._drop(pack)
+            self._seen.setdefault(pass_name, {})[pack.name] = identity
+            self._held[pack] = tuple(slots)
+            for key, place in slots.items():
+                self._slots.setdefault((pass_name, key), {})[pack] = place
 
     def forget(self, pack: Path) -> None:
         """Drop a pack whose file was deleted."""
@@ -162,8 +191,7 @@ class PackIndex:
     def discard(self, pack: Path) -> None:
         """A pack whose payload failed to decode: dropped (and deleted
         when pruning) without a report — its reader counts it."""
-        with self._lock:
-            self._bad(pack, report=False)
+        self._condemn(pack, report=False)
 
     # -- lookups --------------------------------------------------------
 
@@ -171,148 +199,174 @@ class PackIndex:
         """``(pack path, offset, length)`` of one unit, or ``None``."""
         if not (is_safe_pass_name(pass_name) and is_content_hash(key)):
             return None
-        with self._lock:
-            slot = self._slots.get((pass_name, key))
-            if slot is None and self._scan(pass_name):
-                slot = self._slots.get((pass_name, key))
-        self._report()
+        slot = self._slot(pass_name, key)
+        if slot is None:
+            self._refresh(pass_name, key)
+            slot = self._slot(pass_name, key)
         return slot
 
     def read(self, pass_name: str, key: str):
         """``(payload blob, pack path)`` of one unit, or ``None`` when no
-        pack holds it. Raises :class:`BadPack` when the pack the index
-        names for it is bad (reported, and pruned, already)."""
-        slot = self.locate(pass_name, key)
-        if slot is None:
-            return None
-        pack, offset, length = slot
-        try:
-            return self._slice(pack, pass_name, key, offset, length)
-        finally:
-            self._report()
-
-    def _slice(self, pack, pass_name, key, offset, length):
-        with self._lock:
-            try:
-                with open(pack, "rb") as handle:
-                    identity = _identity(os.fstat(handle.fileno()))
-                    if identity != self._seen.get(pass_name, {}).get(pack):
-                        # rewritten under its name: read it again
-                        self._drop(pack)
-                        slots = read_pack_header(handle)
-                        self._install(pack, pass_name, slots, identity)
-                        if key not in slots:
-                            return None
-                        offset, length = slots[key]
-                    handle.seek(offset)
-                    blob = handle.read(length)
-            except FileNotFoundError:
-                # deleted by another process's eviction or gc
-                self._drop(pack)
+        pack holds it or its pack cannot be read now. Raises
+        :class:`BadPack` when the pack the index names for it is bad
+        (reported, and pruned, already)."""
+        # a second try when the named pack was deleted under the index:
+        # another pack may hold the unit too
+        for _ in range(2):
+            slot = self.locate(pass_name, key)
+            if slot is None:
                 return None
-            except (OSError, ValueError):
-                self._bad(pack)
-                raise BadPack(pack) from None
-            if len(blob) != length:
-                self._bad(pack)
-                raise BadPack(pack)
-        return blob, pack
+            try:
+                return self._slice(pass_name, key, *slot)
+            except FileNotFoundError:
+                self.forget(slot[0])
+        return None
 
     def units(self) -> dict[str, set[str]]:
         """Every indexed unit key by pass, after reading every pack
         header not read yet."""
+        try:
+            names = [
+                entry.name
+                for entry in os.scandir(self.root / "units")
+                if entry.is_dir() and is_safe_pass_name(entry.name)
+            ]
+        except OSError:
+            names = []
         with self._lock:
-            self._scan(None)
+            # a pass whose directory went away forgets its packs too
+            names += [name for name in self._seen if name not in names]
+        for name in names:
+            self._refresh(name)
+        with self._lock:
             held: dict[str, set[str]] = {}
             for pass_name, key in self._slots:
                 held.setdefault(pass_name, set()).add(key)
-        self._report()
         return held
 
-    def _report(self) -> None:
-        """Hand the bad packs found under the lock to *on_bad*, which
-        may take its tier's own lock."""
-        if not self._unreported:
-            return
+    # -- reading packs (no lock held) -----------------------------------
+
+    def _slice(self, pass_name, key, pack, offset, length):
+        try:
+            with open(pack, "rb") as handle:
+                identity = _identity(os.fstat(handle.fileno()))
+                with self._lock:
+                    known = self._seen.get(pass_name, {}).get(pack.name)
+                if identity != known:
+                    # rewritten under its name: read it again
+                    slots = read_pack_header(handle)
+                    self.add(pack, pass_name, slots, identity)
+                    if key not in slots:
+                        return None
+                    offset, length = slots[key]
+                handle.seek(offset)
+                blob = handle.read(length)
+        except ValueError:
+            self._condemn(pack)
+            raise BadPack(pack) from None
+        except FileNotFoundError:
+            raise  # read() looks for another pack that holds the unit
+        except OSError:
+            return None
+        if len(blob) != length:
+            self._condemn(pack)
+            raise BadPack(pack)
+        return blob, pack
+
+    def _load(self, pack: Path, pass_name: str) -> Optional[bool]:
+        """Read one pack's header into the index: ``True`` when read,
+        ``False`` when the pack is gone or bad, ``None`` when it cannot
+        be read now."""
+        try:
+            with open(pack, "rb") as handle:
+                identity = _identity(os.fstat(handle.fileno()))
+                slots = read_pack_header(handle)
+        except FileNotFoundError:
+            return False
+        except ValueError:
+            self._condemn(pack)
+            return False
+        except OSError:
+            return None
+        self.add(pack, pass_name, slots, identity)
+        return True
+
+    def _refresh(self, pass_name: str, key: Optional[str] = None) -> None:
+        """Read into the index what a lookup (of *key*) may be missing:
+        the unit's own one-unit pack, else every pack of the pass not
+        read yet. Reads nothing when the pass directory is unchanged
+        since a listing read all of it."""
+        directory = self.root / pack_dir(pass_name)
+        try:
+            mtime = os.stat(directory).st_mtime_ns
+        except OSError:
+            mtime = None
         with self._lock:
-            count, self._unreported = self._unreported, 0
-        for _ in range(count):
-            self._on_bad()
+            if mtime is not None and self._listed.get(pass_name) == mtime:
+                return
+            known = self._seen.setdefault(pass_name, {})
+            if mtime is None and not known:
+                return
+        if key is not None and mtime is not None:
+            alone = pack_path(pass_name, [key]).rpartition("/")[2]
+            if alone not in known and self._load(
+                directory / alone, pass_name
+            ):
+                return
+        try:
+            listed = {
+                entry.name
+                for entry in os.scandir(directory)
+                if entry.name.endswith(".pack")
+            }
+        except OSError:
+            listed = set()
+        with self._lock:
+            for gone in [name for name in known if name not in listed]:
+                self._drop(directory / gone)
+            unseen = sorted(name for name in listed if name not in known)
+        complete = True
+        for name in unseen:
+            if self._load(directory / name, pass_name) is None:
+                complete = False
+        if complete and mtime is not None and _settled(mtime):
+            with self._lock:
+                self._listed[pass_name] = mtime
 
-    # -- internals (lock held) ------------------------------------------
-
-    def _install(self, pack, pass_name, slots, identity) -> None:
-        self._drop(pack)
-        self._seen.setdefault(pass_name, {})[pack] = identity
-        self._held[pack] = tuple((pass_name, key) for key in slots)
-        for key, (offset, length) in slots.items():
-            self._slots[(pass_name, key)] = (pack, offset, length)
-
-    def _drop(self, pack) -> None:
-        self._seen.get(pack.parent.name, {}).pop(pack, None)
-        for unit in self._held.pop(pack, ()):
-            if self._slots.get(unit, (None,))[0] == pack:
-                del self._slots[unit]
-
-    def _bad(self, pack, report: bool = True) -> None:
-        self._drop(pack)
-        if report:
-            self._unreported += 1
+    def _condemn(self, pack: Path, report: bool = True) -> None:
+        """A bad pack: dropped, and deleted or kept away from."""
+        with self._lock:
+            self._drop(pack)
+            if not self.prune:
+                self._seen.setdefault(pack.parent.name, {})[pack.name] = None
         if self.prune:
             try:
                 pack.unlink()
             except OSError:
                 pass
-        else:
-            self._seen.setdefault(pack.parent.name, {})[pack] = None
+        if report:
+            self._on_bad()
 
-    def _scan(self, pass_name: Optional[str]) -> bool:
-        """Read the headers of unseen packs — of one pass, or of every
-        pass — forget the packs no longer there, and say whether any
-        header was read."""
-        units = self.root / "units"
-        if pass_name is not None:
-            names = [pass_name]
-        else:
-            try:
-                names = [
-                    entry.name
-                    for entry in os.scandir(units)
-                    if entry.is_dir() and is_safe_pass_name(entry.name)
-                ]
-            except OSError:
-                names = []
-            # a pass whose directory went away forgets its packs too
-            names += [name for name in self._seen if name not in names]
-        found = False
-        for name in names:
-            try:
-                entries = [
-                    Path(entry.path)
-                    for entry in os.scandir(units / name)
-                    if entry.name.endswith(".pack")
-                ]
-            except OSError:
-                entries = []
-            known = self._seen.get(name, {})
-            listed = set(entries)
-            for gone in [pack for pack in known if pack not in listed]:
-                self._drop(gone)
-            for pack in entries:
-                if pack in known:
-                    continue
-                try:
-                    with open(pack, "rb") as handle:
-                        identity = _identity(os.fstat(handle.fileno()))
-                        slots = read_pack_header(handle)
-                except FileNotFoundError:
-                    continue
-                except (OSError, ValueError):
-                    self._bad(pack)
-                    continue
-                self._install(pack, name, slots, identity)
-                found = True
-        return found
+    # -- the maps -------------------------------------------------------
+
+    def _slot(self, pass_name: str, key: str):
+        with self._lock:
+            holders = self._slots.get((pass_name, key))
+            if not holders:
+                return None
+            pack = next(reversed(holders))
+            return (pack, *holders[pack])
+
+    def _drop(self, pack) -> None:
+        """Forget one pack (lock held): each unit it held is served by
+        another pack that holds it, or missed."""
+        pass_name = pack.parent.name
+        self._seen.get(pass_name, {}).pop(pack.name, None)
+        for key in self._held.pop(pack, ()):
+            holders = self._slots.get((pass_name, key), {})
+            holders.pop(pack, None)
+            if not holders:
+                self._slots.pop((pass_name, key), None)
 
 
 class DiskTier:
@@ -747,15 +801,24 @@ class DiskTier:
 
 
 def _servable(kind: str, path: Path) -> bool:
-    """Whether every payload of one stored file decodes."""
+    """Whether every payload of one stored file decodes. A file that
+    cannot be read now (no permission, out of descriptors) is kept."""
     try:
         with open(path, "rb") as handle:
             if kind == RESULT:
-                decode(kind, handle.read())
-                return True
-            for offset, length in read_pack_header(handle).values():
-                handle.seek(offset)
-                decode(kind, handle.read(length))
+                blobs = [handle.read()]
+            else:
+                blobs = []
+                for offset, length in read_pack_header(handle).values():
+                    handle.seek(offset)
+                    blobs.append(handle.read(length))
+    except ValueError:
+        return False
+    except OSError:
+        return True
+    try:
+        for blob in blobs:
+            decode(kind, blob)
     except Exception:
         return False
     return True

@@ -7,12 +7,17 @@ over the same directory publishing or evicting packs, damaged packs,
 and a pack rewritten under its name, plus the shape of what it writes.
 """
 
+import errno
+import os
 import pickle
 import sys
 import threading
+import time
+
+import pytest
 
 from repro.pipeline import compile as pipeline_compile
-from repro.storage import DiskTier, MemoryTier, PeerTier, TieredStore
+from repro.storage import DiskTier, MemoryTier, PeerTier, TieredStore, disk
 from repro.storage.base import encode, pack_path
 from repro.storage.disk import PackIndex
 
@@ -27,6 +32,38 @@ def _units(pass_name="fusion", keys=KEYS):
 
 def _pack_of(tier, pass_name, key):
     return tier.packs.locate(pass_name, key)[0]
+
+
+def _settle(directory):
+    """Date a directory's mtime back, as if its last change were long
+    past (so a listing of it may be trusted)."""
+    past = time.time_ns() - 60 * 10**9
+    os.utime(directory, ns=(past, past))
+
+
+def _failing_open(patch, code):
+    """Make every open of a pack file fail with *code*."""
+    real = open
+
+    def fake(path, *args, **kwargs):
+        if str(path).endswith(".pack"):
+            raise OSError(code, os.strerror(code), str(path))
+        return real(path, *args, **kwargs)
+
+    patch.setattr(disk, "open", fake, raising=False)
+
+
+def _count_listings(patch):
+    """The directories listed from now on."""
+    listed = []
+    real = os.scandir
+
+    def scandir(path):
+        listed.append(path)
+        return real(path)
+
+    patch.setattr(disk.os, "scandir", scandir)
+    return listed
 
 
 class TestTwoInstances:
@@ -118,6 +155,25 @@ class TestDamage:
         assert tier.counts["unit_load_misses"] == 0
         assert not truncated.exists() and not corrupt.exists()
 
+    def test_compact_removes_exactly_a_pack_that_fails_to_load(
+        self, tmp_path
+    ):
+        tier = DiskTier(str(tmp_path))
+        foreign = pickle.dumps({"format": 1, "repro": "0", "unit": 1})
+        tier.store_pack(
+            "fusion", [*_units(keys=KEYS[:1]), (KEYS[1], None, foreign)]
+        )
+        tier.store_pack("fusion", _units(keys=KEYS[2:]))
+        bad = _pack_of(tier, "fusion", KEYS[0])
+        size = bad.stat().st_size
+        assert tier.compact() == {"removed": 1, "reclaimed_bytes": size}
+        assert not bad.exists()
+        assert tier.counts["compacted_entries"] == 1
+        assert tier.fetch("unit", ("fusion", KEYS[0])) is None
+        artifact, _ = tier.fetch("unit", ("fusion", KEYS[3]))
+        assert artifact == {"pass": "fusion", "key": KEYS[3]}
+        assert tier.stats()["unit_entries"] == len(KEYS) - 2
+
     def test_a_foreign_payload_drops_its_pack(self, tmp_path):
         tier = DiskTier(str(tmp_path))
         foreign = pickle.dumps({"format": 1, "repro": "0", "unit": 1})
@@ -137,6 +193,145 @@ class TestDamage:
         assert index.units() == {}
         assert len(bad) == 2
         assert truncated.exists() and corrupt.exists()
+
+
+class TestUnreadable:
+    """A pack that cannot be read now is a plain miss, and stays."""
+
+    @pytest.mark.parametrize("code", [errno.EMFILE, errno.EACCES, errno.EIO])
+    def test_an_indexed_pack_survives(self, tmp_path, code):
+        tier = DiskTier(str(tmp_path))
+        tier.store_pack("fusion", _units())
+        pack = _pack_of(tier, "fusion", KEYS[0])
+        with pytest.MonkeyPatch.context() as patch:
+            _failing_open(patch, code)
+            assert tier.fetch("unit", ("fusion", KEYS[0])) is None
+            assert tier.payload("unit", ("fusion", KEYS[1])) is None
+        assert pack.exists()
+        assert tier.counts["unit_load_misses"] == 1
+        assert tier.counts["unit_load_errors"] == 0
+        assert tier.fetch("unit", ("fusion", KEYS[0])) is not None
+
+    def test_an_unread_pack_survives_and_is_read_later(self, tmp_path):
+        DiskTier(str(tmp_path)).store_pack("fusion", _units())
+        _settle(tmp_path / "v2" / "units" / "fusion")
+        tier = DiskTier(str(tmp_path))
+        bad = []
+        peer = PackIndex(tmp_path / "v2", on_bad=lambda: bad.append(1))
+        with pytest.MonkeyPatch.context() as patch:
+            _failing_open(patch, errno.EMFILE)
+            assert tier.fetch("unit", ("fusion", KEYS[0])) is None
+            assert peer.read("fusion", KEYS[0]) is None
+        # the directory did not change, but the listing that could not
+        # read a header is not trusted
+        assert tier.fetch("unit", ("fusion", KEYS[0])) is not None
+        assert peer.read("fusion", KEYS[0]) is not None
+        assert tier.counts["unit_load_errors"] == 0
+        assert bad == []
+
+    def test_compact_keeps_a_pack_it_cannot_read(self, tmp_path):
+        tier = DiskTier(str(tmp_path))
+        tier.store_pack("fusion", _units())
+        with pytest.MonkeyPatch.context() as patch:
+            _failing_open(patch, errno.EMFILE)
+            assert tier.compact()["removed"] == 0
+        assert tier.fetch("unit", ("fusion", KEYS[0])) is not None
+
+
+class TestOverlap:
+    """Two packs that hold one unit: either one serves it."""
+
+    def _overlapping(self, tmp_path):
+        owner = DiskTier(str(tmp_path))
+        owner.store_pack("fusion", _units(keys=KEYS[:3]))
+        owner.store_pack("fusion", _units(keys=KEYS[2:]))
+        return owner
+
+    def _evict(self, owner, pack):
+        """Evict exactly *pack*, the least recently used one."""
+        past = time.time() - 60
+        os.utime(pack, (past, past))
+        owner.max_bytes = owner.total_bytes() - pack.stat().st_size
+        assert owner.evict() == 1
+        assert not pack.exists()
+
+    def test_the_other_pack_serves_after_an_eviction(self, tmp_path):
+        owner = self._overlapping(tmp_path)
+        self._evict(owner, _pack_of(owner, "fusion", KEYS[2]))
+        artifact, _ = owner.fetch("unit", ("fusion", KEYS[2]))
+        assert artifact == {"pass": "fusion", "key": KEYS[2]}
+        assert owner.counts["unit_load_misses"] == 0
+
+    def test_the_other_pack_serves_after_another_instance_evicts(
+        self, tmp_path
+    ):
+        owner = self._overlapping(tmp_path)
+        reader = DiskTier(str(tmp_path))
+        assert reader.stats()["unit_entries"] == len(KEYS)
+        self._evict(owner, _pack_of(reader, "fusion", KEYS[2]))
+        artifact, _ = reader.fetch("unit", ("fusion", KEYS[2]))
+        assert artifact == {"pass": "fusion", "key": KEYS[2]}
+        assert reader.stats()["unit_entries"] == 3
+        assert reader.counts["unit_load_misses"] == 0
+        assert reader.counts["unit_load_errors"] == 0
+
+
+class TestListing:
+    """A miss reads the pass directory only when it changed."""
+
+    def test_a_miss_in_an_unchanged_directory_lists_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        writer = DiskTier(str(tmp_path))
+        for start in range(0, len(KEYS), 2):
+            writer.store_pack("emit", _units("emit", KEYS[start:start + 2]))
+        _settle(tmp_path / "v2" / "units" / "emit")
+        tier = DiskTier(str(tmp_path))
+        listed = _count_listings(monkeypatch)
+        missing = "ab" * 32
+        for _ in range(5):
+            assert tier.fetch("unit", ("emit", missing)) is None
+        assert len(listed) == 1
+        assert tier.fetch("unit", ("emit", KEYS[3])) is not None
+        assert len(listed) == 1
+        # another instance publishes: the directory changed
+        writer.store_pack("emit", _units("emit", [missing, "cd" * 32]))
+        assert tier.fetch("unit", ("emit", missing)) is not None
+        assert len(listed) == 2
+
+    def test_a_listing_forgets_the_packs_another_instance_deleted(
+        self, tmp_path
+    ):
+        owner = DiskTier(str(tmp_path))
+        owner.store_pack("fusion", _units())
+        reader = DiskTier(str(tmp_path))
+        assert reader.stats()["unit_entries"] == len(KEYS)
+        assert owner.gc("fusion")["removed"] == 1
+        assert reader.stats()["unit_entries"] == 0
+
+    def test_a_listing_of_a_fresh_directory_is_not_trusted(self, tmp_path):
+        # a file system whose clock ticks coarsely can stamp a change
+        # right after a listing with the mtime that listing saw
+        writer = DiskTier(str(tmp_path))
+        writer.store_pack("emit", _units("emit", KEYS[:2]))
+        directory = tmp_path / "v2" / "units" / "emit"
+        seen = directory.stat().st_mtime_ns
+        tier = DiskTier(str(tmp_path))
+        assert tier.fetch("unit", ("emit", KEYS[3])) is None
+        writer.store_pack("emit", _units("emit", KEYS[2:]))
+        os.utime(directory, ns=(seen, seen))
+        assert tier.fetch("unit", ("emit", KEYS[3])) is not None
+
+    def test_a_one_unit_pack_is_opened_without_a_listing(
+        self, tmp_path, monkeypatch
+    ):
+        writer = DiskTier(str(tmp_path))
+        writer.store_pack("bytecode", _units("bytecode", KEYS[1:3]))
+        assert writer.store("unit", ("bytecode", KEYS[0]), b"code")
+        tier = DiskTier(str(tmp_path))
+        listed = _count_listings(monkeypatch)
+        assert tier.fetch("unit", ("bytecode", KEYS[0]))[0] == b"code"
+        assert listed == []
 
 
 class TestShape:
