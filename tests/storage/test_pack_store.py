@@ -387,6 +387,29 @@ class TestShape:
 
 
 class TestThreads:
+    def test_no_file_is_read_under_the_index_lock(self, tmp_path, monkeypatch):
+        # readers through one shared tier (the service's /artifact
+        # handler) must not wait on each other's file I/O
+        DiskTier(str(tmp_path)).store_pack("fusion", _units())
+        tier = DiskTier(str(tmp_path))
+        locked = []
+        real_open, real_scandir = open, os.scandir
+
+        def fake_open(path, *args, **kwargs):
+            locked.append(tier.packs._lock.locked())
+            return real_open(path, *args, **kwargs)
+
+        def fake_scandir(path):
+            locked.append(tier.packs._lock.locked())
+            return real_scandir(path)
+
+        monkeypatch.setattr(disk, "open", fake_open, raising=False)
+        monkeypatch.setattr(disk.os, "scandir", fake_scandir)
+        assert tier.fetch("unit", ("fusion", KEYS[0])) is not None
+        assert tier.fetch("unit", ("fusion", "ab" * 32)) is None
+        assert tier.payload("unit", ("fusion", KEYS[1])) is not None
+        assert len(locked) >= 3 and not any(locked)
+
     def test_threads_publishing_and_reading_lose_no_unit(self, tmp_path):
         # more threads than cores, each publishing its own packs through
         # one tier and reading every unit back through that tier and a
